@@ -1,7 +1,7 @@
 """Benchmark of the epa package: three workloads, checked outputs,
 end-to-end metrics, and a traced run for per-layer metrics.
 
-    python3 bench/run.py --workload split-ladder --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload split-ladder --seed 1 --seconds 15 --trace 0
 
 Run from the root of a checkout; the package is imported from ``src/``
 of the same checkout.  The last line of standard output is one JSON
@@ -26,9 +26,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_ROOT = ROOT / ".bench_build"
-JOB_LIMIT_S = 5.0      # a failed or timed-out job is charged this much
+JOB_LIMIT_S = 5.0      # s at reference speed; also what a failed job is charged
 SETUP_REPEATS = 3
-MIN_PASSES = 3
 
 
 def _import_package() -> None:
@@ -46,31 +45,39 @@ def _import_package() -> None:
 _import_package()
 
 import jobs as job_runner  # noqa: E402  (needs the package on sys.path)
+import speed  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer, call_counts, layer_metrics, merge  # noqa: E402
 
 
-def run_pass(jobs, tracer=None):
-    outcomes = []
+def run_pass(jobs, clock, tracer=None):
+    """Run every job once.  Returns the outcomes and each job's time
+    scaled to reference speed."""
+    outcomes, scaled = [], []
+    last = clock.tick()
     for job in jobs:
-        outcome = job_runner.run_job(job, JOB_LIMIT_S)
+        outcome = job_runner.run_job(job, clock.wall(JOB_LIMIT_S))
         if tracer is not None and outcome.error is not None:
             tracer.reset_stack()
         outcomes.append(outcome)
-    return outcomes
+        now = clock.tick()
+        scaled.append(now - last)
+        last = now
+    return outcomes, scaled
 
 
 def evaluate(jobs, passes):
     """Check every output and charge failures the time limit.
 
-    Returns (per-job seconds as the fastest of its passes, failure
-    records, whether every completed output passed its checks).  Other
-    tenants of a shared machine only ever add time, so the fastest pass
-    is the steadiest estimate of a job's own cost."""
+    ``passes`` holds (outcomes, scaled times) per pass.  Returns each
+    job's time as the median of its passes, the failure records, and
+    whether every completed output passed its checks.  Scaling removes
+    most of the machine's slow states; the median drops the passes in
+    which a job and the readings around it met different states."""
     verdicts: dict[tuple[int, str], str | None] = {}
     failures = []
     charged = [[] for _ in jobs]
-    for p, outcomes in enumerate(passes):
+    for p, (outcomes, scaled) in enumerate(passes):
         for i, (job, outcome) in enumerate(zip(jobs, outcomes)):
             error = outcome.error
             if error is None:
@@ -80,13 +87,13 @@ def evaluate(jobs, passes):
                 if verdicts[key] is not None:
                     error = f"check: {verdicts[key]}"
             if error is None:
-                charged[i].append(outcome.seconds)
+                charged[i].append(scaled[i])
             else:
                 charged[i].append(JOB_LIMIT_S)
                 failures.append({"pass": p, "row": job.row, "family": job.family,
                                  "n": job.n, "seed": job.seed, "error": error})
     correct = all(v is None for v in verdicts.values())
-    return [min(c) for c in charged], failures, correct
+    return [statistics.median(c) for c in charged], failures, correct
 
 
 def nearest_rank(sorted_values, share):
@@ -94,19 +101,30 @@ def nearest_rank(sorted_values, share):
 
 
 def untraced_run(workload, seed, seconds, corpus):
-    setup_times = []
-    for _ in range(SETUP_REPEATS):
-        start = perf_counter()
-        jobs = workloads.SETUP[workload](corpus, seed)
-        setup_times.append(perf_counter() - start)
-    gc.collect()
-    passes = []
+    """Set up, then run a pass over the job list, and again, until the
+    next set-up and pass would no longer fit in ``seconds``; then set up
+    again until there were ``SETUP_REPEATS`` set-ups.  Every time is
+    scaled to reference speed; ``setup_s`` and each job's time are the
+    median of their repeats."""
+    clock = speed.Clock()
+    setup_times, passes = [], []
+
+    def set_up():
+        began = clock.tick()
+        made = workloads.SETUP[workload](corpus, seed, clock.tick)
+        setup_times.append(clock.tick() - began)
+        return made
+
     start = perf_counter()
     while True:
-        passes.append(run_pass(jobs))
+        jobs = set_up()
+        gc.collect()
+        passes.append(run_pass(jobs, clock))
         elapsed = perf_counter() - start
-        if len(passes) >= MIN_PASSES and elapsed * (len(passes) + 1) / len(passes) > seconds:
+        if elapsed * (len(passes) + 1) / len(passes) > seconds:
             break
+    while len(setup_times) < SETUP_REPEATS:
+        set_up()
     per_job, failures, correct = evaluate(jobs, passes)
     ordered = sorted(per_job)
     attempted = len(jobs) * len(passes)
@@ -119,8 +137,11 @@ def untraced_run(workload, seed, seconds, corpus):
         "peak_rss_mb": {
             "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "unit": "MB"},
     }
-    print(f"{workload}: {len(jobs)} jobs, {len(passes)} passes, setup runs "
-          + ", ".join(f"{t:.3f}" for t in setup_times) + " s")
+    print(f"{workload}: {len(jobs)} jobs, {len(passes)} passes of "
+          + ", ".join(f"{sum(o.seconds for o in outcomes):.2f}" for outcomes, _ in passes)
+          + " s wall time, " + ", ".join(f"{sum(scaled):.2f}" for _, scaled in passes)
+          + " s at reference speed; set-ups " + ", ".join(f"{t:.3f}" for t in setup_times)
+          + " s at reference speed")
     return correct, attempted, failures, metrics
 
 
@@ -140,8 +161,9 @@ def sweep_csv_matches(jobs, outcomes):
 def traced_run(workload, seed, corpus):
     """Set up once, then run a traced pass, an untraced pass and a second
     traced pass.  The first traced pass also warms up, so the overhead
-    compares the two later passes.  Checks that tracing changes no
-    output and that every count repeats."""
+    compares the two later passes, at reference speed.  Checks that every
+    listed function was found, that tracing changes no output and that
+    every count repeats."""
     tracer = Tracer()
     tracer.install()
     try:
@@ -152,21 +174,21 @@ def traced_run(workload, seed, corpus):
     gc.collect()
     tracer.install()
     try:
-        first = run_pass(jobs, tracer)
+        first, _ = run_pass(jobs, speed.Clock(), tracer)
     finally:
         tracer.uninstall()
     first_taken = tracer.take()
-    plain = run_pass(jobs)
+    clock = speed.Clock()
+    plain, plain_s = run_pass(jobs, clock)
     tracer.install()
     try:
-        second = run_pass(jobs, tracer)
+        second, second_s = run_pass(jobs, clock, tracer)
     finally:
         tracer.uninstall()
     second_taken = tracer.take()
-    _, failures, correct = evaluate(jobs, [first, plain, second])
-    if tracer.missing:
-        print("not traced, read 0: " + ", ".join(tracer.missing))
-    problems = []
+    passes = [(o, [x.seconds for x in o]) for o in (first, plain, second)]
+    _, failures, correct = evaluate(jobs, passes)
+    problems = [f"not found in the package: {name}" for name in tracer.missing]
     same = [(o.output, o.error) for o in plain]
     if [(o.output, o.error) for o in first] != same or [(o.output, o.error) for o in second] != same:
         problems.append("traced outputs differ from untraced outputs")
@@ -176,7 +198,7 @@ def traced_run(workload, seed, corpus):
         problems.append("bench CSV differs across worker counts or from per-job rows")
     for problem in problems:
         print(f"self-check: {problem}")
-    overhead = sum(o.seconds for o in second) / sum(o.seconds for o in plain) - 1
+    overhead = sum(second_s) / sum(plain_s) - 1
     metrics = layer_metrics(merge(setup_taken, second_taken), overhead)
     print(f"{workload}: {len(jobs)} jobs traced, tracing overhead {overhead:.3f}")
     return correct and not problems, 3 * len(jobs), failures, metrics

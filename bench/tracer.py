@@ -9,7 +9,9 @@ listed function object, and ``uninstall`` puts every binding back.
 
 Each wrapped function counts its calls and its self time, which is its
 wall time minus the wall time of wrapped functions it called.  A few
-extra counters measure wasted work where a layer can waste it.
+extra counters measure wasted work where a layer can waste it.  A listed
+function that the package no longer has is named in ``missing``; the
+traced run treats that as a failed self-check, not as a layer at 0.
 """
 
 from __future__ import annotations

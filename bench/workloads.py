@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from epa.generator import GENERATOR_CLASSES, GeneratorSpec, generate, random_weights
 from epa.graphs import Graph
@@ -20,34 +21,41 @@ from epa.instances import serialize_instance
 DENSITY = Fraction(1, 2)
 
 # split-ladder: (problem, total n, instances).  k = n/10 vertices are
-# planted.  One instance's cost varies several-fold at a fixed n
-# (cvc-split at n=32 takes 0.1-1.3 s), so the top of each ladder gets one
-# or two instances.  Job times span two orders of magnitude, so blocks of
-# similar jobs sit under the percentiles: vc at n=48 under the median and
-# vc at n=64 under the 90th percentile.  cvc reaches n=30-32, where
-# ``cvc_budgeted`` and ``cvc_savage`` run on most instances.
+# planted.  One instance's cost varies several-fold at a fixed n, and for
+# cvc it is heavy-tailed: most instances at n=20-28 take 5-20 ms, but one
+# in fifteen takes 0.2-1.5 s; at n=30 they take 0.02-1.5 s, and at n=32
+# two of fifteen draws took 4-5 s.  So the rungs above n=16 get four
+# instances or one, and two large blocks of vc jobs (n=48 and n=56) carry
+# most of the total, so that a heavy draw moves it less.  The 700 cvc
+# jobs at n=16, about 2 ms each and the tightest group, hold the median;
+# the 90th percentile falls in the n=56 block.
 SPLIT_LADDER: tuple[tuple[str, int, int], ...] = (
-    ("cvc", 16, 30), ("cvc", 20, 4), ("cvc", 24, 10), ("cvc", 28, 2), ("cvc", 30, 1), ("cvc", 32, 2),
-    ("vc", 40, 4), ("vc", 48, 30), ("vc", 56, 4), ("vc", 64, 16), ("vc", 72, 1),
-    ("vc", 80, 1), ("vc", 88, 1),
+    ("cvc", 16, 700), ("cvc", 20, 4), ("cvc", 24, 4), ("cvc", 28, 4), ("cvc", 30, 1),
+    ("vc", 40, 8), ("vc", 48, 150), ("vc", 56, 120), ("vc", 64, 4), ("vc", 72, 1),
+    ("vc", 80, 1), ("vc", 88, 1), ("vc", 100, 1),
 )
 
 # scale-mix: row -> (generator class, ((total n, instances), ...)).  Each
 # ladder climbs from n=100; vc-ccluster reaches n=800, where one job
 # costs about a second, most of it parsing 288k edges.  Ladders stop
 # lower where one instance's cost varies several-fold (tp-ccluster at
-# n=200 takes 1.1-3.9 s, vc-cograph at n=400 0.2-1.8 s) or where the
+# n=200 takes 1.1-3.9 s, vc-cograph at n=400 0.14-0.9 s), where the
 # generator itself is slow (the triangle-free base of p3k1-free costs
-# about n^4.4).  vc-cograph and vc-ccluster at n=100 form the block of
-# similar jobs under the median.
+# about n^4.4; a cochordal instance at n=800 takes 1.8 s to generate
+# and 1 s to color), or both (col-cograph at n=800 takes 0.4-0.7 s to
+# generate and 0.4-0.8 s to color).  Two blocks of similar jobs carry
+# the percentiles, both of vc-ccluster, whose instances vary least: n=100
+# (about 11 ms) under the median and n=400 (0.12-0.22 s) under the 90th
+# percentile.  About eight jobs of other rows are slower than the n=400
+# block, so with 18 jobs the 90th percentile falls near its middle.
 SCALE_LADDER: dict[str, tuple[str, tuple[tuple[int, int], ...]]] = {
     "vc-cograph": ("cograph", ((100, 12), (200, 2), (300, 1))),
     "vc-cluster": ("cluster", ((100, 3), (200, 2), (400, 1), (800, 1))),
-    "vc-ccluster": ("cocluster", ((100, 14), (200, 2), (400, 1), (800, 1))),
+    "vc-ccluster": ("cocluster", ((100, 50), (200, 2), (400, 18), (800, 1))),
     "vc-fvs": ("forest", ((100, 3), (200, 2), (400, 1), (800, 1))),
-    "vc-chordal": ("chordal", ((100, 3), (200, 2), (400, 1))),
-    "col-oct": ("bipartite", ((100, 3), (150, 2), (200, 1))),
-    "col-chordal": ("chordal", ((100, 3), (200, 2), (400, 1))),
+    "vc-chordal": ("chordal", ((100, 3), (200, 2), (400, 1), (800, 1))),
+    "col-oct": ("bipartite", ((100, 3), (150, 2), (200, 2))),
+    "col-chordal": ("chordal", ((100, 3), (200, 2), (400, 1), (800, 1))),
     "col-cograph": ("cograph", ((100, 3), (200, 6), (400, 1))),
     "col-cchordal": ("cochordal", ((100, 3), (200, 2), (400, 1))),
     "col-p3k1": ("p3k1-free", ((100, 3),)),
@@ -81,8 +89,8 @@ class Job:
     n: int                    # vertices of the instance
     seed: int
     planted: frozenset[int]   # planted modulator (empty for deep families)
-    path: Path                # the .epa file written at set-up
-    spec: GeneratorSpec | None = None
+    path: Path | None = None  # the .epa file a solve job reads
+    spec: GeneratorSpec | None = None  # the spec a sweep job runs
 
 
 def threshold_cograph(n: int) -> Graph:
@@ -119,7 +127,15 @@ def _planted(corpus: Path, index: int, row: str, cls: str, n: int, seed: int,
     return Job(row, cls, g.n, seed, planted, path, spec), g
 
 
-def setup_split_ladder(corpus: Path, seed: int) -> list[Job]:
+def _no_tick() -> float:
+    return 0.0
+
+
+# Each set-up calls ``tick`` after every instance, so that a scaled
+# clock (see ``speed.Clock``) reads the machine next to each instance.
+
+
+def setup_split_ladder(corpus: Path, seed: int, tick: Callable[[], float] = _no_tick) -> list[Job]:
     """Planted split instances; cvc jobs only on connected ones, the rule
     ``epa bench`` uses, so disconnected draws are skipped."""
     jobs: list[Job] = []
@@ -129,6 +145,7 @@ def setup_split_ladder(corpus: Path, seed: int) -> list[Job]:
         while made < count:
             job, g = _planted(corpus, len(jobs), f"{problem}-split", "split", n, draw)
             draw += 1
+            tick()
             if problem == "cvc" and not g.is_connected():
                 continue
             jobs.append(job)
@@ -136,7 +153,7 @@ def setup_split_ladder(corpus: Path, seed: int) -> list[Job]:
     return jobs
 
 
-def setup_scale_mix(corpus: Path, seed: int) -> list[Job]:
+def setup_scale_mix(corpus: Path, seed: int, tick: Callable[[], float] = _no_tick) -> list[Job]:
     """Planted instances per row and size, weighted VC rows on every
     other instance, then the deep families."""
     jobs: list[Job] = []
@@ -148,11 +165,13 @@ def setup_scale_mix(corpus: Path, seed: int) -> list[Job]:
                 job, _ = _planted(corpus, len(jobs), row, cls, n, draw, weighted)
                 jobs.append(job)
                 draw += 1
+                tick()
     for family, n, rows in DEEP_FAMILIES:
         g = _DEEP[family](n)
         path = corpus / f"{family}-{n}.epa"
         _write(path, g)
         jobs.extend(Job(row, family, g.n, 0, frozenset(), path) for row in rows)
+        tick()
     return jobs
 
 
@@ -166,15 +185,15 @@ def sweep_specs(seed: int) -> list[GeneratorSpec]:
     ]
 
 
-def setup_oracle_sweep(corpus: Path, seed: int) -> list[Job]:
-    """Generate and write every instance of the sweep; the jobs run
-    ``reports.bench_instance`` on the spec, which generates it again."""
+def setup_oracle_sweep(corpus: Path, seed: int, tick: Callable[[], float] = _no_tick) -> list[Job]:
+    """Generate every instance of the sweep for the size and planted set
+    its rows must name; the jobs run ``reports.bench_instance`` on the
+    spec, which generates it again, so nothing is written."""
     jobs: list[Job] = []
     for spec in sweep_specs(seed):
         g, planted = generate(spec)
-        path = corpus / f"{len(jobs):04d}.epa"
-        _write(path, g)
-        jobs.append(Job("sweep", spec.base, g.n, spec.seed, planted, path, spec))
+        jobs.append(Job("sweep", spec.base, g.n, spec.seed, planted, spec=spec))
+        tick()
     return jobs
 
 
