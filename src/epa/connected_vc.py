@@ -62,19 +62,20 @@ def connected_subsets(g: Graph, k: int, within: Optional[int] = None) -> Iterato
         yield from extend(1 << v, g.adj_bits[v] & above, g.adj_bits[v], above, k - 1)
 
 
-def _covers_mask(g: Graph, cover: int, within: int) -> bool:
-    uncovered = within & ~cover
-    return not any(g.adj_bits[u] & uncovered for u in bits(uncovered))
-
-
 def _brute_min_cvc(g: Graph, limit: int) -> Optional[frozenset[int]]:
     """Minimum connected vertex cover if its size is at most ``limit``."""
     full = g.full_mask
     if g.m == 0:
         return frozenset()
+    # A cover of size k holds every vertex of degree above k (else it
+    # holds all of that vertex's neighbors), so sizes with more than k
+    # such vertices are skipped.
+    degrees = sorted((b.bit_count() for b in g.adj_bits), reverse=True)
     for k in range(1, min(limit, g.n) + 1):
+        if k < g.n and degrees[k] > k:
+            continue
         for sub in connected_subsets(g, k):
-            if _covers_mask(g, sub, full):
+            if g.covers(sub, full):
                 return frozenset(bits(sub))
     return None
 
@@ -93,24 +94,18 @@ def cvc_budgeted(g: Graph, c: int) -> ConnectedVCSol:
     """
     if not g.is_connected():
         raise ValueError("budgeted connected cover needs a connected graph")
+    # A small cover has at most min(c, n-1) vertices, fewer than any
+    # lifted candidate, which contains Y.
+    small = _brute_min_cvc(g, c)
+    if small is not None:
+        return ConnectedVCSol(small, f"cvc-budgeted[{c}]")
     best: Optional[frozenset[int]] = None
-
-    def consider(cand: frozenset[int]) -> None:
-        nonlocal best
-        if best is None or len(cand) < len(best):
-            best = cand
-
-    if g.m == 0:
-        return ConnectedVCSol(frozenset(), f"cvc-budgeted[{c}]")
-    for k in range(1, min(c, g.n) + 1):
-        for sub in connected_subsets(g, k):
-            if _covers_mask(g, sub, g.full_mask):
-                consider(frozenset(bits(sub)))
     for sub in connected_subsets(g, min(c + 1, g.n)):
         y = frozenset(bits(sub))
         con = g.contract_with_pendant(y)
-        s = cvc_savage(con.graph)
-        consider(con.lift(s) | y)
+        cand = con.lift(cvc_savage(con.graph)) | y
+        if best is None or len(cand) < len(best):
+            best = cand
     return ConnectedVCSol(best, f"cvc-budgeted[{c}]")
 
 

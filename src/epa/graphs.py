@@ -2,9 +2,14 @@
 
 Vertices are always 0..n-1.  Adjacency is kept twice: as sorted tuples
 (for iteration) and as integer bitmasks (for the set arithmetic that the
-solvers and oracles lean on).  All graph values are immutable; derived
-graphs (complement, induced subgraph, contraction) are new objects
-together with an index map back to the parent.
+solvers and oracles lean on).  All graph values are immutable.
+
+``Graph(n, edges)`` validates every edge list it is given (range,
+self-loops, duplicates), since that is where outside input enters.
+Derived graphs (complement, induced subgraph, contraction) are new
+objects, together with an index map back to the parent; they are built
+straight from the parent's adjacency masks, which are correct by
+construction, so they skip that validation.
 
 Vertex weights are plain tuples of nonnegative ``Fraction`` values so
 that weight subtractions and comparisons are exact.
@@ -58,6 +63,19 @@ class Graph:
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self.adj_bits = tuple(mask_of(s) for s in nbrs)
 
+    @classmethod
+    def _from_masks(cls, adj_bits: Sequence[int]) -> "Graph":
+        """Graph with the given symmetric, loop-free adjacency masks,
+        unchecked: only for masks derived from a valid graph."""
+        g = cls.__new__(cls)
+        g.n = len(adj_bits)
+        g.adj_bits = tuple(adj_bits)
+        # tuple() of a list is sized exactly; built from generators these
+        # tuples were slower and raised peak RSS measurably.
+        g.adj = tuple([tuple(list(bits(b))) for b in g.adj_bits])
+        g.m = sum(b.bit_count() for b in g.adj_bits) // 2
+        return g
+
     # -- basic queries ------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -95,21 +113,27 @@ class Graph:
     # -- derived graphs -----------------------------------------------
 
     def complement(self) -> "Graph":
-        n = self.n
-        es = [(u, v) for u in range(n) for v in range(u + 1, n) if not self.has_edge(u, v)]
-        return Graph(n, es)
+        full = self.full_mask
+        return Graph._from_masks([full & ~b & ~(1 << u) for u, b in enumerate(self.adj_bits)])
+
+    def _check_ids(self, s: set[int]) -> None:
+        if any(not 0 <= v < self.n for v in s):
+            raise ValueError(f"vertex set out of range for n={self.n}")
 
     def induced_subgraph(self, s: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph induced by ``s``; returns (graph, old-ids-by-new-id)."""
-        old = tuple(sorted(set(s)))
-        index = {o: i for i, o in enumerate(old)}
-        es = [
-            (index[u], index[v])
-            for u in old
-            for v in self.adj[u]
-            if v > u and v in index
-        ]
-        return Graph(len(old), es), old
+        sset = set(s)
+        self._check_ids(sset)
+        old = tuple(sorted(sset))
+        within = mask_of(old)
+        index = dict(zip(old, range(len(old))))
+        adj = []
+        for u in old:
+            b = 0
+            for v in bits(self.adj_bits[u] & within):
+                b |= 1 << index[v]
+            adj.append(b)
+        return Graph._from_masks(adj), old
 
     def contract_with_pendant(self, y: Iterable[int]) -> "Contraction":
         """Contract ``y`` to one vertex and append a fresh pendant leaf.
@@ -122,21 +146,39 @@ class Graph:
         yset = set(y)
         if not yset:
             raise ValueError("cannot contract an empty vertex set")
-        if not yset <= set(range(self.n)):
-            raise ValueError("contracted set out of range")
-        kept = [u for u in range(self.n) if u not in yset]
-        index = {o: i for i, o in enumerate(kept)}
+        self._check_ids(yset)
+        rest = self.full_mask & ~mask_of(yset)
+        kept = tuple(bits(rest))
         nv = len(kept)
         vert = nv          # contracted vertex
         leaf = nv + 1
-        es = [(index[u], index[v]) for u in kept for v in self.adj[u] if v > u and v not in yset]
-        outside = set()
+        # Kept ids form runs between the members of y; a run starting
+        # after i members of y moves down by i.
+        runs = []
+        lo = 0
+        for i, p in enumerate(sorted(yset) + [self.n]):
+            if p > lo:
+                runs.append((lo, (1 << (p - lo)) - 1, lo - i))
+            lo = p + 1
+        adj = []
+        for u in kept:
+            b = self.adj_bits[u]
+            nb = 0
+            for start, ones, new in runs:
+                nb |= (b >> start & ones) << new
+            adj.append(nb)
+        outside = 0
         for u in yset:
-            outside.update(v for v in self.adj[u] if v not in yset)
-        es.extend((index[u], vert) for u in sorted(outside))
-        es.append((vert, leaf))
-        old_to_new = tuple(index[u] if u not in yset else vert for u in range(self.n))
-        return Contraction(Graph(nv + 2, es), vert, leaf, old_to_new, tuple(kept))
+            outside |= self.adj_bits[u]
+        vadj = 1 << leaf
+        old_to_new = [vert] * self.n
+        for i, u in enumerate(kept):
+            old_to_new[u] = i
+            if outside >> u & 1:
+                adj[i] |= 1 << vert
+                vadj |= 1 << i
+        adj += [vadj, 1 << vert]
+        return Contraction(Graph._from_masks(adj), vert, leaf, tuple(old_to_new), kept)
 
     # -- structural primitives ----------------------------------------
 
@@ -182,6 +224,17 @@ class Graph:
             comp |= nxt
             frontier = nxt
         return comp
+
+    def covers(self, cover: int, within: int) -> bool:
+        """True when the vertex mask ``cover`` covers every edge of G[within]."""
+        uncovered = within & ~cover
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            if self.adj_bits[low.bit_length() - 1] & uncovered:
+                return False
+            rest ^= low
+        return True
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -459,42 +459,57 @@ def cvc_savage(g: Graph) -> frozenset[int]:
     if g.n <= 1:
         return frozenset()
     children = [0] * g.n
-    visited = [False] * g.n
+    visited = 0
     stack = [(0, -1)]
     while stack:
         v, parent = stack.pop()
-        if visited[v]:
+        if visited >> v & 1:
             continue
-        visited[v] = True
+        visited |= 1 << v
         if parent != -1:
             children[parent] += 1
-        for u in reversed(g.adj[v]):
-            if not visited[u]:
-                stack.append((u, v))
+        nbrs = g.adj_bits[v] & ~visited
+        while nbrs:                  # highest first, so the lowest pops first
+            u = nbrs.bit_length() - 1
+            stack.append((u, v))
+            nbrs ^= 1 << u
     internal = {v for v in range(g.n) if children[v] > 0}
     pruned = internal - {0}
-    if pruned and _covers(g, pruned) and g.induces_connected(pruned):
+    if pruned and g.covers(mask_of(pruned), g.full_mask) and g.induces_connected(pruned):
         return frozenset(pruned)
     return frozenset(internal)
-
-
-def _covers(g: Graph, s: set[int]) -> bool:
-    m = mask_of(s)
-    return all((m >> u & 1) or (m >> v & 1) for u, v in g.edges())
 
 
 # ---------------------------------------------------------------------
 # weighted vertex cover 2-approximation (local ratio on edges)
 
 
-def vc_2approx(g: Graph, w: Optional[Weights] = None) -> frozenset[int]:
-    """Vertex cover of weight at most twice the optimum."""
+def vc_2approx(
+    g: Graph, w: Optional[Weights] = None, within: Optional[int] = None
+) -> frozenset[int]:
+    """Vertex cover of G[within] (default: all of G) of weight at most
+    twice the optimum; edges are reduced in lexicographic order."""
+    mask = g.full_mask if within is None else within
     if w is None:
-        w = unit_weights(g.n)
+        # Unit weights: each reduced edge zeroes both ends, so the cover
+        # is both ends of a greedy maximal matching.  A vertex still free
+        # when its turn comes has only higher free neighbors.
+        adj = g.adj_bits
+        free = mask
+        cover_bits = 0
+        while free:
+            low = free & -free
+            free ^= low
+            nbrs = adj[low.bit_length() - 1] & free
+            if nbrs:
+                mate = nbrs & -nbrs
+                cover_bits |= low | mate
+                free ^= mate
+        return frozenset(bits(cover_bits))
     wp = list(w)
     cover: set[int] = set()
     for u, v in g.edges():
-        if u in cover or v in cover:
+        if u in cover or v in cover or not (mask >> u & mask >> v & 1):
             continue
         gamma = min(wp[u], wp[v])
         wp[u] -= gamma

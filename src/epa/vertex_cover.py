@@ -222,19 +222,19 @@ def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
             return frozenset(bits(clique))
 
 
-def vc_budgeted_2approx(g: Graph, c: int) -> VertexCoverSol:
-    """Unweighted cover of size at most max(OPT, 2*OPT - c): try every
-    deletion set of size up to ``c`` before 2-approximating the rest."""
-    w = unit_weights(g.n)
+def vc_budgeted_2approx(g: Graph, c: int, within: Optional[int] = None) -> VertexCoverSol:
+    """Unweighted cover of G[within] (default: all of G) of size at most
+    max(OPT, 2*OPT - c): try every deletion set of size up to ``c``
+    before 2-approximating the rest."""
+    mask = g.full_mask if within is None else within
+    vs = tuple(bits(mask))
     best: Optional[frozenset[int]] = None
-    for k in range(min(c, g.n) + 1):
-        for combo in combinations(range(g.n), k):
-            rest, old = g.induced_subgraph(set(range(g.n)) - set(combo))
-            approx = vc_2approx(rest)
-            cand = frozenset(combo) | {old[v] for v in approx}
-            if best is None or len(cand) < len(best):
-                best = cand
-    return _sol(g, w, best, f"vc-budgeted[{c}]")
+    for k in range(min(c, len(vs)) + 1):
+        for combo in combinations(vs, k):
+            approx = vc_2approx(g, within=mask & ~mask_of(combo))
+            if best is None or k + len(approx) < len(best):
+                best = approx.union(combo)
+    return _sol(g, unit_weights(g.n), best, f"vc-budgeted[{c}]")
 
 
 def vc_split(g: Graph) -> VertexCoverSol:
@@ -248,8 +248,7 @@ def vc_split(g: Graph) -> VertexCoverSol:
     w = unit_weights(g.n)
 
     def rec(alive: int, depth: int) -> frozenset[int]:
-        sub_edges = [(u, v) for u in bits(alive) for v in bits(g.adj_bits[u] & alive) if v > u]
-        if not sub_edges:
+        if g.covers(0, alive):
             return frozenset()
         z = two_maximal_clique(g, within=alive)
         zmask = mask_of(z)
@@ -258,13 +257,12 @@ def vc_split(g: Graph) -> VertexCoverSol:
         if small is not None:
             for v in sorted(z):
                 cand = (z - {v}) | small
-                if _covers_within(g, cand, alive):
+                if g.covers(mask_of(cand), alive):
                     return frozenset(cand)
             return frozenset(z | small)
-        sub, old = g.induced_subgraph(bits(rest))
-        budgeted = {old[v] for v in vc_budgeted_2approx(sub, 2).cover}
+        budgeted = vc_budgeted_2approx(g, 2, within=rest).cover
         recursive = rec(rest, depth + 1)
-        x1 = frozenset(budgeted) | z
+        x1 = budgeted | z
         x2 = recursive | z
         return x2 if len(x2) <= len(x1) else x1
 
@@ -274,18 +272,12 @@ def vc_split(g: Graph) -> VertexCoverSol:
 
 def _cover_of_size_le1(g: Graph, mask: int) -> Optional[frozenset[int]]:
     """A vertex cover of G[mask] of size at most 1, if one exists."""
-    edges = [(u, v) for u in bits(mask) for v in bits(g.adj_bits[u] & mask) if v > u]
-    if not edges:
+    if g.covers(0, mask):
         return frozenset()
     for v in bits(mask):
-        if all(u == v or x == v for u, x in edges):
+        if g.covers(1 << v, mask):
             return frozenset((v,))
     return None
-
-
-def _covers_within(g: Graph, cand: set[int], alive: int) -> bool:
-    uncovered = alive & ~mask_of(cand)
-    return not any(g.adj_bits[u] & uncovered for u in bits(uncovered))
 
 
 # ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from epa.generator import SplitMix64
 from epa.graphs import (
     Graph,
     as_weights,
@@ -13,6 +14,16 @@ from epa.graphs import (
     star_graph,
 )
 from conftest import corpus
+
+
+def random_mask(n: int, seed: int) -> int:
+    """A seeded vertex mask of about half the vertices."""
+    rng = SplitMix64(seed)
+    return sum(1 << v for v in range(n) if rng.below(2))
+
+
+def assert_same_graph(h: Graph, ref: Graph) -> None:
+    assert (h.n, h.m, h.adj, h.adj_bits) == (ref.n, ref.m, ref.adj, ref.adj_bits)
 
 
 def test_rejects_self_loops_and_duplicates():
@@ -97,6 +108,64 @@ def test_contract_size_and_leaf_degree_corpus():
 def test_contract_empty_rejected():
     with pytest.raises(ValueError):
         path_graph(3).contract_with_pendant(set())
+
+
+def test_induced_subgraph_rejects_out_of_range_ids():
+    # a negative id must not wrap around to the last vertex
+    with pytest.raises(ValueError):
+        path_graph(3).induced_subgraph([-1, 1])
+    with pytest.raises(ValueError):
+        path_graph(3).induced_subgraph([0, 5])
+    with pytest.raises(ValueError):
+        path_graph(3).contract_with_pendant({-1})
+
+
+# -- derived graphs equal the validated build of their edge lists -------
+
+
+def test_complement_equals_validated_build_corpus():
+    for g in corpus(60, 0, 10, seed0=700):
+        es = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        assert_same_graph(g.complement(), Graph(g.n, es))
+
+
+def test_induced_subgraph_equals_validated_build_corpus():
+    for i, g in enumerate(corpus(60, 1, 10, seed0=710)):
+        for s in (random_mask(g.n, 720 + i), g.full_mask, 0):
+            old = [v for v in range(g.n) if s >> v & 1]
+            index = {o: j for j, o in enumerate(old)}
+            es = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+            h, got_old = g.induced_subgraph(old)
+            assert got_old == tuple(old)
+            assert_same_graph(h, Graph(len(old), es))
+
+
+def test_contraction_equals_validated_build_corpus():
+    for i, g in enumerate(corpus(60, 1, 10, seed0=730)):
+        y = {v for v in range(g.n) if random_mask(g.n, 740 + i) >> v & 1} or {i % g.n}
+        kept = [u for u in range(g.n) if u not in y]
+        index = {o: j for j, o in enumerate(kept)}
+        vert, leaf = len(kept), len(kept) + 1
+        es = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+        es += [(index[u], vert) for u in kept if any(g.has_edge(u, x) for x in y)]
+        es.append((vert, leaf))
+        con = g.contract_with_pendant(y)
+        assert_same_graph(con.graph, Graph(len(kept) + 2, es))
+        assert (con.vertex, con.leaf, con.kept) == (vert, leaf, tuple(kept))
+        assert con.old_to_new == tuple(index.get(u, vert) for u in range(g.n))
+
+
+def test_covers_matches_edge_scan_corpus():
+    for i, g in enumerate(corpus(60, 1, 10, seed0=760)):
+        within = random_mask(g.n, 770 + i) if i % 3 else g.full_mask
+        for j in range(8):
+            cover = random_mask(g.n, 780 + 8 * i + j)
+            expect = all(
+                cover >> u & 1 or cover >> v & 1
+                for u, v in g.edges()
+                if within >> u & 1 and within >> v & 1
+            )
+            assert g.covers(cover, within) == expect
 
 
 def brute_degeneracy(g: Graph) -> int:

@@ -227,6 +227,23 @@ def test_vc2approx_examples():
     assert total(unit_weights(5), vc_2approx(c5)) <= 6
 
 
+def test_vc2approx_unit_path_matches_weighted_corpus():
+    # the matching path taken without weights is the weighted local ratio
+    # at unit weights, edge for edge
+    for g in corpus(80, 0, 12, seed0=2100):
+        assert vc_2approx(g) == vc_2approx(g, unit_weights(g.n))
+
+
+def test_vc2approx_within_matches_induced_subgraph_corpus():
+    for i, g in enumerate(corpus(60, 1, 12, seed0=2150)):
+        within = sum(1 << v for v in range(g.n) if (v * 7 + i) % 3)
+        sub, old = g.induced_subgraph(v for v in range(g.n) if within >> v & 1)
+        for w in (None, weights_for(g, 2160 + i, unit=False)):
+            sub_w = None if w is None else tuple(w[v] for v in old)
+            expect = {old[v] for v in vc_2approx(sub, sub_w)}
+            assert vc_2approx(g, w, within=within) == expect
+
+
 def test_vc2approx_bound_corpus():
     for i, g in enumerate(corpus(80, 1, 10, seed0=2000)):
         w = weights_for(g, 7 + i, unit=i % 2 == 0)

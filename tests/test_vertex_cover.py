@@ -10,8 +10,9 @@ from epa.graphs import (
     star_graph,
     unit_weights,
 )
-from epa.generator import GeneratorSpec, generate
+from epa.generator import GeneratorSpec, SplitMix64, generate
 from epa.oracle import exact_min_modulator, exact_min_vc, exact_min_wvc
+from epa.solvers import vc_2approx
 from epa.vertex_cover import (
     ffree_config,
     independent_set_from_cover,
@@ -138,6 +139,33 @@ def test_budgeted_bound_corpus():
             sol = vc_budgeted_2approx(g, c)
             assert is_vertex_cover(g, sol.cover)
             assert len(sol.cover) <= max(opt, 2 * opt - c)
+
+
+def reference_budgeted(g: Graph, c: int, within: int) -> frozenset[int]:
+    """The deletion-set loop written on induced subgraphs and the weighted
+    2-approximation with unit weights."""
+    alive = [v for v in range(g.n) if within >> v & 1]
+    best = None
+    for k in range(min(c, len(alive)) + 1):
+        for combo in combinations(alive, k):
+            rest, old = g.induced_subgraph(set(alive) - set(combo))
+            approx = vc_2approx(rest, unit_weights(rest.n))
+            cand = frozenset(combo) | {old[v] for v in approx}
+            if best is None or len(cand) < len(best):
+                best = cand
+    return best
+
+
+def test_budgeted_within_matches_reference_corpus():
+    graphs = corpus(40, 1, 11, seed0=2650)
+    graphs += [generate(GeneratorSpec("split", 12, 2, Fraction(1, 2), 2690 + i))[0] for i in range(10)]
+    for i, g in enumerate(graphs):
+        rng = SplitMix64(2660 + i)
+        for within in (g.full_mask, sum(1 << v for v in range(g.n) if rng.below(3)), 0):
+            for c in (0, 1, 2):
+                sol = vc_budgeted_2approx(g, c, within=within)
+                assert sol.cover == reference_budgeted(g, c, within)
+                assert sol.weight == len(sol.cover)
 
 
 def test_vc_split_exact_on_splits():
