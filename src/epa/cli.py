@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .generator import GENERATOR_CLASSES, GeneratorSpec, generate
-from .instances import ParseError, parse_instance, serialize_instance
+from .generator import GENERATOR_CLASSES, GenerationError, GeneratorSpec, generate
+from .instances import parse_instance, serialize_instance
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -53,13 +53,17 @@ def _read_instance(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return parse_instance(text)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    return parse_instance(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _budget(args) -> OracleBudget:
@@ -71,20 +75,9 @@ def _budget(args) -> OracleBudget:
     )
 
 
-def _fmt_value(v) -> str:
-    return str(v)
-
-
 def cmd_solve(args) -> int:
     g, w = _read_instance(args.input)
-    try:
-        res = run_algorithm(args.problem, args.param, g, w)
-    except UnsupportedPair as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    res = run_algorithm(args.problem, args.param, g, w)
     if args.json:
         print(
             json.dumps(
@@ -92,7 +85,7 @@ def cmd_solve(args) -> int:
                     "problem": args.problem,
                     "param": args.param,
                     "algorithm": res.algorithm,
-                    "value": _fmt_value(res.value),
+                    "value": str(res.value),
                     "feasible": res.feasible,
                     "certificate": res.certificate,
                 }
@@ -100,7 +93,7 @@ def cmd_solve(args) -> int:
         )
     else:
         print(f"algorithm: {res.algorithm}")
-        print(f"value: {_fmt_value(res.value)}")
+        print(f"value: {res.value}")
         print(f"feasible: {'yes' if res.feasible else 'NO'}")
         print(f"certificate: {res.certificate}")
     return EXIT_OK
@@ -114,11 +107,11 @@ def _print_report(rep: GuaranteeReport, as_json: bool) -> None:
                     "problem": rep.problem,
                     "param": rep.param,
                     "algorithm": rep.algorithm,
-                    "value": _fmt_value(rep.value),
-                    "opt": _fmt_value(rep.opt),
-                    "k_oracle": _fmt_value(rep.k_oracle),
+                    "value": str(rep.value),
+                    "opt": str(rep.opt),
+                    "k_oracle": str(rep.k_oracle),
                     "bound_formula": rep.bound_formula,
-                    "bound_value": _fmt_value(rep.bound_value),
+                    "bound_value": str(rep.bound_value),
                     "pass": rep.passed,
                     "feasible": rep.feasible,
                     "micros": rep.micros,
@@ -127,27 +120,16 @@ def _print_report(rep: GuaranteeReport, as_json: bool) -> None:
         )
         return
     print(f"algorithm: {rep.algorithm}")
-    print(f"value: {_fmt_value(rep.value)}")
-    print(f"opt: {_fmt_value(rep.opt)}  k: {_fmt_value(rep.k_oracle)}")
-    print(f"bound: {rep.bound_formula} = {_fmt_value(rep.bound_value)}")
+    print(f"value: {rep.value}")
+    print(f"opt: {rep.opt}  k: {rep.k_oracle}")
+    print(f"bound: {rep.bound_formula} = {rep.bound_value}")
     print(f"feasible: {'yes' if rep.feasible else 'NO'}")
     print(f"pass: {'yes' if rep.passed else 'NO'}  ({rep.micros} us)")
 
 
 def cmd_verify(args) -> int:
     g, w = _read_instance(args.input)
-    try:
-        rep = verify_guarantee(args.problem, args.param, g, w, _budget(args))
-    except UnsupportedPair as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    _print_report(rep, args.json)
+    _print_report(verify_guarantee(args.problem, args.param, g, w, _budget(args)), args.json)
     return EXIT_OK
 
 
@@ -182,12 +164,7 @@ def cmd_bench(args) -> int:
     ]
     csv = bench(specs, _budget(args), timing=args.timing, workers=args.workers)
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv)
-        except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        _write(args.csv, csv)
     else:
         sys.stdout.write(csv)
     return EXIT_OK
@@ -206,8 +183,7 @@ def cmd_gen(args) -> int:
     ]
     text = serialize_instance(g, None, comments=comments)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         sidecar = {
             "base": spec.base,
             "n": spec.n,
@@ -216,9 +192,7 @@ def cmd_gen(args) -> int:
             "seed": spec.seed,
             "planted": sorted(v + 1 for v in planted),
         }
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        _write(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -228,39 +202,29 @@ def cmd_oracle(args) -> int:
     g, w = _read_instance(args.input)
     budget = _budget(args)
     out: dict[str, str] = {}
-    try:
-        if args.modulator:
-            val, cert = exact_min_modulator(g, args.modulator, None, budget)
-            out["modulator_class"] = args.modulator
-            out["k"] = str(val)
-            out["modulator"] = str(sorted(v + 1 for v in cert))
-        elif args.problem == "vc":
-            val, cert = exact_min_wvc(g, w, budget)
-            out["opt"] = str(val)
-            out["cover"] = str(sorted(v + 1 for v in cert))
-        elif args.problem == "cvc":
-            size, cert = exact_min_cvc(g, budget)
-            out["opt"] = str(size)
-            out["cover"] = str(sorted(v + 1 for v in cert))
-        elif args.problem == "col":
-            chi, colors = exact_chromatic(g, budget)
-            out["opt"] = str(chi)
-            out["coloring"] = str(list(colors))
-        elif args.problem == "tp":
-            size, tris = exact_max_tp(g, budget)
-            out["opt"] = str(size)
-            out["packing"] = str([sorted(v + 1 for v in t) for t in tris])
-        elif args.problem == "lp":
-            out["opt"] = str(exact_lp_vc(g, w, budget))
-        else:
-            print(f"error: unknown oracle problem {args.problem!r}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.modulator:
+        val, cert = exact_min_modulator(g, args.modulator, None, budget)
+        out["modulator_class"] = args.modulator
+        out["k"] = str(val)
+        out["modulator"] = str(sorted(v + 1 for v in cert))
+    elif args.problem == "vc":
+        val, cert = exact_min_wvc(g, w, budget)
+        out["opt"] = str(val)
+        out["cover"] = str(sorted(v + 1 for v in cert))
+    elif args.problem == "cvc":
+        size, cert = exact_min_cvc(g, budget)
+        out["opt"] = str(size)
+        out["cover"] = str(sorted(v + 1 for v in cert))
+    elif args.problem == "col":
+        chi, colors = exact_chromatic(g, budget)
+        out["opt"] = str(chi)
+        out["coloring"] = str(list(colors))
+    elif args.problem == "tp":
+        size, tris = exact_max_tp(g, budget)
+        out["opt"] = str(size)
+        out["packing"] = str([sorted(v + 1 for v in t) for t in tris])
+    elif args.problem == "lp":
+        out["opt"] = str(exact_lp_vc(g, w, budget))
     if args.json:
         print(json.dumps(out))
     else:
@@ -274,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run an algorithm on an instance")
-    p_solve.add_argument("--problem", required=True, choices=PROBLEMS)
+    p_solve.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p_solve.add_argument("--param", required=True, choices=PARAMS)
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run and check the guarantee with oracles")
-    p_verify.add_argument("--problem", required=True, choices=PROBLEMS)
+    p_verify.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p_verify.add_argument("--param", required=True, choices=PARAMS)
     p_verify.add_argument("--input", required=True)
     p_verify.add_argument("--json", action="store_true")
@@ -310,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_oracle = sub.add_parser("oracle", help="exact optima for small instances")
-    p_oracle.add_argument("--problem", default="vc", choices=("vc", "cvc", "col", "tp", "lp"))
+    p_oracle.add_argument("--problem", default="vc", choices=(*PROBLEMS, "lp"))
     p_oracle.add_argument("--modulator", default=None)
     p_oracle.add_argument("--input", required=True)
     p_oracle.add_argument("--json", action="store_true")
@@ -321,11 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its failures become an ``error:`` line and an exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    except (ValueError, ZeroDivisionError, OSError, GenerationError, BudgetExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UnsupportedPair):
+            return EXIT_UNSUPPORTED
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graphs import Graph, Weights, full_join
+from .graphs import Graph, Weights, bits, first_triangle, full_join
 from .recognize import recognize
 
 _M64 = (1 << 64) - 1
@@ -195,29 +195,17 @@ def _base_triangle_free(rng: SplitMix64, n: int, density: Fraction) -> list[tupl
         n,
         [(u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(density)],
     )
-    edges = set(g.edges())
-    while True:
-        tri = _some_triangle(edges, n)
-        if tri is None:
-            return sorted(edges)
-        a, b, c = sorted(tri)
-        edges.discard((b, c))
-
-
-def _some_triangle(edges: set[tuple[int, int]], n: int) -> tuple[int, int, int] | None:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    for u in range(n):
-        for v in sorted(adj[u]):
-            if v <= u:
-                continue
-            common = adj[u] & adj[v]
-            above = [w for w in common if w > v]
-            if above:
-                return (u, v, min(above))
-    return None
+    # Delete the last edge of the lexicographically first triangle until
+    # none is left.  Deleting edges makes no triangle, so the search
+    # resumes at the first vertex of the last triangle.
+    adj = list(g.adj_bits)
+    within = g.full_mask
+    while (tri := first_triangle(adj, within)) is not None:
+        a, b, c = tri
+        adj[b] &= ~(1 << c)
+        adj[c] &= ~(1 << b)
+        within = within >> a << a
+    return [(u, v) for u in range(n) for v in bits(adj[u] >> (u + 1) << (u + 1))]
 
 
 def _base_p3k1_free(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:

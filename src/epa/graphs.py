@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -35,6 +35,18 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def first_triangle(adj_bits: Sequence[int], within: int) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first triangle u < v < w of the adjacency masks
+    ``adj_bits`` inside the vertex mask ``within``, or None."""
+    for u in bits(within):
+        nu = adj_bits[u] & within >> (u + 1) << (u + 1)
+        for v in bits(nu):
+            ws = nu & adj_bits[v] >> (v + 1) << (v + 1)
+            if ws:
+                return u, v, (ws & -ws).bit_length() - 1
+    return None
 
 
 class Graph:
@@ -203,14 +215,16 @@ class Graph:
         return tuple(order), degen
 
     def connected_components(self) -> list[frozenset[int]]:
-        seen = 0
-        comps: list[frozenset[int]] = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = self.component_mask(s, self.full_mask)
-            seen |= comp
-            comps.append(frozenset(bits(comp)))
+        return [frozenset(bits(comp)) for comp in self.component_masks(self.full_mask)]
+
+    def component_masks(self, within: int) -> list[int]:
+        """Masks of the connected components of G[within], by lowest vertex."""
+        comps = []
+        left = within
+        while left:
+            comp = self.component_mask((left & -left).bit_length() - 1, within)
+            comps.append(comp)
+            left &= ~comp
         return comps
 
     def component_mask(self, start: int, within: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, first_triangle, mask_of
 
 
 @dataclass(frozen=True)
@@ -22,15 +22,6 @@ class TrianglePackingSol:
     @property
     def size(self) -> int:
         return len(self.triangles)
-
-
-def _first_triangle(g: Graph, free: int) -> Optional[tuple[int, int, int]]:
-    for u in bits(free):
-        for v in bits(g.adj_bits[u] & free & ~((1 << (u + 1)) - 1)):
-            ws = g.adj_bits[u] & g.adj_bits[v] & free & ~((1 << (v + 1)) - 1)
-            if ws:
-                return u, v, (ws & -ws).bit_length() - 1
-    return None
 
 
 def _triangles_within(g: Graph, pool: int) -> Iterator[tuple[int, int, int]]:
@@ -92,7 +83,7 @@ def tp_3maximal(g: Graph) -> TrianglePackingSol:
     packed = [tuple(sorted(t)) for t in tp_maximal(g).triangles]
     while True:
         free = g.full_mask & ~mask_of(v for t in packed for v in t)
-        add = _first_triangle(g, free)
+        add = first_triangle(g.adj_bits, free)
         if add is not None:
             packed.append(add)
             continue

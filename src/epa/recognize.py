@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, first_triangle
 
 CLASSES = (
     "edgeless",
@@ -104,7 +104,8 @@ def find_induced(g: Graph, pattern: str, within: Optional[int] = None) -> Option
     if pattern == "P4":
         return _find_p4(g, mask)
     if pattern == "triangle":
-        return _find_triangle(g, mask)
+        t = first_triangle(g.adj_bits, mask)
+        return None if t is None else frozenset(t)
     if pattern == "K3bar":
         return _find_k3bar(g, mask)
     if pattern == "P3+K1":
@@ -149,17 +150,6 @@ def _find_p4(g: Graph, mask: int) -> Optional[frozenset[int]]:
                 if ds:
                     d = (ds & -ds).bit_length() - 1
                     return frozenset((a, b, c, d))
-    return None
-
-
-def _find_triangle(g: Graph, mask: int) -> Optional[frozenset[int]]:
-    for u in bits(mask):
-        above = mask & ~((1 << (u + 1)) - 1)
-        for v in bits(g.adj_bits[u] & above):
-            common = g.adj_bits[u] & g.adj_bits[v] & above & ~((1 << (v + 1)) - 1)
-            if common:
-                w = (common & -common).bit_length() - 1
-                return frozenset((u, v, w))
     return None
 
 
@@ -358,17 +348,6 @@ def _co_components(g: Graph, mask: int) -> list[int]:
     return comps
 
 
-def _components(g: Graph, mask: int) -> list[int]:
-    comps = []
-    left = mask
-    while left:
-        start = (left & -left).bit_length() - 1
-        comp = g.component_mask(start, mask)
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
 def build_cotree(g: Graph):
     """Cotree of ``g`` or, on failure, the frozenset of an induced P4.
 
@@ -380,7 +359,7 @@ def build_cotree(g: Graph):
     def rec(mask: int):
         if mask & (mask - 1) == 0:
             return Cotree("leaf", vertex=mask.bit_length() - 1)
-        comps = _components(g, mask)
+        comps = g.component_masks(mask)
         if len(comps) > 1:
             kids = []
             for c in comps:
@@ -515,9 +494,9 @@ def recognize(g: Graph, cls: str) -> Recognition:
         return Recognition(cls, False, inner.witness, "co-hole")
 
     if cls == "triangle-free":
-        t = _find_triangle(g, g.full_mask)
+        t = first_triangle(g.adj_bits, g.full_mask)
         if t is not None:
-            return Recognition(cls, False, t, "triangle")
+            return Recognition(cls, False, frozenset(t), "triangle")
         return Recognition(cls, True)
 
     if cls == "co-triangle-free":

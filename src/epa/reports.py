@@ -1,9 +1,14 @@
-"""Dispatch, guarantee verification and benchmarking.
+"""Dispatch, guarantee verification and benchmarking from one row table.
 
-The row table maps (problem, parameter) pairs to the algorithm that
-serves them and to the oracle-backed bound of that combination.  The
-verifier recomputes the solution value from the certificate and the pass
-flag from the oracle numbers; nothing is taken from the solver's own
+``ROWS`` lists the guarantee rows in README order: problem, parameter,
+modulator class, solver, bound formula and its evaluator, whether the row
+is weighted, and the generator classes whose ``epa bench`` sweep runs it.
+``PROBLEMS`` holds what the rows of one problem share: certificate,
+checker, value, exact-optimum oracle, sense and oracle order.  Dispatch,
+verification, the CLI's choices and the bench rows all derive from these
+two tables.
+The verifier recomputes the solution value from the certificate and the
+pass flag from the oracle numbers; nothing is taken from the solver's own
 report.
 """
 
@@ -12,11 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import certify
 from .coloring import (
-    ColoringSol,
     bipartite_oracle,
     color_degeneracy,
     color_greedy_mis,
@@ -46,29 +50,109 @@ from .vertex_cover import (
     vc_split,
 )
 
-PROBLEMS = ("vc", "cvc", "col", "tp")
-PARAMS = ("cograph", "cluster", "ccluster", "fvs", "chordal", "split", "oct", "p3k1", "cchordal")
-
-ROWS: dict[tuple[str, str], str] = {
-    ("vc", "cograph"): "vc-ffree[P4]",
-    ("vc", "cluster"): "vc-ffree[P3]",
-    ("vc", "ccluster"): "vc-ffree[co-P3]",
-    ("vc", "fvs"): "vc-fvs",
-    ("vc", "chordal"): "vc-chordal",
-    ("vc", "split"): "vc-split",
-    ("cvc", "split"): "cvc-split",
-    ("col", "oct"): "col-oracle[bipartite]",
-    ("col", "chordal"): "col-degeneracy",
-    ("col", "cograph"): "col-greedy-mis",
-    ("col", "cchordal"): "col-greedy-mis",
-    ("col", "p3k1"): "col-p3k1free",
-    ("tp", "cluster"): "tp-maximal",
-    ("tp", "ccluster"): "tp-3maximal",
-}
-
 
 class UnsupportedPair(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Problem:
+    """What the rows of one problem share.  ``w`` is None on unweighted rows."""
+
+    certificate: Callable   # solution -> certificate (sorted cover, colors, triangles)
+    feasible: Callable      # (g, certificate) -> bool, by epa.certify
+    value: Callable         # (certificate, w) -> objective value
+    optimum: Callable       # (g, w, budget) -> exact optimum, by epa.oracle
+    minimize: bool
+    optimum_first: bool     # computed before the modulator; col bounds need M first
+
+
+@dataclass(frozen=True)
+class Row:
+    """One guarantee row of the README table."""
+
+    problem: str
+    param: str
+    modulator: str          # class that k is the minimum modulator to
+    solve: Callable         # (g, w) -> solution with its own ``algorithm`` label
+    formula: str
+    bound: Callable         # (opt, k, chi(G-M)) -> bound; chi(G-M) only if named in formula
+    weighted: bool
+    bench: tuple[str, ...]  # generator classes whose ``epa bench`` sweep runs the row
+
+
+# Callables look the solvers, checkers and oracles up at call time, so a
+# rebinding of a module attribute (a tracer, a test double) reaches them.
+PROBLEMS: dict[str, Problem] = {
+    "vc": Problem(
+        lambda sol: sorted(sol.cover),
+        lambda g, c: certify.is_vertex_cover(g, c),
+        lambda c, w: len(c) if w is None else total(w, c),
+        lambda g, w, b: exact_min_vc(g, b) if w is None else exact_min_wvc(g, w, b),
+        minimize=True, optimum_first=True),
+    "cvc": Problem(
+        lambda sol: sorted(sol.cover),
+        lambda g, c: certify.is_connected_vertex_cover(g, c),
+        lambda c, w: len(c),
+        lambda g, w, b: exact_min_cvc(g, b),
+        minimize=True, optimum_first=True),
+    "col": Problem(
+        lambda sol: list(sol.colors),
+        lambda g, c: certify.is_proper_coloring(g, c),
+        lambda c, w: len(set(c)),
+        lambda g, w, b: exact_chromatic(g, b),
+        minimize=True, optimum_first=False),
+    "tp": Problem(
+        lambda sol: [sorted(t) for t in sol.triangles],
+        lambda g, c: certify.is_triangle_packing(g, c),
+        lambda c, w: len(c),
+        lambda g, w, b: exact_max_tp(g, b),
+        minimize=False, optimum_first=True),
+}
+
+ROWS: tuple[Row, ...] = (
+    Row("vc", "cograph", "cograph", lambda g, w: vc_local_ratio_ffree(g, w, ffree_config("P4")),
+        "OPT_WVC + 2*OPT_COGRAPH", lambda opt, k, chi: opt + 2 * k, True, ("cograph",)),
+    Row("vc", "cluster", "cluster", lambda g, w: vc_local_ratio_ffree(g, w, ffree_config("P3")),
+        "OPT_WVC + 2*OPT_CLUSTER", lambda opt, k, chi: opt + 2 * k, True, ("cluster",)),
+    Row("vc", "ccluster", "cocluster",
+        lambda g, w: vc_local_ratio_ffree(g, w, ffree_config("co-P3")),
+        "OPT_WVC + 2*OPT_COCLUSTER", lambda opt, k, chi: opt + 2 * k, True, ("cocluster",)),
+    Row("vc", "fvs", "forest", lambda g, w: vc_fvs(g, w), "OPT_WVC + OPT_FVS",
+        lambda opt, k, chi: opt + k, True, ("forest", "edgeless", "triangle-free")),
+    Row("vc", "chordal", "chordal", lambda g, w: vc_chordal(g, w), "(3/2)*OPT_WVC + OPT_CHVD",
+        lambda opt, k, chi: Fraction(3, 2) * opt + k, True, ("chordal",)),
+    Row("vc", "split", "split", lambda g, w: vc_split(g), "OPT_VC + OPT_SVD",
+        lambda opt, k, chi: opt + k, False, ("split",)),
+    Row("cvc", "split", "split", lambda g, w: cvc_split(g), "OPT_CVC + OPT_SVD",
+        lambda opt, k, chi: opt + k, False, ("split",)),
+    Row("col", "oct", "bipartite", lambda g, w: color_with_class_oracle(g, bipartite_oracle()),
+        "2 + OPT_OCT", lambda opt, k, chi: 2 + k, False, ("bipartite",)),
+    Row("col", "chordal", "chordal", lambda g, w: color_degeneracy(g), "chi(G-M) + |M|",
+        lambda opt, k, chi: chi + k, False, ("chordal",)),
+    Row("col", "cograph", "cograph", lambda g, w: color_greedy_mis(g), "chi(G-M) + |M|",
+        lambda opt, k, chi: chi + k, False, ("cograph",)),
+    # 2*chi + k - 1 is negative only on the empty graph, whose bound is 0.
+    Row("col", "cchordal", "cochordal", lambda g, w: color_greedy_mis(g),
+        "2*chi(G-M) + |M| - 1", lambda opt, k, chi: max(2 * chi + k - 1, 0), False,
+        ("cochordal",)),
+    Row("col", "p3k1", "p3k1-free", lambda g, w: color_p3k1free(g), "chi(G-M) + |M|",
+        lambda opt, k, chi: chi + k, False, ("p3k1-free",)),
+    Row("tp", "cluster", "cluster", lambda g, w: tp_maximal(g), "OPT_TP - OPT_CLUSTER",
+        lambda opt, k, chi: opt - k, False, ("cluster",)),
+    Row("tp", "ccluster", "cocluster", lambda g, w: tp_3maximal(g), "OPT_TP - OPT_COCLUSTER",
+        lambda opt, k, chi: opt - k, False, ("cocluster",)),
+)
+
+PARAMS = tuple(dict.fromkeys(row.param for row in ROWS))
+_BY_PAIR = {(row.problem, row.param): row for row in ROWS}
+
+
+def _row(problem: str, param: str, missing: str) -> Row:
+    row = _BY_PAIR.get((problem, param))
+    if row is None:
+        raise UnsupportedPair(f"no {missing} for problem={problem} param={param}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -96,63 +180,18 @@ class GuaranteeReport:
 
 
 def run_algorithm(problem: str, param: str, g: Graph, w: Optional[Weights] = None) -> RunResult:
-    """Run the Table row's algorithm; the value is recomputed from the
+    """Run the row's algorithm; the value is recomputed from the
     certificate by the independent checkers."""
-    if (problem, param) not in ROWS:
-        raise UnsupportedPair(f"no algorithm for problem={problem} param={param}")
+    row = _row(problem, param, "algorithm")
+    prob = PROBLEMS[problem]
     if w is None:
         w = unit_weights(g.n)
     start = time.perf_counter_ns()
-    if problem == "vc":
-        if param in ("cograph", "cluster", "ccluster"):
-            fam = {"cograph": "P4", "cluster": "P3", "ccluster": "co-P3"}[param]
-            sol = vc_local_ratio_ffree(g, w, ffree_config(fam))
-        elif param == "fvs":
-            sol = vc_fvs(g, w)
-        elif param == "chordal":
-            sol = vc_chordal(g, w)
-        else:
-            sol = vc_split(g)
-        micros = (time.perf_counter_ns() - start) // 1000
-        feasible = certify.is_vertex_cover(g, sol.cover)
-        value = len(sol.cover) if param == "split" else total(w, sol.cover)
-        return RunResult(sol.algorithm, value, sorted(sol.cover), feasible, micros)
-    if problem == "cvc":
-        sol = cvc_split(g)
-        micros = (time.perf_counter_ns() - start) // 1000
-        feasible = certify.is_connected_vertex_cover(g, sol.cover)
-        return RunResult(sol.algorithm, len(sol.cover), sorted(sol.cover), feasible, micros)
-    if problem == "col":
-        col: ColoringSol
-        if param == "oct":
-            col = color_with_class_oracle(g, bipartite_oracle())
-        elif param == "chordal":
-            col = color_degeneracy(g)
-        elif param in ("cograph", "cchordal"):
-            col = color_greedy_mis(g)
-        else:
-            col = color_p3k1free(g)
-        micros = (time.perf_counter_ns() - start) // 1000
-        feasible = certify.is_proper_coloring(g, col.colors)
-        return RunResult(col.algorithm, len(set(col.colors)), list(col.colors), feasible, micros)
-    sol = tp_maximal(g) if param == "cluster" else tp_3maximal(g)
+    sol = row.solve(g, w)
     micros = (time.perf_counter_ns() - start) // 1000
-    feasible = certify.is_triangle_packing(g, sol.triangles)
-    tris = [sorted(t) for t in sol.triangles]
-    return RunResult(sol.algorithm, len(tris), tris, feasible, micros)
-
-
-_MODULATOR_CLASS = {
-    "cograph": "cograph",
-    "cluster": "cluster",
-    "ccluster": "cocluster",
-    "fvs": "forest",
-    "chordal": "chordal",
-    "split": "split",
-    "oct": "bipartite",
-    "p3k1": "p3k1-free",
-    "cchordal": "cochordal",
-}
+    cert = prob.certificate(sol)
+    value = prob.value(cert, w if row.weighted else None)
+    return RunResult(sol.algorithm, value, cert, prob.feasible(g, cert), micros)
 
 
 def verify_guarantee(
@@ -163,64 +202,24 @@ def verify_guarantee(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> GuaranteeReport:
     """Run the algorithm and evaluate its bound with oracle ground truth."""
-    if (problem, param) not in ROWS:
-        raise UnsupportedPair(f"no guarantee row for problem={problem} param={param}")
+    row = _row(problem, param, "guarantee row")
+    prob = PROBLEMS[problem]
     if w is None:
         w = unit_weights(g.n)
     res = run_algorithm(problem, param, g, w)
-    mod_class = _MODULATOR_CLASS[param]
-
-    if problem == "vc" and param in ("cograph", "cluster", "ccluster"):
-        opt, _ = exact_min_wvc(g, w, budget)
-        k, _ = exact_min_modulator(g, mod_class, w, budget)
-        bound = opt + 2 * k
-        formula = f"OPT_WVC + 2*OPT_{mod_class.upper()}"
-    elif problem == "vc" and param == "fvs":
-        opt, _ = exact_min_wvc(g, w, budget)
-        k, _ = exact_min_modulator(g, "forest", w, budget)
-        bound = opt + k
-        formula = "OPT_WVC + OPT_FVS"
-    elif problem == "vc" and param == "chordal":
-        opt, _ = exact_min_wvc(g, w, budget)
-        k, _ = exact_min_modulator(g, "chordal", w, budget)
-        bound = Fraction(3, 2) * opt + k
-        formula = "(3/2)*OPT_WVC + OPT_CHVD"
-    elif problem == "vc" and param == "split":
-        opt, _ = exact_min_vc(g, budget)
-        k, _ = exact_min_modulator(g, "split", None, budget)
-        bound = Fraction(opt + k)
-        formula = "OPT_VC + OPT_SVD"
-    elif problem == "cvc":
-        opt, _ = exact_min_cvc(g, budget)
-        k, _ = exact_min_modulator(g, "split", None, budget)
-        bound = Fraction(opt + k)
-        formula = "OPT_CVC + OPT_SVD"
-    elif problem == "col" and param == "oct":
-        k, _ = exact_min_modulator(g, "bipartite", None, budget)
-        opt, _ = exact_chromatic(g, budget)
-        bound = Fraction(2 + k)
-        formula = "2 + OPT_OCT"
-    elif problem == "col":
-        k, mod = exact_min_modulator(g, mod_class, None, budget)
+    wk = w if row.weighted else None
+    if prob.optimum_first:
+        opt, _ = prob.optimum(g, wk, budget)
+    k, mod = exact_min_modulator(g, row.modulator, wk, budget)
+    chi = None
+    if "chi(G-M)" in row.formula:
         rest, _ = g.induced_subgraph(set(range(g.n)) - set(mod))
-        chi_rest, _ = exact_chromatic(rest, budget)
-        opt, _ = exact_chromatic(g, budget)
-        if param == "cchordal":
-            bound = Fraction(2 * chi_rest + k - 1) if g.n else Fraction(0)
-            formula = "2*chi(G-M) + |M| - 1"
-        else:
-            bound = Fraction(chi_rest + k)
-            formula = "chi(G-M) + |M|"
-    else:  # tp
-        opt, _ = exact_max_tp(g, budget)
-        k, _ = exact_min_modulator(g, mod_class, None, budget)
-        bound = Fraction(opt - k)
-        formula = f"OPT_TP - OPT_{mod_class.upper()}"
-
-    sense_min = problem != "tp"
-    passed = res.feasible and (
-        Fraction(res.value) <= bound if sense_min else Fraction(res.value) >= bound
-    )
+        chi, _ = exact_chromatic(rest, budget)
+    if not prob.optimum_first:
+        opt, _ = prob.optimum(g, wk, budget)
+    bound = Fraction(row.bound(opt, k, chi))
+    value = Fraction(res.value)
+    passed = res.feasible and (value <= bound if prob.minimize else value >= bound)
     return GuaranteeReport(
         problem=problem,
         param=param,
@@ -228,7 +227,7 @@ def verify_guarantee(
         value=res.value,
         opt=opt,
         k_oracle=k,
-        bound_formula=formula,
+        bound_formula=row.formula,
         bound_value=bound,
         passed=passed,
         feasible=res.feasible,
@@ -240,20 +239,6 @@ def verify_guarantee(
 # benchmarking
 
 
-BENCH_ROWS_BY_CLASS: dict[str, tuple[tuple[str, str], ...]] = {
-    "cluster": (("vc", "cluster"), ("tp", "cluster")),
-    "cocluster": (("vc", "ccluster"), ("tp", "ccluster")),
-    "forest": (("vc", "fvs"),),
-    "bipartite": (("col", "oct"),),
-    "split": (("vc", "split"), ("cvc", "split")),
-    "cograph": (("vc", "cograph"), ("col", "cograph")),
-    "chordal": (("vc", "chordal"), ("col", "chordal")),
-    "cochordal": (("col", "cchordal"),),
-    "p3k1-free": (("col", "p3k1"),),
-    "edgeless": (("vc", "fvs"),),
-    "triangle-free": (("vc", "fvs"),),
-}
-
 CSV_HEADER = "seed,class,n,k_planted,k_oracle,alg,value,opt,bound,pass,micros"
 
 
@@ -262,8 +247,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 
@@ -271,75 +254,39 @@ def bench_instance(spec: GeneratorSpec, budget: OracleBudget, timing: bool) -> l
     """CSV rows for one generated instance (EPA rows plus baselines)."""
     g, planted = generate(spec)
     rows: list[str] = []
-    pairs = BENCH_ROWS_BY_CLASS[spec.base]
+
+    def line(alg, value, micros, k=None, opt=None, bound=None, passed=None) -> None:
+        cells = (spec.seed, spec.base, g.n, len(planted), k, alg, value, opt, bound, passed,
+                 micros if timing else 0)
+        rows.append(",".join(_fmt(c) for c in cells))
+
     within = g.n <= min(budget.modulator, budget.vc, budget.cvc, budget.coloring, budget.tp)
-    for problem, param in pairs:
-        if problem == "cvc" and not g.is_connected():
+    for row in ROWS:
+        if spec.base not in row.bench or row.problem == "cvc" and not g.is_connected():
             continue
         if within:
-            rep = verify_guarantee(problem, param, g, None, budget)
-            cells = [
-                spec.seed,
-                spec.base,
-                g.n,
-                len(planted),
-                rep.k_oracle,
-                rep.algorithm,
-                rep.value,
-                rep.opt,
-                rep.bound_value,
-                rep.passed,
-                rep.micros if timing else 0,
-            ]
+            rep = verify_guarantee(row.problem, row.param, g, None, budget)
+            line(rep.algorithm, rep.value, rep.micros, rep.k_oracle, rep.opt, rep.bound_value,
+                 rep.passed)
         else:
-            res = run_algorithm(problem, param, g, None)
-            cells = [
-                spec.seed,
-                spec.base,
-                g.n,
-                len(planted),
-                None,
-                res.algorithm,
-                res.value,
-                None,
-                None,
-                None,
-                res.micros if timing else 0,
-            ]
-        rows.append(",".join(_fmt(c) for c in cells))
-        if problem == "vc":
-            rows.append(_baseline_row(spec, g, planted, budget, timing))
+            res = run_algorithm(row.problem, row.param, g, None)
+            line(res.algorithm, res.value, res.micros)
+        if row.problem != "vc":
+            continue
+        start = time.perf_counter_ns()
+        cover = vc_2approx(g)
+        micros = (time.perf_counter_ns() - start) // 1000
+        if g.n <= budget.vc:
+            opt, _ = exact_min_vc(g, budget)
+            passed = certify.is_vertex_cover(g, cover) and len(cover) <= 2 * opt
+            line("vc-2approx", len(cover), micros, None, opt, Fraction(2 * opt), passed)
+        else:
+            line("vc-2approx", len(cover), micros)
     return rows
 
 
-def _baseline_row(
-    spec: GeneratorSpec, g: Graph, planted: frozenset[int], budget: OracleBudget, timing: bool
-) -> str:
-    start = time.perf_counter_ns()
-    cover = vc_2approx(g)
-    micros = (time.perf_counter_ns() - start) // 1000
-    value = len(cover)
-    if g.n <= budget.vc:
-        opt, _ = exact_min_vc(g, budget)
-        bound = Fraction(2 * opt)
-        passed = certify.is_vertex_cover(g, cover) and value <= bound
-        cells = [
-            spec.seed, spec.base, g.n, len(planted), None,
-            "vc-2approx", value, opt, bound, passed, micros if timing else 0,
-        ]
-    else:
-        cells = [
-            spec.seed, spec.base, g.n, len(planted), None,
-            "vc-2approx", value, None, None, None, micros if timing else 0,
-        ]
-    return ",".join(_fmt(c) for c in cells)
-
-
 def _bench_worker(args: tuple) -> list[str]:
-    base, n, k, density, seed, budget_tuple, timing = args
-    spec = GeneratorSpec(base, n, k, Fraction(density), seed)
-    budget = OracleBudget(*budget_tuple)
-    return bench_instance(spec, budget, timing)
+    return bench_instance(*args)
 
 
 def bench(
@@ -350,13 +297,7 @@ def bench(
 ) -> str:
     """Deterministic CSV: rows sorted by (seed, class, algorithm) so the
     bytes do not depend on worker scheduling."""
-    args = [
-        (s.base, s.n, s.k, str(s.density), s.seed,
-         (budget.vc, budget.cvc, budget.tp, budget.coloring, budget.modulator,
-          budget.lp, budget.max_steps),
-         timing)
-        for s in specs
-    ]
+    args = [(s, budget, timing) for s in specs]
     if workers <= 1:
         chunks = [_bench_worker(a) for a in args]
     else:

@@ -159,8 +159,28 @@ def test_solve_every_supported_pair(tmp_path, capsys):
     assert g.is_connected()
     p = tmp_path / "all.epa"
     p.write_text(serialize_instance(g))
-    for problem, param in ROWS:
-        rc = main(["solve", "--problem", problem, "--param", param, "--input", str(p), "--json"])
-        assert rc == 0, (problem, param)
+    for row in ROWS:
+        rc = main(["solve", "--problem", row.problem, "--param", row.param, "--input", str(p),
+                   "--json"])
+        assert rc == 0, row
         out = json.loads(capsys.readouterr().out)
-        assert out["feasible"] is True, (problem, param)
+        assert out["feasible"] is True, row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--class", "split", "--n", "5", "--out", "{missing}/x.epa"],
+        ["gen", "--class", "split", "--n", "5", "--density", "abc"],
+        ["bench", "--classes", "split", "--n", "5", "--density", "abc"],
+        ["gen", "--class", "split", "--n", "-3"],
+        ["bench", "--classes", "split", "--n", "x"],
+        ["gen", "--class", "split", "--n", "5", "--density", "1/0"],
+    ],
+)
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -4,6 +4,7 @@ import pytest
 
 from epa.generator import (
     GENERATOR_CLASSES,
+    _base_triangle_free,
     GenerationError,
     GeneratorSpec,
     SplitMix64,
@@ -69,3 +70,37 @@ def test_random_graph_helpers():
     w = random_weights(10, 9)
     assert len(w) == 10 and all(x >= 0 for x in w)
     assert random_weights(10, 9) == w
+
+
+def _triangle_free_reference(rng, n, density):
+    """The set-based construction that ``_base_triangle_free`` replaced:
+    rebuild adjacency sets, find the lexicographically first triangle and
+    delete its last edge, until no triangle is left."""
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(density)}
+    while True:
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        tri = None
+        for u in range(n):
+            for v in sorted(adj[u]):
+                above = [w for w in adj[u] & adj[v] if w > v] if v > u else []
+                if above:
+                    tri = (u, v, min(above))
+                    break
+            if tri:
+                break
+        if tri is None:
+            return sorted(edges)
+        edges.discard(tri[1:])
+
+
+@pytest.mark.parametrize("n, density", [
+    (0, Fraction(1, 2)), (1, Fraction(1, 2)), (5, Fraction(4, 5)), (10, Fraction(1, 2)),
+    (10, Fraction(4, 5)), (40, Fraction(1, 2)), (40, Fraction(4, 5)), (60, Fraction(1, 2)),
+])
+def test_triangle_free_base_matches_set_reference(n, density):
+    for seed in range(3):
+        got = _base_triangle_free(SplitMix64(seed), n, density)
+        assert got == _triangle_free_reference(SplitMix64(seed), n, density)

@@ -1,7 +1,10 @@
-"""Golden byte-identity: pinned digests of ``epa bench`` CSV and of
-``solve --json`` on planted split instances.
+"""Golden byte-identity: pinned digests of ``epa bench`` CSV, of
+``solve --json`` on planted split instances, and of the CLI output of
+every guarantee row.
 
-The digests were taken before the split rows moved to adjacency masks.
+The split digests were taken before the split rows moved to adjacency
+masks; the all-class CSV and every-row digests before the rows moved
+into one table.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -10,11 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import io
-from contextlib import redirect_stdout
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from epa.cli import main
-from epa.generator import GeneratorSpec, generate
+from epa.generator import GENERATOR_CLASSES, GeneratorSpec, generate, random_weights
 from epa.instances import serialize_instance
 from epa.reports import bench
 
@@ -60,3 +64,77 @@ def test_solve_json_split_golden(tmp_path):
                          "--input", str(path), "--json"])
         assert code == 0
     assert _sha(out.getvalue()) == SOLVE_SHA256
+
+
+# -- every guarantee row ------------------------------------------------
+
+ALL_CLASSES_SPECS = [
+    GeneratorSpec(base, 8, k, Fraction(1, 2), seed)
+    for base in GENERATOR_CLASSES
+    for k in (0, 1, 2)
+    for seed in range(3)
+]
+
+# (base class, n, k, seed): planted instances with n + k <= 9.
+ROW_INSTANCES = [
+    ("split", 7, 2, 3),
+    ("cograph", 7, 2, 5),
+    ("cocluster", 7, 1, 2),
+    ("p3k1-free", 6, 2, 4),
+]
+
+# The 14 rows of the README table, in its order.
+ROW_PAIRS = [
+    ("vc", "cograph"), ("vc", "cluster"), ("vc", "ccluster"), ("vc", "fvs"), ("vc", "chordal"),
+    ("vc", "split"), ("cvc", "split"), ("col", "oct"), ("col", "chordal"), ("col", "cograph"),
+    ("col", "cchordal"), ("col", "p3k1"), ("tp", "cluster"), ("tp", "ccluster"),
+]
+
+ALL_CLASSES_SHA256 = "146e4ecdde26af738c7293bd900502d91c712b792fb4694907adda3a8f4e2167"
+ROWS_CLI_SHA256 = "fc1afe74620fa774ac0de26dc6bfa7f56b8757d4d51b62dcf6084f1c3bcad361"
+
+_MICROS = re.compile(r'"micros": \d+|\(\d+ us\)')
+
+
+def _run_cli(argv: list[str], log: io.StringIO) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    log.write(f"$ {' '.join(argv[:6])} -> {code}\n{out.getvalue()}{err.getvalue()}")
+
+
+def test_bench_csv_all_classes_golden():
+    assert _sha(bench(ALL_CLASSES_SPECS)) == ALL_CLASSES_SHA256
+
+
+def test_every_row_cli_golden(tmp_path):
+    """verify --json, plain verify and solve --json on every row, with unit
+    and random weights; then verify and solve on every pair, supported or
+    not, at n = 11 and 16, where verify exceeds the oracle budget."""
+    log = io.StringIO()
+    files = []
+    for base, n, k, seed in ROW_INSTANCES:
+        g, _ = generate(GeneratorSpec(base, n, k, Fraction(1, 2), seed))
+        for weighted in (False, True):
+            path = tmp_path / f"{base}-{seed}-{int(weighted)}.epa"
+            w = random_weights(g.n, seed) if weighted else None
+            path.write_text(serialize_instance(g, w), encoding="utf-8")
+            files.append(str(path))
+    big = []
+    for n in (11, 16):
+        g, _ = generate(GeneratorSpec("split", n - 1, 1, Fraction(1, 2), 0))
+        path = tmp_path / f"big-{n}.epa"
+        path.write_text(serialize_instance(g), encoding="utf-8")
+        big.append(str(path))
+    for path in files:
+        for problem, param in ROW_PAIRS:
+            for argv in (["verify", "--json"], ["verify"], ["solve", "--json"]):
+                _run_cli(argv + ["--problem", problem, "--param", param, "--input", path], log)
+    every_pair = [(p, q) for p in ("vc", "cvc", "col", "tp")
+                  for q in ("cograph", "cluster", "ccluster", "fvs", "chordal", "split",
+                            "oct", "p3k1", "cchordal")]
+    for path in big:
+        for problem, param in every_pair:
+            for command in ("verify", "solve"):
+                _run_cli([command, "--problem", problem, "--param", param, "--input", path], log)
+    assert _sha(_MICROS.sub("#", log.getvalue())) == ROWS_CLI_SHA256

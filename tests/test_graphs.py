@@ -10,6 +10,7 @@ from epa.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    first_triangle,
     path_graph,
     star_graph,
 )
@@ -194,6 +195,26 @@ def test_connected_components():
     assert sorted(len(c) for c in g.connected_components()) == [2, 3]
     assert len(empty_graph(4).connected_components()) == 4
     assert cycle_graph(5).is_connected()
+
+
+def test_component_masks_match_induced_subgraph_corpus():
+    for i, g in enumerate(corpus(40, 1, 10, seed0=800)):
+        within = random_mask(g.n, 810 + i) if i % 2 else g.full_mask
+        sub, old = g.induced_subgraph(v for v in range(g.n) if within >> v & 1)
+        expect = [sum(1 << old[v] for v in comp) for comp in sub.connected_components()]
+        assert g.component_masks(within) == sorted(expect, key=lambda m: m & -m)
+
+
+def test_first_triangle_is_lexicographic_minimum_corpus():
+    for i, g in enumerate(corpus(60, 1, 10, seed0=820)):
+        within = random_mask(g.n, 830 + i) if i % 3 else g.full_mask
+        tris = [
+            (u, v, w)
+            for u in range(g.n) for v in range(u + 1, g.n) for w in range(v + 1, g.n)
+            if all(within >> x & 1 for x in (u, v, w))
+            and g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+        ]
+        assert first_triangle(g.adj_bits, within) == (min(tris) if tris else None)
 
 
 def test_weights_validation():
