@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from epa.cli import main
 from epa.generator import GENERATOR_CLASSES, GeneratorSpec, generate, random_weights
+from epa.graphs import Graph, path_graph
 from epa.instances import serialize_instance
 from epa.reports import bench
 
@@ -138,3 +139,53 @@ def test_every_row_cli_golden(tmp_path):
             for command in ("verify", "solve"):
                 _run_cli([command, "--problem", problem, "--param", param, "--input", path], log)
     assert _sha(_MICROS.sub("#", log.getvalue())) == ROWS_CLI_SHA256
+
+
+# -- the scale path -------------------------------------------------------
+
+# The 12 non-split rows of the benchmark's scale ladder, with the
+# generator class each is drawn from.
+SCALE_ROWS = [
+    ("vc", "cograph", "cograph"), ("vc", "cluster", "cluster"), ("vc", "ccluster", "cocluster"),
+    ("vc", "fvs", "forest"), ("vc", "chordal", "chordal"), ("col", "oct", "bipartite"),
+    ("col", "chordal", "chordal"), ("col", "cograph", "cograph"), ("col", "cchordal", "cochordal"),
+    ("col", "p3k1", "p3k1-free"), ("tp", "cluster", "cluster"), ("tp", "ccluster", "cocluster"),
+]
+
+# Deep families: (family, n, rows).
+SCALE_DEEP = [
+    ("threshold", 300, (("vc", "cograph"), ("col", "cograph"))),
+    ("path", 300, (("vc", "fvs"), ("vc", "chordal"))),
+]
+
+SCALE_SHA256 = "83bee73441897a87737f8b64357fbe4ee7fa95e5bf1ba8ee62b5629380f28753"
+
+
+def threshold_cograph(n: int) -> Graph:
+    """Odd vertices dominate every earlier vertex; cotree depth is about n."""
+    return Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
+def test_solve_json_scale_golden(tmp_path):
+    """solve --json on two planted n = 100 instances per row (VC rows:
+    unit weights on the first, random weights on the second), then on a
+    300-vertex threshold cograph and a 300-vertex path."""
+    out = io.StringIO()
+    for problem, param, cls in SCALE_ROWS:
+        for seed in (0, 1):
+            g, _ = generate(GeneratorSpec(cls, 90, 10, Fraction(1, 2), seed))
+            w = random_weights(g.n, seed) if problem == "vc" and seed == 1 else None
+            path = tmp_path / f"{problem}-{param}-{seed}.epa"
+            path.write_text(serialize_instance(g, w), encoding="utf-8")
+            with redirect_stdout(out):
+                assert main(["solve", "--problem", problem, "--param", param,
+                             "--input", str(path), "--json"]) == 0
+    for family, n, rows in SCALE_DEEP:
+        g = threshold_cograph(n) if family == "threshold" else path_graph(n)
+        path = tmp_path / f"{family}-{n}.epa"
+        path.write_text(serialize_instance(g), encoding="utf-8")
+        for problem, param in rows:
+            with redirect_stdout(out):
+                assert main(["solve", "--problem", problem, "--param", param,
+                             "--input", str(path), "--json"]) == 0
+    assert _sha(out.getvalue()) == SCALE_SHA256

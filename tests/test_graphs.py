@@ -223,3 +223,21 @@ def test_weights_validation():
         as_weights([1], 2)
     with pytest.raises(ValueError):
         as_weights([-1, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "n,edges,message",
+    [
+        (-1, [], "vertex count must be nonnegative"),
+        (2, [(0, 2)], "edge (0,2) out of range for n=2"),
+        (2, [(-1, 0)], "edge (-1,0) out of range for n=2"),
+        (2, [(1, 1)], "self-loop at vertex 1"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+        (3, [(2, 1), (1, 2)], "duplicate edge (1, 2)"),
+        (3, [(0, 3), (0, 0)], "edge (0,3) out of range for n=3"),
+    ],
+)
+def test_graph_error_messages_exact(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert str(err.value) == message

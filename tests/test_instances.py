@@ -59,3 +59,45 @@ def test_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_instance("p epa 2 1\nc ok\ne 1 1\n")
     assert err.value.line == 3
+
+
+# Every message and line number, pinned exactly: (text, message, line).
+PARSE_ERRORS = [
+    ("p epa 2 1\ne x 2\n", "line 2: bad vertex id 'x'", 2),
+    ("p epa 2 1\ne 2 x\n", "line 2: bad vertex id 'x'", 2),
+    ("p epa 2 1\ne 0 1\n", "line 2: vertex id 0 out of range 1..2", 2),
+    ("p epa 2 1\ne 1 3\n", "line 2: vertex id 3 out of range 1..2", 2),
+    ("p epa 2 1\ne 3 x\n", "line 2: vertex id 3 out of range 1..2", 2),
+    ("p epa 2 1\ne 2 2\n", "line 2: self-loop rejected", 2),
+    ("p epa 2 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge 2 1", 3),
+    ("p epa 2 2\ne 1 2\ne 1 2\n", "line 3: duplicate edge 1 2", 3),
+    ("p epa 2 1\ne 1\n", "line 2: edge line must be 'e <u> <v>'", 2),
+    ("p epa 2 1\ne 1 2 3\n", "line 2: edge line must be 'e <u> <v>'", 2),
+    ("e 1 2\np epa 2 1\n", "line 1: edge line before problem line", 1),
+    ("p epa 2 1\nv x 2\ne 1 2\n", "line 2: bad vertex id 'x'", 2),
+    ("p epa 2 1\nv 3 2\ne 1 2\n", "line 2: vertex id 3 out of range 1..2", 2),
+    ("p epa 2 1\nv 1 x\ne 1 2\n", "line 2: bad weight 'x'", 2),
+    ("p epa 2 1\nv 1\ne 1 2\n", "line 2: vertex line must be 'v <id> <weight>'", 2),
+    ("p epa 2 1\nv 1 2\nv 1 3\ne 1 2\n", "line 3: duplicate weight for vertex 1", 3),
+    ("v 1 2\np epa 2 1\n", "line 1: vertex line before problem line", 1),
+    ("p epa 2 2\ne 1 2\n", "line 1: declared 2 edges, found 1", 1),
+    ("p epa 3 1\ne 1 2\ne 2 3\n", "line 1: declared 1 edges, found 2", 1),
+    ("c hello\n\r\n  \nc x\r\np epa 2 1\r\n\r\ne 1 1\r\n", "line 7: self-loop rejected", 7),
+    ("c only\n", "line 1: missing problem line", 1),
+    ("", "line 1: missing problem line", 1),
+    ("p epa 2\n", "line 1: problem line must be 'p epa <n> <m>'", 1),
+    ("p epa x 1\n", "line 1: bad problem line numbers", 1),
+    ("p epa -1 0\n", "line 1: negative counts", 1),
+    ("p foo 2 1\n", "line 1: problem line must be 'p epa <n> <m>'", 1),
+    ("p epa 2 0\np epa 2 0\n", "line 2: duplicate problem line", 2),
+    ("p epa 2 1\nx 1 2\n", "line 2: unknown line kind 'x'", 2),
+    ("p epa 2 1\nv 1 -3\ne 1 2\n", "line 2: negative weight -3", 2),
+    ("p epa 2 1\nv 1 1/0\ne 1 2\n", "line 2: bad weight '1/0'", 2),
+]
+
+
+@pytest.mark.parametrize("text,message,line", PARSE_ERRORS)
+def test_parse_error_exact(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message and err.value.line == line
