@@ -1,15 +1,19 @@
 """Immutable simple undirected graphs with dense integer vertex ids.
 
-Vertices are always 0..n-1.  Adjacency is kept twice: as sorted tuples
-(for iteration) and as integer bitmasks (for the set arithmetic that the
-solvers and oracles lean on).  All graph values are immutable.
+Vertices are always 0..n-1.  Adjacency is kept as integer bitmasks
+(``adj_bits``, for the set arithmetic that the solvers and oracles lean
+on) and, for iteration, as sorted neighbour tuples (``adj``).  The
+tuples are built from the masks on first use, so a graph that only
+ever sees mask work never builds them.  All graph values are immutable.
 
-``Graph(n, edges)`` validates every edge list it is given (range,
-self-loops, duplicates), since that is where outside input enters.
+Outside input is validated exactly once, where it enters: ``Graph(n,
+edges)`` checks every edge (range, self-loop, duplicate, the last by a
+bit already set in the mask), and ``instances.parse_instance`` checks
+every ``e`` line the same way before it hands over finished masks.
 Derived graphs (complement, induced subgraph, contraction) are new
 objects, together with an index map back to the parent; they are built
 straight from the parent's adjacency masks, which are correct by
-construction, so they skip that validation.
+construction, so they skip validation.
 
 Vertex weights are plain tuples of nonnegative ``Fraction`` values so
 that weight subtractions and comparisons are exact.
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -37,6 +43,20 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _neighbours(mask: int, n: int) -> tuple[int, ...]:
+    """Set bit positions of ``mask`` (a row of an n-vertex graph) in
+    ascending order.  A row with fewer than n/8 + 6 set bits is walked
+    bit by bit; a denser one is read in one C pass over its binary
+    digits, which is faster from about there on (timed at n = 8-1000)."""
+    if mask.bit_count() * 8 < n + 48:
+        return tuple(list(bits(mask)))
+    digits = format(mask, "b")[::-1].encode().translate(_DIGIT_BYTES)
+    return tuple(list(compress(range(len(digits)), digits)))
+
+
 def first_triangle(adj_bits: Sequence[int], within: int) -> Optional[tuple[int, int, int]]:
     """Lexicographically first triangle u < v < w of the adjacency masks
     ``adj_bits`` inside the vertex mask ``within``, or None."""
@@ -52,41 +72,52 @@ def first_triangle(adj_bits: Sequence[int], within: int) -> Optional[tuple[int, 
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "m", "adj", "adj_bits")
+    __slots__ = ("n", "m", "adj_bits", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        rows = [0] * n
+        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            if rows[u] >> v & 1:
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            m += 1
         self.n = n
-        self.m = len(seen)
-        self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        self.adj_bits = tuple(mask_of(s) for s in nbrs)
+        self.m = m
+        self.adj_bits = tuple(rows)
+        self._adj = None
 
     @classmethod
     def _from_masks(cls, adj_bits: Sequence[int]) -> "Graph":
         """Graph with the given symmetric, loop-free adjacency masks,
-        unchecked: only for masks derived from a valid graph."""
+        unchecked: only for masks derived from a valid graph or already
+        validated."""
         g = cls.__new__(cls)
         g.n = len(adj_bits)
         g.adj_bits = tuple(adj_bits)
-        # tuple() of a list is sized exactly; built from generators these
-        # tuples were slower and raised peak RSS measurably.
-        g.adj = tuple([tuple(list(bits(b))) for b in g.adj_bits])
         g.m = sum(b.bit_count() for b in g.adj_bits) // 2
+        g._adj = None
         return g
+
+    # A property, not ``__getattr__``: a class that defines __getattr__
+    # loses CPython's fast path for every attribute, adj_bits included.
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, built from ``adj_bits`` on first use."""
+        adj = self._adj
+        if adj is None:
+            # tuple() of a list is sized exactly; built from generators
+            # these tuples were slower and raised peak RSS measurably.
+            n = self.n
+            adj = self._adj = tuple([_neighbours(b, n) for b in self.adj_bits])
+        return adj
 
     # -- basic queries ------------------------------------------------
 
@@ -94,15 +125,16 @@ class Graph:
         return bool(self.adj_bits[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_bits[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
+        adj = self.adj
         for u in range(self.n):
-            for v in self.adj[u]:
+            for v in adj[u]:
                 if v > u:
                     yield (u, v)
 
@@ -114,10 +146,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.adj_bits == other.adj_bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash(self.adj_bits)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -128,24 +160,26 @@ class Graph:
         full = self.full_mask
         return Graph._from_masks([full & ~b & ~(1 << u) for u, b in enumerate(self.adj_bits)])
 
-    def _check_ids(self, s: set[int]) -> None:
-        if any(not 0 <= v < self.n for v in s):
+    def _check_ids(self, ids: Sequence[int]) -> None:
+        """Raise unless the sorted ids all lie in 0..n-1."""
+        if ids and not (0 <= ids[0] and ids[-1] < self.n):
             raise ValueError(f"vertex set out of range for n={self.n}")
 
     def induced_subgraph(self, s: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph induced by ``s``; returns (graph, old-ids-by-new-id)."""
-        sset = set(s)
-        self._check_ids(sset)
-        old = tuple(sorted(sset))
-        within = mask_of(old)
-        index = dict(zip(old, range(len(old))))
-        adj = []
-        for u in old:
-            b = 0
-            for v in bits(self.adj_bits[u] & within):
-                b |= 1 << index[v]
-            adj.append(b)
-        return Graph._from_masks(adj), old
+        old = tuple(sorted(set(s)))
+        self._check_ids(old)
+        if len(old) == self.n:
+            return self, old          # the whole graph; graphs are immutable
+        if not old:
+            return Graph._from_masks(()), old
+        # Each row is compressed in C: its n-digit binary string, the
+        # digits of the kept ids picked highest id first, read back.
+        n = self.n
+        fmt = f"0{n}b"
+        pick = itemgetter(*[n - 1 - v for v in reversed(old)])
+        adj_bits = self.adj_bits
+        return Graph._from_masks([int("".join(pick(format(adj_bits[u], fmt))), 2) for u in old]), old
 
     def contract_with_pendant(self, y: Iterable[int]) -> "Contraction":
         """Contract ``y`` to one vertex and append a fresh pendant leaf.
@@ -155,11 +189,11 @@ class Graph:
         ids.  No parallel edges arise: the contracted vertex is adjacent
         to the outside neighborhood of ``y``.
         """
-        yset = set(y)
-        if not yset:
+        ys = sorted(set(y))
+        if not ys:
             raise ValueError("cannot contract an empty vertex set")
-        self._check_ids(yset)
-        rest = self.full_mask & ~mask_of(yset)
+        self._check_ids(ys)
+        rest = self.full_mask & ~mask_of(ys)
         kept = tuple(bits(rest))
         nv = len(kept)
         vert = nv          # contracted vertex
@@ -168,7 +202,7 @@ class Graph:
         # after i members of y moves down by i.
         runs = []
         lo = 0
-        for i, p in enumerate(sorted(yset) + [self.n]):
+        for i, p in enumerate(ys + [self.n]):
             if p > lo:
                 runs.append((lo, (1 << (p - lo)) - 1, lo - i))
             lo = p + 1
@@ -180,7 +214,7 @@ class Graph:
                 nb |= (b >> start & ones) << new
             adj.append(nb)
         outside = 0
-        for u in yset:
+        for u in ys:
             outside |= self.adj_bits[u]
         vadj = 1 << leaf
         old_to_new = [vert] * self.n

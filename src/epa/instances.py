@@ -13,7 +13,7 @@ Parsing and serialization round-trip exactly; errors carry line numbers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
 from .graphs import Graph, Weights, unit_weights
 
@@ -39,16 +39,32 @@ def _parse_weight(tok: str, line: int) -> Fraction:
 
 
 def parse_instance(text: str) -> tuple[Graph, Weights]:
+    """Parse an instance in one pass.
+
+    Each ``e`` line is checked once (integer ids, range, self-loop, and
+    duplicate by a bit already set in the adjacency mask) and sets its
+    two mask bits; the finished masks become the graph without a second
+    validation.
+    """
     n: Optional[int] = None
     m_declared = 0
     weights: dict[int, Fraction] = {}
-    edges: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
+    rows: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                u = int(parts[1]) - 1
+                v = int(parts[2]) - 1
+            except ValueError:
+                u = v = -1
+            if 0 <= u < n and 0 <= v < n and u != v and not rows[u] >> v & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                continue
+            _edge_error(parts, n, line_no)
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         kind = parts[0]
         if kind == "p":
             if n is not None:
@@ -61,6 +77,7 @@ def parse_instance(text: str) -> tuple[Graph, Weights]:
                 raise ParseError("bad problem line numbers", line_no) from exc
             if n < 0 or m_declared < 0:
                 raise ParseError("negative counts", line_no)
+            rows = [0] * n
         elif kind == "v":
             if n is None:
                 raise ParseError("vertex line before problem line", line_no)
@@ -73,26 +90,25 @@ def parse_instance(text: str) -> tuple[Graph, Weights]:
         elif kind == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line_no)
-            if len(parts) != 3:
-                raise ParseError("edge line must be 'e <u> <v>'", line_no)
-            u = _parse_index(parts[1], n, line_no)
-            v = _parse_index(parts[2], n, line_no)
-            if u == v:
-                raise ParseError("self-loop rejected", line_no)
-            e = (u, v) if u < v else (v, u)
-            if e in seen_edges:
-                raise ParseError(f"duplicate edge {parts[1]} {parts[2]}", line_no)
-            seen_edges.add(e)
-            edges.append(e)
+            raise ParseError("edge line must be 'e <u> <v>'", line_no)
         else:
             raise ParseError(f"unknown line kind {kind!r}", line_no)
     if n is None:
         raise ParseError("missing problem line", 1)
-    if len(edges) != m_declared:
-        raise ParseError(f"declared {m_declared} edges, found {len(edges)}", 1)
-    g = Graph(n, edges)
+    g = Graph._from_masks(rows)
+    if g.m != m_declared:
+        raise ParseError(f"declared {m_declared} edges, found {g.m}", 1)
     w = tuple(weights.get(v, Fraction(1)) for v in range(n))
     return g, w
+
+
+def _edge_error(parts: list[str], n: int, line: int) -> NoReturn:
+    """Raise the ParseError of an ``e u v`` line that failed a check."""
+    u = _parse_index(parts[1], n, line)
+    v = _parse_index(parts[2], n, line)
+    if u == v:
+        raise ParseError("self-loop rejected", line)
+    raise ParseError(f"duplicate edge {parts[1]} {parts[2]}", line)
 
 
 def _parse_index(tok: str, n: int, line: int) -> int:

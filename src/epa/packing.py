@@ -56,12 +56,13 @@ def tp_maximal(g: Graph) -> TrianglePackingSol:
 def _disjoint_sets(g: Graph, pool: int, want: int) -> Optional[list[tuple[int, int, int]]]:
     """``want`` pairwise disjoint triangles inside ``pool``, if they exist."""
     tris = list(_triangles_within(g, pool))
+    masks = [mask_of(t) for t in tris]
 
     def rec(start: int, used: int, acc: list[tuple[int, int, int]]) -> Optional[list]:
         if len(acc) == want:
             return acc
         for i in range(start, len(tris)):
-            tm = mask_of(tris[i])
+            tm = masks[i]
             if tm & used:
                 continue
             got = rec(i + 1, used | tm, acc + [tris[i]])

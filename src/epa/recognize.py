@@ -60,29 +60,39 @@ class Cotree:
     children: tuple["Cotree", ...] = field(default=())
 
     def leaves(self) -> list[int]:
-        if self.kind == "leaf":
-            return [self.vertex]
         out: list[int] = []
-        for c in self.children:
-            out.extend(c.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.kind == "leaf":
+                out.append(node.vertex)
+            else:
+                stack.extend(reversed(node.children))
         return out
 
     def evaluate(self) -> tuple[list[int], list[tuple[int, int]]]:
         """Vertices and edges of the graph the cotree denotes."""
-        if self.kind == "leaf":
-            return [self.vertex], []
         vs: list[int] = []
         es: list[tuple[int, int]] = []
-        parts: list[list[int]] = []
-        for c in self.children:
-            cv, ce = c.evaluate()
-            vs.extend(cv)
-            es.extend(ce)
-            parts.append(cv)
-        if self.kind == "join":
-            for i, a in enumerate(parts):
-                for b in parts[i + 1 :]:
-                    es.extend((u, v) if u < v else (v, u) for u in a for v in b)
+        # Post-order with an explicit stack (a cotree can be about n
+        # deep).  A subtree's leaves are a contiguous run of ``vs``; a
+        # frame keeps where each child's run starts.
+        stack: list[tuple[Cotree, list[int]]] = [(self, [])]
+        while stack:
+            node, starts = stack[-1]
+            if node.kind != "leaf" and len(starts) < len(node.children):
+                starts.append(len(vs))
+                stack.append((node.children[len(starts) - 1], []))
+                continue
+            stack.pop()
+            if node.kind == "leaf":
+                vs.append(node.vertex)
+            elif node.kind == "join":
+                bounds = starts + [len(vs)]
+                parts = [vs[a:b] for a, b in zip(bounds, bounds[1:])]
+                for i, a in enumerate(parts):
+                    for b in parts[i + 1 :]:
+                        es.extend((u, v) if u < v else (v, u) for u in a for v in b)
         return vs, es
 
 
@@ -210,7 +220,13 @@ def _shrink_to_chordless(g: Graph, cycle: list[int], keep_odd: bool) -> list[int
 def _find_cycle(g: Graph, odd_only: bool) -> Optional[list[int]]:
     """Some chordless cycle (odd if requested), or None."""
     n = g.n
+    reached = [False] * n
     for s in range(n):
+        # BFS from a component's lowest vertex sees every non-tree edge
+        # and every same-level (odd-cycle) edge of the component; if it
+        # found no cycle, no later start in the component finds one.
+        if reached[s]:
+            continue
         dist = [-1] * n
         parent = [-1] * n
         dist[s] = 0
@@ -236,6 +252,8 @@ def _find_cycle(g: Graph, odd_only: bool) -> Optional[list[int]]:
                     if odd_only and len(cyc) % 2 == 0:
                         continue
                     return _shrink_to_chordless(g, cyc, keep_odd=odd_only)
+        for v in queue:
+            reached[v] = True
     return None
 
 
@@ -351,37 +369,39 @@ def _co_components(g: Graph, mask: int) -> list[int]:
 def build_cotree(g: Graph):
     """Cotree of ``g`` or, on failure, the frozenset of an induced P4.
 
-    Recursive complement-connectivity decomposition: at each level either
-    the graph or its complement splits; if neither does (on two or more
+    Complement-connectivity decomposition: at each level either the
+    graph or its complement splits; if neither does (on two or more
     vertices) an induced P4 exists and is returned as the failure value.
+    Parts are expanded depth first, in order, with an explicit stack,
+    since the cotree can be about n deep.
     """
-
-    def rec(mask: int):
-        if mask & (mask - 1) == 0:
-            return Cotree("leaf", vertex=mask.bit_length() - 1)
-        comps = g.component_masks(mask)
-        if len(comps) > 1:
-            kids = []
-            for c in comps:
-                sub = rec(c)
-                if isinstance(sub, frozenset):
-                    return sub
-                kids.append(sub)
-            return Cotree("union", children=tuple(kids))
-        cocomps = _co_components(g, mask)
-        if len(cocomps) > 1:
-            kids = []
-            for c in cocomps:
-                sub = rec(c)
-                if isinstance(sub, frozenset):
-                    return sub
-                kids.append(sub)
-            return Cotree("join", children=tuple(kids))
-        return _find_p4(g, mask)
-
     if g.n == 0:
         return Cotree("union", children=())
-    return rec(g.full_mask)
+    # frames: (kind, part masks, subtrees of the parts built so far)
+    frames: list[tuple[str, list[int], list[Cotree]]] = []
+    mask = g.full_mask
+    while True:
+        if mask & (mask - 1):
+            kind, parts = "union", g.component_masks(mask)
+            if len(parts) == 1:
+                kind, parts = "join", _co_components(g, mask)
+                if len(parts) == 1:
+                    return _find_p4(g, mask)
+            frames.append((kind, parts, []))
+            mask = parts[0]
+            continue
+        node = Cotree("leaf", vertex=mask.bit_length() - 1)
+        # attach the finished subtree, closing every frame it completes
+        while frames:
+            kind, parts, kids = frames[-1]
+            kids.append(node)
+            if len(kids) < len(parts):
+                mask = parts[len(kids)]
+                break
+            frames.pop()
+            node = Cotree(kind, children=tuple(kids))
+        else:
+            return node
 
 
 # ---------------------------------------------------------------------

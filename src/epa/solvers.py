@@ -98,32 +98,45 @@ def wvc_cograph(g: Graph, w: Weights) -> frozenset[int]:
     tree = build_cotree(g)
     if isinstance(tree, frozenset):
         raise NotInClassError("cograph", tree)
-
-    def solve(node: Cotree) -> tuple[Fraction, list[int], list[int]]:
-        # returns (cost, cover, all leaves under node)
-        if node.kind == "leaf":
-            return Fraction(0), [], [node.vertex]
-        subs = [solve(c) for c in node.children]
-        leaves = [v for _, _, lv in subs for v in lv]
-        if node.kind == "union":
-            cost = sum((c for c, _, _ in subs), Fraction(0))
-            cover = [v for _, cv, _ in subs for v in cv]
-            return cost, cover, leaves
-        total_w = total(w, leaves)
-        best = None
-        for i, (cost_i, cover_i, leaves_i) in enumerate(subs):
-            cand = total_w - total(w, leaves_i) + cost_i
-            if best is None or cand < best[0]:
-                best = (cand, i)
-        cost, i = best
-        keep = set(subs[i][2])
-        cover = [v for v in leaves if v not in keep] + subs[i][1]
-        return cost, cover, leaves
-
     if g.n == 0:
         return frozenset()
-    _, cover, _ = solve(tree)
-    return frozenset(cover)
+    # Post-order with an explicit stack (a cotree can be about n deep).
+    # A node's result is (cost, cover, leaves under it, their weight);
+    # carrying the weight keeps deep trees from re-summing it per level.
+    stack: list[tuple[Cotree, list]] = [(tree, [])]
+    while True:
+        node, subs = stack[-1]
+        if node.kind == "leaf":
+            res = (Fraction(0), [], [node.vertex], w[node.vertex])
+        elif len(subs) < len(node.children):
+            stack.append((node.children[len(subs)], []))
+            continue
+        else:
+            res = _cotree_cover(node.kind, subs)
+        stack.pop()
+        if not stack:
+            return frozenset(res[1])
+        stack[-1][1].append(res)
+
+
+def _cotree_cover(kind: str, subs: list) -> tuple[Fraction, list[int], list[int], Fraction]:
+    """Cheapest cover of a union or join node from its children's results:
+    a union covers each child; a join leaves at most one child uncovered."""
+    leaves = [v for _, _, lv, _ in subs for v in lv]
+    weight = sum((lw for _, _, _, lw in subs), Fraction(0))
+    if kind == "union":
+        cost = sum((c for c, _, _, _ in subs), Fraction(0))
+        cover = [v for _, cv, _, _ in subs for v in cv]
+        return cost, cover, leaves, weight
+    best = None
+    for i, (cost_i, _, _, weight_i) in enumerate(subs):
+        cand = weight - weight_i + cost_i
+        if best is None or cand < best[0]:
+            best = (cand, i)
+    cost, i = best
+    keep = set(subs[i][2])
+    cover = [v for v in leaves if v not in keep] + subs[i][1]
+    return cost, cover, leaves, weight
 
 
 # ---------------------------------------------------------------------

@@ -76,14 +76,17 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, cfg: FFreeConfig) -> VertexCoverS
     """
     wp = list(w)
     alive = g.full_mask
+    # Alive zero-weight vertices; only a reduced pattern can add to it.
+    zero = mask_of(v for v in range(g.n) if wp[v] == 0)
     removed: list[tuple[int, int]] = []  # (vertex, neighbor mask at removal)
     depth = 0
     while True:
-        zeros = [v for v in bits(alive) if wp[v] == 0]
-        if zeros:
-            v = zeros[0]
+        if zero:
+            low = zero & -zero
+            v = low.bit_length() - 1
             removed.append((v, g.adj_bits[v] & alive))
-            alive &= ~(1 << v)
+            alive ^= low
+            zero ^= low
             depth += 1
             continue
         pattern = find_induced(g, cfg.family, within=alive)
@@ -96,6 +99,8 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, cfg: FFreeConfig) -> VertexCoverS
         lam = min(wp[v] for v in pattern)
         for v in pattern:
             wp[v] -= lam
+            if wp[v] == 0:
+                zero |= 1 << v
         depth += 1
     for v, nbrs in reversed(removed):
         if any(u not in cover for u in bits(nbrs)):

@@ -241,3 +241,20 @@ def test_graph_error_messages_exact(n, edges, message):
     with pytest.raises(ValueError) as err:
         Graph(n, edges)
     assert str(err.value) == message
+
+
+def test_lazy_adjacency_matches_edge_list():
+    """``adj`` (built from the masks on first use, bit by bit for sparse
+    rows and from the binary digits for dense ones) equals the sorted
+    neighbour lists of the edge list, and ``degree`` and ``m`` agree."""
+    for i, (n, density) in enumerate([(0, 1), (1, 1), (7, 1), (12, 8), (60, 2), (60, 5), (120, 9)]):
+        rng = SplitMix64(4400 + i)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.below(10) < density]
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        g = Graph(n, edges)
+        assert g.adj == tuple(tuple(sorted(s)) for s in nbrs)
+        assert [g.degree(v) for v in range(n)] == [len(s) for s in nbrs]
+        assert g.m == len(edges) and list(g.edges()) == edges

@@ -1,12 +1,19 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from epa.certify import induces_pattern, is_clique, is_independent_set
+from epa.generator import GeneratorSpec, generate
 from epa.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 from epa.recognize import (
     CLASSES,
     Cotree,
+    _chain,
+    _co_components,
+    _find_cycle,
+    _find_p4,
+    _shrink_to_chordless,
     build_cotree,
     find_induced,
     is_perfect_elimination,
@@ -169,3 +176,103 @@ def test_structural_witnesses_on_generated_members():
             rec = recognize(g, cls)
             assert rec.member
             validate_recognition(g, rec)
+
+
+# -- reference copies of the recursive and every-start versions ----------
+
+
+def _find_cycle_every_start(g: Graph, odd_only: bool):
+    """The cycle search as it was: a BFS from every start vertex."""
+    n = g.n
+    for s in range(n):
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in g.adj[u]:
+                if dist[v] == -1:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif v != parent[u] and dist[v] <= dist[u]:
+                    if odd_only and (dist[u] + dist[v] + 1) % 2 == 0:
+                        continue
+                    chain_u = _chain(parent, u)
+                    chain_v = _chain(parent, v)
+                    pos = {x: i for i, x in enumerate(chain_u)}
+                    j = next(i for i, x in enumerate(chain_v) if x in pos)
+                    meet = chain_v[j]
+                    cyc = chain_u[: pos[meet] + 1] + list(reversed(chain_v[:j]))
+                    if odd_only and len(cyc) % 2 == 0:
+                        continue
+                    return _shrink_to_chordless(g, cyc, keep_odd=odd_only)
+    return None
+
+
+def _build_cotree_recursive(g: Graph):
+    def rec(mask: int):
+        if mask & (mask - 1) == 0:
+            return Cotree("leaf", vertex=mask.bit_length() - 1)
+        for kind, parts in (("union", g.component_masks(mask)), ("join", _co_components(g, mask))):
+            if len(parts) > 1:
+                kids = []
+                for c in parts:
+                    sub = rec(c)
+                    if isinstance(sub, frozenset):
+                        return sub
+                    kids.append(sub)
+                return Cotree(kind, children=tuple(kids))
+        return _find_p4(g, mask)
+
+    if g.n == 0:
+        return Cotree("union", children=())
+    return rec(g.full_mask)
+
+
+def _evaluate_recursive(t: Cotree):
+    if t.kind == "leaf":
+        return [t.vertex], []
+    vs, es, parts = [], [], []
+    for c in t.children:
+        cv, ce = _evaluate_recursive(c)
+        vs.extend(cv)
+        es.extend(ce)
+        parts.append(cv)
+    if t.kind == "join":
+        for i, a in enumerate(parts):
+            for b in parts[i + 1 :]:
+                es.extend((u, v) if u < v else (v, u) for u in a for v in b)
+    return vs, es
+
+
+def _cycle_corpus():
+    graphs = list(corpus(40, 0, 12, seed0=9100))
+    for seed in range(12):
+        for cls in ("forest", "bipartite"):
+            graphs.append(generate(GeneratorSpec(cls, 6 + seed, 0, Fraction(1, 2), 9200 + seed))[0])
+    forest = generate(GeneratorSpec("forest", 8, 0, Fraction(1, 2), 9300))[0]
+    for extra in (cycle_graph(4), cycle_graph(5), complete_graph(4)):
+        graphs += [disjoint_union(forest, extra), disjoint_union(extra, forest)]
+    return graphs
+
+
+def test_find_cycle_matches_every_start_reference():
+    for g in _cycle_corpus():
+        for odd_only in (False, True):
+            assert _find_cycle(g, odd_only) == _find_cycle_every_start(g, odd_only)
+
+
+def test_cotree_matches_recursive_reference():
+    graphs = list(corpus(40, 0, 10, seed0=9400))
+    graphs += [generate(GeneratorSpec("cograph", n, 0, Fraction(1, 2), 9500 + n))[0] for n in range(1, 25)]
+    for g in graphs:
+        tree = build_cotree(g)
+        assert tree == _build_cotree_recursive(g)
+        if isinstance(tree, Cotree):
+            vs, es = tree.evaluate()
+            assert (vs, es) == _evaluate_recursive(tree)
+            assert tree.leaves() == vs

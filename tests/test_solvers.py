@@ -13,7 +13,7 @@ from epa.graphs import (
     total,
     unit_weights,
 )
-from epa.generator import GeneratorSpec, generate
+from epa.generator import GeneratorSpec, generate, random_weights
 from epa.oracle import (
     exact_lp_vc,
     exact_max_matching_size,
@@ -22,7 +22,8 @@ from epa.oracle import (
     exact_min_vc,
     exact_min_wvc,
 )
-from epa.recognize import NotInClassError
+from epa.recognize import NotInClassError, build_cotree
+from epa.reports import run_algorithm
 from epa.solvers import (
     cvc_savage,
     fvs_2approx,
@@ -34,6 +35,7 @@ from epa.solvers import (
     wvc_forest,
 )
 from conftest import connected_corpus, corpus, weights_for
+from test_recognize import _build_cotree_recursive
 
 
 def petersen() -> Graph:
@@ -93,6 +95,64 @@ def test_wvc_cograph_matches_oracle():
         cover = wvc_cograph(g, w)
         assert is_vertex_cover(g, cover)
         assert total(w, cover) == exact_min_wvc(g, w)[0]
+
+
+def threshold_cograph(n: int) -> Graph:
+    """Odd vertices dominate every earlier vertex; cotree depth is about n."""
+    return Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
+def _wvc_cograph_recursive(tree, w):
+    """The cotree DP as it was, recursive, on a given cotree."""
+
+    def solve(node):
+        if node.kind == "leaf":
+            return Fraction(0), [], [node.vertex]
+        subs = [solve(c) for c in node.children]
+        leaves = [v for _, _, lv in subs for v in lv]
+        if node.kind == "union":
+            return sum((c for c, _, _ in subs), Fraction(0)), [v for _, cv, _ in subs for v in cv], leaves
+        total_w = total(w, leaves)
+        best = None
+        for i, (cost_i, _, leaves_i) in enumerate(subs):
+            cand = total_w - total(w, leaves_i) + cost_i
+            if best is None or cand < best[0]:
+                best = (cand, i)
+        keep = set(subs[best[1]][2])
+        return best[0], [v for v in leaves if v not in keep] + subs[best[1]][1], leaves
+
+    return frozenset(solve(tree)[1])
+
+
+def _preorder(tree) -> list:
+    """(kind, vertex, child count) of every node in preorder, which fixes
+    the tree; compared without the recursion of the dataclass ``==``."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append((node.kind, node.vertex, len(node.children)))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def test_wvc_cograph_matches_recursive_reference():
+    g = threshold_cograph(300)
+    tree = build_cotree(g)
+    assert _preorder(tree) == _preorder(_build_cotree_recursive(g))
+    for w in (unit_weights(g.n), random_weights(g.n, 5)):
+        assert wvc_cograph(g, w) == _wvc_cograph_recursive(tree, w)
+    for i in range(20):
+        g, _ = generate(GeneratorSpec("cograph", 30, 0, Fraction(1, 2), 4200 + i))
+        w = weights_for(g, 95 + i, unit=i % 2 == 0)
+        assert wvc_cograph(g, w) == _wvc_cograph_recursive(build_cotree(g), w)
+
+
+def test_vc_cograph_deep_threshold_graph():
+    """A 700-vertex threshold cograph has cotree depth about 700; the row
+    used to end in RecursionError."""
+    g = threshold_cograph(700)
+    res = run_algorithm("vc", "cograph", g, unit_weights(g.n))
+    assert res.feasible and res.value == 350
 
 
 def test_wvc_cluster_matches_oracle():

@@ -4,14 +4,16 @@ from itertools import combinations
 from epa.certify import is_clique, is_vertex_cover
 from epa.graphs import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
     unit_weights,
 )
-from epa.generator import GeneratorSpec, SplitMix64, generate
+from epa.generator import GeneratorSpec, SplitMix64, generate, random_weights
 from epa.oracle import exact_min_modulator, exact_min_vc, exact_min_wvc
+from epa.recognize import find_induced
 from epa.solvers import vc_2approx
 from epa.vertex_cover import (
     ffree_config,
@@ -46,6 +48,43 @@ def test_ffree_bounds_all_families():
             assert is_vertex_cover(g, sol.cover)
             k = exact_min_modulator(g, cls, w)[0]
             assert sol.weight <= opt + 2 * k, (fam, sorted(g.edges()))
+
+
+def _ffree_rescan_reference(g, w, cfg):
+    """The local-ratio loop as it was: every step rescans the alive
+    vertices for zero weights.  Returns (cover, depth)."""
+    wp = list(w)
+    alive = g.full_mask
+    removed = []
+    depth = 0
+    while True:
+        zeros = [v for v in bits(alive) if wp[v] == 0]
+        if zeros:
+            removed.append((zeros[0], g.adj_bits[zeros[0]] & alive))
+            alive &= ~(1 << zeros[0])
+            depth += 1
+            continue
+        pattern = find_induced(g, cfg.family, within=alive)
+        if pattern is None:
+            sub, old = g.induced_subgraph(bits(alive))
+            cover = {old[v] for v in cfg.exact_solver(sub, tuple(wp[v] for v in old))}
+            break
+        lam = min(wp[v] for v in pattern)
+        for v in pattern:
+            wp[v] -= lam
+        depth += 1
+    for v, nbrs in reversed(removed):
+        if any(u not in cover for u in bits(nbrs)):
+            cover.add(v)
+    return frozenset(cover), depth
+
+
+def test_ffree_zero_mask_matches_rescan_reference():
+    for i, g in enumerate(corpus(45, 2, 30, seed0=2300)):
+        w = random_weights(g.n, 2300 + i, zero_share=Fraction(i % 3, 5))
+        for fam in ("P3", "co-P3", "P4"):
+            sol = vc_local_ratio_ffree(g, w, ffree_config(fam))
+            assert (sol.cover, sol.depth) == _ffree_rescan_reference(g, w, ffree_config(fam))
 
 
 def test_ffree_c5_example():
