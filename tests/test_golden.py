@@ -1,10 +1,12 @@
 """Golden byte-identity: pinned digests of ``epa bench`` CSV, of
-``solve --json`` on planted split instances, and of the CLI output of
-every guarantee row.
+``solve --json`` on planted split instances, of the CLI output of
+every guarantee row, and of the two budgeted subroutines of the split
+rows.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
-into one table.
+into one table; the subroutine digests before the budgeted routines
+stopped doing a whole subroutine run per candidate.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -18,10 +20,20 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from epa.cli import main
-from epa.generator import GENERATOR_CLASSES, GeneratorSpec, generate, random_weights
+from epa.connected_vc import cvc_budgeted
+from epa.generator import (
+    GENERATOR_CLASSES,
+    GeneratorSpec,
+    SplitMix64,
+    generate,
+    random_connected_graph,
+    random_weights,
+)
 from epa.graphs import Graph, path_graph
 from epa.instances import serialize_instance
 from epa.reports import bench
+from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx
+from conftest import connected_corpus, corpus
 
 BENCH_SPECS = [
     GeneratorSpec(base, 8, k, Fraction(1, 2), seed)
@@ -189,3 +201,38 @@ def test_solve_json_scale_golden(tmp_path):
                 assert main(["solve", "--problem", problem, "--param", param,
                              "--input", str(path), "--json"]) == 0
     assert _sha(out.getvalue()) == SCALE_SHA256
+
+
+# -- subroutines of the split rows ---------------------------------------
+
+BUDGETED_VC_SHA256 = "5e6280b2c0c7851c0572d740cece39f0ae3837d37c3f8bbe16845d254092fc07"
+BUDGETED_CVC_SHA256 = "6575a5659bd8ed60eaf3446ab1bb59d9df71beb378fd1040a80edc2702d74181"
+
+
+def test_vc_budgeted_2approx_golden():
+    """c = 0..3 on random graphs (n <= 16) and planted split graphs
+    (n = 20), each with the full, a random and the empty vertex mask."""
+    graphs = corpus(60, 1, 16, seed0=5100)
+    graphs += [generate(GeneratorSpec("split", 18, 2, Fraction(1, 2), 5170 + i))[0] for i in range(8)]
+    out = []
+    for i, g in enumerate(graphs):
+        rng = SplitMix64(5200 + i)
+        for within in (g.full_mask, sum(1 << v for v in range(g.n) if rng.below(3)), 0):
+            for c in (0, 1, 2, 3):
+                sol = vc_budgeted_2approx(g, c, within=within)
+                out.append(f"{i} {within:x} {c} {sorted(sol.cover)}\n")
+    assert _sha("".join(out)) == BUDGETED_VC_SHA256
+
+
+def test_cvc_budgeted_golden():
+    """c = 1..4 on connected random graphs (n <= 14) and on clique
+    contractions, which end in a pendant leaf as in cvc_split."""
+    graphs = connected_corpus(30, 2, 14, seed0=5300)
+    for i in range(8):
+        g = random_connected_graph(11, Fraction(1, 2), 5340 + i)
+        graphs.append(g.contract_with_pendant(two_maximal_clique(g)).graph)
+    out = []
+    for i, g in enumerate(graphs):
+        for c in (1, 2, 3, 4):
+            out.append(f"{i} {c} {sorted(cvc_budgeted(g, c).cover)}\n")
+    assert _sha("".join(out)) == BUDGETED_CVC_SHA256
