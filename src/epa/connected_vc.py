@@ -3,7 +3,16 @@
 The driver (:func:`cvc_split`) recurses on clique contractions G<Z> (the
 clique collapses to one vertex that gains a pendant leaf, forcing it into
 any connected cover).  Solutions of the contraction lift back by swapping
-the contracted vertex for the whole clique.
+the contracted vertex for the whole clique.  The driver is a loop: it
+descends through the contractions and then folds the answers back up.
+
+:func:`cvc_budgeted` runs Savage's DFS on G<Y> for every connected set Y
+of size c+1 without building G<Y>.  ``solvers.savage_mask`` walks G's
+adjacency masks and treats Y as one virtual vertex.  That vertex comes
+after every kept vertex and is followed by its pendant leaf, which is
+where ``contract_with_pendant`` puts it, so the DFS visits vertices in
+the same order.  Its cover test runs on G itself, which is equivalent
+because Y is connected.
 """
 
 from __future__ import annotations
@@ -12,9 +21,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .certify import is_clique
-from .graphs import Graph, bits, mask_of
+from .graphs import Contraction, Graph, bits, mask_of
 from .recognize import find_induced
-from .solvers import cvc_savage
+from .solvers import savage_mask
 from .vertex_cover import _improve_to_2maximal
 
 
@@ -88,9 +97,10 @@ def cvc_budgeted(g: Graph, c: int) -> ConnectedVCSol:
     """Connected cover of size at most max(OPT_CVC, OPT_CVC + OPT_VC - c).
 
     Small connected sets that already cover everything are returned as
-    is; otherwise every connected set Y of size c+1 is contracted and
-    Savage's cover of G<Y> is lifted by swapping the contracted vertex
-    for Y.
+    is; otherwise, for every connected set Y of size c+1, Savage's cover
+    of the contraction G<Y> is lifted by swapping the contracted vertex
+    for Y.  The contraction is never built: the DFS treats Y as one
+    virtual vertex (see ``solvers.savage_mask``).
     """
     if not g.is_connected():
         raise ValueError("budgeted connected cover needs a connected graph")
@@ -99,27 +109,31 @@ def cvc_budgeted(g: Graph, c: int) -> ConnectedVCSol:
     small = _brute_min_cvc(g, c)
     if small is not None:
         return ConnectedVCSol(small, f"cvc-budgeted[{c}]")
-    best: Optional[frozenset[int]] = None
+    best = None
     for sub in connected_subsets(g, min(c + 1, g.n)):
-        y = frozenset(bits(sub))
-        con = g.contract_with_pendant(y)
-        cand = con.lift(cvc_savage(con.graph)) | y
-        if best is None or len(cand) < len(best):
+        cand = savage_mask(g, sub)
+        if best is None or cand.bit_count() < best.bit_count():
             best = cand
-    return ConnectedVCSol(best, f"cvc-budgeted[{c}]")
+    return ConnectedVCSol(frozenset(bits(best)), f"cvc-budgeted[{c}]")
 
 
 # ---------------------------------------------------------------------
 # exact solver for instances whose contraction has a tiny optimum
 
 
-def cvc_small_after_contraction(g: Graph, z: frozenset[int], c: int) -> ConnectedVCSol:
+def cvc_small_after_contraction(
+    g: Graph,
+    z: frozenset[int],
+    c: int,
+    contracted: Optional[tuple[Contraction, frozenset[int]]] = None,
+) -> ConnectedVCSol:
     """Exact minimum connected vertex cover, given a clique ``z`` whose
     contraction has a connected cover of size at most ``c``.
 
     Tries, for each u in z, the optimum of G<z - u> lifted by z - u (the
     case where some minimum cover misses u), plus the optimum of G<z>
-    lifted by z.  Raises when the premise fails.
+    lifted by z.  A caller that already has G<z> and its optimum passes
+    them as ``contracted``.  Raises when the premise fails.
     """
     if not g.is_connected():
         raise ValueError("needs a connected graph")
@@ -141,8 +155,11 @@ def cvc_small_after_contraction(g: Graph, z: frozenset[int], c: int) -> Connecte
         cand = (z - {u}) | con.lift(inner)
         if best is None or len(cand) < len(best):
             best = cand
-    con = g.contract_with_pendant(z)
-    inner = _brute_min_cvc(con.graph, c)
+    if contracted is None:
+        con = g.contract_with_pendant(z)
+        inner = _brute_min_cvc(con.graph, c)
+    else:
+        con, inner = contracted
     if inner is None:
         raise ValueError("contraction optimum exceeds the stated budget")
     cand = z | con.lift(inner)
@@ -182,22 +199,32 @@ def _contraction_clique(g: Graph) -> frozenset[int]:
 
 
 def cvc_split(g: Graph) -> ConnectedVCSol:
-    """Connected vertex cover of size at most OPT_CVC + OPT_SVD."""
+    """Connected vertex cover of size at most OPT_CVC + OPT_SVD.
+
+    Recursion on the contraction G<Z> of a clique Z: when G<Z> has a
+    connected cover of size at most 3, the exact small solver answers;
+    otherwise the better of the recursive cover and the budgeted cover
+    (c = 4) of G<Z>, each lifted and joined with Z.  Ties go to the
+    recursion branch.  The recursion runs as a loop: it descends through
+    the contractions, then folds the answers back up from the bottom.
+    """
     if not g.is_connected():
         raise ValueError("split-parameterized connected cover needs a connected graph")
-
-    def rec(h: Graph, depth: int) -> frozenset[int]:
-        if h.n <= 1:
-            return frozenset()
+    h = g
+    levels: list[tuple[Contraction, frozenset[int]]] = []
+    cover: frozenset[int] = frozenset()
+    while h.n > 1:
         z = _contraction_clique(h)
         con = h.contract_with_pendant(z)
-        if _brute_min_cvc(con.graph, 3) is not None:
-            return cvc_small_after_contraction(h, z, 3).cover
-        x1 = rec(con.graph, depth + 1)
+        small = _brute_min_cvc(con.graph, 3)
+        if small is not None:
+            cover = cvc_small_after_contraction(h, z, 3, (con, small)).cover
+            break
+        levels.append((con, z))
+        h = con.graph
+    for con, z in reversed(levels):
         x2 = cvc_budgeted(con.graph, 4).cover
-        cand1 = con.lift(x1) | z
+        cand1 = con.lift(cover) | z
         cand2 = con.lift(x2) | z
-        return cand1 if len(cand1) <= len(cand2) else cand2
-
-    cover = rec(g, 0)
+        cover = cand1 if len(cand1) <= len(cand2) else cand2
     return ConnectedVCSol(cover, "cvc-split")

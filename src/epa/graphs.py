@@ -173,13 +173,27 @@ class Graph:
             return self, old          # the whole graph; graphs are immutable
         if not old:
             return Graph._from_masks(()), old
-        # Each row is compressed in C: its n-digit binary string, the
-        # digits of the kept ids picked highest id first, read back.
+        # A row with few kept bits (the rule of ``_neighbours``) is
+        # remapped bit by bit; a denser one is compressed in C: its n-digit
+        # binary string, the digits of the kept ids picked highest id
+        # first, read back.
         n = self.n
+        keep = mask_of(old)
+        index = dict(zip(old, range(len(old))))
         fmt = f"0{n}b"
         pick = itemgetter(*[n - 1 - v for v in reversed(old)])
         adj_bits = self.adj_bits
-        return Graph._from_masks([int("".join(pick(format(adj_bits[u], fmt))), 2) for u in old]), old
+        rows = []
+        for u in old:
+            row = adj_bits[u] & keep
+            if row.bit_count() * 8 < n + 48:
+                b = 0
+                for v in bits(row):
+                    b |= 1 << index[v]
+                rows.append(b)
+            else:
+                rows.append(int("".join(pick(format(row, fmt))), 2))
+        return Graph._from_masks(rows), old
 
     def contract_with_pendant(self, y: Iterable[int]) -> "Contraction":
         """Contract ``y`` to one vertex and append a fresh pendant leaf.

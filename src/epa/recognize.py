@@ -59,6 +59,46 @@ class Cotree:
     vertex: Optional[int] = None
     children: tuple["Cotree", ...] = field(default=())
 
+    # ``==``, ``hash`` and ``repr`` walk the tree with explicit stacks; the
+    # generated dataclass methods recurse, and a cotree can be about n deep.
+
+    def _preorder(self) -> list[tuple[str, Optional[int], int]]:
+        """(kind, vertex, child count) of every node in preorder, which
+        fixes the tree."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append((node.kind, node.vertex, len(node.children)))
+            stack.extend(reversed(node.children))
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cotree):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        """The dataclass repr, written out in preorder."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"Cotree(kind={item.kind!r}, vertex={item.vertex!r}, children=(")
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            for i in reversed(range(len(kids))):
+                stack.append(kids[i])
+                if i:
+                    stack.append(", ")
+        return "".join(out)
+
     def leaves(self) -> list[int]:
         out: list[int] = []
         stack = [self]

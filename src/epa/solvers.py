@@ -13,7 +13,8 @@ Contracts (all oracle-tested at small sizes):
 * ``fvs_2approx`` returns an inclusion-minimal feedback vertex set of
   weight at most twice the optimum.
 * ``cvc_savage`` returns a connected vertex cover of size at most
-  OPT_CVC + OPT_VC (internal vertices of a DFS tree).
+  OPT_CVC + OPT_VC (internal vertices of a DFS tree); ``savage_mask``
+  is the same DFS on a clique contraction G<Y>, with Y kept virtual.
 * ``vc_2approx`` returns a vertex cover of weight at most twice the
   optimum (local ratio on edges).
 """
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
-from .graphs import Graph, Weights, bits, mask_of, total, unit_weights
+from .graphs import Graph, Weights, bits, unit_weights
 from .recognize import Cotree, NotInClassError, build_cotree, find_induced, _find_cycle
 
 Matching = frozenset[tuple[int, int]]
@@ -471,26 +472,62 @@ def cvc_savage(g: Graph) -> frozenset[int]:
         raise ValueError("Savage's algorithm needs a connected graph")
     if g.n <= 1:
         return frozenset()
-    children = [0] * g.n
-    visited = 0
-    stack = [(0, -1)]
-    while stack:
-        v, parent = stack.pop()
-        if visited >> v & 1:
-            continue
-        visited |= 1 << v
-        if parent != -1:
-            children[parent] += 1
-        nbrs = g.adj_bits[v] & ~visited
-        while nbrs:                  # highest first, so the lowest pops first
-            u = nbrs.bit_length() - 1
-            stack.append((u, v))
-            nbrs ^= 1 << u
-    internal = {v for v in range(g.n) if children[v] > 0}
-    pruned = internal - {0}
-    if pruned and g.covers(mask_of(pruned), g.full_mask) and g.induces_connected(pruned):
-        return frozenset(pruned)
-    return frozenset(internal)
+    return frozenset(bits(savage_mask(g, 0)))
+
+
+def savage_mask(g: Graph, ymask: int) -> int:
+    """Mask of Savage's cover of G<Y>, lifted back to G, for a connected
+    G and a connected vertex set ``ymask`` (0 for G itself).
+
+    G<Y> contracts Y to one vertex placed after every kept vertex and
+    followed by a pendant leaf (see ``Graph.contract_with_pendant``).
+    The DFS runs on G's masks with Y as one virtual vertex in that place.
+    It visits the lowest unvisited neighbour first, and it enters Y only
+    when no kept neighbour is left.  The leaf always hangs below Y, so Y
+    is internal and nothing else changes.  The root prune test runs on G
+    itself.  The pruned set holds Y, and it covers and connects G exactly
+    when its contraction covers and connects G<Y>, because Y is connected.
+    """
+    adj = g.adj_bits
+    kept = g.full_mask & ~ymask
+    if not kept:
+        return ymask
+    out = 0
+    for y in bits(ymask):
+        out |= adj[y]
+    out &= kept
+    root = kept & -kept
+    visited = root
+    nbrs = adj[root.bit_length() - 1]
+    # A vertex is internal exactly when it has an unvisited neighbour
+    # as it is visited: the DFS visits that neighbour below it.  So the
+    # stack keeps only the neighbour masks of the current path.
+    internal = ymask | (root if nbrs else 0)
+    stack = []
+    while True:
+        nb = nbrs & ~visited
+        if nb:
+            u = nb & kept
+            if u:
+                u &= -u
+                unbrs = adj[u.bit_length() - 1]
+            else:
+                u, unbrs = ymask, out
+            visited |= u
+            if unbrs & ~visited:
+                internal |= u
+            stack.append(nbrs)
+            nbrs = unbrs
+        elif stack:
+            nbrs = stack.pop()
+        else:
+            break
+    pruned = internal & ~root
+    if pruned and g.covers(pruned, g.full_mask) and g.component_mask(
+        (pruned & -pruned).bit_length() - 1, pruned
+    ) == pruned:
+        return pruned
+    return internal
 
 
 # ---------------------------------------------------------------------
@@ -504,21 +541,7 @@ def vc_2approx(
     twice the optimum; edges are reduced in lexicographic order."""
     mask = g.full_mask if within is None else within
     if w is None:
-        # Unit weights: each reduced edge zeroes both ends, so the cover
-        # is both ends of a greedy maximal matching.  A vertex still free
-        # when its turn comes has only higher free neighbors.
-        adj = g.adj_bits
-        free = mask
-        cover_bits = 0
-        while free:
-            low = free & -free
-            free ^= low
-            nbrs = adj[low.bit_length() - 1] & free
-            if nbrs:
-                mate = nbrs & -nbrs
-                cover_bits |= low | mate
-                free ^= mate
-        return frozenset(bits(cover_bits))
+        return frozenset(bits(matching_cover(g.adj_bits, mask, 0)))
     wp = list(w)
     cover: set[int] = set()
     for u, v in g.edges():
@@ -532,3 +555,23 @@ def vc_2approx(
         if wp[v] == 0:
             cover.add(v)
     return frozenset(cover)
+
+
+def matching_cover(adj: Sequence[int], free: int, cover: int, trail: Optional[list] = None) -> int:
+    """``cover`` joined with both ends of a greedy maximal matching of the
+    free vertices: the unit-weight local ratio on edges in lexicographic
+    order, edge for edge, since each reduced edge zeroes both ends.  A
+    vertex still free when its turn comes has only higher free
+    neighbours; it is matched to the lowest.  With ``trail`` given, the
+    state (free, cover) before each step is appended to it."""
+    while free:
+        if trail is not None:
+            trail.append((free, cover))
+        low = free & -free
+        free ^= low
+        nbrs = adj[low.bit_length() - 1] & free
+        if nbrs:
+            mate = nbrs & -nbrs
+            cover |= low | mate
+            free ^= mate
+    return cover

@@ -4,13 +4,24 @@ Each routine returns a :class:`VertexCoverSol` whose cover is feasible by
 construction and re-checked in tests by :mod:`epa.certify`.  The bounds
 (`weight <= OPT + f(k)` with k a modulator weight/size the algorithm never
 sees) are exercised against the brute-force oracles; see the test suite.
+
+The split row's budgeted 2-approximation (:func:`vc_budgeted_2approx`)
+runs the unit-weight greedy matching (``solvers.matching_cover``) once
+per deletion set D, on the vertex mask M - D, without building a graph.
+The runs share prefixes.  A step of the run on M - P takes the lowest
+free vertex and matches it to its lowest free neighbour.  Until that run
+first touches a vertex d (takes it as the low vertex or as its mate),
+the only difference on M - (P ∪ {d}) is that d is not free, and d is
+neither of the two vertices chosen, so both runs take the same steps.
+Each run records its state (free mask, cover mask) before every step,
+and the run on P ∪ {d} resumes from its parent's state at the step that
+touches d.  Only the runs of sets smaller than the budget record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Optional
 
 from .graphs import Graph, Weights, bits, mask_of, total, unit_weights
@@ -18,7 +29,7 @@ from .recognize import find_induced
 from .solvers import (
     fvs_2approx,
     lp_half_integral_vc,
-    vc_2approx,
+    matching_cover,
     wvc_cluster,
     wvc_cograph,
     wvc_forest,
@@ -229,17 +240,52 @@ def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
 
 def vc_budgeted_2approx(g: Graph, c: int, within: Optional[int] = None) -> VertexCoverSol:
     """Unweighted cover of G[within] (default: all of G) of size at most
-    max(OPT, 2*OPT - c): try every deletion set of size up to ``c``
-    before 2-approximating the rest."""
+    max(OPT, 2*OPT - c): try every deletion set D of size up to ``c``
+    before 2-approximating the rest, and keep the smallest D joined with
+    its cover.  Ties go to the smaller D, then to the lexicographically
+    first.  Each run resumes from its parent's (see the module docstring);
+    sizes are compared as popcounts and only the winner becomes a set."""
     mask = g.full_mask if within is None else within
-    vs = tuple(bits(mask))
-    best: Optional[frozenset[int]] = None
-    for k in range(min(c, len(vs)) + 1):
-        for combo in combinations(vs, k):
-            approx = vc_2approx(g, within=mask & ~mask_of(combo))
-            if best is None or k + len(approx) < len(best):
-                best = approx.union(combo)
-    return _sol(g, unit_weights(g.n), best, f"vc-budgeted[{c}]")
+    adj = g.adj_bits
+    trail: Optional[list] = [] if c > 0 else None
+    best_bits = matching_cover(adj, mask, 0, trail)
+    best = (best_bits.bit_count(), 0)
+    # Depth-first over the deletion sets in lexicographic order.  A frame
+    # holds a set D, the trail of the run on M - D, and the vertices
+    # still to try as the next (larger) member.
+    stack = [(0, trail, mask)] if c > 0 else []
+    while stack:
+        dset, trail, todo = stack.pop()
+        if not todo:
+            continue
+        low = todo & -todo
+        todo ^= low
+        stack.append((dset, trail, todo))
+        d = low.bit_length() - 1
+        # Resume at the last recorded state with d still free: the step
+        # at which the parent's run touches d.
+        lo, hi = 0, len(trail)
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if trail[mid][0] >> d & 1:
+                lo = mid
+            else:
+                hi = mid
+        free, cover = trail[lo]
+        dset |= low
+        k = len(stack)
+        if k < c:
+            sub = trail[:lo]
+            cover = matching_cover(adj, free & ~dset, cover, sub)
+            stack.append((dset, sub, todo))
+        elif (k + cover.bit_count(), k) < best:
+            cover = matching_cover(adj, free & ~dset, cover)
+        else:
+            continue                # the cover only grows from here
+        if (k + cover.bit_count(), k) < best:
+            best = (k + cover.bit_count(), k)
+            best_bits = cover | dset
+    return _sol(g, unit_weights(g.n), frozenset(bits(best_bits)), f"vc-budgeted[{c}]")
 
 
 def vc_split(g: Graph) -> VertexCoverSol:
@@ -248,31 +294,34 @@ def vc_split(g: Graph) -> VertexCoverSol:
     Recursion on G - Z for a 2-maximal clique Z: when the rest is nearly
     edgeless the near-clique solution is optimal; otherwise the better of
     the recursive call and the budgeted 2-approximation (c = 2), each
-    joined with Z.  Ties go to the recursion branch.
+    joined with Z.  Ties go to the recursion branch.  The recursion runs
+    as a loop: it descends, keeping each level's Z and budgeted cover,
+    then folds the answers back up from the bottom.
     """
-    w = unit_weights(g.n)
-
-    def rec(alive: int, depth: int) -> frozenset[int]:
+    alive = g.full_mask
+    levels: list[tuple[frozenset[int], frozenset[int]]] = []
+    while True:
         if g.covers(0, alive):
-            return frozenset()
+            cover: frozenset[int] = frozenset()
+            break
         z = two_maximal_clique(g, within=alive)
-        zmask = mask_of(z)
-        rest = alive & ~zmask
+        rest = alive & ~mask_of(z)
         small = _cover_of_size_le1(g, rest)
         if small is not None:
+            cover = z | small
             for v in sorted(z):
                 cand = (z - {v}) | small
                 if g.covers(mask_of(cand), alive):
-                    return frozenset(cand)
-            return frozenset(z | small)
-        budgeted = vc_budgeted_2approx(g, 2, within=rest).cover
-        recursive = rec(rest, depth + 1)
+                    cover = cand
+                    break
+            break
+        levels.append((z, vc_budgeted_2approx(g, 2, within=rest).cover))
+        alive = rest
+    for z, budgeted in reversed(levels):
         x1 = budgeted | z
-        x2 = recursive | z
-        return x2 if len(x2) <= len(x1) else x1
-
-    cover = rec(g.full_mask, 0)
-    return _sol(g, w, cover, "vc-split")
+        x2 = cover | z
+        cover = x2 if len(x2) <= len(x1) else x1
+    return _sol(g, unit_weights(g.n), cover, "vc-split")
 
 
 def _cover_of_size_le1(g: Graph, mask: int) -> Optional[frozenset[int]]:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 
 from epa.certify import is_connected_vertex_cover
 from epa.connected_vc import (
+    _brute_min_cvc,
     connected_subsets,
     cvc_budgeted,
     cvc_small_after_contraction,
@@ -12,6 +14,7 @@ from epa.connected_vc import (
 )
 from epa.graphs import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -21,8 +24,10 @@ from epa.graphs import (
 )
 from epa.generator import GeneratorSpec, generate
 from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc
+from epa.solvers import cvc_savage, savage_mask
 from epa.vertex_cover import two_maximal_clique
 from conftest import connected_corpus, corpus
+from test_vertex_cover import stack_depth
 
 
 def test_connected_subsets_match_bruteforce():
@@ -166,3 +171,65 @@ def test_cvc_split_terminates_on_adversarial_shapes():
     broom = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6), (3, 7)])
     sol = cvc_split(broom)
     assert is_connected_vertex_cover(broom, sol.cover)
+
+
+def test_cvc_split_runs_without_deep_recursion():
+    """Each contraction of a 60-vertex path shrinks it by one vertex;
+    with only 40 frames to spare the loop still answers, with the cover
+    the recursive driver gave under the normal limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        cover = cvc_split(path_graph(60)).cover
+    finally:
+        sys.setrecursionlimit(old)
+    assert cover == frozenset(range(1, 59))
+
+
+def _savage_stack_reference(g: Graph) -> frozenset[int]:
+    """Savage's cover as it was: a DFS stack of (vertex, parent) pairs,
+    every unvisited neighbour pushed highest first."""
+    if g.n <= 1:
+        return frozenset()
+    children = [0] * g.n
+    visited = set()
+    stack = [(0, -1)]
+    while stack:
+        v, parent = stack.pop()
+        if v in visited:
+            continue
+        visited.add(v)
+        if parent != -1:
+            children[parent] += 1
+        stack.extend((u, v) for u in reversed(g.adj[v]) if u not in visited)
+    internal = {v for v in range(g.n) if children[v] > 0}
+    pruned = internal - {0}
+    if pruned and all(u in pruned or v in pruned for u, v in g.edges()) and g.induces_connected(pruned):
+        return frozenset(pruned)
+    return frozenset(internal)
+
+
+def test_virtual_vertex_dfs_matches_contraction():
+    """Savage with Y as a virtual vertex, against contracting Y, running
+    Savage on G<Y> and lifting, on every connected subset Y."""
+    graphs = connected_corpus(24, 2, 10, seed0=3600)
+    graphs += [path_graph(7), cycle_graph(8), star_graph(6), complete_graph(5)]
+    for g in graphs:
+        assert savage_mask(g, 0) == mask_of(cvc_savage(g)) == mask_of(_savage_stack_reference(g))
+        for k in range(1, g.n + 1):
+            for sub in connected_subsets(g, k):
+                y = frozenset(bits(sub))
+                con = g.contract_with_pendant(y)
+                savage = cvc_savage(con.graph)
+                assert savage == _savage_stack_reference(con.graph)
+                assert savage_mask(g, sub) == mask_of(con.lift(savage) | y), (sorted(g.edges()), y)
+
+
+def test_cvc_small_after_contraction_handed_contraction():
+    for g in connected_corpus(40, 2, 9, seed0=3700):
+        z = two_maximal_clique(g)
+        con = g.contract_with_pendant(z)
+        inner = _brute_min_cvc(con.graph, 3)
+        if inner is None or len(z) < 2:
+            continue
+        assert cvc_small_after_contraction(g, z, 3, (con, inner)) == cvc_small_after_contraction(g, z, 3)

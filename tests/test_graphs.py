@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from epa.generator import SplitMix64
+from epa.generator import GeneratorSpec, SplitMix64, generate
 from epa.graphs import (
     Graph,
     as_weights,
@@ -139,6 +139,29 @@ def test_induced_subgraph_equals_validated_build_corpus():
             h, got_old = g.induced_subgraph(old)
             assert got_old == tuple(old)
             assert_same_graph(h, Graph(len(old), es))
+
+
+def test_induced_subgraph_sparse_and_dense_rows_match_definition():
+    """Rows with few kept bits are remapped bit by bit, denser ones read
+    from their binary digits; both must give the induced subgraph."""
+    graphs = [path_graph(300), cycle_graph(250), star_graph(150)]
+    graphs += corpus(8, 60, 120, seed0=780)
+    graphs += [generate(GeneratorSpec("forest", 180, 20, Fraction(1, 2), 790 + i))[0] for i in range(2)]
+    sparse = dense = 0
+    for i, g in enumerate(graphs):
+        for s in (random_mask(g.n, 800 + i), g.full_mask & ~(1 << (i % g.n)), g.full_mask & 0x5555 << 40):
+            old = [v for v in range(g.n) if s >> v & 1]
+            index = {o: j for j, o in enumerate(old)}
+            es = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+            h, got_old = g.induced_subgraph(old)
+            assert got_old == tuple(old)
+            assert_same_graph(h, Graph(len(old), es))
+            for u in old:
+                if (g.adj_bits[u] & s).bit_count() * 8 < g.n + 48:
+                    sparse += 1
+                else:
+                    dense += 1
+    assert sparse > 500 and dense > 500
 
 
 def test_contraction_equals_validated_build_corpus():

@@ -276,3 +276,55 @@ def test_cotree_matches_recursive_reference():
             vs, es = tree.evaluate()
             assert (vs, es) == _evaluate_recursive(tree)
             assert tree.leaves() == vs
+
+
+def _deepest_path(tree: Cotree) -> list[Cotree]:
+    """Nodes from the root down to a deepest leaf."""
+    best, stack = [], [[tree]]
+    while stack:
+        path = stack.pop()
+        if len(path) > len(best):
+            best = path
+        stack.extend(path + [c] for c in path[-1].children)
+    return best
+
+
+def test_cotree_eq_hash_repr_on_deep_tree():
+    """The 300-vertex threshold cograph (odd vertices dominate every
+    earlier vertex) has cotree depth about 300; ==, hash and repr walk it
+    without recursion."""
+    g = Graph(300, [(j, i) for i in range(1, 300, 2) for j in range(i)])
+    a, b = build_cotree(g), build_cotree(g)
+    path = _deepest_path(a)
+    assert len(path) > 250
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # Move the deepest leaf up to the root; the path above it is rebuilt.
+    leaf = path[-1]
+    node = Cotree(path[-2].kind, children=tuple(c for c in path[-2].children if c is not leaf))
+    for parent, child in zip(reversed(path[:-2]), reversed(path[1:-1])):
+        node = Cotree(parent.kind, children=tuple(node if c is child else c for c in parent.children))
+    moved = Cotree(node.kind, children=node.children + (leaf,))
+    assert moved != a and a != moved and sorted(moved.leaves()) == sorted(a.leaves())
+    nodes, stack = 0, [a]
+    while stack:
+        nodes += 1
+        stack.extend(stack.pop().children)
+    text = repr(a)
+    assert text.startswith("Cotree(kind=") and text.count("Cotree(") == nodes
+
+
+def test_cotree_repr_is_the_dataclass_repr():
+    tree = Cotree("join", children=(Cotree("leaf", vertex=0), Cotree("union", children=(
+        Cotree("leaf", vertex=1), Cotree("leaf", vertex=2)))))
+    assert repr(tree) == (
+        "Cotree(kind='join', vertex=None, children=(Cotree(kind='leaf', vertex=0, children=()), "
+        "Cotree(kind='union', vertex=None, children=(Cotree(kind='leaf', vertex=1, children=()), "
+        "Cotree(kind='leaf', vertex=2, children=())))))"
+    )
+    assert repr(Cotree("join", children=(Cotree("leaf", vertex=3),))) == (
+        "Cotree(kind='join', vertex=None, children=(Cotree(kind='leaf', vertex=3, children=()),))"
+    )
+    assert tree == Cotree("join", children=(Cotree("leaf", vertex=0), Cotree("union", children=(
+        Cotree("leaf", vertex=1), Cotree("leaf", vertex=2)))))
+    assert tree != Cotree("join", children=(Cotree("leaf", vertex=0), Cotree("union", children=(
+        Cotree("leaf", vertex=2), Cotree("leaf", vertex=1)))))

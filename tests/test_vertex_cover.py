@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -259,3 +260,26 @@ def test_local_ratio_trace_depth_bounded():
         for fam in ("P3", "co-P3", "P4"):
             sol = vc_local_ratio_ffree(g, w, ffree_config(fam))
             assert sol.depth <= 2 * g.n
+
+
+def stack_depth() -> int:
+    """Frames on the current call stack."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_vc_split_runs_without_deep_recursion():
+    """A 60-edge perfect matching takes about 60 levels of the split
+    recursion; with only 40 frames to spare the loop still answers, with
+    the cover the recursive driver gave under the normal limit."""
+    g = Graph(120, [(2 * i, 2 * i + 1) for i in range(60)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        cover = vc_split(g).cover
+    finally:
+        sys.setrecursionlimit(old)
+    assert cover == frozenset(range(120)) - {116, 119}
