@@ -3,8 +3,7 @@
 The driver (:func:`cvc_split`) recurses on clique contractions G<Z> (the
 clique collapses to one vertex that gains a pendant leaf, forcing it into
 any connected cover).  Solutions of the contraction lift back by swapping
-the contracted vertex for the whole clique.  The driver is a loop: it
-descends through the contractions and then folds the answers back up.
+the contracted vertex for the whole clique.
 
 :func:`cvc_budgeted` runs Savage's DFS on G<Y> for every connected set Y
 of size c+1 without building G<Y>.  ``solvers.savage_mask`` walks G's
@@ -109,7 +108,7 @@ def cvc_budgeted(g: Graph, c: int) -> ConnectedVCSol:
     small = _brute_min_cvc(g, c)
     if small is not None:
         return ConnectedVCSol(small, f"cvc-budgeted[{c}]")
-    best = None
+    best: Optional[int] = None
     for sub in connected_subsets(g, min(c + 1, g.n)):
         cand = savage_mask(g, sub)
         if best is None or cand.bit_count() < best.bit_count():
