@@ -1,12 +1,15 @@
 """Golden byte-identity: pinned digests of ``epa bench`` CSV, of
 ``solve --json`` on planted split instances, of the CLI output of
-every guarantee row, and of the two budgeted subroutines of the split
-rows.
+every guarantee row, of the two budgeted subroutines of the split
+rows, of ``epa oracle`` and the exact oracles, and of the graph routines
+that several solvers share.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
 into one table; the subroutine digests before the budgeted routines
-stopped doing a whole subroutine run per candidate.
+stopped doing a whole subroutine run per candidate; the oracle and
+graph-routine digests before those routines were folded into one
+implementation each.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -20,6 +23,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from epa.cli import main
+from epa.coloring import color_p3k1free
 from epa.connected_vc import cvc_budgeted
 from epa.generator import (
     GENERATOR_CLASSES,
@@ -31,6 +35,9 @@ from epa.generator import (
 )
 from epa.graphs import Graph, path_graph
 from epa.instances import serialize_instance
+from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc, exact_min_wvc
+from epa.packing import tp_maximal
+from epa.recognize import Cotree, build_cotree
 from epa.reports import bench
 from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx
 from conftest import connected_corpus, corpus
@@ -236,3 +243,77 @@ def test_cvc_budgeted_golden():
         for c in (1, 2, 3, 4):
             out.append(f"{i} {c} {sorted(cvc_budgeted(g, c).cover)}\n")
     assert _sha("".join(out)) == BUDGETED_CVC_SHA256
+
+
+# -- oracles and shared graph routines ------------------------------------
+
+# Every class ``epa oracle --modulator`` accepts.
+MODULATOR_CLASSES = (
+    "edgeless", "cluster", "cocluster", "cograph", "p3k1-free", "triangle-free",
+    "co-triangle-free", "split", "forest", "bipartite", "chordal", "cochordal",
+)
+
+ORACLE_CLI_SHA256 = "a9fbee309612fc17ff33c2afb7550b9ac4b2c1dcabda33f849e1cc1919af9fce"
+EXACT_ORACLES_SHA256 = "275b6e2d48eebce2c7d54aaa22f855ea8b4ca6b57f98ef8707e07740b5c33cf3"
+GRAPH_ROUTINES_SHA256 = "bddaafde8b9e403dcc82959a2ecf3dcf172be1b5086c7d4b130e1a57960d7e11"
+
+
+def test_oracle_cli_golden(tmp_path):
+    """oracle --json for every problem and every modulator class on four
+    planted instances (n <= 10) and a disconnected one, the last planted
+    instance once more with random weights."""
+    log = io.StringIO()
+    files = []
+    for i, (base, n, k, seed) in enumerate(ROW_INSTANCES + [("cluster", 8, 1, 7)]):
+        g, _ = generate(GeneratorSpec(base, n, k, Fraction(1, 2), seed))
+        w = random_weights(g.n, seed) if i == 3 else None
+        path = tmp_path / f"{base}-{seed}.epa"
+        path.write_text(serialize_instance(g, w), encoding="utf-8")
+        files.append(str(path))
+    for path in files:
+        for problem in ("vc", "cvc", "col", "tp", "lp"):
+            _run_cli(["oracle", "--json", "--oracle-budget", "10", "--problem", problem,
+                      "--input", path], log)
+        for cls in MODULATOR_CLASSES:
+            _run_cli(["oracle", "--json", "--oracle-budget", "10", "--modulator", cls,
+                      "--input", path], log)
+    assert _sha(log.getvalue()) == ORACLE_CLI_SHA256
+
+
+def test_exact_oracles_golden():
+    """Value and certificate of the covering and modulator oracles on
+    random graphs (n <= 9), unweighted and with random weights."""
+    out = []
+    for i, g in enumerate(corpus(48, 0, 9, seed0=5400)):
+        w = random_weights(g.n, 5500 + i)
+        out.append(f"{i} vc {exact_min_vc(g)} {exact_min_wvc(g)} {exact_min_wvc(g, w)}\n")
+        if g.n and g.is_connected():
+            out.append(f"{i} cvc {exact_min_cvc(g)}\n")
+        for cls in MODULATOR_CLASSES:
+            out.append(f"{i} {cls} {exact_min_modulator(g, cls)} "
+                       f"{exact_min_modulator(g, cls, w)}\n")
+    assert _sha("".join(out)) == EXACT_ORACLES_SHA256
+
+
+def test_graph_routines_golden():
+    """two_maximal_clique (whole graph and a random mask), tp_maximal,
+    color_p3k1free, build_cotree and contract_with_pendant (edges and
+    surviving ids) on random graphs and planted cographs (n <= 18).
+    A graph that is no cograph gives the P4 that build_cotree returns."""
+    graphs = corpus(60, 1, 18, seed0=5600)
+    graphs += [generate(GeneratorSpec("cograph", 12, 2, Fraction(1, 2), 5650 + i))[0]
+               for i in range(8)]
+    out = []
+    for i, g in enumerate(graphs):
+        rng = SplitMix64(5700 + i)
+        within = sum(1 << v for v in range(g.n) if rng.below(3))
+        y = [v for v in range(g.n) if rng.below(3) == 0] or [0]
+        con = g.contract_with_pendant(y)
+        cotree = build_cotree(g)
+        cotree = repr(cotree) if isinstance(cotree, Cotree) else sorted(cotree)
+        out.append(
+            f"{i} {sorted(two_maximal_clique(g))} {sorted(two_maximal_clique(g, within))}"
+            f" {[sorted(t) for t in tp_maximal(g).triangles]} {list(color_p3k1free(g).colors)}"
+            f" {cotree} {list(con.graph.edges())} {list(con.kept)}\n"
+        )
+    assert _sha("".join(out)) == GRAPH_ROUTINES_SHA256
