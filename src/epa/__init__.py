@@ -17,9 +17,7 @@ from .solvers import (
     wvc_forest,
 )
 from .vertex_cover import (
-    FFreeConfig,
     VertexCoverSol,
-    ffree_config,
     independent_set_from_cover,
     two_maximal_clique,
     vc_budgeted_2approx,

@@ -44,11 +44,6 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def uses_contiguous_colors(colors: Sequence[int]) -> bool:
-    used = set(colors)
-    return used == set(range(1, len(used) + 1)) if used else True
-
-
 def is_triangle(g: Graph, t: Iterable[int]) -> bool:
     ts = set(t)
     return len(ts) == 3 and is_clique(g, ts)

@@ -6,7 +6,8 @@
     epa gen    --class split --n 12 --k 2 --density 1/2 --seed 7 [--out inst.epa]
     epa oracle --problem vc --input graph.epa [--modulator split]
 
-Exit codes: 0 ok, 1 parse/input error, 2 unsupported pair, 3 over oracle budget.
+Exit codes: 0 ok, 1 parse/input error (also an input too deep for Python's
+recursion limit), 2 unsupported pair, 3 over oracle budget.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     OracleBudget,
-    exact_chromatic,
     exact_lp_vc,
-    exact_max_tp,
-    exact_min_cvc,
     exact_min_modulator,
-    exact_min_wvc,
 )
 from .reports import (
     PARAMS,
@@ -207,24 +204,14 @@ def cmd_oracle(args) -> int:
         out["modulator_class"] = args.modulator
         out["k"] = str(val)
         out["modulator"] = str(sorted(v + 1 for v in cert))
-    elif args.problem == "vc":
-        val, cert = exact_min_wvc(g, w, budget)
-        out["opt"] = str(val)
-        out["cover"] = str(sorted(v + 1 for v in cert))
-    elif args.problem == "cvc":
-        size, cert = exact_min_cvc(g, budget)
-        out["opt"] = str(size)
-        out["cover"] = str(sorted(v + 1 for v in cert))
-    elif args.problem == "col":
-        chi, colors = exact_chromatic(g, budget)
-        out["opt"] = str(chi)
-        out["coloring"] = str(list(colors))
-    elif args.problem == "tp":
-        size, tris = exact_max_tp(g, budget)
-        out["opt"] = str(size)
-        out["packing"] = str([sorted(v + 1 for v in t) for t in tris])
     elif args.problem == "lp":
         out["opt"] = str(exact_lp_vc(g, w, budget))
+    else:
+        # the instance always carries weights, so vc is the weighted optimum
+        prob = PROBLEMS[args.problem]
+        opt, cert = prob.optimum(g, w, budget)
+        out["opt"] = str(opt)
+        out[prob.key] = str(prob.render(cert))
     if args.json:
         print(json.dumps(out))
     else:
@@ -289,7 +276,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError, GenerationError, BudgetExceeded) as exc:
+    except (ValueError, ZeroDivisionError, OSError, GenerationError, BudgetExceeded,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UnsupportedPair):
             return EXIT_UNSUPPORTED

@@ -146,10 +146,12 @@ def color_degeneracy(g: Graph) -> ColoringSol:
     return _normalized(_degeneracy_greedy(g), "col-degeneracy")
 
 
-def _greedy_mis(g: Graph, mask: int) -> int:
-    """Lexicographically greedy maximal independent set inside ``mask``."""
-    chosen = 0
-    blocked = 0
+def _greedy_mis(g: Graph, mask: int, chosen: int = 0) -> int:
+    """Lexicographically greedy extension of the independent set
+    ``chosen`` to a maximal independent set inside ``mask``."""
+    blocked = chosen
+    for v in bits(chosen):
+        blocked |= g.adj_bits[v]
     for v in bits(mask):
         if blocked >> v & 1:
             continue
@@ -188,16 +190,7 @@ def color_p3k1free(g: Graph) -> ColoringSol:
         triple = find_induced(g, "K3bar", within=remaining)
         if triple is None:
             break
-        ind = mask_of(triple)
-        blocked = ind
-        for v in triple:
-            blocked |= g.adj_bits[v]
-        cand = remaining & ~blocked
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            ind |= 1 << v
-            blocked |= (1 << v) | g.adj_bits[v]
-            cand = remaining & ~blocked & ~((1 << (v + 1)) - 1)
+        ind = _greedy_mis(g, remaining, mask_of(triple))
         used += 1
         for v in bits(ind):
             colors[v] = used

@@ -2,8 +2,9 @@
 
 The driver (:func:`cvc_split`) recurses on clique contractions G<Z> (the
 clique collapses to one vertex that gains a pendant leaf, forcing it into
-any connected cover).  Solutions of the contraction lift back by swapping
-the contracted vertex for the whole clique.
+any connected cover).  A cover of the contraction lifts back through the
+surviving ids that ``Graph.contract_with_pendant`` returns, with the
+contracted vertex swapped for the whole clique.
 
 :func:`cvc_budgeted` runs Savage's DFS on G<Y> for every connected set Y
 of size c+1 without building G<Y>.  ``solvers.savage_mask`` walks G's
@@ -17,10 +18,10 @@ because Y is connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .certify import is_clique
-from .graphs import Contraction, Graph, bits, mask_of
+from .graphs import Graph, bits, mask_of
 from .recognize import find_induced
 from .solvers import savage_mask
 from .vertex_cover import _improve_to_2maximal
@@ -30,7 +31,6 @@ from .vertex_cover import _improve_to_2maximal
 class ConnectedVCSol:
     cover: frozenset[int]
     algorithm: str
-    depth: int = 0
 
     @property
     def size(self) -> int:
@@ -41,14 +41,14 @@ class ConnectedVCSol:
 # connected subset enumeration
 
 
-def connected_subsets(g: Graph, k: int, within: Optional[int] = None) -> Iterator[int]:
+def connected_subsets(g: Graph, k: int) -> Iterator[int]:
     """All vertex masks of connected induced subgraphs on exactly ``k``
     vertices, each exactly once, in a fixed order.
 
     ESU-style expansion: grow from every anchor vertex using only higher
     ids, extending with exclusive new neighbors so no set repeats.
     """
-    mask = g.full_mask if within is None else within
+    mask = g.full_mask
     if k == 0:
         yield 0
         return
@@ -120,19 +120,25 @@ def cvc_budgeted(g: Graph, c: int) -> ConnectedVCSol:
 # exact solver for instances whose contraction has a tiny optimum
 
 
+def _lift(cover: Iterable[int], kept: tuple[int, ...]) -> frozenset[int]:
+    """Old ids of the surviving vertices in a cover of a contraction; the
+    contracted vertex and its leaf, ids len(kept) and up, are dropped."""
+    return frozenset(kept[v] for v in cover if v < len(kept))
+
+
 def cvc_small_after_contraction(
     g: Graph,
     z: frozenset[int],
     c: int,
-    contracted: Optional[tuple[Contraction, frozenset[int]]] = None,
+    contracted: Optional[tuple[tuple[int, ...], frozenset[int]]] = None,
 ) -> ConnectedVCSol:
     """Exact minimum connected vertex cover, given a clique ``z`` whose
     contraction has a connected cover of size at most ``c``.
 
     Tries, for each u in z, the optimum of G<z - u> lifted by z - u (the
     case where some minimum cover misses u), plus the optimum of G<z>
-    lifted by z.  A caller that already has G<z> and its optimum passes
-    them as ``contracted``.  Raises when the premise fails.
+    lifted by z.  A caller that already has G<z> passes its surviving
+    ids and its optimum as ``contracted``.  Raises when the premise fails.
     """
     if not g.is_connected():
         raise ValueError("needs a connected graph")
@@ -147,21 +153,21 @@ def cvc_small_after_contraction(
         return ConnectedVCSol(direct, "cvc-exact-small")
     best: Optional[frozenset[int]] = None
     for u in sorted(z):
-        con = g.contract_with_pendant(z - {u})
-        inner = _brute_min_cvc(con.graph, c + 1)
+        h, kept = g.contract_with_pendant(z - {u})
+        inner = _brute_min_cvc(h, c + 1)
         if inner is None:
             raise ValueError("contraction optimum exceeds the stated budget")
-        cand = (z - {u}) | con.lift(inner)
+        cand = (z - {u}) | _lift(inner, kept)
         if best is None or len(cand) < len(best):
             best = cand
     if contracted is None:
-        con = g.contract_with_pendant(z)
-        inner = _brute_min_cvc(con.graph, c)
+        h, kept = g.contract_with_pendant(z)
+        inner = _brute_min_cvc(h, c)
     else:
-        con, inner = contracted
+        kept, inner = contracted
     if inner is None:
         raise ValueError("contraction optimum exceeds the stated budget")
-    cand = z | con.lift(inner)
+    cand = z | _lift(inner, kept)
     if best is None or len(cand) < len(best):
         best = cand
     return ConnectedVCSol(best, "cvc-exact-small")
@@ -182,15 +188,7 @@ def _contraction_clique(g: Graph) -> frozenset[int]:
     """
     tri = find_induced(g, "triangle")
     if tri is not None:
-        clique = mask_of(tri)
-        common = g.full_mask & ~clique
-        for v in tri:
-            common &= g.adj_bits[v]
-        while common:
-            v = (common & -common).bit_length() - 1
-            clique |= 1 << v
-            common &= g.adj_bits[v] & ~(1 << v)
-        return _improve_to_2maximal(g, clique, g.full_mask)
+        return _improve_to_2maximal(g, mask_of(tri), g.full_mask)
     for u, v in g.edges():
         if g.degree(u) >= 2 and g.degree(v) >= 2:
             return frozenset((u, v))
@@ -210,20 +208,21 @@ def cvc_split(g: Graph) -> ConnectedVCSol:
     if not g.is_connected():
         raise ValueError("split-parameterized connected cover needs a connected graph")
     h = g
-    levels: list[tuple[Contraction, frozenset[int]]] = []
+    # per level: the contraction, its surviving ids and the clique
+    levels: list[tuple[Graph, tuple[int, ...], frozenset[int]]] = []
     cover: frozenset[int] = frozenset()
     while h.n > 1:
         z = _contraction_clique(h)
-        con = h.contract_with_pendant(z)
-        small = _brute_min_cvc(con.graph, 3)
+        contracted, kept = h.contract_with_pendant(z)
+        small = _brute_min_cvc(contracted, 3)
         if small is not None:
-            cover = cvc_small_after_contraction(h, z, 3, (con, small)).cover
+            cover = cvc_small_after_contraction(h, z, 3, (kept, small)).cover
             break
-        levels.append((con, z))
-        h = con.graph
-    for con, z in reversed(levels):
-        x2 = cvc_budgeted(con.graph, 4).cover
-        cand1 = con.lift(cover) | z
-        cand2 = con.lift(x2) | z
+        levels.append((contracted, kept, z))
+        h = contracted
+    for contracted, kept, z in reversed(levels):
+        x2 = cvc_budgeted(contracted, 4).cover
+        cand1 = _lift(cover, kept) | z
+        cand2 = _lift(x2, kept) | z
         cover = cand1 if len(cand1) <= len(cand2) else cand2
     return ConnectedVCSol(cover, "cvc-split")

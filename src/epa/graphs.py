@@ -21,7 +21,6 @@ that weight subtractions and comparisons are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
@@ -127,9 +126,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         adj = self.adj
@@ -137,9 +133,6 @@ class Graph:
             for v in adj[u]:
                 if v > u:
                     yield (u, v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     @property
     def full_mask(self) -> int:
@@ -197,13 +190,14 @@ class Graph:
                 rows.append(int("".join(pick(format(row, fmt))), 2))
         return Graph._from_masks(rows), old
 
-    def contract_with_pendant(self, y: Iterable[int]) -> "Contraction":
-        """Contract ``y`` to one vertex and append a fresh pendant leaf.
+    def contract_with_pendant(self, y: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
+        """Contract ``y`` to one vertex and append a fresh pendant leaf;
+        returns (graph, old-ids-by-new-id of the surviving vertices).
 
         The surviving vertices keep their relative order and occupy ids
         0..n-|y|-1; the contracted vertex and the leaf take the next two
-        ids.  No parallel edges arise: the contracted vertex is adjacent
-        to the outside neighborhood of ``y``.
+        ids, len(kept) and len(kept) + 1.  No parallel edges arise: the
+        contracted vertex is adjacent to the outside neighborhood of ``y``.
         """
         ys = sorted(set(y))
         if not ys:
@@ -233,14 +227,12 @@ class Graph:
         for u in ys:
             outside |= self.adj_bits[u]
         vadj = 1 << leaf
-        old_to_new = [vert] * self.n
         for i, u in enumerate(kept):
-            old_to_new[u] = i
             if outside >> u & 1:
                 adj[i] |= 1 << vert
                 vadj |= 1 << i
         adj += [vadj, 1 << vert]
-        return Contraction(Graph._from_masks(adj), vert, leaf, tuple(old_to_new), kept)
+        return Graph._from_masks(adj), kept
 
     # -- structural primitives ----------------------------------------
 
@@ -312,25 +304,6 @@ class Graph:
             return True
         start = (m & -m).bit_length() - 1
         return self.component_mask(start, m) == m
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """Result of :meth:`Graph.contract_with_pendant`."""
-
-    graph: Graph
-    vertex: int                    # the contracted vertex
-    leaf: int                      # the appended degree-1 leaf
-    old_to_new: tuple[int, ...]    # old id -> new id (members of Y map to `vertex`)
-    kept: tuple[int, ...]          # new id -> old id for surviving vertices
-
-    def lift(self, new_ids: Iterable[int]) -> frozenset[int]:
-        """Map new ids back to old ones, dropping the contracted vertex and leaf."""
-        out = []
-        for v in new_ids:
-            if v != self.vertex and v != self.leaf:
-                out.append(self.kept[v])
-        return frozenset(out)
 
 
 # -- weights ----------------------------------------------------------

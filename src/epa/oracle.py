@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,19 +51,29 @@ def _scaled_int_weights(w: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------
-# vertex cover
+# hitting sets: vertex covers and modulators
 
 
-def exact_min_wvc(
-    g: Graph, w: Optional[Weights] = None, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[Fraction, frozenset[int]]:
-    """Minimum-weight vertex cover by scanning all subsets ascending by rank."""
-    _require(g.n, budget.vc, "vertex cover")
-    if w is None:
-        w = unit_weights(g.n)
+def _first_hitting_set(
+    n: int, sets: Sequence[int], accept: Optional[Callable] = None
+) -> tuple[int, frozenset[int]]:
+    """Smallest vertex set meeting every mask in ``sets`` (and passing
+    ``accept``), lexicographically first among those of its size."""
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            mask = mask_of(combo)
+            if all(mask & s for s in sets) and (accept is None or accept(combo)):
+                return k, frozenset(combo)
+    raise AssertionError("unreachable: V meets every set")
+
+
+def _min_weight_hitting_set(sets: Sequence[int], w: Weights) -> tuple[Fraction, frozenset[int]]:
+    """Lightest vertex set meeting every mask in ``sets``: all subsets
+    ascending by rank, keeping the first strict improvement."""
+    if not sets:
+        return Fraction(0), frozenset()
     wi, scale = _scaled_int_weights(w)
-    n = g.n
-    edge_bits = [(1 << u) | (1 << v) for u, v in g.edges()]
+    n = len(w)
     wtab = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
@@ -73,22 +83,26 @@ def exact_min_wvc(
     for mask in range(1 << n):
         if best_w is not None and wtab[mask] >= best_w:
             continue
-        if all(mask & eb for eb in edge_bits):
+        if all(mask & s for s in sets):
             best_w = wtab[mask]
             best_mask = mask
     return Fraction(best_w, scale), frozenset(bits(best_mask))
 
 
+def exact_min_wvc(
+    g: Graph, w: Optional[Weights] = None, budget: OracleBudget = DEFAULT_BUDGET
+) -> tuple[Fraction, frozenset[int]]:
+    """Minimum-weight vertex cover by scanning all subsets ascending by rank."""
+    _require(g.n, budget.vc, "vertex cover")
+    if w is None:
+        w = unit_weights(g.n)
+    return _min_weight_hitting_set(obstruction_masks(g, "edgeless"), w)
+
+
 def exact_min_vc(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, frozenset[int]]:
     """Minimum cardinality vertex cover (size-ascending enumeration)."""
     _require(g.n, budget.vc, "vertex cover")
-    edge_bits = [(1 << u) | (1 << v) for u, v in g.edges()]
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            mask = mask_of(combo)
-            if all(mask & eb for eb in edge_bits):
-                return k, frozenset(combo)
-    raise AssertionError("unreachable: V itself is a cover")
+    return _first_hitting_set(g.n, obstruction_masks(g, "edgeless"))
 
 
 def exact_min_cvc(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, frozenset[int]]:
@@ -96,13 +110,7 @@ def exact_min_cvc(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int,
     _require(g.n, budget.cvc, "connected vertex cover")
     if not g.is_connected():
         raise ValueError("connected vertex cover oracle needs a connected graph")
-    edge_bits = [(1 << u) | (1 << v) for u, v in g.edges()]
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            mask = mask_of(combo)
-            if all(mask & eb for eb in edge_bits) and g.induces_connected(combo):
-                return k, frozenset(combo)
-    raise AssertionError("unreachable")
+    return _first_hitting_set(g.n, obstruction_masks(g, "edgeless"), g.induces_connected)
 
 
 # ---------------------------------------------------------------------
@@ -274,30 +282,9 @@ def exact_min_modulator(
     """
     _require(g.n, budget.modulator, "modulator")
     obs = obstruction_masks(g, cls)
-    if not obs:
-        return (Fraction(0) if w is not None else 0), frozenset()
     if w is None:
-        for k in range(g.n + 1):
-            for combo in combinations(range(g.n), k):
-                mask = mask_of(combo)
-                if all(mask & ob for ob in obs):
-                    return k, frozenset(combo)
-        raise AssertionError("unreachable: V hits everything")
-    wi, scale = _scaled_int_weights(w)
-    n = g.n
-    wtab = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        wtab[mask] = wtab[mask ^ low] + wi[low.bit_length() - 1]
-    best_w = None
-    best_mask = 0
-    for mask in range(1 << n):
-        if best_w is not None and wtab[mask] >= best_w:
-            continue
-        if all(mask & ob for ob in obs):
-            best_w = wtab[mask]
-            best_mask = mask
-    return Fraction(best_w, scale), frozenset(bits(best_mask))
+        return _first_hitting_set(g.n, obs)
+    return _min_weight_hitting_set(obs, w)
 
 
 # ---------------------------------------------------------------------

@@ -32,24 +32,17 @@ def _triangles_within(g: Graph, pool: int) -> Iterator[tuple[int, int, int]]:
 
 
 def tp_maximal(g: Graph) -> TrianglePackingSol:
-    """Greedy maximal packing: ascending vertex scan, lexicographically
-    first completing pair; no triangle survives among free vertices."""
+    """Greedy maximal packing: the lexicographically first triangle among
+    free vertices, until none survives.  A free vertex below the last
+    triangle's first vertex lies on no free triangle, so each search
+    resumes there."""
     free = g.full_mask
     packed: list[frozenset[int]] = []
-    for u in range(g.n):
-        if not free >> u & 1:
-            continue
-        nb = g.adj_bits[u] & free
-        found = None
-        for v in bits(nb):
-            ws = nb & g.adj_bits[v] & ~((1 << (v + 1)) - 1)
-            if ws:
-                found = (v, (ws & -ws).bit_length() - 1)
-                break
-        if found is not None:
-            tri = frozenset((u, found[0], found[1]))
-            packed.append(tri)
-            free &= ~mask_of(tri)
+    a = 0
+    while (tri := first_triangle(g.adj_bits, free >> a << a)) is not None:
+        packed.append(frozenset(tri))
+        free &= ~mask_of(tri)
+        a = tri[0]
     return TrianglePackingSol(tuple(packed), "tp-maximal")
 
 

@@ -387,25 +387,6 @@ def _find_c5(g: Graph, mask: int) -> Optional[frozenset[int]]:
 # cotree construction
 
 
-def _co_components(g: Graph, mask: int) -> list[int]:
-    """Connected components of the complement, restricted to ``mask``."""
-    comps = []
-    left = mask
-    while left:
-        start = left & -left
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= ~g.adj_bits[v] & mask & ~comp & ~(1 << v)
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
 def build_cotree(g: Graph):
     """Cotree of ``g`` or, on failure, the frozenset of an induced P4.
 
@@ -417,6 +398,7 @@ def build_cotree(g: Graph):
     """
     if g.n == 0:
         return Cotree("union", children=())
+    co = g.complement()
     # frames: (kind, part masks, subtrees of the parts built so far)
     frames: list[tuple[str, list[int], list[Cotree]]] = []
     mask = g.full_mask
@@ -424,7 +406,7 @@ def build_cotree(g: Graph):
         if mask & (mask - 1):
             kind, parts = "union", g.component_masks(mask)
             if len(parts) == 1:
-                kind, parts = "join", _co_components(g, mask)
+                kind, parts = "join", co.component_masks(mask)
                 if len(parts) == 1:
                     return _find_p4(g, mask)
             frames.append((kind, parts, []))

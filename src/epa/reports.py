@@ -4,9 +4,10 @@
 modulator class, solver, bound formula and its evaluator, whether the row
 is weighted, and the generator classes whose ``epa bench`` sweep runs it.
 ``PROBLEMS`` holds what the rows of one problem share: certificate,
-checker, value, exact-optimum oracle, sense and oracle order.  Dispatch,
-verification, the CLI's choices and the bench rows all derive from these
-two tables.
+checker, value, exact-optimum oracle, sense, oracle order, and the key
+and 1-based form of the certificate in ``epa oracle`` output.  Dispatch,
+verification, the CLI's choices, ``epa oracle`` and the bench rows all
+derive from these two tables.
 The verifier recomputes the solution value from the certificate and the
 pass flag from the oracle numbers; nothing is taken from the solver's own
 report.
@@ -43,7 +44,6 @@ from .oracle import (
 from .packing import tp_3maximal, tp_maximal
 from .solvers import vc_2approx
 from .vertex_cover import (
-    ffree_config,
     vc_chordal,
     vc_fvs,
     vc_local_ratio_ffree,
@@ -65,6 +65,8 @@ class Problem:
     optimum: Callable       # (g, w, budget) -> exact optimum, by epa.oracle
     minimize: bool
     optimum_first: bool     # computed before the modulator; col bounds need M first
+    key: str                # name of the certificate in ``epa oracle`` output
+    render: Callable        # certificate -> its 1-based form for output
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ class Row:
     bench: tuple[str, ...]  # generator classes whose ``epa bench`` sweep runs the row
 
 
+def _one_based(vertices) -> list[int]:
+    return sorted(v + 1 for v in vertices)
+
+
 # Callables look the solvers, checkers and oracles up at call time, so a
 # rebinding of a module attribute (a tracer, a test double) reaches them.
 PROBLEMS: dict[str, Problem] = {
@@ -89,34 +95,34 @@ PROBLEMS: dict[str, Problem] = {
         lambda g, c: certify.is_vertex_cover(g, c),
         lambda c, w: len(c) if w is None else total(w, c),
         lambda g, w, b: exact_min_vc(g, b) if w is None else exact_min_wvc(g, w, b),
-        minimize=True, optimum_first=True),
+        minimize=True, optimum_first=True, key="cover", render=_one_based),
     "cvc": Problem(
         lambda sol: sorted(sol.cover),
         lambda g, c: certify.is_connected_vertex_cover(g, c),
         lambda c, w: len(c),
         lambda g, w, b: exact_min_cvc(g, b),
-        minimize=True, optimum_first=True),
+        minimize=True, optimum_first=True, key="cover", render=_one_based),
     "col": Problem(
         lambda sol: list(sol.colors),
         lambda g, c: certify.is_proper_coloring(g, c),
         lambda c, w: len(set(c)),
         lambda g, w, b: exact_chromatic(g, b),
-        minimize=True, optimum_first=False),
+        minimize=True, optimum_first=False, key="coloring", render=list),
     "tp": Problem(
         lambda sol: [sorted(t) for t in sol.triangles],
         lambda g, c: certify.is_triangle_packing(g, c),
         lambda c, w: len(c),
         lambda g, w, b: exact_max_tp(g, b),
-        minimize=False, optimum_first=True),
+        minimize=False, optimum_first=True, key="packing",
+        render=lambda c: [_one_based(t) for t in c]),
 }
 
 ROWS: tuple[Row, ...] = (
-    Row("vc", "cograph", "cograph", lambda g, w: vc_local_ratio_ffree(g, w, ffree_config("P4")),
+    Row("vc", "cograph", "cograph", lambda g, w: vc_local_ratio_ffree(g, w, "P4"),
         "OPT_WVC + 2*OPT_COGRAPH", lambda opt, k, chi: opt + 2 * k, True, ("cograph",)),
-    Row("vc", "cluster", "cluster", lambda g, w: vc_local_ratio_ffree(g, w, ffree_config("P3")),
+    Row("vc", "cluster", "cluster", lambda g, w: vc_local_ratio_ffree(g, w, "P3"),
         "OPT_WVC + 2*OPT_CLUSTER", lambda opt, k, chi: opt + 2 * k, True, ("cluster",)),
-    Row("vc", "ccluster", "cocluster",
-        lambda g, w: vc_local_ratio_ffree(g, w, ffree_config("co-P3")),
+    Row("vc", "ccluster", "cocluster", lambda g, w: vc_local_ratio_ffree(g, w, "co-P3"),
         "OPT_WVC + 2*OPT_COCLUSTER", lambda opt, k, chi: opt + 2 * k, True, ("cocluster",)),
     Row("vc", "fvs", "forest", lambda g, w: vc_fvs(g, w), "OPT_WVC + OPT_FVS",
         lambda opt, k, chi: opt + k, True, ("forest", "edgeless", "triangle-free")),

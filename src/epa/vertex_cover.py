@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .graphs import Graph, Weights, bits, mask_of, total, unit_weights
 from .recognize import find_induced
@@ -56,35 +56,28 @@ def _sol(g: Graph, w: Weights, cover: frozenset[int], algorithm: str, depth: int
 # local ratio over a finite forbidden family
 
 
-@dataclass(frozen=True)
-class FFreeConfig:
-    """A finite forbidden family with independence number 2, together
-    with an exact weighted-vertex-cover solver for graphs avoiding it."""
-
-    family: str                   # 'P3' | 'co-P3' | 'P4'
-    alpha_star: int
-    exact_solver: Callable[[Graph, Weights], frozenset[int]]
-
-
-def ffree_config(family: str) -> FFreeConfig:
-    if family == "P3":
-        return FFreeConfig("P3", 2, wvc_cluster)
-    if family == "co-P3":
-        return FFreeConfig("co-P3", 2, wvc_cograph)
-    if family == "P4":
-        return FFreeConfig("P4", 2, wvc_cograph)
-    raise ValueError(f"unsupported forbidden family {family!r}")
+# Each forbidden family has independence number 2; its exact weighted
+# vertex cover solver for family-free graphs is looked up at call time, so
+# a rebinding of the module attribute (a tracer, a test double) reaches it.
+_FFREE_SOLVERS = {
+    "P3": lambda g, w: wvc_cluster(g, w),
+    "co-P3": lambda g, w: wvc_cograph(g, w),
+    "P4": lambda g, w: wvc_cograph(g, w),
+}
 
 
-def vc_local_ratio_ffree(g: Graph, w: Weights, cfg: FFreeConfig) -> VertexCoverSol:
-    """Cover of weight at most OPT plus alpha* times the lightest modulator
-    to the family-free class.
+def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
+    """Cover of weight at most OPT plus 2 times the lightest modulator to
+    the class free of ``family`` ('P3', 'co-P3' or 'P4').
 
     Loop: solve exactly once the alive graph is family-free; delete
     zero-weight vertices (re-adding them later only if an incident edge
     is still uncovered); otherwise uniformly reduce the weights on a
     found forbidden pattern by its minimum.
     """
+    exact_solver = _FFREE_SOLVERS.get(family)
+    if exact_solver is None:
+        raise ValueError(f"unsupported forbidden family {family!r}")
     wp = list(w)
     alive = g.full_mask
     # Alive zero-weight vertices; only a reduced pattern can add to it.
@@ -100,11 +93,11 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, cfg: FFreeConfig) -> VertexCoverS
             zero ^= low
             depth += 1
             continue
-        pattern = find_induced(g, cfg.family, within=alive)
+        pattern = find_induced(g, family, within=alive)
         if pattern is None:
             sub, old = g.induced_subgraph(bits(alive))
             sub_w = tuple(wp[v] for v in old)
-            inner = cfg.exact_solver(sub, sub_w)
+            inner = exact_solver(sub, sub_w)
             cover = {old[v] for v in inner}
             break
         lam = min(wp[v] for v in pattern)
@@ -116,7 +109,7 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, cfg: FFreeConfig) -> VertexCoverS
     for v, nbrs in reversed(removed):
         if any(u not in cover for u in bits(nbrs)):
             cover.add(v)
-    return _sol(g, w, frozenset(cover), f"vc-ffree[{cfg.family}]", depth)
+    return _sol(g, w, frozenset(cover), f"vc-ffree[{family}]", depth)
 
 
 # ---------------------------------------------------------------------
@@ -193,48 +186,37 @@ def two_maximal_clique(g: Graph, within: Optional[int] = None) -> frozenset[int]
     if mask == 0:
         return frozenset()
     seed = max(bits(mask), key=lambda v: ((g.adj_bits[v] & mask).bit_count(), -v))
-    clique = _greedy_clique(g, seed, mask)
-    return _improve_to_2maximal(g, clique, mask)
-
-
-def _greedy_clique(g: Graph, seed: int, mask: int) -> int:
-    clique = 1 << seed
-    common = g.adj_bits[seed] & mask
-    while common:
-        v = (common & -common).bit_length() - 1
-        clique |= 1 << v
-        common &= g.adj_bits[v] & ~(1 << v)
-    return clique
+    return _improve_to_2maximal(g, 1 << seed, mask)
 
 
 def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
+    """Grow the clique mask ``clique`` inside ``mask`` into a 2-maximal
+    clique: add the lowest common neighbour while there is one, then swap
+    the first vertex that one out, two in allows, and grow again."""
+    adj = g.adj_bits
     while True:
-        # grow by one common neighbor
         common = mask & ~clique
         for v in bits(clique):
-            common &= g.adj_bits[v]
-        if common:
-            v = (common & -common).bit_length() - 1
-            clique |= 1 << v
-            continue
-        # swap one out, two in
-        done = True
+            common &= adj[v]
+        while common:
+            low = common & -common
+            clique |= low
+            common &= adj[low.bit_length() - 1]
+        swapped = False
         for u in bits(clique):
             base = clique & ~(1 << u)
             cand = mask & ~clique
             for v in bits(base):
-                cand &= g.adj_bits[v]
-            hit = None
+                cand &= adj[v]
             for x in bits(cand):
-                ys = cand & g.adj_bits[x] & ~((1 << (x + 1)) - 1)
+                ys = cand & adj[x] & ~((1 << (x + 1)) - 1)
                 if ys:
-                    hit = (x, (ys & -ys).bit_length() - 1)
+                    clique = base | (1 << x) | (ys & -ys)
+                    swapped = True
                     break
-            if hit is not None:
-                clique = base | (1 << hit[0]) | (1 << hit[1])
-                done = False
+            if swapped:
                 break
-        if done:
+        if not swapped:
             return frozenset(bits(clique))
 
 

@@ -48,7 +48,6 @@ from epa.solvers import (
     vc_2approx,
 )
 from epa.vertex_cover import (
-    ffree_config,
     vc_budgeted_2approx,
     vc_chordal,
     vc_fvs,
@@ -85,13 +84,13 @@ def test_acceptance_1_feasibility_suite():
 
     runners = [
         ("vc-ffree[P3]", False,
-         lambda g: vc_local_ratio_ffree(g, unit_weights(g.n), ffree_config("P3")).cover,
+         lambda g: vc_local_ratio_ffree(g, unit_weights(g.n), "P3").cover,
          certify.is_vertex_cover),
         ("vc-ffree[co-P3]", False,
-         lambda g: vc_local_ratio_ffree(g, unit_weights(g.n), ffree_config("co-P3")).cover,
+         lambda g: vc_local_ratio_ffree(g, unit_weights(g.n), "co-P3").cover,
          certify.is_vertex_cover),
         ("vc-ffree[P4]", False,
-         lambda g: vc_local_ratio_ffree(g, random_weights(g.n, g.m), ffree_config("P4")).cover,
+         lambda g: vc_local_ratio_ffree(g, random_weights(g.n, g.m), "P4").cover,
          certify.is_vertex_cover),
         ("vc-fvs", False, lambda g: vc_fvs(g, random_weights(g.n, g.n + g.m)).cover,
          certify.is_vertex_cover),
@@ -159,7 +158,7 @@ def test_acceptance_2_vertex_cover_bounds():
             violations += 1
         for fam, cls in (("P4", "cograph"), ("P3", "cluster"), ("co-P3", "cocluster")):
             k_mod, _ = exact_min_modulator(g, cls, w, budget)
-            sol = vc_local_ratio_ffree(g, w, ffree_config(fam))
+            sol = vc_local_ratio_ffree(g, w, fam)
             if not certify.is_vertex_cover(g, sol.cover) or sol.weight > opt_w + 2 * k_mod:
                 violations += 1
         opt_u, _ = exact_min_vc(g, budget)

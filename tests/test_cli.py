@@ -176,10 +176,18 @@ def test_solve_every_supported_pair(tmp_path, capsys):
         ["gen", "--class", "split", "--n", "-3"],
         ["bench", "--classes", "split", "--n", "x"],
         ["gen", "--class", "split", "--n", "5", "--density", "1/0"],
+        # vc_fvs raises RecursionError below (an input too deep)
+        ["solve", "--problem", "vc", "--param", "fvs", "--input", "{graph}"],
     ],
 )
-def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    def too_deep(g, w):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("epa.reports.vc_fvs", too_deep)
+    graph = tmp_path / "p6.epa"
+    graph.write_text(serialize_instance(path_graph(6)))
+    argv = [a.format(missing=tmp_path / "missing", graph=graph) for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -80,8 +80,8 @@ def test_cvc_small_after_contraction_examples():
 def test_cvc_small_after_contraction_is_exact():
     for i, g in enumerate(connected_corpus(40, 2, 9, seed0=3100)):
         z = two_maximal_clique(g)
-        con = g.contract_with_pendant(z)
-        opt_contracted, _ = exact_min_cvc(con.graph)
+        h, _ = g.contract_with_pendant(z)
+        opt_contracted, _ = exact_min_cvc(h)
         sol = cvc_small_after_contraction(g, z, max(3, opt_contracted))
         assert is_connected_vertex_cover(g, sol.cover)
         assert sol.size == exact_min_cvc(g)[0]
@@ -101,14 +101,14 @@ def test_contraction_lemma_invariants():
     # C5 with a pendant path merged by the contraction into a C4
     for g in connected_corpus(40, 2, 9, seed0=3200):
         z = two_maximal_clique(g)
-        con = g.contract_with_pendant(z)
-        assert exact_min_cvc(con.graph)[0] <= exact_min_cvc(g)[0] - len(z) + 2
+        h, _ = g.contract_with_pendant(z)
+        assert exact_min_cvc(h)[0] <= exact_min_cvc(g)[0] - len(z) + 2
         k, mod = exact_min_modulator(g, "split")
         hit = len(mod & z)
         if len(z) >= 2 and hit:
-            assert exact_min_modulator(con.graph, "split")[0] <= k - hit + 1
+            assert exact_min_modulator(h, "split")[0] <= k - hit + 1
         if len(z) >= 2 and z <= mod:
-            assert exact_min_modulator(con.graph, "split")[0] <= k - 1
+            assert exact_min_modulator(h, "split")[0] <= k - 1
 
 
 def test_contraction_intersection_alone_is_not_enough():
@@ -119,16 +119,16 @@ def test_contraction_intersection_alone_is_not_enough():
     z = frozenset({0, 1})
     k, mods = exact_min_modulator(g, "split")
     assert k == 1
-    con = g.contract_with_pendant(z)
-    assert exact_min_modulator(con.graph, "split")[0] == 1
+    h, _ = g.contract_with_pendant(z)
+    assert exact_min_modulator(h, "split")[0] == 1
 
 
 def test_clique_in_split_has_small_contracted_cover():
     for i in range(40):
         g, _ = generate(GeneratorSpec("split", 12, 0, Fraction(1, 2), 3300 + i))
         z = two_maximal_clique(g)
-        con = g.contract_with_pendant(z)
-        assert exact_min_vc(con.graph)[0] <= 2
+        h, _ = g.contract_with_pendant(z)
+        assert exact_min_vc(h)[0] <= 2
 
 
 def test_cvc_split_examples():
@@ -219,17 +219,18 @@ def test_virtual_vertex_dfs_matches_contraction():
         for k in range(1, g.n + 1):
             for sub in connected_subsets(g, k):
                 y = frozenset(bits(sub))
-                con = g.contract_with_pendant(y)
-                savage = cvc_savage(con.graph)
-                assert savage == _savage_stack_reference(con.graph)
-                assert savage_mask(g, sub) == mask_of(con.lift(savage) | y), (sorted(g.edges()), y)
+                h, kept = g.contract_with_pendant(y)
+                savage = cvc_savage(h)
+                assert savage == _savage_stack_reference(h)
+                lifted = {kept[v] for v in savage if v < len(kept)}
+                assert savage_mask(g, sub) == mask_of(lifted | y), (sorted(g.edges()), y)
 
 
 def test_cvc_small_after_contraction_handed_contraction():
     for g in connected_corpus(40, 2, 9, seed0=3700):
         z = two_maximal_clique(g)
-        con = g.contract_with_pendant(z)
-        inner = _brute_min_cvc(con.graph, 3)
+        h, kept = g.contract_with_pendant(z)
+        inner = _brute_min_cvc(h, 3)
         if inner is None or len(z) < 2:
             continue
-        assert cvc_small_after_contraction(g, z, 3, (con, inner)) == cvc_small_after_contraction(g, z, 3)
+        assert cvc_small_after_contraction(g, z, 3, (kept, inner)) == cvc_small_after_contraction(g, z, 3)

@@ -34,7 +34,7 @@ from epa.oracle import (
     exact_min_wvc,
 )
 from epa.packing import tp_3maximal, tp_maximal
-from epa.vertex_cover import ffree_config, vc_chordal, vc_fvs, vc_local_ratio_ffree, vc_split
+from epa.vertex_cover import vc_chordal, vc_fvs, vc_local_ratio_ffree, vc_split
 
 N = 5
 PAIRS = list(combinations(range(N), 2))
@@ -46,7 +46,7 @@ def every_graph():
 
 
 def test_all_vertex_cover_bounds_exhaustively():
-    cfgs = [(ffree_config(f), c) for f, c in (("P3", "cluster"), ("co-P3", "cocluster"), ("P4", "cograph"))]
+    families = (("P3", "cluster"), ("co-P3", "cocluster"), ("P4", "cograph"))
     w = unit_weights(N)
     for g in every_graph():
         opt = exact_min_wvc(g, w)[0]
@@ -55,8 +55,8 @@ def test_all_vertex_cover_bounds_exhaustively():
         assert sol.weight <= opt + exact_min_modulator(g, "forest", w)[0]
         sol = vc_chordal(g, w)
         assert sol.weight <= Fraction(3, 2) * opt + exact_min_modulator(g, "chordal", w)[0]
-        for cfg, cls in cfgs:
-            sol = vc_local_ratio_ffree(g, w, cfg)
+        for fam, cls in families:
+            sol = vc_local_ratio_ffree(g, w, fam)
             assert sol.weight <= opt + 2 * exact_min_modulator(g, cls, w)[0]
         k_svd = exact_min_modulator(g, "split")[0]
         sol = vc_split(g)

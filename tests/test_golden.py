@@ -237,7 +237,7 @@ def test_cvc_budgeted_golden():
     graphs = connected_corpus(30, 2, 14, seed0=5300)
     for i in range(8):
         g = random_connected_graph(11, Fraction(1, 2), 5340 + i)
-        graphs.append(g.contract_with_pendant(two_maximal_clique(g)).graph)
+        graphs.append(g.contract_with_pendant(two_maximal_clique(g))[0])
     out = []
     for i, g in enumerate(graphs):
         for c in (1, 2, 3, 4):
@@ -308,12 +308,12 @@ def test_graph_routines_golden():
         rng = SplitMix64(5700 + i)
         within = sum(1 << v for v in range(g.n) if rng.below(3))
         y = [v for v in range(g.n) if rng.below(3) == 0] or [0]
-        con = g.contract_with_pendant(y)
+        h, kept = g.contract_with_pendant(y)
         cotree = build_cotree(g)
         cotree = repr(cotree) if isinstance(cotree, Cotree) else sorted(cotree)
         out.append(
             f"{i} {sorted(two_maximal_clique(g))} {sorted(two_maximal_clique(g, within))}"
             f" {[sorted(t) for t in tp_maximal(g).triangles]} {list(color_p3k1free(g).colors)}"
-            f" {cotree} {list(con.graph.edges())} {list(con.kept)}\n"
+            f" {cotree} {list(h.edges())} {list(kept)}\n"
         )
     assert _sha("".join(out)) == GRAPH_ROUTINES_SHA256

@@ -82,28 +82,28 @@ def test_induced_subgraph_trivial_cases():
 
 def test_contract_with_pendant():
     k3 = complete_graph(3)
-    con = k3.contract_with_pendant({0, 1, 2})
-    assert con.graph == Graph(2, [(0, 1)])
-    assert con.graph.degree(con.leaf) == 1
+    h, kept = k3.contract_with_pendant({0, 1, 2})
+    assert h == Graph(2, [(0, 1)]) and kept == ()
+    assert h.degree(len(kept) + 1) == 1
 
     p3 = path_graph(3)
-    con = p3.contract_with_pendant({0})
-    assert con.graph.n == 4
-    assert sorted(con.graph.edges()) == [(0, 1), (0, 2), (2, 3)]
+    h, kept = p3.contract_with_pendant({0})
+    assert h.n == 4 and kept == (1, 2)
+    assert sorted(h.edges()) == [(0, 1), (0, 2), (2, 3)]
 
     p4 = path_graph(4)
-    con = p4.contract_with_pendant({1, 2})
-    assert con.graph.n == 4
-    assert con.graph == star_graph(3).__class__(4, [(0, 2), (1, 2), (2, 3)])
+    h, kept = p4.contract_with_pendant({1, 2})
+    assert h.n == 4 and kept == (0, 3)
+    assert h == star_graph(3).__class__(4, [(0, 2), (1, 2), (2, 3)])
 
 
 def test_contract_size_and_leaf_degree_corpus():
     for i, g in enumerate(corpus(40, 2, 9, seed0=500)):
         y = set(range(0, g.n, 2)) if i % 2 else {i % g.n}
-        con = g.contract_with_pendant(y)
-        assert con.graph.n == g.n - len(y) + 2
-        assert con.graph.degree(con.leaf) == 1
-        assert con.graph.adj[con.leaf] == (con.vertex,)
+        h, kept = g.contract_with_pendant(y)
+        assert h.n == g.n - len(y) + 2 == len(kept) + 2
+        assert h.degree(len(kept) + 1) == 1
+        assert h.adj[len(kept) + 1] == (len(kept),)
 
 
 def test_contract_empty_rejected():
@@ -173,10 +173,9 @@ def test_contraction_equals_validated_build_corpus():
         es = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
         es += [(index[u], vert) for u in kept if any(g.has_edge(u, x) for x in y)]
         es.append((vert, leaf))
-        con = g.contract_with_pendant(y)
-        assert_same_graph(con.graph, Graph(len(kept) + 2, es))
-        assert (con.vertex, con.leaf, con.kept) == (vert, leaf, tuple(kept))
-        assert con.old_to_new == tuple(index.get(u, vert) for u in range(g.n))
+        h, got_kept = g.contract_with_pendant(y)
+        assert_same_graph(h, Graph(len(kept) + 2, es))
+        assert got_kept == tuple(kept)
 
 
 def test_covers_matches_edge_scan_corpus():

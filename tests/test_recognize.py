@@ -10,7 +10,6 @@ from epa.recognize import (
     CLASSES,
     Cotree,
     _chain,
-    _co_components,
     _find_cycle,
     _find_p4,
     _shrink_to_chordless,
@@ -214,10 +213,12 @@ def _find_cycle_every_start(g: Graph, odd_only: bool):
 
 
 def _build_cotree_recursive(g: Graph):
+    co = g.complement()
+
     def rec(mask: int):
         if mask & (mask - 1) == 0:
             return Cotree("leaf", vertex=mask.bit_length() - 1)
-        for kind, parts in (("union", g.component_masks(mask)), ("join", _co_components(g, mask))):
+        for kind, parts in (("union", g.component_masks(mask)), ("join", co.component_masks(mask))):
             if len(parts) > 1:
                 kids = []
                 for c in parts:

@@ -15,9 +15,8 @@ from epa.graphs import (
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_weights
 from epa.oracle import exact_min_modulator, exact_min_vc, exact_min_wvc
 from epa.recognize import find_induced
-from epa.solvers import vc_2approx
+from epa.solvers import vc_2approx, wvc_cluster, wvc_cograph
 from epa.vertex_cover import (
-    ffree_config,
     independent_set_from_cover,
     two_maximal_clique,
     vc_budgeted_2approx,
@@ -30,11 +29,10 @@ from conftest import corpus, weights_for
 
 
 def test_ffree_exact_on_cographs():
-    cfg = ffree_config("P4")
     for i in range(25):
         g, _ = generate(GeneratorSpec("cograph", 9, 0, Fraction(1, 2), 2100 + i))
         w = weights_for(g, i, unit=i % 2 == 0)
-        sol = vc_local_ratio_ffree(g, w, cfg)
+        sol = vc_local_ratio_ffree(g, w, "P4")
         assert is_vertex_cover(g, sol.cover)
         assert sol.weight == exact_min_wvc(g, w)[0]
 
@@ -45,15 +43,16 @@ def test_ffree_bounds_all_families():
         w = weights_for(g, 19 + i, unit=i % 2 == 0)
         opt = exact_min_wvc(g, w)[0]
         for fam, cls in mod_of.items():
-            sol = vc_local_ratio_ffree(g, w, ffree_config(fam))
+            sol = vc_local_ratio_ffree(g, w, fam)
             assert is_vertex_cover(g, sol.cover)
             k = exact_min_modulator(g, cls, w)[0]
             assert sol.weight <= opt + 2 * k, (fam, sorted(g.edges()))
 
 
-def _ffree_rescan_reference(g, w, cfg):
+def _ffree_rescan_reference(g, w, family):
     """The local-ratio loop as it was: every step rescans the alive
     vertices for zero weights.  Returns (cover, depth)."""
+    exact_solver = {"P3": wvc_cluster, "co-P3": wvc_cograph, "P4": wvc_cograph}[family]
     wp = list(w)
     alive = g.full_mask
     removed = []
@@ -65,10 +64,10 @@ def _ffree_rescan_reference(g, w, cfg):
             alive &= ~(1 << zeros[0])
             depth += 1
             continue
-        pattern = find_induced(g, cfg.family, within=alive)
+        pattern = find_induced(g, family, within=alive)
         if pattern is None:
             sub, old = g.induced_subgraph(bits(alive))
-            cover = {old[v] for v in cfg.exact_solver(sub, tuple(wp[v] for v in old))}
+            cover = {old[v] for v in exact_solver(sub, tuple(wp[v] for v in old))}
             break
         lam = min(wp[v] for v in pattern)
         for v in pattern:
@@ -84,13 +83,13 @@ def test_ffree_zero_mask_matches_rescan_reference():
     for i, g in enumerate(corpus(45, 2, 30, seed0=2300)):
         w = random_weights(g.n, 2300 + i, zero_share=Fraction(i % 3, 5))
         for fam in ("P3", "co-P3", "P4"):
-            sol = vc_local_ratio_ffree(g, w, ffree_config(fam))
-            assert (sol.cover, sol.depth) == _ffree_rescan_reference(g, w, ffree_config(fam))
+            sol = vc_local_ratio_ffree(g, w, fam)
+            assert (sol.cover, sol.depth) == _ffree_rescan_reference(g, w, fam)
 
 
 def test_ffree_c5_example():
     c5 = cycle_graph(5)
-    sol = vc_local_ratio_ffree(c5, unit_weights(5), ffree_config("P3"))
+    sol = vc_local_ratio_ffree(c5, unit_weights(5), "P3")
     assert is_vertex_cover(c5, sol.cover)
     assert sol.weight <= 3 + 2 * exact_min_modulator(c5, "cluster", unit_weights(5))[0]
 
@@ -258,7 +257,7 @@ def test_local_ratio_trace_depth_bounded():
     for i, g in enumerate(corpus(30, 1, 10, seed0=2900)):
         w = weights_for(g, i, unit=False)
         for fam in ("P3", "co-P3", "P4"):
-            sol = vc_local_ratio_ffree(g, w, ffree_config(fam))
+            sol = vc_local_ratio_ffree(g, w, fam)
             assert sol.depth <= 2 * g.n
 
 
