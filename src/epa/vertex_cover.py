@@ -202,7 +202,6 @@ def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
             low = common & -common
             clique |= low
             common &= adj[low.bit_length() - 1]
-        swapped = False
         for u in bits(clique):
             base = clique & ~(1 << u)
             cand = mask & ~clique
@@ -211,12 +210,12 @@ def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
             for x in bits(cand):
                 ys = cand & adj[x] & ~((1 << (x + 1)) - 1)
                 if ys:
-                    clique = base | (1 << x) | (ys & -ys)
-                    swapped = True
                     break
-            if swapped:
-                break
-        if not swapped:
+            else:
+                continue
+            clique = base | (1 << x) | (ys & -ys)
+            break
+        else:
             return frozenset(bits(clique))
 
 
