@@ -31,11 +31,18 @@ from epa.generator import (
     SplitMix64,
     generate,
     random_connected_graph,
+    random_graph,
     random_weights,
 )
 from epa.graphs import Graph, path_graph
 from epa.instances import serialize_instance
-from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc, exact_min_wvc
+from epa.oracle import (
+    exact_lp_vc,
+    exact_min_cvc,
+    exact_min_modulator,
+    exact_min_vc,
+    exact_min_wvc,
+)
 from epa.packing import tp_maximal
 from epa.recognize import Cotree, build_cotree
 from epa.reports import bench
@@ -256,6 +263,7 @@ MODULATOR_CLASSES = (
 ORACLE_CLI_SHA256 = "a9fbee309612fc17ff33c2afb7550b9ac4b2c1dcabda33f849e1cc1919af9fce"
 EXACT_ORACLES_SHA256 = "275b6e2d48eebce2c7d54aaa22f855ea8b4ca6b57f98ef8707e07740b5c33cf3"
 GRAPH_ROUTINES_SHA256 = "bddaafde8b9e403dcc82959a2ecf3dcf172be1b5086c7d4b130e1a57960d7e11"
+EXACT_LP_SHA256 = "30ee2ce6093a2dcb2c360f301dd41f90dcec753689cfc174bbc27f15fdb7c160"
 
 
 def test_oracle_cli_golden(tmp_path):
@@ -293,6 +301,24 @@ def test_exact_oracles_golden():
             out.append(f"{i} {cls} {exact_min_modulator(g, cls)} "
                        f"{exact_min_modulator(g, cls, w)}\n")
     assert _sha("".join(out)) == EXACT_ORACLES_SHA256
+
+
+def test_exact_lp_golden():
+    """exact_lp_vc on random graphs, n = 0..10 at densities 1/5, 1/2 and
+    4/5, four draws each, with unit weights, random weights and random
+    weights of which about half are zero.  Pinned while the oracle still
+    enumerated all 3^n half-integral vectors."""
+    out = []
+    i = 0
+    for n in range(11):
+        for d in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
+            for _ in range(4):
+                g = random_graph(n, d, 5800 + i)
+                w = random_weights(n, 5900 + i)
+                wz = random_weights(n, 5900 + i, zero_share=Fraction(1, 2))
+                out.append(f"{i} {exact_lp_vc(g)} {exact_lp_vc(g, w)} {exact_lp_vc(g, wz)}\n")
+                i += 1
+    assert _sha("".join(out)) == EXACT_LP_SHA256
 
 
 def test_graph_routines_golden():
