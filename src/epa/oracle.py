@@ -16,8 +16,6 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .certify import induces_pattern
 from .graphs import Graph, Weights, bits, mask_of, unit_weights
 
@@ -50,6 +48,15 @@ def _scaled_int_weights(w: Sequence[Fraction]) -> tuple[list[int], int]:
     return [int(f * scale) for f in w], scale
 
 
+def _subset_weights(wi: Sequence[int]) -> list[int]:
+    """Total weight of every vertex mask, indexed by the mask."""
+    tab = [0] * (1 << len(wi))
+    for mask in range(1, len(tab)):
+        low = mask & -mask
+        tab[mask] = tab[mask ^ low] + wi[low.bit_length() - 1]
+    return tab
+
+
 # ---------------------------------------------------------------------
 # hitting sets: vertex covers and modulators
 
@@ -73,14 +80,10 @@ def _min_weight_hitting_set(sets: Sequence[int], w: Weights) -> tuple[Fraction, 
     if not sets:
         return Fraction(0), frozenset()
     wi, scale = _scaled_int_weights(w)
-    n = len(w)
-    wtab = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        wtab[mask] = wtab[mask ^ low] + wi[low.bit_length() - 1]
+    wtab = _subset_weights(wi)
     best_w = None
     best_mask = 0
-    for mask in range(1 << n):
+    for mask in range(len(wtab)):
         if best_w is not None and wtab[mask] >= best_w:
             continue
         if all(mask & s for s in sets):
@@ -291,40 +294,29 @@ def exact_min_modulator(
 # LP relaxation
 
 
-_HALF_VECTORS: dict[int, np.ndarray] = {}
-
-
-def _half_vectors(n: int) -> np.ndarray:
-    """All vectors over {0, 1, 2} (value in half-units), shape (3^n, n)."""
-    got = _HALF_VECTORS.get(n)
-    if got is None:
-        idx = np.arange(3**n)
-        cols = [(idx // (3**j)) % 3 for j in range(n)]
-        got = np.stack(cols, axis=1).astype(np.int8)
-        _HALF_VECTORS[n] = got
-    return got
-
-
 def exact_lp_vc(
     g: Graph, w: Optional[Weights] = None, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Fraction:
-    """Optimum of the vertex cover LP over all {0, 1/2, 1} vectors.
+    """Optimum of the vertex cover LP, by enumerating independent sets.
 
-    Half-integral vectors suffice to attain the LP optimum, so this
-    enumeration equals the true LP value.
+    Some optimum is half-integral.  Its zero set Z is independent, every
+    neighbour of Z must be at 1 and every other vertex can sit at 1/2, so
+    twice the optimum is the least w(V - Z) + w(N(Z)) over independent Z.
     """
     _require(g.n, budget.lp, "LP")
     if w is None:
         w = unit_weights(g.n)
-    if g.n == 0:
-        return Fraction(0)
     wi, scale = _scaled_int_weights(w)
-    vecs = _half_vectors(g.n)
-    feasible = np.ones(len(vecs), dtype=bool)
-    for u, v in g.edges():
-        feasible &= vecs[:, u] + vecs[:, v] >= 2
-    obj = vecs.astype(np.int64) @ np.asarray(wi, dtype=np.int64)
-    best = int(obj[feasible].min())
+    wtab = _subset_weights(wi)
+    full = g.full_mask
+    nbrs = [0] * len(wtab)  # N(Z), from N(Z minus its lowest vertex)
+    best = wtab[full]
+    for z in range(1, len(wtab)):
+        low = z & -z
+        nz = nbrs[z ^ low] | g.adj_bits[low.bit_length() - 1]
+        nbrs[z] = nz
+        if not nz & z:
+            best = min(best, wtab[full ^ z] + wtab[nz])
     return Fraction(best, 2 * scale)
 
 

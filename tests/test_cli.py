@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,20 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_import_loads_only_the_standard_library():
+    """``import epa, epa.cli`` adds no module beyond epa and the standard
+    library.  Modules loaded before the import (site hooks) are ignored."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import epa, epa.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - {'epa'} - sys.stdlib_module_names))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert got.stdout == "[]\n"
