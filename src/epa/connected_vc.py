@@ -46,28 +46,33 @@ def connected_subsets(g: Graph, k: int) -> Iterator[int]:
     vertices, each exactly once, in a fixed order.
 
     ESU-style expansion: grow from every anchor vertex using only higher
-    ids, extending with exclusive new neighbors so no set repeats.
+    ids, extending with exclusive new neighbors so no set repeats.  The
+    stack holds one frame per added vertex: the set, the extensions not
+    yet tried and the set's closed neighbourhood.
     """
-    mask = g.full_mask
     if k == 0:
         yield 0
         return
-
-    def extend(sub: int, ext: int, closed: int, above: int, left: int) -> Iterator[int]:
-        if left == 0:
-            yield sub
-            return
-        e = ext
-        while e:
-            wbit = e & -e
-            e ^= wbit
-            w = wbit.bit_length() - 1
-            new_ext = e | (g.adj_bits[w] & above & ~closed & ~sub)
-            yield from extend(sub | wbit, new_ext, closed | g.adj_bits[w], above, left - 1)
-
-    for v in bits(mask):
-        above = mask & ~((1 << (v + 1)) - 1)
-        yield from extend(1 << v, g.adj_bits[v] & above, g.adj_bits[v], above, k - 1)
+    adj = g.adj_bits
+    for v in range(g.n):
+        if k == 1:
+            yield 1 << v
+            continue
+        above = g.full_mask & ~((2 << v) - 1)
+        stack = [(1 << v, adj[v] & above, adj[v])]
+        while stack:
+            sub, ext, closed = stack[-1]
+            if not ext:
+                stack.pop()
+                continue
+            wbit = ext & -ext
+            ext ^= wbit
+            stack[-1] = (sub, ext, closed)
+            if len(stack) == k - 1:
+                yield sub | wbit
+            else:
+                nbrs = adj[wbit.bit_length() - 1]
+                stack.append((sub | wbit, ext | (nbrs & above & ~closed & ~sub), closed | nbrs))
 
 
 def _brute_min_cvc(g: Graph, limit: int) -> Optional[frozenset[int]]:

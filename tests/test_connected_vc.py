@@ -42,6 +42,13 @@ def test_connected_subsets_match_bruteforce():
             assert got == expect, (k, sorted(g.edges()))
 
 
+def test_connected_subsets_deep_without_recursion():
+    # 1,100-vertex sets are deeper than the default recursion limit
+    n, k = 1200, 1100
+    got = list(connected_subsets(path_graph(n), k))
+    assert got == [((1 << k) - 1) << start for start in range(n - k + 1)]
+
+
 def test_cvc_budgeted_examples():
     # an optimum within the budget is found exactly
     p4 = path_graph(4)
