@@ -153,18 +153,22 @@ def vc_chordal(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
         w = unit_weights(g.n)
     wp = list(w)
     alive = g.full_mask
+    # Alive zero-weight vertices; only a reduced triangle can add to it.
+    zero = mask_of(v for v in range(g.n) if wp[v] == 0)
     cover: set[int] = set()
     depth = 0
     while True:
-        for v in [v for v in bits(alive) if wp[v] == 0]:
-            cover.add(v)
-            alive &= ~(1 << v)
+        cover.update(bits(zero))
+        alive &= ~zero
+        zero = 0
         tri = find_induced(g, "triangle", within=alive)
         if tri is None:
             break
         lam = min(wp[v] for v in tri)
         for v in tri:
             wp[v] -= lam
+            if wp[v] == 0:
+                zero |= 1 << v
         depth += 1
     sub, old = g.induced_subgraph(bits(alive))
     sub_w = tuple(wp[v] for v in old)
