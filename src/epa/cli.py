@@ -30,6 +30,7 @@ from .oracle import (
 from .reports import (
     PARAMS,
     PROBLEMS,
+    ROWS,
     GuaranteeReport,
     UnsupportedPair,
     bench,
@@ -200,7 +201,11 @@ def cmd_oracle(args) -> int:
     budget = _budget(args)
     out: dict[str, str] = {}
     if args.modulator:
-        val, cert = exact_min_modulator(g, args.modulator, None, budget)
+        # weighted rows weigh k as verify does; unit weights keep the unweighted certificate
+        pair = (args.problem, args.modulator)
+        weighted = any(r.weighted for r in ROWS if (r.problem, r.modulator) == pair)
+        wk = w if weighted and any(x != 1 for x in w) else None
+        val, cert = exact_min_modulator(g, args.modulator, wk, budget)
         out["modulator_class"] = args.modulator
         out["k"] = str(val)
         out["modulator"] = str(sorted(v + 1 for v in cert))

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from epa.cli import main
+from epa.generator import GeneratorSpec, generate, random_weights
 from epa.graphs import cycle_graph, path_graph
 from epa.instances import serialize_instance
+from epa.reports import ROWS
 
 
 @pytest.fixture
@@ -105,6 +108,19 @@ def test_oracle_command(c5_file, capsys):
     assert main(["oracle", "--modulator", "split", "--input", c5_file, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["k"] == "1"
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_oracle_modulator_k_matches_verify(weighted, tmp_path, capsys):
+    g, _ = generate(GeneratorSpec("cograph", 7, 2, Fraction(1, 2), 1))
+    path = tmp_path / "g.epa"
+    path.write_text(serialize_instance(g, random_weights(g.n, 1) if weighted else None))
+    for row in ROWS:
+        argv = ["--problem", row.problem, "--input", str(path), "--json"]
+        assert main(["verify", "--param", row.param] + argv) == 0
+        k_verify = json.loads(capsys.readouterr().out)["k_oracle"]
+        assert main(["oracle", "--modulator", row.modulator] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == k_verify, (row.problem, row.param)
 
 
 def test_bench_csv_and_determinism(tmp_path):

@@ -9,7 +9,8 @@ masks; the all-class CSV and every-row digests before the rows moved
 into one table; the subroutine digests before the budgeted routines
 stopped doing a whole subroutine run per candidate; the oracle and
 graph-routine digests before those routines were folded into one
-implementation each.
+implementation each.  The ``epa oracle`` digest was pinned again when
+``--modulator`` began to weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -260,7 +261,7 @@ MODULATOR_CLASSES = (
     "co-triangle-free", "split", "forest", "bipartite", "chordal", "cochordal",
 )
 
-ORACLE_CLI_SHA256 = "a9fbee309612fc17ff33c2afb7550b9ac4b2c1dcabda33f849e1cc1919af9fce"
+ORACLE_CLI_SHA256 = "98929d4dd66c30e49538e5c6cb42553dde5875d0510ec7c5adeb31f88fc59605"
 EXACT_ORACLES_SHA256 = "275b6e2d48eebce2c7d54aaa22f855ea8b4ca6b57f98ef8707e07740b5c33cf3"
 GRAPH_ROUTINES_SHA256 = "bddaafde8b9e403dcc82959a2ecf3dcf172be1b5086c7d4b130e1a57960d7e11"
 EXACT_LP_SHA256 = "30ee2ce6093a2dcb2c360f301dd41f90dcec753689cfc174bbc27f15fdb7c160"
