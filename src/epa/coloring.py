@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .certify import is_proper_coloring
-from .graphs import Graph, bits, mask_of
-from .recognize import find_induced
+from .graphs import Graph, bits, first_triangle, mask_of
+from .recognize import two_coloring
 from .solvers import max_matching
 
 
@@ -57,21 +57,8 @@ class ClassColoringOracle:
 
 def bipartite_oracle() -> ClassColoringOracle:
     def attempt(g: Graph) -> tuple[int, ...]:
-        colors = [0] * g.n
-        for s in range(g.n):
-            if colors[s]:
-                continue
-            colors[s] = 1
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                u = queue[head]
-                head += 1
-                for v in g.adj[u]:
-                    if not colors[v]:
-                        colors[v] = 3 - colors[u]
-                        queue.append(v)
-        return tuple(colors)
+        colors = two_coloring(g)
+        return () if colors is None else tuple(colors)
 
     return ClassColoringOracle("bipartite", 2, attempt)
 
@@ -184,12 +171,11 @@ def color_p3k1free(g: Graph) -> ColoringSol:
     pairs plus singletons are optimal on that remainder.
     """
     colors = [0] * g.n
+    co = g.complement()
     remaining = g.full_mask
     used = 0
-    while True:
-        triple = find_induced(g, "K3bar", within=remaining)
-        if triple is None:
-            break
+    # an independent triple of g is a triangle of its complement
+    while (triple := first_triangle(co.adj_bits, remaining)) is not None:
         ind = _greedy_mis(g, remaining, mask_of(triple))
         used += 1
         for v in bits(ind):
@@ -197,16 +183,15 @@ def color_p3k1free(g: Graph) -> ColoringSol:
         remaining &= ~ind
     rest = sorted(bits(remaining))
     if rest:
-        sub, old = g.induced_subgraph(rest)
-        co = sub.complement()
-        matching = sorted(max_matching(co))
+        co_rest, old = co.induced_subgraph(rest)
+        matching = sorted(max_matching(co_rest))
         matched = set()
         for u, v in matching:
             used += 1
             colors[old[u]] = used
             colors[old[v]] = used
             matched.update((u, v))
-        for v in range(sub.n):
+        for v in range(co_rest.n):
             if v not in matched:
                 used += 1
                 colors[old[v]] = used

@@ -51,21 +51,6 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-GENERATOR_CLASSES = (
-    "edgeless",
-    "cluster",
-    "cocluster",
-    "forest",
-    "bipartite",
-    "split",
-    "cograph",
-    "chordal",
-    "cochordal",
-    "p3k1-free",
-    "triangle-free",
-)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     base: str
@@ -230,6 +215,8 @@ _BASES: dict[str, Callable[[SplitMix64, int, Fraction], list[tuple[int, int]]]] 
     "p3k1-free": _base_p3k1_free,
     "triangle-free": _base_triangle_free,
 }
+
+GENERATOR_CLASSES = tuple(_BASES)
 
 
 def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:

@@ -10,28 +10,10 @@ by :mod:`epa.certify`; nothing downstream trusts the producer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 from .graphs import Graph, bits, first_triangle
-
-CLASSES = (
-    "edgeless",
-    "forest",
-    "bipartite",
-    "cluster",
-    "cocluster",
-    "cograph",
-    "split",
-    "chordal",
-    "cochordal",
-    "triangle-free",
-    "co-triangle-free",
-    "p3k1-free",
-)
-
-FIND_PATTERNS = ("P3", "co-P3", "P4", "triangle", "K3bar", "P3+K1")
-
 
 class NotInClassError(ValueError):
     """Raised when an exact solver is handed a graph outside its class."""
@@ -100,15 +82,7 @@ class Cotree:
         return "".join(out)
 
     def leaves(self) -> list[int]:
-        out: list[int] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.kind == "leaf":
-                out.append(node.vertex)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        return [vertex for kind, vertex, _ in self._preorder() if kind == "leaf"]
 
     def evaluate(self) -> tuple[list[int], list[tuple[int, int]]]:
         """Vertices and edges of the graph the cotree denotes."""
@@ -156,8 +130,6 @@ def find_induced(g: Graph, pattern: str, within: Optional[int] = None) -> Option
     if pattern == "triangle":
         t = first_triangle(g.adj_bits, mask)
         return None if t is None else frozenset(t)
-    if pattern == "K3bar":
-        return _find_k3bar(g, mask)
     if pattern == "P3+K1":
         return _find_p3k1(g, mask)
     raise ValueError(f"unsupported pattern {pattern!r}")
@@ -200,17 +172,6 @@ def _find_p4(g: Graph, mask: int) -> Optional[frozenset[int]]:
                 if ds:
                     d = (ds & -ds).bit_length() - 1
                     return frozenset((a, b, c, d))
-    return None
-
-
-def _find_k3bar(g: Graph, mask: int) -> Optional[frozenset[int]]:
-    for u in bits(mask):
-        above_u = mask & ~((1 << (u + 1)) - 1) & ~g.adj_bits[u]
-        for v in bits(above_u):
-            rest = above_u & ~((1 << (v + 1)) - 1) & ~g.adj_bits[v]
-            if rest:
-                w = (rest & -rest).bit_length() - 1
-                return frozenset((u, v, w))
     return None
 
 
@@ -466,118 +427,6 @@ def is_perfect_elimination(g: Graph, peo: tuple[int, ...]) -> bool:
 # recognizers
 
 
-def recognize(g: Graph, cls: str) -> Recognition:
-    """Class membership plus a validating witness.
-
-    Verdicts agree with exhaustive forbidden-subgraph search (this is
-    property-tested at small sizes).
-    """
-    if cls == "edgeless":
-        for u, v in g.edges():
-            return Recognition(cls, False, frozenset((u, v)), "K2")
-        return Recognition(cls, True)
-
-    if cls == "forest":
-        cyc = _find_cycle(g, odd_only=False)
-        if cyc is not None:
-            return Recognition(cls, False, frozenset(cyc), "cycle")
-        return Recognition(cls, True)
-
-    if cls == "bipartite":
-        sides = _try_bipartition(g)
-        if sides is not None:
-            return Recognition(cls, True, structure=sides)
-        cyc = _find_cycle(g, odd_only=True)
-        return Recognition(cls, False, frozenset(cyc), "odd-cycle")
-
-    if cls == "cluster":
-        p3 = _find_p3(g, g.full_mask)
-        if p3 is not None:
-            return Recognition(cls, False, p3, "P3")
-        parts = tuple(g.connected_components())
-        return Recognition(cls, True, structure=parts)
-
-    if cls == "cocluster":
-        co = g.complement()
-        p3 = _find_p3(co, co.full_mask)
-        if p3 is not None:
-            return Recognition(cls, False, p3, "co-P3")
-        parts = tuple(co.connected_components())
-        return Recognition(cls, True, structure=parts)
-
-    if cls == "cograph":
-        tree = build_cotree(g)
-        if isinstance(tree, frozenset):
-            return Recognition(cls, False, tree, "P4")
-        return Recognition(cls, True, structure=tree)
-
-    if cls == "split":
-        part = _try_split_partition(g)
-        if part is not None:
-            return Recognition(cls, True, structure=part)
-        for finder, kind in ((_find_2k2, "2K2"), (_find_c4, "C4"), (_find_c5, "C5")):
-            w = finder(g, g.full_mask)
-            if w is not None:
-                return Recognition(cls, False, w, kind)
-        raise AssertionError("non-split graph without a 2K2/C4/C5 witness")
-
-    if cls == "chordal":
-        peo = mcs_order(g)
-        if is_perfect_elimination(g, peo):
-            return Recognition(cls, True, structure=peo)
-        hole = _find_hole(g)
-        return Recognition(cls, False, hole, "hole")
-
-    if cls == "cochordal":
-        co = g.complement()
-        inner = recognize(co, "chordal")
-        if inner.member:
-            return Recognition(cls, True, structure=inner.structure)
-        return Recognition(cls, False, inner.witness, "co-hole")
-
-    if cls == "triangle-free":
-        t = first_triangle(g.adj_bits, g.full_mask)
-        if t is not None:
-            return Recognition(cls, False, frozenset(t), "triangle")
-        return Recognition(cls, True)
-
-    if cls == "co-triangle-free":
-        t = _find_k3bar(g, g.full_mask)
-        if t is not None:
-            return Recognition(cls, False, t, "K3bar")
-        return Recognition(cls, True)
-
-    if cls == "p3k1-free":
-        w = _find_p3k1(g, g.full_mask)
-        if w is not None:
-            return Recognition(cls, False, w, "P3+K1")
-        return Recognition(cls, True)
-
-    raise ValueError(f"unsupported class {cls!r}")
-
-
-def _try_bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in g.adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    left = frozenset(v for v in range(g.n) if color[v] == 0)
-    right = frozenset(v for v in range(g.n) if color[v] == 1)
-    return left, right
-
-
 def _try_split_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Hammer-Simeone degree test; returns (clique, independent set)."""
     n = g.n
@@ -591,3 +440,121 @@ def _try_split_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[i
     if lhs != rhs:
         return None
     return frozenset(by_deg[:m_idx]), frozenset(by_deg[m_idx:])
+
+
+def two_coloring(g: Graph) -> Optional[list[int]]:
+    """Colors 1 and 2 by breadth-first search from each lowest unreached
+    vertex, or None when an edge joins two equal colors (g is not
+    bipartite)."""
+    colors = [0] * g.n
+    for s in range(g.n):
+        if colors[s]:
+            continue
+        colors[s] = 1
+        queue = [s]
+        for u in queue:
+            for v in g.adj[u]:
+                if not colors[v]:
+                    colors[v] = 3 - colors[u]
+                    queue.append(v)
+                elif colors[v] == colors[u]:
+                    return None
+    return colors
+
+
+# Each checker maps (g, class name) to a Recognition.
+
+Checker = Callable[[Graph, str], Recognition]
+
+
+def _pattern_free(kind: str, find: Callable[[Graph], object]) -> Checker:
+    """A class defined by one forbidden pattern, with no structure."""
+
+    def check(g: Graph, cls: str) -> Recognition:
+        w = find(g)
+        if w is None:
+            return Recognition(cls, True)
+        return Recognition(cls, False, frozenset(w), kind)
+
+    return check
+
+
+def _on_complement(base: str, kind: str) -> Checker:
+    """The complement class of ``base``: the complement's verdict and
+    structure, its witness renamed to ``kind``."""
+
+    def check(g: Graph, cls: str) -> Recognition:
+        inner = recognize(g.complement(), base)
+        return replace(inner, cls=cls, witness_kind=None if inner.member else kind)
+
+    return check
+
+
+def _bipartite(g: Graph, cls: str) -> Recognition:
+    colors = two_coloring(g)
+    if colors is None:
+        return Recognition(cls, False, frozenset(_find_cycle(g, odd_only=True)), "odd-cycle")
+    sides = tuple(frozenset(v for v in range(g.n) if colors[v] == c) for c in (1, 2))
+    return Recognition(cls, True, structure=sides)
+
+
+def _cluster(g: Graph, cls: str) -> Recognition:
+    p3 = _find_p3(g, g.full_mask)
+    if p3 is not None:
+        return Recognition(cls, False, p3, "P3")
+    return Recognition(cls, True, structure=tuple(g.connected_components()))
+
+
+def _cograph(g: Graph, cls: str) -> Recognition:
+    tree = build_cotree(g)
+    if isinstance(tree, frozenset):
+        return Recognition(cls, False, tree, "P4")
+    return Recognition(cls, True, structure=tree)
+
+
+def _split(g: Graph, cls: str) -> Recognition:
+    part = _try_split_partition(g)
+    if part is not None:
+        return Recognition(cls, True, structure=part)
+    for finder, kind in ((_find_2k2, "2K2"), (_find_c4, "C4"), (_find_c5, "C5")):
+        w = finder(g, g.full_mask)
+        if w is not None:
+            return Recognition(cls, False, w, kind)
+    raise AssertionError("non-split graph without a 2K2/C4/C5 witness")
+
+
+def _chordal(g: Graph, cls: str) -> Recognition:
+    peo = mcs_order(g)
+    if is_perfect_elimination(g, peo):
+        return Recognition(cls, True, structure=peo)
+    return Recognition(cls, False, _find_hole(g), "hole")
+
+
+_CHECKERS: dict[str, Checker] = {
+    "edgeless": _pattern_free("K2", lambda g: next(g.edges(), None)),
+    "forest": _pattern_free("cycle", lambda g: _find_cycle(g, odd_only=False)),
+    "bipartite": _bipartite,
+    "cluster": _cluster,
+    "cocluster": _on_complement("cluster", "co-P3"),
+    "cograph": _cograph,
+    "split": _split,
+    "chordal": _chordal,
+    "cochordal": _on_complement("chordal", "co-hole"),
+    "triangle-free": _pattern_free("triangle", lambda g: first_triangle(g.adj_bits, g.full_mask)),
+    "co-triangle-free": _on_complement("triangle-free", "K3bar"),
+    "p3k1-free": _pattern_free("P3+K1", lambda g: _find_p3k1(g, g.full_mask)),
+}
+
+CLASSES = tuple(_CHECKERS)
+
+
+def recognize(g: Graph, cls: str) -> Recognition:
+    """Class membership plus a validating witness.
+
+    Verdicts agree with exhaustive forbidden-subgraph search (this is
+    property-tested at small sizes).
+    """
+    check = _CHECKERS.get(cls)
+    if check is None:
+        raise ValueError(f"unsupported class {cls!r}")
+    return check(g, cls)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from epa.certify import induces_pattern, is_clique, is_independent_set
+from epa.certify import induces_pattern, is_clique, is_independent_set, is_proper_coloring
 from epa.generator import GeneratorSpec, generate
 from epa.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 from epa.recognize import (
@@ -17,6 +17,7 @@ from epa.recognize import (
     find_induced,
     is_perfect_elimination,
     recognize,
+    two_coloring,
 )
 from conftest import brute_member, corpus
 
@@ -98,10 +99,14 @@ def test_c5_every_4_subset_is_p4():
 
 
 def test_complement_duality():
+    pairs = (("cocluster", "cluster", "co-P3"), ("cochordal", "chordal", "co-hole"),
+             ("co-triangle-free", "triangle-free", "K3bar"))
     for g in corpus(40, 1, 8, seed0=800):
         co = g.complement()
-        assert recognize(g, "cocluster").member == recognize(co, "cluster").member
-        assert recognize(g, "cochordal").member == recognize(co, "chordal").member
+        for co_cls, cls, kind in pairs:
+            got, inner = recognize(g, co_cls), recognize(co, cls)
+            assert got.member == inner.member and got.witness == inner.witness
+            assert got.witness_kind == (None if inner.member else kind)
 
 
 def test_unsupported_tag():
@@ -138,7 +143,7 @@ def brute_find(g: Graph, pattern: str, size: int):
 
 
 def test_find_induced_matches_bruteforce():
-    sizes = {"P3": 3, "co-P3": 3, "P4": 4, "triangle": 3, "K3bar": 3, "P3+K1": 4}
+    sizes = {"P3": 3, "co-P3": 3, "P4": 4, "triangle": 3, "P3+K1": 4}
     for g in corpus(60, 1, 8, seed0=1000):
         for pattern, size in sizes.items():
             got = find_induced(g, pattern)
@@ -259,6 +264,34 @@ def _cycle_corpus():
     for extra in (cycle_graph(4), cycle_graph(5), complete_graph(4)):
         graphs += [disjoint_union(forest, extra), disjoint_union(extra, forest)]
     return graphs
+
+
+def _oracle_bfs_reference(g: Graph) -> list[int]:
+    """The bipartite coloring oracle's BFS as it was: no conflict check."""
+    colors = [0] * g.n
+    for s in range(g.n):
+        if colors[s]:
+            continue
+        colors[s] = 1
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in g.adj[u]:
+                if not colors[v]:
+                    colors[v] = 3 - colors[u]
+                    queue.append(v)
+    return colors
+
+
+def test_two_coloring_matches_oracle_bfs_reference():
+    for g in _cycle_corpus():
+        expect = _oracle_bfs_reference(g)
+        if is_proper_coloring(g, expect):
+            assert two_coloring(g) == expect
+        else:
+            assert two_coloring(g) is None
 
 
 def test_find_cycle_matches_every_start_reference():
