@@ -9,6 +9,7 @@ cocluster modulator size in general.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .graphs import Graph, bits, first_triangle, mask_of
@@ -82,21 +83,12 @@ def tp_3maximal(g: Graph) -> TrianglePackingSol:
             packed.append(add)
             continue
         improved = False
-        for i in range(len(packed)):
-            pool = free | mask_of(packed[i])
-            got = _disjoint_sets(g, pool, 2)
-            if got is not None:
-                packed = packed[:i] + packed[i + 1 :] + got
-                improved = True
-                break
-        if improved:
-            continue
-        for i in range(len(packed)):
-            for j in range(i + 1, len(packed)):
-                pool = free | mask_of(packed[i]) | mask_of(packed[j])
-                got = _disjoint_sets(g, pool, 3)
+        for drop in (1, 2):
+            for out in combinations(range(len(packed)), drop):
+                pool = free | mask_of(v for i in out for v in packed[i])
+                got = _disjoint_sets(g, pool, drop + 1)
                 if got is not None:
-                    packed = [t for k, t in enumerate(packed) if k not in (i, j)] + got
+                    packed = [t for i, t in enumerate(packed) if i not in out] + got
                     improved = True
                     break
             if improved:

@@ -95,49 +95,31 @@ def wvc_cluster(g: Graph, w: Weights) -> frozenset[int]:
 
 
 def wvc_cograph(g: Graph, w: Weights) -> frozenset[int]:
-    """Minimum-weight vertex cover of a cograph by cotree DP."""
+    """Minimum-weight vertex cover of a cograph by cotree DP: the
+    vertices outside a heaviest independent set."""
     tree = build_cotree(g)
     if isinstance(tree, frozenset):
         raise NotInClassError("cograph", tree)
-    if g.n == 0:
-        return frozenset()
     # Post-order with an explicit stack (a cotree can be about n deep).
-    # A node's result is (cost, cover, leaves under it, their weight);
-    # carrying the weight keeps deep trees from re-summing it per level.
+    # A node's result is a heaviest independent set of its leaves as
+    # (weight, vertices): a union takes all its children's sets, a join
+    # its first heaviest child's.
     stack: list[tuple[Cotree, list]] = [(tree, [])]
     while True:
         node, subs = stack[-1]
         if node.kind == "leaf":
-            res = (Fraction(0), [], [node.vertex], w[node.vertex])
+            res = (w[node.vertex], [node.vertex])
         elif len(subs) < len(node.children):
             stack.append((node.children[len(subs)], []))
             continue
+        elif node.kind == "union":
+            res = (sum(weight for weight, _ in subs), [v for _, vs in subs for v in vs])
         else:
-            res = _cotree_cover(node.kind, subs)
+            res = max(subs, key=lambda sub: sub[0])
         stack.pop()
         if not stack:
-            return frozenset(res[1])
+            return frozenset(range(g.n)).difference(res[1])
         stack[-1][1].append(res)
-
-
-def _cotree_cover(kind: str, subs: list) -> tuple[Fraction, list[int], list[int], Fraction]:
-    """Cheapest cover of a union or join node from its children's results:
-    a union covers each child; a join leaves at most one child uncovered."""
-    leaves = [v for _, _, lv, _ in subs for v in lv]
-    weight = sum((lw for _, _, _, lw in subs), Fraction(0))
-    if kind == "union":
-        cost = sum((c for c, _, _, _ in subs), Fraction(0))
-        cover = [v for _, cv, _, _ in subs for v in cv]
-        return cost, cover, leaves, weight
-    best = None
-    for i, (cost_i, _, _, weight_i) in enumerate(subs):
-        cand = weight - weight_i + cost_i
-        if best is None or cand < best[0]:
-            best = (cand, i)
-    cost, i = best
-    keep = set(subs[i][2])
-    cover = [v for v in leaves if v not in keep] + subs[i][1]
-    return cost, cover, leaves, weight
 
 
 # ---------------------------------------------------------------------

@@ -131,10 +131,9 @@ def vc_fvs(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     half_w = tuple(w[v] for v in old)
     fvs = fvs_2approx(half, half_w)
     cover.update(old[v] for v in fvs)
-    forest, fold = half.induced_subgraph(set(range(half.n)) - set(fvs))
-    forest_w = tuple(half_w[v] for v in fold)
-    tree_cover = wvc_forest(forest, forest_w)
-    cover.update(old[fold[v]] for v in tree_cover)
+    forest, fold = g.induced_subgraph(lp.v_half - {old[v] for v in fvs})
+    tree_cover = wvc_forest(forest, tuple(w[v] for v in fold))
+    cover.update(fold[v] for v in tree_cover)
     return _sol(g, w, frozenset(cover), "vc-fvs")
 
 
