@@ -462,9 +462,7 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
     return colors
 
 
-# Each checker maps (g, class name) to a Recognition.
-
-Checker = Callable[[Graph, str], Recognition]
+Checker = Callable[[Graph, str], Recognition]  # (g, class name) -> verdict
 
 
 def _pattern_free(kind: str, find: Callable[[Graph], object]) -> Checker:
