@@ -9,7 +9,9 @@ masks; the all-class CSV and every-row digests before the rows moved
 into one table; the subroutine digests before the budgeted routines
 stopped doing a whole subroutine run per candidate; the oracle and
 graph-routine digests before those routines were folded into one
-implementation each.  The ``epa oracle`` digest was pinned again when
+implementation each; the ``cvc_split`` and exact-tail digests before
+``cvc_small_after_contraction`` became one loop over the clique.  The
+``epa oracle`` digest was pinned again when
 ``--modulator`` began to weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from epa.cli import main
 from epa.coloring import color_p3k1free
-from epa.connected_vc import cvc_budgeted
+from epa.connected_vc import _brute_min_cvc, cvc_budgeted, cvc_small_after_contraction, cvc_split
 from epa.generator import (
     GENERATOR_CLASSES,
     GeneratorSpec,
@@ -222,6 +224,8 @@ def test_solve_json_scale_golden(tmp_path):
 
 BUDGETED_VC_SHA256 = "5e6280b2c0c7851c0572d740cece39f0ae3837d37c3f8bbe16845d254092fc07"
 BUDGETED_CVC_SHA256 = "6575a5659bd8ed60eaf3446ab1bb59d9df71beb378fd1040a80edc2702d74181"
+CVC_SPLIT_SHA256 = "871fe80938d3d2eedbed14cb568c728e9c78397f85d18aaebfccc95baaaf0b60"
+CVC_SMALL_SHA256 = "c5355dff405244512a32870715bd59f55090d594757be580e298f81c97a0050d"
 
 
 def test_vc_budgeted_2approx_golden():
@@ -252,6 +256,36 @@ def test_cvc_budgeted_golden():
             out.append(f"{i} {c} {sorted(cvc_budgeted(g, c).cover)}\n")
     assert _sha("".join(out)) == BUDGETED_CVC_SHA256
 
+
+
+def test_cvc_split_golden():
+    """cvc_split on the first 40 connected planted split draws (k = n/10)
+    at n = 16, 20, 24 and 28, generator seeds counting up from 6100."""
+    out = []
+    for n in (16, 20, 24, 28):
+        seed, found = 6100, 0
+        while found < 40:
+            g, _ = generate(GeneratorSpec("split", n - n // 10, n // 10, Fraction(1, 2), seed))
+            if g.is_connected():
+                out.append(f"{n} {seed} {sorted(cvc_split(g).cover)}\n")
+                found += 1
+            seed += 1
+    assert _sha("".join(out)) == CVC_SPLIT_SHA256
+
+
+def test_cvc_small_after_contraction_golden():
+    """The exact tail on connected random graphs (n <= 11) with the
+    2-maximal clique and every singleton, c = 1..4, wherever the
+    contraction has a connected cover of size at most c."""
+    out = []
+    for i, g in enumerate(connected_corpus(60, 1, 11, seed0=6200)):
+        for z in [two_maximal_clique(g)] + [frozenset({v}) for v in range(g.n)]:
+            h, _ = g.contract_with_pendant(z)
+            for c in (1, 2, 3, 4):
+                if _brute_min_cvc(h, c) is not None:
+                    sol = cvc_small_after_contraction(g, z, c)
+                    out.append(f"{i} {sorted(z)} {c} {sorted(sol.cover)}\n")
+    assert _sha("".join(out)) == CVC_SMALL_SHA256
 
 # -- oracles and shared graph routines ------------------------------------
 
