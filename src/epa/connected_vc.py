@@ -4,7 +4,9 @@ The driver (:func:`cvc_split`) recurses on clique contractions G<Z> (the
 clique collapses to one vertex that gains a pendant leaf, forcing it into
 any connected cover).  A cover of the contraction lifts back through the
 surviving ids that ``Graph.contract_with_pendant`` returns, with the
-contracted vertex swapped for the whole clique.
+contracted vertex swapped for the whole clique.  Once G<Z> has a
+connected cover of at most 3 vertices, :func:`cvc_small_after_contraction`
+solves G exactly from the contractions G<Z - u>, one per clique vertex.
 
 :func:`cvc_budgeted` runs Savage's DFS on G<Y> for every connected set Y
 of size c+1 without building G<Y>.  ``solvers.savage_mask`` walks G's
@@ -18,7 +20,7 @@ because Y is connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .certify import is_clique
 from .graphs import Graph, bits, mask_of
@@ -125,56 +127,46 @@ def cvc_budgeted(g: Graph, c: int) -> ConnectedVCSol:
 # exact solver for instances whose contraction has a tiny optimum
 
 
-def _lift(cover: Iterable[int], kept: tuple[int, ...]) -> frozenset[int]:
+def _lift(cover: Iterable[int], kept: Sequence[int]) -> frozenset[int]:
     """Old ids of the surviving vertices in a cover of a contraction; the
     contracted vertex and its leaf, ids len(kept) and up, are dropped."""
     return frozenset(kept[v] for v in cover if v < len(kept))
 
 
-def cvc_small_after_contraction(
-    g: Graph,
-    z: frozenset[int],
-    c: int,
-    contracted: Optional[tuple[tuple[int, ...], frozenset[int]]] = None,
-) -> ConnectedVCSol:
+def cvc_small_after_contraction(g: Graph, z: frozenset[int], c: int) -> ConnectedVCSol:
     """Exact minimum connected vertex cover, given a clique ``z`` whose
-    contraction has a connected cover of size at most ``c``.
+    contraction G<z> has a connected cover of size at most ``c``.
 
-    Tries, for each u in z, the optimum of G<z - u> lifted by z - u (the
-    case where some minimum cover misses u), plus the optimum of G<z>
-    lifted by z.  A caller that already has G<z> passes its surviving
-    ids and its optimum as ``contracted``.  Raises when the premise fails.
+    For each u in z, in id order, the optimum of G<z - u> (G itself when
+    z = {u}) is lifted and joined with z - u; the first smallest wins.
+    No candidate z + lift(G<z>) is needed: merging u into the contracted
+    vertex maps a connected cover of G<z - u> onto one of G<z> that is no
+    larger, and splitting it back adds u, so OPT(G<z - u>) is OPT(G<z>)
+    or OPT(G<z>) + 1.  Both optima hold the contracted vertex and not its
+    leaf, so u's candidate is no larger than z + lift(G<z>):
+    |z| + OPT(G<z - u>) - 2 <= |z| + OPT(G<z>) - 1.  Coming last, only a
+    strictly smaller one would have replaced the best.
+
+    Later contractions are only searched below the best so far, as ties
+    go to the first u: ``_brute_min_cvc`` scans sizes in ascending order,
+    so a lower limit finds the same set or none.  Raises when the first
+    search (up to c + 1) fails, which by the bound disproves the premise.
     """
     if not g.is_connected():
         raise ValueError("needs a connected graph")
     if not z or not is_clique(g, z):
         raise ValueError("z must be a nonempty clique")
-    if g.n == 1:
-        return ConnectedVCSol(frozenset(), "cvc-exact-small")
-    if len(z) == 1:
-        direct = _brute_min_cvc(g, c)
-        if direct is None:
-            raise ValueError("contraction optimum exceeds the stated budget")
-        return ConnectedVCSol(direct, "cvc-exact-small")
     best: Optional[frozenset[int]] = None
+    limit = c + 1
     for u in sorted(z):
-        h, kept = g.contract_with_pendant(z - {u})
-        inner = _brute_min_cvc(h, c + 1)
-        if inner is None:
+        rest = z - {u}
+        h, kept = g.contract_with_pendant(rest) if rest else (g, range(g.n))
+        inner = _brute_min_cvc(h, limit)
+        if inner is not None:
+            best = rest | _lift(inner, kept)
+            limit = len(inner) - 1
+        elif best is None:
             raise ValueError("contraction optimum exceeds the stated budget")
-        cand = (z - {u}) | _lift(inner, kept)
-        if best is None or len(cand) < len(best):
-            best = cand
-    if contracted is None:
-        h, kept = g.contract_with_pendant(z)
-        inner = _brute_min_cvc(h, c)
-    else:
-        kept, inner = contracted
-    if inner is None:
-        raise ValueError("contraction optimum exceeds the stated budget")
-    cand = z | _lift(inner, kept)
-    if best is None or len(cand) < len(best):
-        best = cand
     return ConnectedVCSol(best, "cvc-exact-small")
 
 
@@ -204,11 +196,11 @@ def cvc_split(g: Graph) -> ConnectedVCSol:
     """Connected vertex cover of size at most OPT_CVC + OPT_SVD.
 
     Recursion on the contraction G<Z> of a clique Z: when G<Z> has a
-    connected cover of size at most 3, the exact small solver answers;
-    otherwise the better of the recursive cover and the budgeted cover
-    (c = 4) of G<Z>, each lifted and joined with Z.  Ties go to the
-    recursion branch.  The recursion runs as a loop: it descends through
-    the contractions, then folds the answers back up from the bottom.
+    connected cover of size at most 3, the exact tail solves the graph
+    that was contracted; otherwise the better of the recursive cover and
+    the budgeted cover (c = 4) of G<Z>, each lifted and joined with Z.
+    Ties go to the recursion branch.  The recursion runs as a loop: it
+    descends through the contractions, then folds the answers back up.
     """
     if not g.is_connected():
         raise ValueError("split-parameterized connected cover needs a connected graph")
@@ -219,9 +211,8 @@ def cvc_split(g: Graph) -> ConnectedVCSol:
     while h.n > 1:
         z = _contraction_clique(h)
         contracted, kept = h.contract_with_pendant(z)
-        small = _brute_min_cvc(contracted, 3)
-        if small is not None:
-            cover = cvc_small_after_contraction(h, z, 3, (kept, small)).cover
+        if _brute_min_cvc(contracted, 3) is not None:
+            cover = cvc_small_after_contraction(h, z, 3).cover
             break
         levels.append((contracted, kept, z))
         h = contracted

@@ -6,7 +6,6 @@ import pytest
 
 from epa.certify import is_connected_vertex_cover
 from epa.connected_vc import (
-    _brute_min_cvc,
     connected_subsets,
     cvc_budgeted,
     cvc_small_after_contraction,
@@ -85,13 +84,35 @@ def test_cvc_small_after_contraction_examples():
 
 
 def test_cvc_small_after_contraction_is_exact():
-    for i, g in enumerate(connected_corpus(40, 2, 9, seed0=3100)):
+    graphs = connected_corpus(40, 2, 9, seed0=3100) + [Graph(1, [])]
+    for g in graphs:
+        for z in [two_maximal_clique(g)] + [frozenset({v}) for v in range(g.n)]:
+            h, _ = g.contract_with_pendant(z)
+            opt_contracted, _ = exact_min_cvc(h)
+            sol = cvc_small_after_contraction(g, z, max(3, opt_contracted))
+            assert is_connected_vertex_cover(g, sol.cover)
+            assert sol.size == exact_min_cvc(g)[0]
+
+
+def test_cvc_small_after_contraction_past_its_premise():
+    # G<{0, 1}> of P5 is P4 plus a pendant leaf, whose optimum is 3 > c;
+    # the first G<z - u> still has a cover within c + 1, so the answer
+    # is an exact minimum instead of an error
+    p = path_graph(5)
+    sol = cvc_small_after_contraction(p, frozenset({0, 1}), 2)
+    assert sol.cover == frozenset({1, 2, 3}) and sol.size == exact_min_cvc(p)[0]
+
+
+def test_contracting_one_vertex_less_adds_at_most_one():
+    """OPT(G<z - u>) is OPT(G<z>) or OPT(G<z>) + 1 for every u in a clique
+    z of two or more vertices: why the exact tail needs no z candidate."""
+    for g in connected_corpus(40, 2, 10, seed0=3800):
         z = two_maximal_clique(g)
-        h, _ = g.contract_with_pendant(z)
-        opt_contracted, _ = exact_min_cvc(h)
-        sol = cvc_small_after_contraction(g, z, max(3, opt_contracted))
-        assert is_connected_vertex_cover(g, sol.cover)
-        assert sol.size == exact_min_cvc(g)[0]
+        if len(z) < 2:
+            continue
+        opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
+        for u in z:
+            assert exact_min_cvc(g.contract_with_pendant(z - {u})[0])[0] - opt in (0, 1)
 
 
 def test_cvc_small_budget_violation_detected():
@@ -232,12 +253,3 @@ def test_virtual_vertex_dfs_matches_contraction():
                 lifted = {kept[v] for v in savage if v < len(kept)}
                 assert savage_mask(g, sub) == mask_of(lifted | y), (sorted(g.edges()), y)
 
-
-def test_cvc_small_after_contraction_handed_contraction():
-    for g in connected_corpus(40, 2, 9, seed0=3700):
-        z = two_maximal_clique(g)
-        h, kept = g.contract_with_pendant(z)
-        inner = _brute_min_cvc(h, 3)
-        if inner is None or len(z) < 2:
-            continue
-        assert cvc_small_after_contraction(g, z, 3, (kept, inner)) == cvc_small_after_contraction(g, z, 3)
