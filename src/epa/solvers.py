@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .graphs import Graph, Weights, bits, unit_weights
+from .graphs import Graph, Weights, bits, mask_of, unit_weights
 from .recognize import Cotree, NotInClassError, build_cotree, find_induced, _find_cycle
 
 Matching = frozenset[tuple[int, int]]
@@ -415,31 +415,18 @@ def fvs_2approx(g: Graph, w: Weights) -> frozenset[int]:
                 wp[v] -= gamma * deg(v)
 
     # reverse delete for inclusion-minimality
-    kept = set(picked)
+    kept = mask_of(picked)
     for v in reversed(picked):
-        trial = kept - {v}
-        if _is_forest_without(g, trial):
+        trial = kept & ~(1 << v)
+        if _is_forest(g, g.full_mask & ~trial):
             kept = trial
-    return frozenset(kept)
+    return frozenset(bits(kept))
 
 
-def _is_forest_without(g: Graph, removed: set[int]) -> bool:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges():
-        if u in removed or v in removed:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+def _is_forest(g: Graph, alive: int) -> bool:
+    """G[alive] is a forest: it has |alive| minus its components edges."""
+    edges = sum((g.adj_bits[v] & alive).bit_count() for v in bits(alive)) // 2
+    return edges == alive.bit_count() - len(g.component_masks(alive))
 
 
 # ---------------------------------------------------------------------
