@@ -225,6 +225,8 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:
         raise GenerationError(f"unsupported base class {spec.base!r}")
     if spec.n < 0 or spec.k < 0:
         raise GenerationError("sizes must be nonnegative")
+    if not 0 <= spec.density <= 1:
+        raise GenerationError("density must lie in [0, 1]")
     rng = SplitMix64(spec.seed)
     base_edges = _BASES[spec.base](rng, spec.n, spec.density)
     total = spec.n + spec.k

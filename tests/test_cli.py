@@ -196,6 +196,8 @@ def test_solve_every_supported_pair(tmp_path, capsys):
         ["gen", "--class", "split", "--n", "-3"],
         ["bench", "--classes", "split", "--n", "x"],
         ["gen", "--class", "split", "--n", "5", "--density", "1/0"],
+        ["gen", "--class", "split", "--n", "4", "--density", "3/2"],
+        ["bench", "--classes", "split", "--n", "4", "--density", "-1"],
         # vc_fvs raises RecursionError below (an input too deep)
         ["solve", "--problem", "vc", "--param", "fvs", "--input", "{graph}"],
     ],
@@ -226,6 +228,29 @@ def test_import_loads_only_the_standard_library():
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert got.stdout == "[]\n"
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    """Every function the benchmark tracer (``bench/tracer.py``) wraps
+    still exists, so deleting one fails here and not only in a traced
+    benchmark run.  Runs in a subprocess, since ``install`` rebinds the
+    package's functions."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import importlib.util\n"
+        "import epa, epa.cli\n"
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(root / 'bench' / 'tracer.py')!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "t.uninstall()\n"
+        "print(t.missing)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert got.stdout == "[]\n"
