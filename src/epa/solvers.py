@@ -424,7 +424,7 @@ def fvs_2approx(g: Graph, w: Weights) -> frozenset[int]:
 
 
 def _is_forest(g: Graph, alive: int) -> bool:
-    """G[alive] is a forest: it has |alive| minus its components edges."""
+    """G[alive] is a forest: its edges number |alive| minus its components."""
     edges = sum((g.adj_bits[v] & alive).bit_count() for v in bits(alive)) // 2
     return edges == alive.bit_count() - len(g.component_masks(alive))
 

@@ -11,8 +11,8 @@ stopped doing a whole subroutine run per candidate; the oracle and
 graph-routine digests before those routines were folded into one
 implementation each; the ``cvc_split`` and exact-tail digests before
 ``cvc_small_after_contraction`` became one loop over the clique.  The
-``epa oracle`` digest was pinned again when
-``--modulator`` began to weigh k on weighted rows, as ``verify`` does.
+``epa oracle`` digest was pinned again when ``--modulator`` began to
+weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -257,7 +257,6 @@ def test_cvc_budgeted_golden():
     assert _sha("".join(out)) == BUDGETED_CVC_SHA256
 
 
-
 def test_cvc_split_golden():
     """cvc_split on the first 40 connected planted split draws (k = n/10)
     at n = 16, 20, 24 and 28, generator seeds counting up from 6100."""
@@ -286,6 +285,7 @@ def test_cvc_small_after_contraction_golden():
                     sol = cvc_small_after_contraction(g, z, c)
                     out.append(f"{i} {sorted(z)} {c} {sorted(sol.cover)}\n")
     assert _sha("".join(out)) == CVC_SMALL_SHA256
+
 
 # -- oracles and shared graph routines ------------------------------------
 
