@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -254,3 +255,63 @@ def test_benchmark_tracer_finds_every_traced_name():
     got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert got.stdout == "[]\n"
+
+
+def test_repeated_calls_keep_no_state(tree_file, tmp_path, capsys):
+    """One call's options do not leak into the next call of ``main``."""
+    argv = ["solve", "--problem", "vc", "--param", "fvs", "--input", tree_file]
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "3"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "value: 3"
+    p = tmp_path / "p8.epa"
+    p.write_text(serialize_instance(path_graph(8)))
+    argv = ["verify", "--problem", "vc", "--param", "fvs", "--input", str(p)]
+    assert main(argv + ["--oracle-budget", "5"]) == 3
+    assert main(argv) == 0
+    assert "pass: yes" in capsys.readouterr().out
+
+
+def test_commands_are_looked_up_at_call_time(tree_file, monkeypatch):
+    """A command rebound after a first call is the one the next call runs."""
+    argv = ["solve", "--problem", "vc", "--param", "fvs", "--input", tree_file]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr("epa.cli.cmd_solve", lambda args: seen.append(args.input) or 7)
+    assert main(argv) == 7
+    assert seen == [tree_file]
+
+
+HELP_DIGESTS = {
+    "": "421f4554963efe1d012b875aca571fba90ff0609f4fadddd09fb511d711a3119",
+    "solve": "f8e32caa8f41061e4097ed889422c67544d64dd3350a05a0c3f2721c8c105f83",
+    "verify": "123451a631e756d2210bc367942160b87a1d768fdce9a54d4871b7f9d31c8c68",
+    "bench": "0d9704997effb088ac89b2d8feb5168d83b8ca80c53bb51a424004ef0bc960fc",
+    "gen": "40e18d70d666bfbd4a54d2235c1fad1e55a54c80f5395523873673ad22517f7c",
+    "oracle": "61fa84591c7bd94b8fc85d6e52dc731cf766c9517d371893b1700b18aeb80df7",
+}
+USAGE_ERROR_DIGEST = "34a69e69fff42836edef75a3b482d36007bf4d1749b0e7d66b91172840b97472"
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_pinned(command, capsys, monkeypatch):
+    """The ``--help`` text of ``epa`` and of each subcommand, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+def test_usage_error_pinned(capsys, monkeypatch):
+    """An argparse usage error exits with code 2 and the same stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["solve", "--problem", "vc", "--param", "nope", "--input", "x"])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == USAGE_ERROR_DIGEST
