@@ -13,6 +13,7 @@ recursion limit), 2 unsupported pair, 3 over oracle budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -225,7 +226,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` reuses it on every call."""
     parser = argparse.ArgumentParser(prog="epa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -234,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--param", required=True, choices=PARAMS)
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--json", action="store_true")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run and check the guarantee with oracles")
     p_verify.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
@@ -242,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--input", required=True)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--oracle-budget", type=int, default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="sweep generated instances into a CSV")
     p_bench.add_argument("--classes", required=True, help="comma-separated base classes")
@@ -254,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--timing", action="store_true", help="emit wall time (breaks byte determinism)")
     p_bench.add_argument("--oracle-budget", type=int, default=None)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate an instance with a planted modulator")
     p_gen.add_argument("--class", dest="cls", required=True)
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--density", default="1/2")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_oracle = sub.add_parser("oracle", help="exact optima for small instances")
     p_oracle.add_argument("--problem", default="vc", choices=(*PROBLEMS, "lp"))
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--input", required=True)
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.add_argument("--oracle-budget", type=int, default=None)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -280,7 +278,8 @@ def main(argv=None) -> int:
     """Run one command; its failures become an ``error:`` line and an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound ``cmd_*`` is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, ZeroDivisionError, OSError, GenerationError, BudgetExceeded,
             RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
