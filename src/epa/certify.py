@@ -2,8 +2,10 @@
 
 Every solution object produced by the algorithms is re-verified by the
 functions here; nothing trusts a producer's self-report.  The checkers
-deliberately use only first-principles definitions (edge scans, BFS),
-not the solver code paths.
+deliberately use only first-principles definitions, not the solver code
+paths: per-vertex tests on the adjacency masks (no vertex outside a cover
+has a neighbour outside it, no vertex has a neighbour in its own colour
+class), pair tests and BFS.
 """
 
 from __future__ import annotations
@@ -14,8 +16,16 @@ from .graphs import Graph, mask_of
 
 
 def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
-    c = mask_of(cover)
-    return all((c >> u & 1) or (c >> v & 1) for u, v in g.edges())
+    """Every edge has an end in ``cover``: no vertex outside it has a
+    neighbour outside it.  Ids of ``cover`` at or above n are ignored."""
+    outside = g.full_mask & ~mask_of(cover)
+    rest = outside
+    while rest:
+        low = rest & -rest
+        if g.adj_bits[low.bit_length() - 1] & outside:
+            return False
+        rest ^= low
+    return True
 
 
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
@@ -39,9 +49,14 @@ def is_connected_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
 
 
 def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
+    """No edge is monochromatic: one mask per colour class, and no
+    vertex has a neighbour inside its own class."""
     if len(colors) != g.n or any(c < 1 for c in colors):
         return False
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(g.adj_bits, colors))
 
 
 def is_triangle(g: Graph, t: Iterable[int]) -> bool:
