@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .certify import is_proper_coloring
 from .graphs import Graph, bits, first_triangle, mask_of
 from .recognize import two_coloring
 from .solvers import max_matching
@@ -76,6 +75,17 @@ def degeneracy_oracle(budget: int = 6) -> ClassColoringOracle:
     return ClassColoringOracle(f"degeneracy<{budget}", budget, attempt)
 
 
+def _proper_within(g: Graph, colors: Sequence[int], c: int) -> bool:
+    """Is ``colors`` a proper coloring of g with colors 1..c?  One mask
+    per colour class; no vertex has a neighbour inside its own class."""
+    if len(colors) != g.n or not all(1 <= x <= c for x in colors):
+        return False
+    classes = [0] * (c + 1)
+    for v, x in enumerate(colors):
+        classes[x] |= 1 << v
+    return not any(row & classes[x] for row, x in zip(g.adj_bits, colors))
+
+
 def color_with_class_oracle(g: Graph, oracle: ClassColoringOracle) -> ColoringSol:
     """Color with at most c + k colors, k the least modulator to the
     oracle's class.
@@ -95,11 +105,7 @@ def color_with_class_oracle(g: Graph, oracle: ClassColoringOracle) -> ColoringSo
             chosen = [v for v in range(i) if colors[v] in subset] + [i]
             sub, old = g.induced_subgraph(chosen)
             attempt = oracle.attempt(sub)
-            if (
-                len(attempt) == sub.n
-                and all(1 <= x <= c for x in attempt)
-                and is_proper_coloring(sub, attempt)
-            ):
+            if _proper_within(sub, attempt, c):
                 palette = sorted(subset)
                 for new_id, v in enumerate(old):
                     colors[v] = palette[attempt[new_id] - 1]

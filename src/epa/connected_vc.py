@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .certify import is_clique
 from .graphs import Graph, bits, mask_of
 from .recognize import find_induced
 from .solvers import savage_mask
@@ -154,7 +153,9 @@ def cvc_small_after_contraction(g: Graph, z: frozenset[int], c: int) -> Connecte
     """
     if not g.is_connected():
         raise ValueError("needs a connected graph")
-    if not z or not is_clique(g, z):
+    zm = mask_of(z)
+    # each member of z is a vertex of g adjacent to every other member
+    if not zm or zm >> g.n or any(zm & ~g.adj_bits[u] & ~(1 << u) for u in z):
         raise ValueError("z must be a nonempty clique")
     best: Optional[frozenset[int]] = None
     limit = c + 1

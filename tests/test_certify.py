@@ -9,8 +9,10 @@ certificate), including out-of-range ids and malformed colourings.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from epa.certify import is_connected_vertex_cover, is_proper_coloring, is_vertex_cover
 from epa.generator import SplitMix64, random_graph
@@ -175,3 +177,31 @@ def test_coloring_near_misses_fail():
             assert not is_proper_coloring(g, [0] + good[1:])
         for u, v in list(g.edges())[:5]:
             assert not is_proper_coloring(g, _merged(good, u, v))
+
+
+SOLVER_MODULES = ("graphs", "solvers", "recognize", "vertex_cover", "connected_vc",
+                  "coloring", "packing")
+
+
+def _imported_epa_modules(path: Path) -> set[str]:
+    """Names of the epa modules that a module's import statements load."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.removeprefix("epa.") for a in node.names
+                         if a.name.startswith("epa."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None or node.module == "epa":
+                names.update(a.name for a in node.names)
+            elif node.level == 1 or node.module.startswith("epa."):
+                names.add(node.module.removeprefix("epa."))
+    return names
+
+
+def test_solver_modules_do_not_import_the_checkers():
+    """The checking side (``certify``, ``oracle``) shares no code with the
+    solvers: no solver module imports it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "epa"
+    for mod in SOLVER_MODULES:
+        imported = _imported_epa_modules(src / f"{mod}.py")
+        assert not imported & {"certify", "oracle"}, (mod, sorted(imported))
