@@ -122,6 +122,13 @@ def test_cvc_small_budget_violation_detected():
         cvc_small_after_contraction(p, frozenset({0, 1}), 1)
 
 
+@pytest.mark.parametrize("z", [(), (0, 2), (1, 2, 3), (4,), (0, 4), (3, 9)])
+def test_cvc_small_rejects_a_z_that_is_no_clique_of_g(z):
+    """Empty, not a clique, or holding an id that is no vertex of g."""
+    with pytest.raises(ValueError, match="z must be a nonempty clique"):
+        cvc_small_after_contraction(path_graph(4), frozenset(z), 3)
+
+
 def test_contraction_lemma_invariants():
     # contracting a clique: OPT_CVC drops by at least |Z| - 2, and the
     # split modulator shrinks by |Z ∩ M| - 1 (witness: (M \ Z) ∪ {v});
