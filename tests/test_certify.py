@@ -42,12 +42,10 @@ def ref_is_connected_vertex_cover(g: Graph, cover) -> bool:
     start = min(cs)
     seen, stack = {start}, [start]
     while stack:
-        u = stack.pop()
-        for a, b in g.edges():
-            for x, y in ((a, b), (b, a)):
-                if x == u and y in cs and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        for v in g.adj[stack.pop()]:
+            if v in cs and v not in seen:
+                seen.add(v)
+                stack.append(v)
     return seen == cs
 
 
