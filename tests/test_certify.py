@@ -12,11 +12,17 @@ from __future__ import annotations
 import ast
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
-from epa.certify import is_connected_vertex_cover, is_proper_coloring, is_vertex_cover
+from epa.certify import (
+    induces_pattern,
+    is_connected_vertex_cover,
+    is_proper_coloring,
+    is_vertex_cover,
+)
 from epa.generator import SplitMix64, random_graph
-from epa.graphs import Graph
+from epa.graphs import Graph, cycle_graph
 from epa.oracle import DEFAULT_BUDGET, exact_min_vc
 
 from conftest import corpus
@@ -53,6 +59,52 @@ def ref_is_proper_coloring(g: Graph, colors) -> bool:
     if len(colors) != g.n or any(c < 1 for c in colors):
         return False
     return all(colors[u] != colors[v] for u, v in g.edges())
+
+
+# Each fixed pattern as (vertex count, edge list on 0..count-1).
+PATTERN_GRAPHS = {
+    "K2": (2, [(0, 1)]),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "co-P3": (3, [(0, 1)]),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+    "K3bar": (3, []),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "P3+K1": (4, [(0, 1), (1, 2)]),
+    "2K2": (4, [(0, 1), (2, 3)]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "C5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+}
+
+# The cycle names: which lengths k they admit, each then the k-cycle.
+CYCLE_LENGTHS = {
+    "cycle": lambda k: k >= 3,
+    "odd-cycle": lambda k: k >= 3 and k % 2 == 1,
+    "hole": lambda k: k >= 4,
+}
+
+
+def _cycle_edges(k: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+def ref_induces(g: Graph, s: tuple[int, ...], size: int, edges) -> bool:
+    """Some bijection of ``s`` onto 0..size-1 maps the edges g induces on
+    ``s`` exactly onto ``edges``."""
+    if len(s) != size:
+        return False
+    induced = {frozenset(p) for p in combinations(s, 2) if g.has_edge(*p)}
+    return any(
+        induced == {frozenset((image[a], image[b])) for a, b in edges}
+        for image in permutations(s)
+    )
+
+
+def ref_induces_pattern(g: Graph, s: tuple[int, ...], name: str) -> bool:
+    if name in PATTERN_GRAPHS:
+        return ref_induces(g, s, *PATTERN_GRAPHS[name])
+    if name == "co-hole":
+        return ref_induces_pattern(g.complement(), s, "hole")
+    return CYCLE_LENGTHS[name](len(s)) and ref_induces(g, s, len(s), _cycle_edges(len(s)))
 
 
 def _subset(rng: SplitMix64, n: int, num: int, den: int) -> list[int]:
@@ -175,6 +227,22 @@ def test_coloring_near_misses_fail():
             assert not is_proper_coloring(g, [0] + good[1:])
         for u, v in list(g.edges())[:5]:
             assert not is_proper_coloring(g, _merged(good, u, v))
+
+
+def test_patterns_match_isomorphism_reference():
+    """Every pattern name against a bijection search onto the pattern's
+    edge list, on every vertex set of size 2..6 of random graphs."""
+    names = (*PATTERN_GRAPHS, *CYCLE_LENGTHS, "co-hole")
+    hits = dict.fromkeys(names, 0)
+    cycles = [cycle_graph(n) for n in (5, 6, 7)]
+    for g in corpus(40, 2, 7, seed0=9300) + cycles + [c.complement() for c in cycles]:
+        for k in range(2, 7):
+            for s in combinations(range(g.n), k):
+                for name in names:
+                    got = induces_pattern(g, s, name)
+                    assert got == ref_induces_pattern(g, s, name), (g, s, name)
+                    hits[name] += got
+    assert all(hits.values()), hits
 
 
 SOLVER_MODULES = ("graphs", "solvers", "recognize", "vertex_cover", "connected_vc",

@@ -1,8 +1,9 @@
 """Golden byte-identity: pinned digests of ``epa bench`` CSV, of
 ``solve --json`` on planted split instances, of the CLI output of
 every guarantee row, of the two budgeted subroutines of the split
-rows, of ``epa oracle`` and the exact oracles, and of the graph routines
-that several solvers share.
+rows, of ``epa oracle`` and the exact oracles, of the graph routines
+that several solvers share, and of the checking side's pattern tests
+and obstruction sets.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
@@ -10,7 +11,9 @@ into one table; the subroutine digests before the budgeted routines
 stopped doing a whole subroutine run per candidate; the oracle and
 graph-routine digests before those routines were folded into one
 implementation each; the ``cvc_split`` and exact-tail digests before
-``cvc_small_after_contraction`` became one loop over the clique.  The
+``cvc_small_after_contraction`` became one loop over the clique; the
+pattern and obstruction digests before ``certify`` and ``oracle`` moved
+to one table each.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
@@ -24,7 +27,9 @@ import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import combinations
 
+from epa.certify import induces_pattern
 from epa.cli import main
 from epa.coloring import color_p3k1free
 from epa.connected_vc import _brute_min_cvc, cvc_budgeted, cvc_small_after_contraction, cvc_split
@@ -41,6 +46,7 @@ from epa.graphs import Graph, path_graph
 from epa.instances import serialize_instance
 from epa.oracle import (
     exact_lp_vc,
+    obstruction_masks,
     exact_min_cvc,
     exact_min_modulator,
     exact_min_vc,
@@ -299,6 +305,8 @@ ORACLE_CLI_SHA256 = "98929d4dd66c30e49538e5c6cb42553dde5875d0510ec7c5adeb31f88fc
 EXACT_ORACLES_SHA256 = "275b6e2d48eebce2c7d54aaa22f855ea8b4ca6b57f98ef8707e07740b5c33cf3"
 GRAPH_ROUTINES_SHA256 = "bddaafde8b9e403dcc82959a2ecf3dcf172be1b5086c7d4b130e1a57960d7e11"
 EXACT_LP_SHA256 = "30ee2ce6093a2dcb2c360f301dd41f90dcec753689cfc174bbc27f15fdb7c160"
+PATTERNS_SHA256 = "5fd2a84a02a1006c90b48efcae70892419daf074d8789d258e32ca5db093167f"
+OBSTRUCTIONS_SHA256 = "eaeea14dd7fef424035da971c1a67605bfdf97ae6588e2822eefe4495ee4f471"
 
 
 def test_oracle_cli_golden(tmp_path):
@@ -378,3 +386,33 @@ def test_graph_routines_golden():
             f" {cotree} {list(h.edges())} {list(kept)}\n"
         )
     assert _sha("".join(out)) == GRAPH_ROUTINES_SHA256
+
+
+# Every name ``certify.induces_pattern`` knows.
+PATTERN_NAMES = ("K2", "P3", "co-P3", "triangle", "K3bar", "P4", "P3+K1", "2K2", "C4", "C5",
+                 "cycle", "odd-cycle", "hole", "co-hole")
+
+
+def test_induces_pattern_golden():
+    """induces_pattern for every pattern name on every vertex set of size
+    2..6 of random graphs (n <= 8), one digit per set and name."""
+    out = []
+    for i, g in enumerate(corpus(60, 2, 8, seed0=6400)):
+        digits = "".join(
+            "1" if induces_pattern(g, s, name) else "0"
+            for k in range(2, 7)
+            for s in combinations(range(g.n), k)
+            for name in PATTERN_NAMES
+        )
+        out.append(f"{i} {digits}\n")
+    assert _sha("".join(out)) == PATTERNS_SHA256
+
+
+def test_obstruction_masks_golden():
+    """The sorted obstruction sets of every modulator class on random
+    graphs (n <= 9)."""
+    out = []
+    for i, g in enumerate(corpus(100, 0, 9, seed0=6500)):
+        for cls in MODULATOR_CLASSES:
+            out.append(f"{i} {cls} {sorted(obstruction_masks(g, cls))}\n")
+    assert _sha("".join(out)) == OBSTRUCTIONS_SHA256
