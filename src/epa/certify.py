@@ -5,20 +5,34 @@ functions here; nothing trusts a producer's self-report.  The checkers
 deliberately use only first-principles definitions, not the solver code
 paths: per-vertex tests on the adjacency masks (no vertex outside a cover
 has a neighbour outside it, no vertex has a neighbour in its own colour
-class), pair tests and BFS.
+class), degree counts inside a vertex mask and BFS.
+
+One rule holds for every checker that takes vertex ids: a certificate
+that names an id outside 0..n-1 is rejected, never read.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import sys
+from typing import Callable, Iterable, Optional, Sequence
 
-from .graphs import Graph, mask_of
+from .graphs import Graph, bits
 
 
-def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
-    """Every edge has an end in ``cover``: no vertex outside it has a
-    neighbour outside it.  Ids of ``cover`` at or above n are ignored."""
-    outside = g.full_mask & ~mask_of(cover)
+def _vertex_mask(g: Graph, ids: Iterable[int]) -> Optional[int]:
+    """Mask of ``ids``, or None when some id is no vertex of g."""
+    n = g.n
+    mask = 0
+    for v in ids:
+        if not 0 <= v < n:
+            return None
+        mask |= 1 << v
+    return mask
+
+
+def _covers(g: Graph, cover: int) -> bool:
+    """No vertex outside the mask ``cover`` has a neighbour outside it."""
+    outside = g.full_mask & ~cover
     rest = outside
     while rest:
         low = rest & -rest
@@ -28,24 +42,32 @@ def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
     return True
 
 
+def _connected(g: Graph, mask: int) -> bool:
+    """G[mask] is connected; the empty set counts as connected."""
+    return not mask or g.component_mask((mask & -mask).bit_length() - 1, mask) == mask
+
+
+def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
+    """Every edge has an end in ``cover``."""
+    c = _vertex_mask(g, cover)
+    return c is not None and _covers(g, c)
+
+
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
-    vs = sorted(set(s))
-    return not any(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    m = _vertex_mask(g, s)
+    return m is not None and not any(g.adj_bits[v] & m for v in bits(m))
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
-    vs = sorted(set(s))
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    m = _vertex_mask(g, s)
+    return m is not None and all((g.adj_bits[v] | 1 << v) & m == m for v in bits(m))
 
 
 def is_connected_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
-    """Cover all edges and induce a connected subgraph.
-
-    An empty cover is accepted only for edgeless graphs, matching the
-    convention that the empty set is connected.
-    """
-    cs = set(cover)
-    return is_vertex_cover(g, cs) and g.induces_connected(cs)
+    """Cover all edges and induce a connected subgraph; the empty cover
+    passes on edgeless graphs only, as the empty set counts as connected."""
+    c = _vertex_mask(g, cover)
+    return c is not None and _covers(g, c) and _connected(g, c)
 
 
 def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
@@ -59,79 +81,82 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     return not any(row & classes[c] for row, c in zip(g.adj_bits, colors))
 
 
-def is_triangle(g: Graph, t: Iterable[int]) -> bool:
-    ts = set(t)
-    return len(ts) == 3 and is_clique(g, ts)
+# -- small induced patterns, tested on a vertex mask --------------------
+
+def _degrees(degrees: tuple[int, ...]) -> Callable[[Graph, int], bool]:
+    """The mask induces the graph with this sorted degree sequence.  On
+    the 2..5 vertices used here the sequence fixes the graph: on 2 or 3
+    vertices the edge count does; on 4, P4 differs from the other 3-edge
+    graphs (K3+K1, the claw) and C4 is the only 2-regular graph; on 5,
+    C5 is the only 2-regular graph."""
+    size, want = len(degrees), list(degrees)
+
+    def test(g: Graph, mask: int) -> bool:
+        adj = g.adj_bits
+        return mask.bit_count() == size and sorted(
+            [(adj[v] & mask).bit_count() for v in bits(mask)]) == want
+
+    return test
+
+
+def _cycle(lengths: range) -> Callable[[Graph, int], bool]:
+    """The mask induces a cycle with a length in ``lengths``: every
+    degree is 2 (checked with an early exit) and G[mask] is connected."""
+
+    def test(g: Graph, mask: int) -> bool:
+        if mask.bit_count() not in lengths:
+            return False
+        adj = g.adj_bits
+        for v in bits(mask):
+            if (adj[v] & mask).bit_count() != 2:
+                return False
+        return _connected(g, mask)
+
+    return test
+
+
+_PATTERNS = {
+    "K2": _degrees((1, 1)),
+    "P3": _degrees((1, 1, 2)),
+    "co-P3": _degrees((0, 1, 1)),
+    "triangle": _degrees((2, 2, 2)),
+    "K3bar": _degrees((0, 0, 0)),
+    "P4": _degrees((1, 1, 2, 2)),
+    "P3+K1": _degrees((0, 1, 1, 2)),
+    "2K2": _degrees((1, 1, 1, 1)),
+    "C4": _degrees((2, 2, 2, 2)),
+    "C5": _degrees((2, 2, 2, 2, 2)),
+    "cycle": _cycle(range(3, sys.maxsize)),
+    "odd-cycle": _cycle(range(3, sys.maxsize, 2)),
+    "hole": _cycle(range(4, sys.maxsize)),
+}
+_hole = _PATTERNS["hole"]
+_PATTERNS["co-hole"] = lambda g, mask: _hole(g.complement(), mask)
+
+
+def _packs(g: Graph, parts: Iterable[Iterable[int]], test: Callable) -> bool:
+    """The parts are pairwise disjoint and each passes ``test``."""
+    seen = 0
+    for part in parts:
+        m = _vertex_mask(g, part)
+        if m is None or m & seen or not test(g, m):
+            return False
+        seen |= m
+    return True
 
 
 def is_triangle_packing(g: Graph, triangles: Iterable[Iterable[int]]) -> bool:
-    seen: set[int] = set()
-    for t in triangles:
-        ts = set(t)
-        if not is_triangle(g, ts) or ts & seen:
-            return False
-        seen |= ts
-    return True
+    return _packs(g, triangles, _PATTERNS["triangle"])
 
 
 def is_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
-    seen: set[int] = set()
-    for u, v in edges:
-        if u == v or not g.has_edge(u, v) or u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True
-
-
-# -- small induced-pattern recognition ---------------------------------
-#
-# A vertex set of size 3..5 induces exactly one graph, so the fixed
-# pattern names can be decided from edge count / degree sequence alone.
-
-def _induced_profile(g: Graph, s: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    vs = sorted(s)
-    deg = {v: 0 for v in vs}
-    m = 0
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if g.has_edge(u, v):
-                m += 1
-                deg[u] += 1
-                deg[v] += 1
-    return m, tuple(sorted(deg.values()))
+    return _packs(g, edges, _PATTERNS["K2"])
 
 
 def induces_pattern(g: Graph, s: Iterable[int], pattern: str) -> bool:
-    """Does ``s`` induce the named fixed pattern in ``g``?"""
-    vs = sorted(set(s))
-    k = len(vs)
-    m, degs = _induced_profile(g, vs)
-    if pattern == "K2":
-        return k == 2 and m == 1
-    if pattern == "P3":
-        return k == 3 and m == 2
-    if pattern == "co-P3":
-        return k == 3 and m == 1
-    if pattern == "triangle":
-        return k == 3 and m == 3
-    if pattern == "K3bar":
-        return k == 3 and m == 0
-    if pattern == "P4":
-        return k == 4 and m == 3 and degs == (1, 1, 2, 2)
-    if pattern == "P3+K1":
-        return k == 4 and m == 2 and degs == (0, 1, 1, 2)
-    if pattern == "2K2":
-        return k == 4 and m == 2 and degs == (1, 1, 1, 1)
-    if pattern == "C4":
-        return k == 4 and m == 4 and degs == (2, 2, 2, 2)
-    if pattern == "C5":
-        return k == 5 and m == 5 and degs == (2,) * 5 and g.induces_connected(vs)
-    if pattern == "cycle":
-        return k >= 3 and m == k and degs == (2,) * k and g.induces_connected(vs)
-    if pattern == "odd-cycle":
-        return k % 2 == 1 and induces_pattern(g, vs, "cycle")
-    if pattern == "hole":
-        return k >= 4 and induces_pattern(g, vs, "cycle")
-    if pattern == "co-hole":
-        return induces_pattern(g.complement(), vs, "hole")
-    raise ValueError(f"unknown pattern {pattern!r}")
+    """Does ``s`` induce the named pattern in ``g``?"""
+    test = _PATTERNS.get(pattern)
+    if test is None:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    m = _vertex_mask(g, s)
+    return m is not None and test(g, m)

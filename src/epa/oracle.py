@@ -16,7 +16,7 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .certify import induces_pattern
+from .certify import _PATTERNS
 from .graphs import Graph, Weights, bits, mask_of, unit_weights
 
 
@@ -214,61 +214,35 @@ def exact_max_tp(
 # modulators
 
 
-def _induced_cycle_masks(g: Graph, min_len: int, odd_only: bool = False) -> list[int]:
-    out = []
-    for mask in range(1 << g.n):
-        k = mask.bit_count()
-        if k < min_len or (odd_only and k % 2 == 0):
-            continue
-        if all((g.adj_bits[v] & mask).bit_count() == 2 for v in bits(mask)):
-            if g.induces_connected(bits(mask)):
-                out.append(mask)
-    return out
+# Minimal forbidden induced subgraphs of each class: deleting a set S
+# lands in the class iff S meets every vertex set inducing one of them.
+_OBSTRUCTIONS = {
+    "cluster": ("P3",),
+    "cograph": ("P4",),
+    "p3k1-free": ("P3+K1",),
+    "triangle-free": ("triangle",),
+    "split": ("2K2", "C4", "C5"),
+    "forest": ("cycle",),
+    "bipartite": ("odd-cycle",),
+    "chordal": ("hole",),
+}
 
-
-def _pattern_masks(g: Graph, size: int, pattern: str) -> list[int]:
-    return [
-        mask_of(c)
-        for c in combinations(range(g.n), size)
-        if induces_pattern(g, c, pattern)
-    ]
+# A co-class is its base class on the complement: the same vertex sets.
+_COMPLEMENTS = {"cocluster": "cluster", "co-triangle-free": "triangle-free",
+                "cochordal": "chordal"}
 
 
 def obstruction_masks(g: Graph, cls: str) -> list[int]:
-    """Vertex sets of all minimal induced obstructions for ``cls``.
-
-    Deleting a set S lands in the class iff S hits every one of these
-    (the classes are hereditary with these exact forbidden patterns).
-    """
+    """Vertex sets of all minimal induced obstructions for ``cls``."""
     if cls == "edgeless":
         return [(1 << u) | (1 << v) for u, v in g.edges()]
-    if cls == "cluster":
-        return _pattern_masks(g, 3, "P3")
-    if cls == "cocluster":
-        return _pattern_masks(g, 3, "co-P3")
-    if cls == "cograph":
-        return _pattern_masks(g, 4, "P4")
-    if cls == "p3k1-free":
-        return _pattern_masks(g, 4, "P3+K1")
-    if cls == "triangle-free":
-        return _pattern_masks(g, 3, "triangle")
-    if cls == "co-triangle-free":
-        return _pattern_masks(g, 3, "K3bar")
-    if cls == "split":
-        return (
-            _pattern_masks(g, 4, "2K2")
-            + _pattern_masks(g, 4, "C4")
-            + _pattern_masks(g, 5, "C5")
-        )
-    if cls == "forest":
-        return _induced_cycle_masks(g, 3)
-    if cls == "bipartite":
-        return _induced_cycle_masks(g, 3, odd_only=True)
-    if cls == "chordal":
-        return _induced_cycle_masks(g, 4)
-    if cls == "cochordal":
-        return _induced_cycle_masks(g.complement(), 4)
-    raise ValueError(f"no modulator oracle for class {cls!r}")
+    if cls in _COMPLEMENTS:
+        return obstruction_masks(g.complement(), _COMPLEMENTS[cls])
+    if cls not in _OBSTRUCTIONS:
+        raise ValueError(f"no modulator oracle for class {cls!r}")
+    # a vertex set induces at most one of a class's patterns
+    tests = [_PATTERNS[p] for p in _OBSTRUCTIONS[cls]]
+    return [mask for mask in range(1 << g.n) for test in tests if test(g, mask)]
 
 
 def exact_min_modulator(

@@ -5,6 +5,9 @@ has an end in the cover, no edge joins two vertices of one colour.  The
 checks in ``epa.certify`` must agree with it on random graphs, random
 certificates and near misses (one vertex or one colour away from a valid
 certificate), including out-of-range ids and malformed colourings.
+A second reference decides the named induced patterns by a bijection
+search, and every checker that takes vertex ids rejects an id that is
+no vertex.
 """
 
 from __future__ import annotations
@@ -15,10 +18,16 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
+import pytest
+
 from epa.certify import (
     induces_pattern,
+    is_clique,
     is_connected_vertex_cover,
+    is_independent_set,
+    is_matching,
     is_proper_coloring,
+    is_triangle_packing,
     is_vertex_cover,
 )
 from epa.generator import SplitMix64, random_graph
@@ -31,20 +40,19 @@ ORACLE_BUDGET = replace(DEFAULT_BUDGET, vc=14)
 
 
 def ref_is_vertex_cover(g: Graph, cover) -> bool:
+    """The cover's ids are vertices of g and every edge has an end in it."""
     cs = set(cover)
-    return all(u in cs or v in cs for u, v in g.edges())
+    return all(0 <= v < g.n for v in cs) and all(u in cs or v in cs for u, v in g.edges())
 
 
 def ref_is_connected_vertex_cover(g: Graph, cover) -> bool:
-    """Cover every edge; the cover's vertices are vertices of g and are
-    reached from any one of them through the cover (empty is connected)."""
+    """A cover whose vertices are reached from any one of them through
+    the cover (empty is connected)."""
     cs = set(cover)
     if not ref_is_vertex_cover(g, cs):
         return False
     if not cs:
         return True
-    if any(not 0 <= v < g.n for v in cs):
-        return False
     start = min(cs)
     seen, stack = {start}, [start]
     while stack:
@@ -143,7 +151,8 @@ def _graphs():
 
 def _covers(g: Graph, rng: SplitMix64):
     n = g.n
-    out = [[], list(range(n)), [n, n + 5], list(range(n)) + [n, 2 * n + 3]]
+    out = [[], list(range(n)), [n, n + 5], list(range(n)) + [n, 2 * n + 3], [-1],
+           list(range(n)) + [-1 - rng.below(70)]]
     for num, den in ((1, 2), (3, 4), (9, 10)):
         out.append(_subset(rng, n, num, den))
     out.append(_subset(rng, n, 3, 4) + [n + rng.below(70)])
@@ -185,9 +194,7 @@ def test_cover_checks_match_edge_scan():
         rng = SplitMix64(9700 + i)
         for cover in _covers(g, rng):
             assert is_vertex_cover(g, cover) == ref_is_vertex_cover(g, cover), (g, cover)
-            # a cover of ids >= n alone is left out: induces_connected
-            # then reads a row the graph does not have
-            if g.n <= 60 and (not cover or min(cover) < g.n):
+            if g.n <= 60:
                 assert is_connected_vertex_cover(g, cover) == \
                     ref_is_connected_vertex_cover(g, cover), (g, cover)
             checked += 1
@@ -199,7 +206,7 @@ def test_cover_near_misses_fail():
     for g in _graphs():
         base = exact_min_vc(g, ORACLE_BUDGET)[1] if g.n <= 14 else _minimal_cover(g)
         assert is_vertex_cover(g, base)
-        assert is_vertex_cover(g, set(base) | {g.n, g.n + 9})
+        assert not is_vertex_cover(g, set(base) | {g.n, g.n + 9})
         for v in base:
             assert not is_vertex_cover(g, set(base) - {v})
 
@@ -243,6 +250,46 @@ def test_patterns_match_isomorphism_reference():
                     assert got == ref_induces_pattern(g, s, name), (g, s, name)
                     hits[name] += got
     assert all(hits.values()), hits
+
+
+# Vertex count of a set named for each pattern in the id checks below.
+PATTERN_SIZES = {name: size for name, (size, _) in PATTERN_GRAPHS.items()} | {
+    "cycle": 3, "odd-cycle": 3, "hole": 4, "co-hole": 4}
+
+
+def _naming(x: int, k: int) -> tuple[int, ...]:
+    """A k-set of ids: x, then 0..k-2."""
+    return (x, *range(k - 1))
+
+
+ID_CHECKS = {
+    "is_vertex_cover": lambda g, x: is_vertex_cover(g, [*range(g.n), x]),
+    "is_connected_vertex_cover": lambda g, x: is_connected_vertex_cover(g, [*range(g.n), x]),
+    "is_independent_set": lambda g, x: is_independent_set(g, [x]),
+    "is_clique": lambda g, x: is_clique(g, _naming(x, 3)),
+    "is_triangle_packing": lambda g, x: is_triangle_packing(g, [_naming(x, 3)]),
+    "is_matching": lambda g, x: is_matching(g, [_naming(x, 2)]),
+} | {
+    f"induces_pattern[{name}]":
+        lambda g, x, name=name: induces_pattern(g, _naming(x, PATTERN_SIZES[name]), name)
+    for name in PATTERN_SIZES
+}
+
+
+@pytest.mark.parametrize("graph", ["K3", "empty"])
+@pytest.mark.parametrize("check", ID_CHECKS)
+def test_ids_outside_the_graph_are_rejected(check, graph):
+    """Each certificate names x; it is rejected, without an exception,
+    for x = -1, n and n + 7.  On K3 the same certificate with vertex 2 in
+    x's place (which -1 would alias) gets the reference's verdict."""
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)]) if graph == "K3" else Graph(0, [])
+    for x in (-1, g.n, g.n + 7):
+        assert ID_CHECKS[check](g, x) is False, x
+    if g.n:
+        name = check.removeprefix("induces_pattern[").removesuffix("]")
+        want = name not in PATTERN_SIZES or ref_induces_pattern(
+            g, tuple(sorted(set(_naming(2, PATTERN_SIZES[name])))), name)
+        assert ID_CHECKS[check](g, 2) == want
 
 
 SOLVER_MODULES = ("graphs", "solvers", "recognize", "vertex_cover", "connected_vc",
