@@ -8,6 +8,8 @@ Line-oriented, DIMACS-adjacent, 1-indexed:
     e <u> <v>
 
 Parsing and serialization round-trip exactly; errors carry line numbers.
+The vertex count is capped at ``MAX_VERTICES``: the adjacency masks of
+a dense graph take n^2/8 bytes, 512 MiB at the cap.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from fractions import Fraction
 from typing import Iterable, NoReturn, Optional
 
 from .graphs import Graph, Weights, unit_weights
+
+MAX_VERTICES = 2**16
 
 
 class ParseError(ValueError):
@@ -77,6 +81,8 @@ def parse_instance(text: str) -> tuple[Graph, Weights]:
                 raise ParseError("bad problem line numbers", line_no) from exc
             if n < 0 or m_declared < 0:
                 raise ParseError("negative counts", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(f"vertex count {n} above the limit {MAX_VERTICES}", line_no)
             rows = [0] * n
         elif kind == "v":
             if n is None:

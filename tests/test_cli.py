@@ -11,7 +11,7 @@ import pytest
 from epa.cli import main
 from epa.generator import GeneratorSpec, generate, random_weights
 from epa.graphs import cycle_graph, path_graph
-from epa.instances import serialize_instance
+from epa.instances import MAX_VERTICES, serialize_instance
 from epa.reports import ROWS
 
 
@@ -215,6 +215,16 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_vertex_count_above_the_cap_exits_1(tmp_path, capsys):
+    """A ``p`` line above ``MAX_VERTICES`` is a parse error, raised before
+    any per-vertex allocation."""
+    p = tmp_path / "big.epa"
+    p.write_text(f"p epa {MAX_VERTICES + 1} 0\n")
+    assert main(["solve", "--problem", "vc", "--param", "fvs", "--input", str(p)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: line 1: vertex count {MAX_VERTICES + 1} above the limit {MAX_VERTICES}\n"
 
 
 def test_import_loads_only_the_standard_library():

@@ -93,6 +93,7 @@ PARSE_ERRORS = [
     ("p epa 2 1\nx 1 2\n", "line 2: unknown line kind 'x'", 2),
     ("p epa 2 1\nv 1 -3\ne 1 2\n", "line 2: negative weight -3", 2),
     ("p epa 2 1\nv 1 1/0\ne 1 2\n", "line 2: bad weight '1/0'", 2),
+    ("c big\np epa 65537 0\n", "line 2: vertex count 65537 above the limit 65536", 2),
 ]
 
 
