@@ -18,7 +18,6 @@ from .solvers import (
 )
 from .vertex_cover import (
     VertexCoverSol,
-    independent_set_from_cover,
     two_maximal_clique,
     vc_budgeted_2approx,
     vc_chordal,

@@ -317,13 +317,3 @@ def _cover_of_size_le1(g: Graph, mask: int) -> Optional[frozenset[int]]:
             return frozenset((v,))
     return None
 
-
-# ---------------------------------------------------------------------
-
-
-def independent_set_from_cover(g: Graph, sol: VertexCoverSol) -> frozenset[int]:
-    """Complement of a vertex cover: an independent set."""
-    m = mask_of(sol.cover)
-    if not g.covers(m, g.full_mask):
-        raise ValueError("not a vertex cover")
-    return frozenset(v for v in range(g.n) if not (m >> v & 1))

@@ -17,7 +17,6 @@ from epa.oracle import exact_min_modulator, exact_min_vc, exact_min_wvc
 from epa.recognize import find_induced
 from epa.solvers import vc_2approx, wvc_cluster, wvc_cograph
 from epa.vertex_cover import (
-    independent_set_from_cover,
     two_maximal_clique,
     vc_budgeted_2approx,
     vc_chordal,
@@ -227,29 +226,6 @@ def test_vc_split_bound_corpus():
         opt = exact_min_vc(g)[0]
         k = exact_min_modulator(g, "split")[0]
         assert len(sol.cover) <= opt + k
-
-
-def test_independent_set_from_cover():
-    k3 = complete_graph(3)
-    sol = vc_split(k3)
-    ind = independent_set_from_cover(k3, sol)
-    assert len(ind) == 1
-    g = cycle_graph(6)
-    sol = vc_fvs(g)
-    ind = independent_set_from_cover(g, sol)
-    assert all(not g.has_edge(u, v) for u in ind for v in ind if u < v)
-
-
-def test_independent_set_rejects_noncover():
-    from epa.vertex_cover import VertexCoverSol
-
-    g = cycle_graph(4)
-    bogus = VertexCoverSol(frozenset({0}), Fraction(1), "bogus")
-    try:
-        independent_set_from_cover(g, bogus)
-        assert False, "expected rejection"
-    except ValueError:
-        pass
 
 
 def test_local_ratio_trace_depth_bounded():
