@@ -2,8 +2,8 @@
 ``solve --json`` on planted split instances, of the CLI output of
 every guarantee row, of the two budgeted subroutines of the split
 rows, of ``epa oracle`` and the exact oracles, of the graph routines
-that several solvers share, and of the checking side's pattern tests
-and obstruction sets.
+that several solvers share, of the checking side's pattern tests
+and obstruction sets, and of parsing serialized instances.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
@@ -13,7 +13,8 @@ graph-routine digests before those routines were folded into one
 implementation each; the ``cvc_split`` and exact-tail digests before
 ``cvc_small_after_contraction`` became one loop over the clique; the
 pattern and obstruction digests before ``certify`` and ``oracle`` moved
-to one table each.  The
+to one table each; the parse digest before canonical edge blocks were
+read in bulk.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
@@ -43,7 +44,7 @@ from epa.generator import (
     random_weights,
 )
 from epa.graphs import Graph, path_graph
-from epa.instances import serialize_instance
+from epa.instances import parse_instance, serialize_instance
 from epa.oracle import (
     exact_lp_vc,
     obstruction_masks,
@@ -416,3 +417,43 @@ def test_obstruction_masks_golden():
         for cls in MODULATOR_CLASSES:
             out.append(f"{i} {cls} {sorted(obstruction_masks(g, cls))}\n")
     assert _sha("".join(out)) == OBSTRUCTIONS_SHA256
+
+
+# -- parsing -------------------------------------------------------------
+
+# (class, total n) of the parse digest: every generator class at n = 10,
+# 100 and 400, and the two classes with the densest and the sparsest
+# benchmark files at n = 800.  The triangle-free base (which p3k1-free
+# also builds on) is slow to generate, so those two stop at n = 100.
+PARSE_SIZES = [(cls, n) for cls in GENERATOR_CLASSES for n in (10, 100, 400)
+               if not (cls in ("triangle-free", "p3k1-free") and n > 100)]
+PARSE_SIZES += [("cocluster", 800), ("chordal", 800)]
+PARSE_SHA256 = "6f68571c77c28474e624cf327e5703b2227fafbba3fd015f944ebb4979968a8f"
+
+
+def caterpillar(n: int) -> Graph:
+    """A path on n/3 spine vertices, each with two pendant legs."""
+    spine = n // 3
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + 2 * i + leg) for i in range(spine) for leg in (0, 1)]
+    return Graph(spine * 3, edges)
+
+
+def test_parse_golden():
+    """(adj_bits, weights) of parse_instance(serialize_instance(g, w)) for
+    every generator class (k = n/10 planted, weighted on every other
+    draw), a 300-vertex threshold cograph, a 1000-vertex path and a
+    1500-vertex caterpillar."""
+    cases = []
+    for i, (cls, n) in enumerate(PARSE_SIZES):
+        g, _ = generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), 6600 + i))
+        cases.append((f"{cls}-{n}", g, random_weights(g.n, 6600 + i) if i % 2 else None))
+    cases += [("threshold-300", threshold_cograph(300), None),
+              ("path-1000", path_graph(1000), random_weights(1000, 6690)),
+              ("caterpillar-1500", caterpillar(1500), None)]
+    out = []
+    for name, g, w in cases:
+        h, hw = parse_instance(serialize_instance(g, w))
+        out.append(f"{name} {' '.join(format(b, 'x') for b in h.adj_bits)}"
+                   f" {' '.join(map(str, hw))}\n")
+    assert _sha("".join(out)) == PARSE_SHA256

@@ -1,10 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from epa.graphs import Graph, unit_weights
+from epa import instances
+from epa.graphs import Graph, path_graph, unit_weights
 from epa.instances import ParseError, parse_instance, serialize_instance
-from epa.generator import GeneratorSpec, generate, random_weights
+from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph, random_weights
 from conftest import corpus
 
 
@@ -102,3 +104,153 @@ def test_parse_error_exact(text, message, line):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert str(err.value) == message and err.value.line == line
+
+
+# -- canonical edge blocks against the line loop -------------------------
+#
+# serialize_instance writes a canonical edge block: from the first edge
+# line on, every line is exactly "e <id> <id>\n".  Each mutation of such
+# a file must parse to the same graph and weights, or fail with the same
+# ParseError message and line, as the line loop.  The line loop is
+# reached through a variant of the text with every space turned into a
+# tab: it splits lines on any whitespace, so the variant means the same,
+# but no line of it is a canonical edge line.
+
+EDGE_MUTATIONS = ("leading-zero", "plus", "full-width", "tab", "crlf", "v-line", "comment",
+                  "two-tokens", "four-tokens", "duplicate", "self-loop", "out-of-range",
+                  "swap", "other-edge")
+FILE_MUTATIONS = ("none", "m-off", "no-final-newline")
+FULL_WIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+
+
+def _outcome(text: str):
+    try:
+        g, w = parse_instance(text)
+    except ParseError as err:
+        return str(err), err.line
+    return g.adj_bits, w
+
+
+def _line_loop_outcome(text: str):
+    return _outcome(text.replace(" ", "\t"))
+
+
+def _mutate(text: str, kind: str, pos: int, rng: SplitMix64, n: int) -> str:
+    """Apply ``kind`` to the whole file or to the line holding offset
+    ``pos``; a line that is no 3-token edge line is left alone."""
+    if kind == "none":
+        return text
+    if kind == "m-off":
+        start = text.index("p epa ")
+        end = text.index("\n", start)
+        *head, m = text[start:end].split(" ")
+        return text[:start] + " ".join(head + [str(int(m) + (1 if rng.below(2) else -1))]) + text[end:]
+    if kind == "no-final-newline":
+        return text[:-1]
+    start = text.rfind("\n", 0, pos) + 1
+    end = text.find("\n", pos)
+    end = len(text) if end < 0 else end
+    line = text[start:end]
+    parts = line.split()
+    if len(parts) != 3 or parts[0] != "e":
+        return text
+    _, a, b = parts
+    if kind == "leading-zero":
+        new = f"e 0{a} {b}" if rng.below(2) else f"e {a} 00{b}"
+    elif kind == "plus":
+        new = f"e +{a} {b}"
+    elif kind == "full-width":
+        new = f"e {a} {b.translate(FULL_WIDTH)}"
+    elif kind == "tab":
+        new = ("e\t{} {}", "e {}\t{}", "e {} {}\t")[rng.below(3)].format(a, b)
+    elif kind == "crlf":
+        new = line + "\r"
+    elif kind == "v-line":
+        new = f"{line}\nv {1 + rng.below(n + 1)} {rng.below(4)}"
+    elif kind == "comment":
+        new = f"{line}\nc after an edge"
+    elif kind == "two-tokens":
+        new = f"e {a}"
+    elif kind == "four-tokens":
+        new = f"{line} {b}"
+    elif kind == "duplicate":
+        # the edge of the line before, reversed, or this one's after it
+        before = text[text.rfind("\n", 0, start - 1) + 1:start].split()
+        if len(before) == 3 and before[0] == "e":
+            new = f"e {before[2]} {before[1]}"
+        else:
+            new = f"{line}\ne {b} {a}"
+    elif kind == "self-loop":
+        new = f"e {a} {a}"
+    elif kind == "out-of-range":
+        new = f"e {a} {('0', str(n + 1), str(n + 1000), '-1')[rng.below(4)]}"
+    elif kind == "swap":
+        new = f"e {b} {a}"
+    else:  # other-edge: a new edge, a duplicate or a self-loop
+        new = f"e {1 + rng.below(n)} {1 + rng.below(n)}"
+    return text[:start] + new + text[end:]
+
+
+def _random_position(text: str, rng: SplitMix64) -> int:
+    first = text.index("\ne") + 1
+    return first + rng.below(len(text) - first)
+
+
+def test_canonical_block_mutations_match_line_loop(monkeypatch):
+    """2,000 mutated small files, read in bulk chunks of 1, 7 and 64
+    characters and at the default size, match the line loop."""
+    rng = SplitMix64(6800)
+    cases = 0
+    for i in range(2000):
+        n = 2 + rng.below(30)
+        g = random_graph(n, Fraction(1 + rng.below(4), 5), 6800 + i)
+        if g.m == 0:
+            g = path_graph(n)
+        w = random_weights(n, 6800 + i) if rng.below(2) else None
+        text = serialize_instance(g, w, ["mutated"] if rng.below(2) else ())
+        for _ in range(1 + rng.below(2)):
+            if rng.below(5):
+                kind = EDGE_MUTATIONS[rng.below(len(EDGE_MUTATIONS))]
+            else:
+                kind = FILE_MUTATIONS[rng.below(len(FILE_MUTATIONS))]
+            text = _mutate(text, kind, _random_position(text, rng), rng, n)
+        monkeypatch.setattr(instances, "_CHUNK", (1, 7, 64, 1 << 18)[i % 4], raising=False)
+        assert _outcome(text) == _line_loop_outcome(text), text
+        cases += 1
+    assert cases >= 2000
+
+
+def test_large_canonical_block_mutations_match_line_loop():
+    """A 62,000-edge file (about 600 KB, three bulk chunks) with a
+    duplicate, a self-loop or an out-of-range edge on the line that holds
+    the first or second chunk boundary or in the last chunk; and with a
+    wrong edge count, and unmutated."""
+    g = random_graph(500, Fraction(1, 2), 6900)
+    base = serialize_instance(g, random_weights(500, 6900), ["large"])
+    first = base.index("\ne ") + 1
+    assert len(base) - first > 2 * (1 << 18)
+    rng = SplitMix64(6900)
+    positions = (first + (1 << 18), first + (1 << 19), len(base) - 2,
+                 len(base) - 1 - rng.below(1 << 17))
+    for pos in positions:
+        for kind in ("duplicate", "self-loop", "out-of-range"):
+            text = _mutate(base, kind, pos, rng, g.n)
+            assert text != base
+            assert _outcome(text) == _line_loop_outcome(text), (kind, pos)
+    for kind in ("none", "m-off"):
+        text = _mutate(base, kind, 0, rng, g.n)
+        assert _outcome(text) == _line_loop_outcome(text), kind
+    assert parse_instance(base) == (g, random_weights(500, 6900))
+
+
+def test_parse_at_vertex_cap_keeps_memory_small():
+    """One edge between the first and last of 2**16 vertices: no table
+    of n shifted ints (n^2/16 bytes, 256 MiB here) is built."""
+    tracemalloc.start()
+    try:
+        g, w = parse_instance("p epa 65536 1\ne 1 65536\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 65536 and list(g.edges()) == [(0, 65535)] and len(w) == 65536
+    assert peak < 16 << 20
