@@ -14,7 +14,9 @@ a dense graph take n^2/8 bytes, 512 MiB at the cap.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from operator import eq
 from typing import Iterable, NoReturn, Optional
 
 from .graphs import Graph, Weights, unit_weights
@@ -43,7 +45,31 @@ def _parse_weight(tok: str, line: int) -> Fraction:
 
 
 def parse_instance(text: str) -> tuple[Graph, Weights]:
-    """Parse an instance in one pass.
+    """Parse an instance.
+
+    The line loop reads the text up to the first line that starts with
+    ``e `` after a newline.  If the rest is a canonical edge block, the
+    form ``serialize_instance`` writes, it is read in bulk chunks (see
+    ``_read_edge_block``); if not, or if a chunk fails a check, the line
+    loop parses the whole text, so every graph, weight and error is the
+    line loop's.
+    """
+    cut = text.find("\ne ") + 1
+    n, m_declared, weights, rows = _read_lines(text[:cut] if cut else text)
+    if cut and (n is None or any(rows) or not _read_edge_block(text, cut, rows)):
+        n, m_declared, weights, rows = _read_lines(text)
+    if n is None:
+        raise ParseError("missing problem line", 1)
+    g = Graph._from_masks(rows)
+    if g.m != m_declared:
+        raise ParseError(f"declared {m_declared} edges, found {g.m}", 1)
+    w = tuple(weights.get(v, Fraction(1)) for v in range(n))
+    return g, w
+
+
+def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], list[int]]:
+    """The line loop: the vertex count (None without a problem line), the
+    declared edge count, the weights read and the adjacency masks.
 
     Each ``e`` line is checked once (integer ids, range, self-loop, and
     duplicate by a bit already set in the adjacency mask) and sets its
@@ -99,13 +125,49 @@ def parse_instance(text: str) -> tuple[Graph, Weights]:
             raise ParseError("edge line must be 'e <u> <v>'", line_no)
         else:
             raise ParseError(f"unknown line kind {kind!r}", line_no)
-    if n is None:
-        raise ParseError("missing problem line", 1)
-    g = Graph._from_masks(rows)
-    if g.m != m_declared:
-        raise ParseError(f"declared {m_declared} edges, found {g.m}", 1)
-    w = tuple(weights.get(v, Fraction(1)) for v in range(n))
-    return g, w
+    return n, m_declared, weights, rows
+
+
+# Characters of edge lines per bulk step.  A chunk's tokens and id lists
+# live until the next step: parsing a 288,836-edge file (n = 800) in a
+# fresh process peaked at 23.5 MB RSS with 64 KiB chunks, 34.9 MB with
+# 256 KiB and 70.5 MB with 1 MiB (40.0 MB with the line loop alone).
+# Chunks of 32-256 KiB took the same time within noise.
+_CHUNK = 1 << 16
+_EDGE_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
+
+
+def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
+    """Set the edges of ``text[start:]`` in the all-zero masks ``rows``,
+    if every line of it is exactly ``e <id> <id>\\n`` (ASCII digits, no
+    leading zero) with ids in 1..n, no self-loop and no edge twice.
+
+    Chunks of about ``_CHUNK`` characters, cut after a newline, are each
+    matched by one regex and split once; ids map to vertices through one
+    dict, whose ``KeyError`` is a range error.  Duplicates show at the
+    end, as fewer mask bits than two per line.  Returns False on the
+    first failed check, with ``rows`` partly set.
+    """
+    index = dict(zip(map(str, range(1, len(rows) + 1)), range(len(rows))))
+    lines = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        if not _EDGE_LINES.fullmatch(text, start, end):
+            return False
+        tokens = text[start:end].split()
+        try:
+            us = list(map(index.__getitem__, tokens[1::3]))
+            vs = list(map(index.__getitem__, tokens[2::3]))
+        except KeyError:
+            return False
+        if any(map(eq, us, vs)):
+            return False
+        for u, v in zip(us, vs):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        lines += len(us)
+        start = end
+    return sum(map(int.bit_count, rows)) == 2 * lines
 
 
 def _edge_error(parts: list[str], n: int, line: int) -> NoReturn:

@@ -221,17 +221,21 @@ def test_canonical_block_mutations_match_line_loop(monkeypatch):
 
 
 def test_large_canonical_block_mutations_match_line_loop():
-    """A 62,000-edge file (about 600 KB, three bulk chunks) with a
-    duplicate, a self-loop or an out-of-range edge on the line that holds
-    the first or second chunk boundary or in the last chunk; and with a
-    wrong edge count, and unmutated."""
-    g = random_graph(500, Fraction(1, 2), 6900)
-    base = serialize_instance(g, random_weights(500, 6900), ["large"])
-    first = base.index("\ne ") + 1
-    assert len(base) - first > 2 * (1 << 18)
+    """A 30,000-edge file (about 290 KB, four bulk chunks of 64 KiB, each
+    cut after the first newline at or past its size) with a duplicate, a
+    self-loop or an out-of-range edge on the last line of the first or
+    second chunk, on the first line of the second, or in the last chunk;
+    and with a wrong edge count, and unmutated."""
+    chunk = 1 << 16
+    g = random_graph(350, Fraction(1, 2), 6900)
+    base = serialize_instance(g, random_weights(350, 6900), ["large"])
+    ends = [base.index("\ne ") + 1]
+    while len(ends) < 4:
+        ends.append(base.find("\n", ends[-1] + chunk - 1) + 1)
+    assert 0 < ends[-1] < len(base)
     rng = SplitMix64(6900)
-    positions = (first + (1 << 18), first + (1 << 19), len(base) - 2,
-                 len(base) - 1 - rng.below(1 << 17))
+    positions = (ends[1] - 2, ends[1], ends[2] - 2, len(base) - 2,
+                 len(base) - 1 - rng.below(len(base) - ends[-1]))
     for pos in positions:
         for kind in ("duplicate", "self-loop", "out-of-range"):
             text = _mutate(base, kind, pos, rng, g.n)
@@ -240,7 +244,24 @@ def test_large_canonical_block_mutations_match_line_loop():
     for kind in ("none", "m-off"):
         text = _mutate(base, kind, 0, rng, g.n)
         assert _outcome(text) == _line_loop_outcome(text), kind
-    assert parse_instance(base) == (g, random_weights(500, 6900))
+    assert parse_instance(base) == (g, random_weights(350, 6900))
+
+
+def test_line_loop_reads_only_the_header_of_a_canonical_file(monkeypatch):
+    """A serialized file goes through the line loop up to its first edge
+    line and no further; its tab variant, the reference above, goes
+    through the line loop whole."""
+    seen = []
+    read_lines = instances._read_lines
+    monkeypatch.setattr(instances, "_read_lines", lambda text: seen.append(text) or read_lines(text))
+    g = random_graph(40, Fraction(1, 2), 6950)
+    text = serialize_instance(g, random_weights(40, 6950), ["header"])
+    assert parse_instance(text)[0] == g
+    assert seen == [text[:text.index("\ne ") + 1]]
+    seen.clear()
+    variant = text.replace(" ", "\t")
+    assert parse_instance(variant)[0] == g
+    assert seen == [variant]
 
 
 def test_parse_at_vertex_cap_keeps_memory_small():
