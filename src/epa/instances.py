@@ -15,6 +15,7 @@ a dense graph take n^2/8 bytes, 512 MiB at the cap.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from operator import eq
 from typing import Iterable, NoReturn, Optional
@@ -200,5 +201,12 @@ def serialize_instance(
                 frac = w[v]
                 tok = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
                 lines.append(f"v {v + 1} {tok}")
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    # One join per row over the ids as strings: "e u v" lines in the
+    # order of g.edges(), without formatting each line.
+    labels = list(map(str, range(1, g.n + 1)))
+    for u, nbrs in enumerate(g.adj):
+        higher = nbrs[bisect_right(nbrs, u):]
+        if higher:
+            head = f"e {labels[u]} "
+            lines.append(head + ("\n" + head).join(map(labels.__getitem__, higher)))
     return "\n".join(lines) + "\n"
