@@ -135,12 +135,25 @@ def find_induced(g: Graph, pattern: str, within: Optional[int] = None) -> Option
     raise ValueError(f"unsupported pattern {pattern!r}")
 
 
+# The three searches below walk their masks with inline low-bit loops
+# rather than ``bits()``: at n in the hundreds the generator's per-item
+# cost was half of ``_find_p4``'s time.
+
 def _find_p3(g: Graph, mask: int) -> Optional[frozenset[int]]:
     # center vertex with two nonadjacent neighbors
-    for b in bits(mask):
-        nb = g.adj_bits[b] & mask
-        for a in bits(nb):
-            cands = nb & ~g.adj_bits[a] & ~(1 << a)
+    adj = g.adj_bits
+    centers = mask
+    while centers:
+        low = centers & -centers
+        centers ^= low
+        b = low.bit_length() - 1
+        nb = adj[b] & mask
+        ends = nb
+        while ends:
+            bit_a = ends & -ends
+            ends ^= bit_a
+            a = bit_a.bit_length() - 1
+            cands = nb & ~adj[a] & ~bit_a
             if cands:
                 c = (cands & -cands).bit_length() - 1
                 return frozenset((a, b, c))
@@ -148,27 +161,46 @@ def _find_p3(g: Graph, mask: int) -> Optional[frozenset[int]]:
 
 
 def _find_co_p3(g: Graph, mask: int) -> Optional[frozenset[int]]:
-    # an edge plus a vertex seeing neither endpoint
-    for u in bits(mask):
-        for v in bits(g.adj_bits[u] & mask):
-            if v < u:
-                continue
-            rest = mask & ~(g.adj_bits[u] | g.adj_bits[v]) & ~(1 << u) & ~(1 << v)
-            if rest:
-                w = (rest & -rest).bit_length() - 1
+    # an edge uv (u < v) plus a vertex seeing neither endpoint
+    adj = g.adj_bits
+    rest = mask
+    while rest:
+        bit_u = rest & -rest
+        rest ^= bit_u          # now the vertices of mask above u
+        u = bit_u.bit_length() - 1
+        later = adj[u] & rest
+        while later:
+            bit_v = later & -later
+            later ^= bit_v
+            v = bit_v.bit_length() - 1
+            far = mask & ~(adj[u] | adj[v]) & ~bit_u & ~bit_v
+            if far:
+                w = (far & -far).bit_length() - 1
                 return frozenset((u, v, w))
     return None
 
 
 def _find_p4(g: Graph, mask: int) -> Optional[frozenset[int]]:
-    for b in bits(mask):
-        for c in bits(g.adj_bits[b] & mask):
-            side_a = g.adj_bits[b] & ~g.adj_bits[c] & ~(1 << c) & mask
-            side_d = g.adj_bits[c] & ~g.adj_bits[b] & ~(1 << b) & mask
+    adj = g.adj_bits
+    rest_b = mask
+    while rest_b:
+        bit_b = rest_b & -rest_b
+        rest_b ^= bit_b
+        b = bit_b.bit_length() - 1
+        rest_c = adj[b] & mask
+        while rest_c:
+            bit_c = rest_c & -rest_c
+            rest_c ^= bit_c
+            c = bit_c.bit_length() - 1
+            side_a = adj[b] & ~adj[c] & ~bit_c & mask
+            side_d = adj[c] & ~adj[b] & ~bit_b & mask
             if not side_a or not side_d:
                 continue
-            for a in bits(side_a):
-                ds = side_d & ~g.adj_bits[a] & ~(1 << a)
+            while side_a:
+                bit_a = side_a & -side_a
+                side_a ^= bit_a
+                a = bit_a.bit_length() - 1
+                ds = side_d & ~adj[a] & ~bit_a
                 if ds:
                     d = (ds & -ds).bit_length() - 1
                     return frozenset((a, b, c, d))
