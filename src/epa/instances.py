@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from operator import eq
 from typing import Iterable, NoReturn, Optional
 
 from .graphs import Graph, Weights, unit_weights
@@ -145,9 +144,10 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
 
     Chunks of about ``_CHUNK`` characters, cut after a newline, are each
     matched by one regex and split once; ids map to vertices through one
-    dict, whose ``KeyError`` is a range error.  Duplicates show at the
-    end, as fewer mask bits than two per line.  Returns False on the
-    first failed check, with ``rows`` partly set.
+    dict, whose ``KeyError`` is a range error.  A line sets two new mask
+    bits unless it is a self-loop (one bit, on the diagonal) or an edge
+    seen before (none), so one popcount at the end finds both.  Returns
+    False on the first failed check, with ``rows`` partly set.
     """
     index = dict(zip(map(str, range(1, len(rows) + 1)), range(len(rows))))
     lines = 0
@@ -160,8 +160,6 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
             us = list(map(index.__getitem__, tokens[1::3]))
             vs = list(map(index.__getitem__, tokens[2::3]))
         except KeyError:
-            return False
-        if any(map(eq, us, vs)):
             return False
         for u, v in zip(us, vs):
             rows[u] |= 1 << v

@@ -196,6 +196,22 @@ def _random_position(text: str, rng: SplitMix64) -> int:
     return first + rng.below(len(text) - first)
 
 
+# Files whose first edge line is no canonical one, so the line loop
+# reads it with the header and sets its bits before the bulk step.
+HEADER_EDGE_TEXTS = [
+    "p epa 3 2\ne\t1 2\ne 2 1\n",
+    "p epa 3 2\ne\t1 2\ne 2 3\n",
+    "p epa 3 2\ne 1\t2\ne 3 3\ne 1 3\n",
+    "p epa 3 3\ne 1 2 \ne 1 3\ne 2 3\n",
+    "p epa 3 1\r\ne 1 2\ne 1 2\n",
+]
+
+
+@pytest.mark.parametrize("text", HEADER_EDGE_TEXTS)
+def test_edge_in_header_matches_line_loop(text):
+    assert _outcome(text) == _line_loop_outcome(text)
+
+
 def test_canonical_block_mutations_match_line_loop(monkeypatch):
     """2,000 mutated small files, read in bulk chunks of 1, 7 and 64
     characters and at the default size, match the line loop."""
