@@ -128,12 +128,15 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
     return n, m_declared, weights, rows
 
 
-# Characters of edge lines per bulk step.  A chunk's tokens and id lists
-# live until the next step: parsing a 288,836-edge file (n = 800) in a
-# fresh process peaked at 23.5 MB RSS with 64 KiB chunks, 34.9 MB with
-# 256 KiB and 70.5 MB with 1 MiB (40.0 MB with the line loop alone).
-# Chunks of 32-256 KiB took the same time within noise.
-_CHUNK = 1 << 16
+# Characters of edge lines per bulk step.  Besides the chunk's tokens,
+# the regex keeps about 22 bytes of backtracking state per character
+# while it matches.  Parsing a 288,836-edge file (n = 800) in a fresh
+# process peaked at 22.5 MB RSS with 8 KiB chunks, 23.5 MB with 64 KiB,
+# 33.9 MB with 256 KiB and 40.0 MB with the line loop alone (18.9 MB
+# after reading the file); 8-64 KiB chunks took the same time.  With
+# 64 KiB chunks, the solve jobs of a benchmark corpus of 999 small files
+# peaked 0.5 MB above the line loop, with 8 KiB chunks 0.2 MB.
+_CHUNK = 1 << 13
 _EDGE_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
 
 

@@ -237,14 +237,14 @@ def test_canonical_block_mutations_match_line_loop(monkeypatch):
 
 
 def test_large_canonical_block_mutations_match_line_loop():
-    """A 30,000-edge file (about 290 KB, four bulk chunks of 64 KiB, each
+    """A 5,572-edge file (about 49 KB, six bulk chunks of 8 KiB, each
     cut after the first newline at or past its size) with a duplicate, a
     self-loop or an out-of-range edge on the last line of the first or
     second chunk, on the first line of the second, or in the last chunk;
     and with a wrong edge count, and unmutated."""
-    chunk = 1 << 16
-    g = random_graph(350, Fraction(1, 2), 6900)
-    base = serialize_instance(g, random_weights(350, 6900), ["large"])
+    chunk = 1 << 13
+    g = random_graph(150, Fraction(1, 2), 6900)
+    base = serialize_instance(g, random_weights(150, 6900), ["large"])
     ends = [base.index("\ne ") + 1]
     while len(ends) < 4:
         ends.append(base.find("\n", ends[-1] + chunk - 1) + 1)
@@ -260,7 +260,7 @@ def test_large_canonical_block_mutations_match_line_loop():
     for kind in ("none", "m-off"):
         text = _mutate(base, kind, 0, rng, g.n)
         assert _outcome(text) == _line_loop_outcome(text), kind
-    assert parse_instance(base) == (g, random_weights(350, 6900))
+    assert parse_instance(base) == (g, random_weights(150, 6900))
 
 
 def test_line_loop_reads_only_the_header_of_a_canonical_file(monkeypatch):
