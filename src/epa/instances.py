@@ -202,12 +202,15 @@ def serialize_instance(
                 frac = w[v]
                 tok = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
                 lines.append(f"v {v + 1} {tok}")
-    # One join per row over the ids as strings: "e u v" lines in the
-    # order of g.edges(), without formatting each line.
+    # The "e u v" lines in the order of g.edges(), one join per row over
+    # the ids as strings instead of one format per line; the leading ""
+    # puts the separator "\ne u " before every neighbour.  No string is
+    # concatenated: temporary copies of rows or of the text raised the
+    # benchmark set-up's peak RSS (by 0.3 MB, with an n = 800 instance).
     labels = list(map(str, range(1, g.n + 1)))
+    rows = []
     for u, nbrs in enumerate(g.adj):
         higher = nbrs[bisect_right(nbrs, u):]
         if higher:
-            head = f"e {labels[u]} "
-            lines.append(head + ("\n" + head).join(map(labels.__getitem__, higher)))
-    return "\n".join(lines) + "\n"
+            rows.append(f"\ne {labels[u]} ".join(["", *map(labels.__getitem__, higher)]))
+    return "".join(["\n".join(lines), *rows, "\n"])

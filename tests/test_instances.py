@@ -213,8 +213,8 @@ def test_edge_in_header_matches_line_loop(text):
 
 
 def test_canonical_block_mutations_match_line_loop(monkeypatch):
-    """2,000 mutated small files, read in bulk chunks of 1, 7 and 64
-    characters and at the default size, match the line loop."""
+    """2,000 mutated small files, read in bulk chunks of 1, 7, 64 and
+    8,192 characters, match the line loop."""
     rng = SplitMix64(6800)
     cases = 0
     for i in range(2000):
@@ -230,7 +230,7 @@ def test_canonical_block_mutations_match_line_loop(monkeypatch):
             else:
                 kind = FILE_MUTATIONS[rng.below(len(FILE_MUTATIONS))]
             text = _mutate(text, kind, _random_position(text, rng), rng, n)
-        monkeypatch.setattr(instances, "_CHUNK", (1, 7, 64, 1 << 18)[i % 4], raising=False)
+        monkeypatch.setattr(instances, "_CHUNK", (1, 7, 64, 1 << 13)[i % 4], raising=False)
         assert _outcome(text) == _line_loop_outcome(text), text
         cases += 1
     assert cases >= 2000
