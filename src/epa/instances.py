@@ -128,14 +128,11 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
     return n, m_declared, weights, rows
 
 
-# Characters of edge lines per bulk step.  Besides the chunk's tokens,
-# the regex keeps about 22 bytes of backtracking state per character
-# while it matches.  Parsing a 288,836-edge file (n = 800) in a fresh
-# process peaked at 22.5 MB RSS with 8 KiB chunks, 23.5 MB with 64 KiB,
-# 33.9 MB with 256 KiB and 40.0 MB with the line loop alone (18.9 MB
-# after reading the file); 8-64 KiB chunks took the same time.  With
-# 64 KiB chunks, the solve jobs of a benchmark corpus of 999 small files
-# peaked 0.5 MB above the line loop, with 8 KiB chunks 0.2 MB.
+# Characters of edge lines per bulk step.  The regex keeps about 22
+# bytes of backtracking state per character it matches, so chunks stay
+# small: parsing a 288,836-edge file (n = 800) in a fresh process
+# peaked at 22.5 MB RSS with 8 KiB chunks, 33.9 MB with 256 KiB and
+# 40.0 MB with the line loop alone, at the same speed from 8 to 64 KiB.
 _CHUNK = 1 << 13
 _EDGE_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
 
