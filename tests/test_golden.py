@@ -3,7 +3,8 @@
 every guarantee row, of the two budgeted subroutines of the split
 rows, of ``epa oracle`` and the exact oracles, of the graph routines
 that several solvers share, of the checking side's pattern tests
-and obstruction sets, and of parsing serialized instances.
+and obstruction sets, of parsing serialized instances and of
+generated instances.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
@@ -14,7 +15,8 @@ implementation each; the ``cvc_split`` and exact-tail digests before
 ``cvc_small_after_contraction`` became one loop over the clique; the
 pattern and obstruction digests before ``certify`` and ``oracle`` moved
 to one table each; the parse digest before canonical edge blocks were
-read in bulk.  The
+read in bulk; the generator digest before the base classes were built
+as adjacency masks.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
@@ -457,3 +459,30 @@ def test_parse_golden():
         out.append(f"{name} {' '.join(format(b, 'x') for b in h.adj_bits)}"
                    f" {' '.join(map(str, hw))}\n")
     assert _sha("".join(out)) == PARSE_SHA256
+
+
+# -- generation ----------------------------------------------------------
+
+# n of the generator digest; the p3k1-free self-check is slow, so that
+# class stops at n = 100.
+GENERATE_SIZES = (0, 1, 2, 5, 10, 40, 100, 200)
+GENERATE_DENSITIES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+GENERATE_SHA256 = "415be6be2e3f831e058550a5bb5674a298ca03607a43a45fcbba479784cc1714"
+
+
+def test_generate_golden():
+    """serialize_instance(g) and the sorted planted set of generate() for
+    every class, n in GENERATE_SIZES, k 0, 1 and 3, densities 0, 1/3,
+    1/2 and 1, and two seeds."""
+    h = hashlib.sha256()
+    for base in GENERATOR_CLASSES:
+        for n in GENERATE_SIZES:
+            if base == "p3k1-free" and n > 100:
+                continue
+            for k in (0, 1, 3):
+                for density in GENERATE_DENSITIES:
+                    for seed in (4400, 4401):
+                        g, planted = generate(GeneratorSpec(base, n, k, density, seed))
+                        h.update(serialize_instance(g).encode())
+                        h.update(f"planted {sorted(planted)}\n".encode())
+    assert h.hexdigest() == GENERATE_SHA256
