@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable
 
-from .graphs import Graph, Weights, bits, first_triangle, full_join
+from .graphs import Graph, Weights, bits, first_triangle, mask_of
+from .instances import MAX_VERTICES
 from .recognize import recognize
 
 _M64 = (1 << 64) - 1
@@ -65,65 +67,69 @@ class GenerationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------
-# base-class constructions
+# base-class constructions: each returns the adjacency masks of its
+# graph on vertices 0..n-1
 
 
-def _partition(rng: SplitMix64, n: int, parts_hint: int) -> list[list[int]]:
-    parts = max(1, parts_hint)
+def _complement(rows: list[int]) -> list[int]:
+    full = (1 << len(rows)) - 1
+    return [full ^ r ^ (1 << u) for u, r in enumerate(rows)]
+
+
+def _group_masks(rng: SplitMix64, n: int) -> list[int]:
+    """Each vertex's group, as a mask, in a random partition of range(n)."""
+    parts = 1 + rng.below(max(1, n))
     assign = [rng.below(parts) for _ in range(n)]
-    groups = [[v for v in range(n) if assign[v] == p] for p in range(parts)]
-    return [grp for grp in groups if grp]
+    masks = [0] * parts
+    for v, a in enumerate(assign):
+        masks[a] |= 1 << v
+    return [masks[a] for a in assign]
 
 
-def _base_cluster(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
-    groups = _partition(rng, n, 1 + rng.below(max(1, n)))
-    es = []
-    for grp in groups:
-        es.extend((grp[i], grp[j]) for i in range(len(grp)) for j in range(i + 1, len(grp)))
-    return es
+def _base_cluster(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
+    return [m ^ (1 << v) for v, m in enumerate(_group_masks(rng, n))]
 
 
-def _base_cocluster(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
-    groups = _partition(rng, n, 1 + rng.below(max(1, n)))
-    es = []
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            es.extend((u, v) if u < v else (v, u) for u in groups[a] for v in groups[b])
-    return es
-
-
-def _base_forest(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
-    es = []
+def _base_forest(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
+    rows = [0] * n
     for v in range(1, n):
         if rng.chance(Fraction(7, 8)):
-            es.append((rng.below(v), v))
-    return es
+            u = rng.below(v)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
 
 
-def _base_bipartite(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
+def _draw_pairs(rng: SplitMix64, rows: list[int], others: list[int],
+                density: Fraction) -> list[int]:
+    """``rows`` plus the edge uv for each v > u in ``others[u]`` with the
+    given chance, one draw per pair in lexicographic order."""
+    for u, other in enumerate(others):
+        for v in bits(other >> (u + 1) << (u + 1)):
+            if rng.chance(density):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def _base_bipartite(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     side = [rng.chance(Fraction(1, 2)) for _ in range(n)]
-    return [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if side[u] != side[v] and rng.chance(density)
-    ]
+    right = mask_of(compress(range(n), side))
+    left = ((1 << n) - 1) ^ right
+    return _draw_pairs(rng, [0] * n, [left if s else right for s in side], density)
 
 
-def _base_split(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
-    clique = [rng.chance(Fraction(1, 2)) for _ in range(n)]
-    es = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if clique[u] and clique[v]:
-                es.append((u, v))
-            elif (clique[u] or clique[v]) and rng.chance(density):
-                es.append((u, v))
-    return es
+def _base_split(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
+    # clique pairs are edges and independent pairs are not, without a draw
+    in_clique = [rng.chance(Fraction(1, 2)) for _ in range(n)]
+    clique = mask_of(compress(range(n), in_clique))
+    rest = ((1 << n) - 1) ^ clique
+    rows = [clique ^ (1 << v) if c else 0 for v, c in enumerate(in_clique)]
+    return _draw_pairs(rng, rows, [rest if c else clique for c in in_clique], density)
 
 
-def _base_cograph(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
-    es: list[tuple[int, int]] = []
+def _base_cograph(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
+    rows = [0] * n
 
     def build(vs: list[int], join: bool) -> None:
         if len(vs) <= 1:
@@ -136,82 +142,72 @@ def _base_cograph(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int,
             half = len(vs) // 2
             groups = [vs[:half], vs[half:]]
         if join:
-            for a in range(len(groups)):
-                for b in range(a + 1, len(groups)):
-                    es.extend(
-                        (u, v) if u < v else (v, u) for u in groups[a] for v in groups[b]
-                    )
+            whole = mask_of(vs)
+            for grp in groups:
+                others = whole ^ mask_of(grp)
+                for v in grp:
+                    rows[v] |= others
         for grp in groups:
             build(grp, not join)
 
     build(list(range(n)), rng.chance(Fraction(1, 2)))
-    return es
+    return rows
 
 
-def _base_chordal(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
+def _base_chordal(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     # each vertex attaches to a clique among earlier ones, so reverse id
     # order is a perfect elimination ordering
-    g_adj: list[set[int]] = [set() for _ in range(n)]
-    es = []
+    rows = [0] * n
     for v in range(1, n):
         if not rng.chance(Fraction(15, 16)):
             continue
-        u = rng.below(v)
-        clique = {u}
-        while rng.chance(density):
-            common = [x for x in range(v) if x not in clique and all(x in g_adj[c] for c in clique)]
-            if not common:
-                break
-            clique.add(common[rng.below(len(common))])
-        for c in clique:
-            es.append((c, v))
-            g_adj[c].add(v)
-            g_adj[v].add(c)
-    return es
+        clique = 1 << rng.below(v)
+        common = rows[clique.bit_length() - 1]  # earlier, adjacent to all of clique
+        while rng.chance(density) and common:
+            members = list(bits(common))
+            x = members[rng.below(len(members))]
+            clique |= 1 << x
+            common &= rows[x]
+        for c in bits(clique):
+            rows[c] |= 1 << v
+        rows[v] = clique
+    return rows
 
 
-def _base_cochordal(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
-    inner = Graph(n, _base_chordal(rng, n, density))
-    return list(inner.complement().edges())
-
-
-def _base_triangle_free(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
-    g = Graph(
-        n,
-        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(density)],
-    )
+def _base_triangle_free(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
+    rows = _draw_pairs(rng, [0] * n, [(1 << n) - 1] * n, density)
     # Delete the last edge of the lexicographically first triangle until
     # none is left.  Deleting edges makes no triangle, so the search
     # resumes at the first vertex of the last triangle.
-    adj = list(g.adj_bits)
-    within = g.full_mask
-    while (tri := first_triangle(adj, within)) is not None:
+    within = (1 << n) - 1
+    while (tri := first_triangle(rows, within)) is not None:
         a, b, c = tri
-        adj[b] &= ~(1 << c)
-        adj[c] &= ~(1 << b)
+        rows[b] &= ~(1 << c)
+        rows[c] &= ~(1 << b)
         within = within >> a << a
-    return [(u, v) for u in range(n) for v in bits(adj[u] >> (u + 1) << (u + 1))]
+    return rows
 
 
-def _base_p3k1_free(rng: SplitMix64, n: int, density: Fraction) -> list[tuple[int, int]]:
+def _base_p3k1_free(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     # full join of a cocluster with a complement-of-triangle-free part
     n1 = rng.below(n + 1)
-    left = Graph(n1, _base_cocluster(rng, n1, density))
-    tf = Graph(n - n1, _base_triangle_free(rng, n - n1, density))
-    right = tf.complement()
-    return list(full_join(left, right).edges())
+    left = _complement(_base_cluster(rng, n1, density))
+    right = _complement(_base_triangle_free(rng, n - n1, density))
+    left_all = (1 << n1) - 1
+    right_all = ((1 << n) - 1) ^ left_all
+    return [r | right_all for r in left] + [r << n1 | left_all for r in right]
 
 
-_BASES: dict[str, Callable[[SplitMix64, int, Fraction], list[tuple[int, int]]]] = {
-    "edgeless": lambda rng, n, d: [],
+_BASES: dict[str, Callable[[SplitMix64, int, Fraction], list[int]]] = {
+    "edgeless": lambda rng, n, d: [0] * n,
     "cluster": _base_cluster,
-    "cocluster": _base_cocluster,
+    "cocluster": lambda rng, n, d: _complement(_base_cluster(rng, n, d)),
     "forest": _base_forest,
     "bipartite": _base_bipartite,
     "split": _base_split,
     "cograph": _base_cograph,
     "chordal": _base_chordal,
-    "cochordal": _base_cochordal,
+    "cochordal": lambda rng, n, d: _complement(_base_chordal(rng, n, d)),
     "p3k1-free": _base_p3k1_free,
     "triangle-free": _base_triangle_free,
 }
@@ -227,20 +223,22 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:
         raise GenerationError("sizes must be nonnegative")
     if not 0 <= spec.density <= 1:
         raise GenerationError("density must lie in [0, 1]")
-    rng = SplitMix64(spec.seed)
-    base_edges = _BASES[spec.base](rng, spec.n, spec.density)
     total = spec.n + spec.k
-    edges = list(base_edges)
+    if total > MAX_VERTICES:
+        raise GenerationError(f"vertex count {total} above the limit {MAX_VERTICES}")
+    rng = SplitMix64(spec.seed)
+    rows = _BASES[spec.base](rng, spec.n, spec.density) + [0] * spec.k
     for p in range(spec.n, total):
         for u in range(p):
             if rng.chance(spec.density):
-                edges.append((u, p))
+                rows[u] |= 1 << p
+                rows[p] |= 1 << u
     perm = list(range(total))
     rng.shuffle(perm)
-    g = Graph(total, [(perm[u], perm[v]) for u, v in edges])
+    # vertex u of the construction gets the label perm[u]
+    g = Graph._from_masks(rows).relabeled(sorted(range(total), key=perm.__getitem__))
     planted = frozenset(perm[p] for p in range(spec.n, total))
-    rest = [v for v in range(total) if v not in planted]
-    sub, _ = g.induced_subgraph(rest)
+    sub, _ = g.induced_subgraph(perm[:spec.n])
     verdict = recognize(sub, spec.base)
     if not verdict.member:
         raise GenerationError(
@@ -250,25 +248,22 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:
 
 
 # ---------------------------------------------------------------------
-# plain random corpora (used by tests and the bench harness)
+# plain random corpora (used by tests; the benchmark harness draws
+# only random_weights)
 
 
 def random_graph(n: int, density: Fraction, seed: int) -> Graph:
-    rng = SplitMix64(seed)
-    return Graph(
-        n,
-        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(density)],
-    )
+    return Graph._from_masks(_draw_pairs(SplitMix64(seed), [0] * n, [(1 << n) - 1] * n, density))
 
 
 def random_connected_graph(n: int, density: Fraction, seed: int) -> Graph:
     rng = SplitMix64(seed)
-    es = {(rng.below(v), v) for v in range(1, n)}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.chance(density) and (u, v) not in es:
-                es.add((u, v))
-    return Graph(n, sorted(es))
+    rows = [0] * n
+    for v in range(1, n):
+        u = rng.below(v)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._from_masks(_draw_pairs(rng, rows, [(1 << n) - 1] * n, density))
 
 
 def random_weights(n: int, seed: int, zero_share: Fraction = Fraction(1, 10)) -> Weights:

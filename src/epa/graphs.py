@@ -10,10 +10,11 @@ Outside input is validated exactly once, where it enters: ``Graph(n,
 edges)`` checks every edge (range, self-loop, duplicate, the last by a
 bit already set in the mask), and ``instances.parse_instance`` checks
 every ``e`` line the same way before it hands over finished masks.
-Derived graphs (complement, induced subgraph, contraction) are new
-objects, together with an index map back to the parent; they are built
-straight from the parent's adjacency masks, which are correct by
-construction, so they skip validation.
+Derived graphs (complement, induced subgraph, relabeling, contraction)
+are new objects (the induced subgraph and the contraction come with a
+map back to the parent's ids); they are built straight from the
+parent's adjacency masks, which are correct by construction, so they
+skip validation, as do the generator's graphs, built as masks.
 
 Vertex weights are plain tuples of nonnegative ``Fraction`` values so
 that weight subtractions and comparisons are exact.
@@ -101,7 +102,7 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(adj_bits)
         g.adj_bits = tuple(adj_bits)
-        g.m = sum(b.bit_count() for b in g.adj_bits) // 2
+        g.m = sum(map(int.bit_count, g.adj_bits)) // 2
         g._adj = None
         return g
 
@@ -164,10 +165,15 @@ class Graph:
         self._check_ids(old)
         if len(old) == self.n:
             return self, old          # the whole graph; graphs are immutable
+        return self.relabeled(old), old
+
+    def relabeled(self, old: Sequence[int]) -> "Graph":
+        """Subgraph induced by the distinct ids ``old`` (in 0..n-1, any
+        order), with new id i standing for ``old[i]``; unchecked."""
         if not old:
-            return Graph._from_masks(()), old
+            return Graph._from_masks(())
         # A row is remapped bit by bit, or compressed in C: its n-digit
-        # binary string, the digits of the kept ids picked highest id
+        # binary string, the digits of the kept ids picked highest new id
         # first, read back.  The bit loop costs about 14 times as much
         # per kept bit as the C pass costs per kept vertex, with a fixed
         # part of about 32 kept vertices (timed at n = 10-800).
@@ -188,7 +194,7 @@ class Graph:
                 rows.append(b)
             else:
                 rows.append(int("".join(pick(format(row, fmt))), 2))
-        return Graph._from_masks(rows), old
+        return Graph._from_masks(rows)
 
     def contract_with_pendant(self, y: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Contract ``y`` to one vertex and append a fresh pendant leaf;
@@ -329,7 +335,7 @@ def total(w: Sequence[Fraction], vertices: Iterable[int]) -> Fraction:
     return sum((w[v] for v in vertices), Fraction(0))
 
 
-# -- tiny constructors (shared by tests, generator and docs) ----------
+# -- tiny constructors (used by tests) --------------------------------
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, [])
@@ -358,8 +364,3 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     es = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
     return Graph(a.n + b.n, es)
 
-
-def full_join(a: Graph, b: Graph) -> Graph:
-    es = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
-    es += [(u, v + a.n) for u in range(a.n) for v in range(b.n)]
-    return Graph(a.n + b.n, es)

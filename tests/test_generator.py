@@ -13,7 +13,8 @@ from epa.generator import (
     random_graph,
     random_weights,
 )
-from epa.instances import serialize_instance
+from epa.graphs import Graph
+from epa.instances import MAX_VERTICES, serialize_instance
 from epa.recognize import recognize
 
 
@@ -61,6 +62,26 @@ def test_generate_rejects_unknown_class():
         generate(GeneratorSpec("interval", 5, 0, Fraction(1, 2), 0))
 
 
+@pytest.mark.parametrize("n, k", [(MAX_VERTICES + 1, 0), (MAX_VERTICES, 1), (1, MAX_VERTICES)])
+def test_generate_rejects_more_vertices_than_a_file_may_hold(n, k):
+    with pytest.raises(GenerationError, match="above the limit"):
+        generate(GeneratorSpec("edgeless", n, k, Fraction(1, 2), 0))
+
+
+@pytest.mark.parametrize("base", GENERATOR_CLASSES)
+def test_generated_masks_form_a_valid_graph(base):
+    """The bases build adjacency masks, unchecked: rebuilding the graph
+    from its edges through the validating constructor gives it back (so
+    the rows are symmetric with no bit outside 0..n-1), and no row has
+    its own bit."""
+    for n in (0, 1, 2, 3, 6, 11, 24, 50):
+        for k in (0, 2):
+            for density in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                g, _ = generate(GeneratorSpec(base, n, k, density, 5100 + n))
+                assert Graph(g.n, g.edges()) == g
+                assert not any(row >> v & 1 for v, row in enumerate(g.adj_bits))
+
+
 def test_random_graph_helpers():
     g = random_graph(10, Fraction(1, 2), 123)
     assert g.n == 10
@@ -102,5 +123,5 @@ def _triangle_free_reference(rng, n, density):
 ])
 def test_triangle_free_base_matches_set_reference(n, density):
     for seed in range(3):
-        got = _base_triangle_free(SplitMix64(seed), n, density)
-        assert got == _triangle_free_reference(SplitMix64(seed), n, density)
+        got = Graph._from_masks(_base_triangle_free(SplitMix64(seed), n, density))
+        assert sorted(got.edges()) == _triangle_free_reference(SplitMix64(seed), n, density)

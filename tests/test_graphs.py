@@ -164,6 +164,20 @@ def test_induced_subgraph_sparse_and_dense_rows_match_definition():
     assert sparse > 500 and dense > 500
 
 
+def test_relabeled_takes_ids_in_any_order():
+    """New id i of ``relabeled(old)`` is ``old[i]``, for sparse and dense
+    rows alike, whatever the order of ``old``."""
+    graphs = [path_graph(200), complete_graph(60)] + corpus(6, 40, 120, seed0=860)
+    for i, g in enumerate(graphs):
+        rng = SplitMix64(870 + i)
+        for s in (random_mask(g.n, 880 + i), g.full_mask, 1 << (i % g.n), 0):
+            old = [v for v in range(g.n) if s >> v & 1]
+            rng.shuffle(old)
+            index = {o: j for j, o in enumerate(old)}
+            es = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+            assert_same_graph(g.relabeled(old), Graph(len(old), es))
+
+
 def test_contraction_equals_validated_build_corpus():
     for i, g in enumerate(corpus(60, 1, 10, seed0=730)):
         y = {v for v in range(g.n) if random_mask(g.n, 740 + i) >> v & 1} or {i % g.n}

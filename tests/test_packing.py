@@ -3,7 +3,7 @@ from itertools import combinations
 
 from epa.certify import is_triangle_packing
 from epa.generator import GeneratorSpec, generate
-from epa.graphs import Graph, complete_graph, cycle_graph, disjoint_union, full_join
+from epa.graphs import Graph, complete_graph, cycle_graph, disjoint_union
 from epa.oracle import exact_max_tp, exact_min_modulator
 from epa.packing import tp_3maximal, tp_maximal
 from conftest import corpus
@@ -70,8 +70,7 @@ def test_tp_3maximal_examples():
     assert tp_3maximal(complete_graph(3)).size == 1
     cocluster6 = disjoint_union(complete_graph(3), complete_graph(3)).complement()
     assert tp_3maximal(cocluster6).size == exact_max_tp(cocluster6)[0]
-    joined = full_join(complete_graph(3), complete_graph(3))
-    assert tp_3maximal(joined).size == 2
+    assert tp_3maximal(complete_graph(6)).size == 2
 
 
 def test_tp_3maximal_properties():
