@@ -227,7 +227,6 @@ def test_vertex_count_above_the_cap_exits_1(tmp_path, capsys):
         f"error: line 1: vertex count {MAX_VERTICES + 1} above the limit {MAX_VERTICES}\n"
 
 
-
 def test_gen_above_the_cap_exits_1(capsys):
     """``gen`` refuses what ``solve`` would refuse to parse, before it
     builds anything."""
@@ -236,6 +235,7 @@ def test_gen_above_the_cap_exits_1(capsys):
     assert captured.out == ""
     assert captured.err == \
         f"error: vertex count {MAX_VERTICES + 1} above the limit {MAX_VERTICES}\n"
+
 
 def test_import_loads_only_the_standard_library():
     """``import epa, epa.cli`` adds no module beyond epa and the standard
