@@ -16,7 +16,8 @@ implementation each; the ``cvc_split`` and exact-tail digests before
 pattern and obstruction digests before ``certify`` and ``oracle`` moved
 to one table each; the parse digest before canonical edge blocks were
 read in bulk; the generator digest before the base classes were built
-as adjacency masks.  The
+as adjacency masks; the pattern-search digest before ``find_induced``
+decided pattern-freeness by a clique-partition check.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
@@ -45,7 +46,7 @@ from epa.generator import (
     random_graph,
     random_weights,
 )
-from epa.graphs import Graph, path_graph
+from epa.graphs import Graph, mask_of, path_graph
 from epa.instances import parse_instance, serialize_instance
 from epa.oracle import (
     exact_lp_vc,
@@ -56,7 +57,7 @@ from epa.oracle import (
     exact_min_wvc,
 )
 from epa.packing import tp_maximal
-from epa.recognize import Cotree, build_cotree
+from epa.recognize import Cotree, build_cotree, find_induced
 from epa.reports import bench
 from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx
 from conftest import connected_corpus, corpus
@@ -486,3 +487,39 @@ def test_generate_golden():
                         h.update(serialize_instance(g).encode())
                         h.update(f"planted {sorted(planted)}\n".encode())
     assert h.hexdigest() == GENERATE_SHA256
+
+
+# -- pattern search ------------------------------------------------------
+
+FIND_PATTERNS = ("P3", "co-P3", "P4", "P3+K1")
+# (class, total n) of the generated half of the pattern-search digest.
+FIND_SIZES = [(cls, n) for cls in ("cluster", "cocluster", "cograph", "p3k1-free")
+              for n in (10, 40, 100, 200)]
+FIND_SHA256 = "bce8637ca4368058bc75e0f90f01e81a607b92ab69d6a2c350bb2d8df3924da8"
+
+
+def test_find_induced_golden():
+    """The sorted witness (or None) of find_induced for P3, co-P3, P4 and
+    P3+K1: on random graphs (n 0..14) under three random masks each, and
+    on generated cluster, cocluster, cograph and p3k1-free instances
+    (k = n/10 planted) under the full mask, the mask without the planted
+    vertices and that mask less three random vertices, where the
+    searches for the class's own patterns run to the end."""
+    out = []
+    for i, g in enumerate(corpus(300, 0, 14, seed0=6800)):
+        rng = SplitMix64(6800 + i)
+        for j in range(3):
+            within = sum(1 << v for v in range(g.n) if rng.below(4))
+            for pattern in FIND_PATTERNS:
+                w = find_induced(g, pattern, within)
+                out.append(f"{i} {j} {pattern} {None if w is None else sorted(w)}\n")
+    for i, (cls, n) in enumerate(FIND_SIZES):
+        g, planted = generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), 6900 + i))
+        rng = SplitMix64(6900 + i)
+        member = g.full_mask & ~mask_of(planted)
+        fewer = member & ~mask_of(rng.below(g.n) for _ in range(3))
+        for within in (g.full_mask, member, fewer):
+            for pattern in FIND_PATTERNS:
+                w = find_induced(g, pattern, within)
+                out.append(f"{cls}-{n} {pattern} {None if w is None else sorted(w)}\n")
+    assert _sha("".join(out)) == FIND_SHA256
