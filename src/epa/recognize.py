@@ -11,7 +11,7 @@ by :mod:`epa.certify`; nothing downstream trusts the producer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .graphs import Graph, bits, first_triangle
 
@@ -135,13 +135,43 @@ def find_induced(g: Graph, pattern: str, within: Optional[int] = None) -> Option
     raise ValueError(f"unsupported pattern {pattern!r}")
 
 
-# The three searches below walk their masks with inline low-bit loops
-# rather than ``bits()``: at n in the hundreds the generator's per-item
-# cost was half of ``_find_p4``'s time.
+# The searches below walk their masks with inline low-bit loops rather
+# than ``bits()``: at n in the hundreds the generator's per-item cost was
+# half of ``_find_p4``'s time.  A local-ratio loop ends with one search
+# that finds nothing, and that search cost the most, so P3, co-P3 and
+# P3+K1 first decide pattern-freeness with ``_cliques_within``, in one
+# mask step per vertex, and walk only when a pattern exists.
+
+
+def _cliques_within(adj: Sequence[int], mask: int, co: bool) -> bool:
+    """True when G[mask], or its complement when ``co`` is set, is a
+    disjoint union of cliques.
+
+    The class of the lowest vertex u left is N[u], or with ``co`` the
+    non-neighbours of u plus u itself, within the vertices left.  Every
+    member of the class must have that same class; then it is dropped.
+    """
+    rest = mask
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        part = rest & ~adj[u] if co else rest & adj[u] | low
+        members = part ^ low
+        while members:
+            bit = members & -members
+            members ^= bit
+            v = bit.bit_length() - 1
+            if (rest & ~adj[v] if co else rest & adj[v] | bit) != part:
+                return False
+        rest ^= part
+    return True
+
 
 def _find_p3(g: Graph, mask: int) -> Optional[frozenset[int]]:
     # center vertex with two nonadjacent neighbors
     adj = g.adj_bits
+    if _cliques_within(adj, mask, False):
+        return None
     centers = mask
     while centers:
         low = centers & -centers
@@ -163,6 +193,8 @@ def _find_p3(g: Graph, mask: int) -> Optional[frozenset[int]]:
 def _find_co_p3(g: Graph, mask: int) -> Optional[frozenset[int]]:
     # an edge uv (u < v) plus a vertex seeing neither endpoint
     adj = g.adj_bits
+    if _cliques_within(adj, mask, True):
+        return None
     rest = mask
     while rest:
         bit_u = rest & -rest
@@ -181,13 +213,16 @@ def _find_co_p3(g: Graph, mask: int) -> Optional[frozenset[int]]:
 
 
 def _find_p4(g: Graph, mask: int) -> Optional[frozenset[int]]:
+    # a middle edge bc (b < c) with a on b's side and d on c's.  A pair
+    # with c < b is the pair (c, b) with a and d swapped, which anchor c
+    # already tried, so c walks only the neighbours above b.
     adj = g.adj_bits
     rest_b = mask
     while rest_b:
         bit_b = rest_b & -rest_b
         rest_b ^= bit_b
         b = bit_b.bit_length() - 1
-        rest_c = adj[b] & mask
+        rest_c = adj[b] & rest_b
         while rest_c:
             bit_c = rest_c & -rest_c
             rest_c ^= bit_c
@@ -208,6 +243,17 @@ def _find_p4(g: Graph, mask: int) -> Optional[frozenset[int]]:
 
 
 def _find_p3k1(g: Graph, mask: int) -> Optional[frozenset[int]]:
+    # G is (P3+K1)-free exactly when the non-neighbours of every vertex
+    # induce a cluster graph.
+    adj = g.adj_bits
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not _cliques_within(adj, mask & ~adj[low.bit_length() - 1] & ~low, False):
+            break
+    else:
+        return None
     for b in bits(mask):
         nb = g.adj_bits[b] & mask
         for a in bits(nb):

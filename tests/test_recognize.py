@@ -10,6 +10,7 @@ from epa.recognize import (
     CLASSES,
     Cotree,
     _chain,
+    _cliques_within,
     _find_cycle,
     _find_p4,
     _shrink_to_chordless,
@@ -151,6 +152,23 @@ def test_find_induced_matches_bruteforce():
             assert (got is None) == (expect is None), (pattern, sorted(g.edges()))
             if got is not None:
                 assert induces_pattern(g, got, pattern)
+
+
+def test_cliques_within_matches_bruteforce():
+    """On every graph with n <= 5 and every vertex mask, the clique
+    partition check holds exactly when no triple of the mask spans two
+    edges (a P3), or with ``co`` exactly one edge (a co-P3)."""
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            for mask in range(1 << n):
+                edge_counts = {
+                    sum(g.has_edge(x, y) for x, y in combinations(t, 2))
+                    for t in combinations([v for v in range(n) if mask >> v & 1], 3)
+                }
+                assert _cliques_within(g.adj_bits, mask, False) == (2 not in edge_counts)
+                assert _cliques_within(g.adj_bits, mask, True) == (1 not in edge_counts)
 
 
 def test_find_induced_named_examples():
