@@ -277,14 +277,18 @@ class Graph:
 
     def component_mask(self, start: int, within: int) -> int:
         """Mask of the connected component of ``start`` inside ``within``."""
+        adj = self.adj_bits
         comp = 1 << start
         frontier = comp
         while frontier:
+            # OR the frontier's rows, then cut to new vertices once per level
             nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj_bits[v] & within & ~comp
-            comp |= nxt
-            frontier = nxt
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & within & ~comp
+            comp |= frontier
         return comp
 
     def covers(self, cover: int, within: int) -> bool:
