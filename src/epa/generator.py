@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable
 
-from .graphs import Graph, Weights, bits, first_triangle, mask_of
+from .graphs import Graph, Weights, bits, mask_of
 from .instances import MAX_VERTICES
 from .recognize import recognize
 
@@ -177,14 +177,18 @@ def _base_chordal(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
 def _base_triangle_free(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     rows = _draw_pairs(rng, [0] * n, [(1 << n) - 1] * n, density)
     # Delete the last edge of the lexicographically first triangle until
-    # none is left.  Deleting edges makes no triangle, so the search
-    # resumes at the first vertex of the last triangle.
-    within = (1 << n) - 1
-    while (tri := first_triangle(rows, within)) is not None:
-        a, b, c = tri
-        rows[b] &= ~(1 << c)
-        rows[c] &= ~(1 << b)
-        within = within >> a << a
+    # none is left.  Deleting edges makes no triangle, so the search never
+    # goes back: the triangles (a, b, c) of a pair a < b are the common
+    # neighbours c > b, and deleting their edges bc ends them all at once
+    # while leaving every other pair's triangles as they were.
+    for a in range(n):
+        above_a = rows[a] >> (a + 1) << (a + 1)
+        for b in bits(above_a):
+            common = above_a & rows[b] >> (b + 1) << (b + 1)
+            if common:
+                rows[b] &= ~common
+                for c in bits(common):
+                    rows[c] &= ~(1 << b)
     return rows
 
 
