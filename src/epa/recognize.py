@@ -246,13 +246,7 @@ def _find_p3k1(g: Graph, mask: int) -> Optional[frozenset[int]]:
     # G is (P3+K1)-free exactly when the non-neighbours of every vertex
     # induce a cluster graph.
     adj = g.adj_bits
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if not _cliques_within(adj, mask & ~adj[low.bit_length() - 1] & ~low, False):
-            break
-    else:
+    if all(_cliques_within(adj, mask & ~adj[d] & ~(1 << d), False) for d in bits(mask)):
         return None
     for b in bits(mask):
         nb = g.adj_bits[b] & mask
