@@ -427,7 +427,8 @@ def test_obstruction_masks_golden():
 # (class, total n) of the parse digest: every generator class at n = 10,
 # 100 and 400, and the two classes with the densest and the sparsest
 # benchmark files at n = 800.  The triangle-free base (which p3k1-free
-# also builds on) is slow to generate, so those two stop at n = 100.
+# also builds on) was slow to generate when the digest was taken, so
+# those two stop at n = 100.
 PARSE_SIZES = [(cls, n) for cls in GENERATOR_CLASSES for n in (10, 100, 400)
                if not (cls in ("triangle-free", "p3k1-free") and n > 100)]
 PARSE_SIZES += [("cocluster", 800), ("chordal", 800)]
@@ -464,8 +465,8 @@ def test_parse_golden():
 
 # -- generation ----------------------------------------------------------
 
-# n of the generator digest; the p3k1-free self-check is slow, so that
-# class stops at n = 100.
+# n of the generator digest; the p3k1-free self-check was slow when the
+# digest was taken, so that class stops at n = 100.
 GENERATE_SIZES = (0, 1, 2, 5, 10, 40, 100, 200)
 GENERATE_DENSITIES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
 GENERATE_SHA256 = "415be6be2e3f831e058550a5bb5674a298ca03607a43a45fcbba479784cc1714"
