@@ -17,7 +17,9 @@ pattern and obstruction digests before ``certify`` and ``oracle`` moved
 to one table each; the parse digest before canonical edge blocks were
 read in bulk; the generator digest before the base classes were built
 as adjacency masks; the pattern-search digest before ``find_induced``
-decided pattern-freeness by a clique-partition check.  The
+decided pattern-freeness by a clique-partition check; the
+``vc_split`` and larger ``cvc_split`` digests before the split drivers
+seeded their budgeted searches with the recursion's cover.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
@@ -59,7 +61,7 @@ from epa.oracle import (
 from epa.packing import tp_maximal
 from epa.recognize import Cotree, build_cotree, find_induced
 from epa.reports import bench
-from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx
+from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx, vc_split
 from conftest import connected_corpus, corpus
 
 BENCH_SPECS = [
@@ -280,6 +282,39 @@ def test_cvc_split_golden():
                 found += 1
             seed += 1
     assert _sha("".join(out)) == CVC_SPLIT_SHA256
+
+
+# (total n, generator seed); k = n/10 planted, as in the split ladder.
+VC_SPLIT_CASES = [
+    (80, 7100), (100, 7101), (120, 7102), (120, 7103), (140, 7104), (160, 7105),
+    (160, 7106), (180, 7107), (200, 7108), (200, 7109), (400, 7110),
+]
+VC_SPLIT_SHA256 = "b95699fcee51957caa8e5ff765215aac670be35b6b378089f053b95434cb740b"
+CVC_SPLIT_LARGE_SHA256 = "4097e6d213fb79b2869a3f8e51f9052287c138391e29e5cd91cd3e6614ed591b"
+
+
+def test_vc_split_golden():
+    """vc_split on planted split draws at n = 80-200 and one at n = 400."""
+    out = []
+    for n, seed in VC_SPLIT_CASES:
+        g, _ = generate(GeneratorSpec("split", n - n // 10, n // 10, Fraction(1, 2), seed))
+        out.append(f"{n} {seed} {sorted(vc_split(g).cover)}\n")
+    assert _sha("".join(out)) == VC_SPLIT_SHA256
+
+
+def test_cvc_split_large_golden():
+    """cvc_split on the first two connected planted split draws at
+    n = 40, 45 and 50, generator seeds counting up from 7200."""
+    out = []
+    for n in (40, 45, 50):
+        seed, found = 7200, 0
+        while found < 2:
+            g, _ = generate(GeneratorSpec("split", n - n // 10, n // 10, Fraction(1, 2), seed))
+            if g.is_connected():
+                out.append(f"{n} {seed} {sorted(cvc_split(g).cover)}\n")
+                found += 1
+            seed += 1
+    assert _sha("".join(out)) == CVC_SPLIT_LARGE_SHA256
 
 
 def test_cvc_small_after_contraction_golden():
