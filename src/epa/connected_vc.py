@@ -15,6 +15,23 @@ after every kept vertex and is followed by its pendant leaf, which is
 where ``contract_with_pendant`` puts it, so the DFS visits vertices in
 the same order.  Its cover test runs on G itself, which is equivalent
 because Y is connected.
+
+The driver folds first: at each level it lifts the recursion's cover,
+cand1 = lift(cover) ∪ Z, and only then asks the budgeted search for a
+cover of G<Z> below |cand1| - |Z| + 2.  Lifting drops the contracted
+vertex, which every connected cover of G<Z> holds, and the leaf when the
+cover holds it.  So a cover of |cand1| - |Z| + 2 vertices or more lifts
+to at least |cand1| - |Z| and loses the tie to the recursion.  The bounded search returns
+the first smallest candidate whenever it is below the bound, so the final
+comparison sees what the unbounded search would have given it.
+
+The walk over Y is cut at a partial set S when |S| + |M_S| reaches the
+bound or the best size found so far, with M_S a greedy maximal matching
+of G - S.  Every candidate of the branch is a vertex cover of G that
+holds some Y ⊇ S, so it has at least |Y| + ν(G - Y) ≥ |S| + |M_S|
+vertices: each vertex of Y - S breaks at most one edge of M_S.  Nothing
+in a cut branch can be strictly smaller, and the walk's order is
+unchanged, so the first smallest candidate is the same.
 """
 
 from __future__ import annotations
@@ -24,7 +41,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits, mask_of
 from .recognize import find_induced
-from .solvers import savage_mask
+from .solvers import matching_cover, savage_mask
 from .vertex_cover import _improve_to_2maximal
 
 
@@ -98,28 +115,67 @@ def _brute_min_cvc(g: Graph, limit: int) -> Optional[frozenset[int]]:
 # budgeted connected cover
 
 
-def cvc_budgeted(g: Graph, c: int) -> ConnectedVCSol:
+def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[ConnectedVCSol]:
     """Connected cover of size at most max(OPT_CVC, OPT_CVC + OPT_VC - c).
 
     Small connected sets that already cover everything are returned as
     is; otherwise, for every connected set Y of size c+1, Savage's cover
     of the contraction G<Y> is lifted by swapping the contracted vertex
-    for Y.  The contraction is never built: the DFS treats Y as one
-    virtual vertex (see ``solvers.savage_mask``).
+    for Y, and the first smallest is kept.  The contraction is never
+    built: the DFS treats Y as one virtual vertex (see
+    ``solvers.savage_mask``).  With ``below`` given, that cover is
+    returned only when it has fewer than ``below`` vertices, and None
+    otherwise; the walk over Y skips every branch that cannot beat the
+    best so far (see the module docstring).
     """
     if not g.is_connected():
         raise ValueError("budgeted connected cover needs a connected graph")
+    if below is None:
+        below = g.n + 1
     # A small cover has at most min(c, n-1) vertices, fewer than any
     # lifted candidate, which contains Y.
-    small = _brute_min_cvc(g, c)
+    small = _brute_min_cvc(g, min(c, below - 1))
     if small is not None:
-        return ConnectedVCSol(small, f"cvc-budgeted[{c}]")
+        return ConnectedVCSol(small, f"cvc-budgeted[{c}]") if len(small) < below else None
+    k = min(c + 1, g.n)
+    adj, full = g.adj_bits, g.full_mask
     best: Optional[int] = None
-    for sub in connected_subsets(g, min(c + 1, g.n)):
-        cand = savage_mask(g, sub)
-        if best is None or cand.bit_count() < best.bit_count():
-            best = cand
+    # connected_subsets' walk, cut at every set S with |S| + |M_S| >= below
+    # for a greedy maximal matching M_S of G - S.  The first frame of an
+    # anchor v holds the empty set, whose one extension is v.
+    for v in range(g.n):
+        above = full & ~((2 << v) - 1)
+        stack = [(0, 1 << v, 0)]
+        while stack:
+            sub, ext, closed = stack[-1]
+            if not ext:
+                stack.pop()
+                continue
+            wbit = ext & -ext
+            ext ^= wbit
+            stack[-1] = (sub, ext, closed)
+            grown = sub | wbit
+            size = len(stack)
+            if _cannot_win(adj, full, grown, size, below):
+                continue
+            if size == k:
+                cand = savage_mask(g, grown)
+                if cand.bit_count() < below:
+                    best, below = cand, cand.bit_count()
+            else:
+                nbrs = adj[wbit.bit_length() - 1]
+                stack.append((grown, ext | (nbrs & above & ~closed & ~sub), closed | nbrs))
+    if best is None:
+        return None
     return ConnectedVCSol(frozenset(bits(best)), f"cvc-budgeted[{c}]")
+
+
+def _cannot_win(adj: Sequence[int], full: int, sub: int, size: int, below: int) -> bool:
+    """True when every vertex cover of G holding the ``size`` vertices of
+    ``sub`` has at least ``below`` vertices: ``sub`` plus a greedy
+    maximal matching of G - sub already needs that many."""
+    limit = 2 * (below - size)
+    return matching_cover(adj, full & ~sub, 0, None, limit).bit_count() >= limit
 
 
 # ---------------------------------------------------------------------
@@ -218,8 +274,12 @@ def cvc_split(g: Graph) -> ConnectedVCSol:
         levels.append((contracted, kept, z))
         h = contracted
     for contracted, kept, z in reversed(levels):
-        x2 = cvc_budgeted(contracted, 4).cover
         cand1 = _lift(cover, kept) | z
-        cand2 = _lift(x2, kept) | z
-        cover = cand1 if len(cand1) <= len(cand2) else cand2
+        # A cover of G<Z> loses at most two vertices, the contracted one
+        # and its leaf, when it is lifted.
+        budgeted = cvc_budgeted(contracted, 4, below=len(cand1) - len(z) + 2)
+        cover = cand1
+        if budgeted is not None:
+            cand2 = _lift(budgeted.cover, kept) | z
+            cover = cand1 if len(cand1) <= len(cand2) else cand2
     return ConnectedVCSol(cover, "cvc-split")

@@ -526,16 +526,23 @@ def vc_2approx(
     return frozenset(cover)
 
 
-def matching_cover(adj: Sequence[int], free: int, cover: int, trail: Optional[list] = None) -> int:
+def matching_cover(
+    adj: Sequence[int], free: int, cover: int, trail: Optional[list] = None, limit: Optional[int] = None
+) -> int:
     """``cover`` joined with both ends of a greedy maximal matching of the
     free vertices: the unit-weight local ratio on edges in lexicographic
     order, edge for edge, since each reduced edge zeroes both ends.  A
     vertex still free when its turn comes has only higher free
     neighbours; it is matched to the lowest.  With ``trail`` given, the
-    state (free, cover) before each step is appended to it."""
+    state (free, cover) before each step is appended to it.  With
+    ``limit`` given, the run stops before the first step at which the
+    cover holds ``limit`` vertices or more, after recording that state."""
+    room = free.bit_count() + 1 if limit is None else limit - cover.bit_count()
     while free:
         if trail is not None:
             trail.append((free, cover))
+        if room <= 0:
+            break
         low = free & -free
         free ^= low
         nbrs = adj[low.bit_length() - 1] & free
@@ -543,4 +550,5 @@ def matching_cover(adj: Sequence[int], free: int, cover: int, trail: Optional[li
             mate = nbrs & -nbrs
             cover |= low | mate
             free ^= mate
+            room -= 2
     return cover

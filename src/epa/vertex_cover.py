@@ -16,6 +16,20 @@ neither of the two vertices chosen, so both runs take the same steps.
 Each run records its state (free mask, cover mask) before every step,
 and the run on P ∪ {d} resumes from its parent's state at the step that
 touches d.  Only the runs of sets smaller than the budget record.
+
+The search is a branch and bound.  A candidate ranks (|D| + |cover|,
+|D|), and it must rank strictly below the best so far to replace it.
+``vc_split`` seeds the best with the recursion's cover, ranked ahead of
+every candidate of the same size, since ties go to the recursion.  The
+cover of a run only grows, so a run stops before the first step at which
+its rank reaches the best, and its candidate is dropped.  A recording
+run appends that stop state to its trail.  A child D ∪ {d} that resumes
+at a state whose cover already reaches its own limit stops at once: it
+has one more member than the run that recorded the state, and at least
+that cover.  Its larger sets still resume at the earlier states it
+inherits, which stay valid.  When those larger sets are the last level
+(|D| + 1 = c), every vertex still free in the stop state is dropped from
+the next members to try, because each of them would resume there.
 """
 
 from __future__ import annotations
@@ -222,18 +236,29 @@ def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
             return frozenset(bits(clique))
 
 
-def vc_budgeted_2approx(g: Graph, c: int, within: Optional[int] = None) -> VertexCoverSol:
+def vc_budgeted_2approx(
+    g: Graph, c: int, within: Optional[int] = None, below: Optional[int] = None
+) -> Optional[VertexCoverSol]:
     """Unweighted cover of G[within] (default: all of G) of size at most
     max(OPT, 2*OPT - c): try every deletion set D of size up to ``c``
     before 2-approximating the rest, and keep the smallest D joined with
     its cover.  Ties go to the smaller D, then to the lexicographically
-    first.  Each run resumes from its parent's (see the module docstring);
-    sizes are compared as popcounts and only the winner becomes a set."""
+    first.  With ``below`` given, that cover is returned only when it has
+    fewer than ``below`` vertices, and None otherwise.  Each run resumes
+    from its parent's and stops once it cannot win (see the module
+    docstring); sizes are compared as popcounts and only the winner
+    becomes a set."""
     mask = g.full_mask if within is None else within
     adj = g.adj_bits
+    # Candidates rank by (size, |D|); one must rank below ``best`` to win.
+    # Unbounded, best starts above every cover of G[mask].
+    best = (mask.bit_count() + 1 if below is None else below, -1)
+    best_bits: Optional[int] = None
     trail: Optional[list] = [] if c > 0 else None
-    best_bits = matching_cover(adj, mask, 0, trail)
-    best = (best_bits.bit_count(), 0)
+    cover = matching_cover(adj, mask, 0, trail, best[0])
+    if cover.bit_count() < best[0]:
+        best = (cover.bit_count(), 0)
+        best_bits = cover
     # Depth-first over the deletion sets in lexicographic order.  A frame
     # holds a set D, the trail of the run on M - D, and the vertices
     # still to try as the next (larger) member.
@@ -258,17 +283,24 @@ def vc_budgeted_2approx(g: Graph, c: int, within: Optional[int] = None) -> Verte
         free, cover = trail[lo]
         dset |= low
         k = len(stack)
+        # The run ranks (k + |cover|, k), and its cover only grows.
+        limit = best[0] - k + (k < best[1])
         if k < c:
-            sub = trail[:lo]
-            cover = matching_cover(adj, free & ~dset, cover, sub)
+            if cover.bit_count() >= limit:
+                sub = trail[: lo + 1]
+            else:
+                sub = trail[:lo]
+                cover = matching_cover(adj, free & ~dset, cover, sub, limit)
+            if k + 1 == c and sub and sub[-1][1].bit_count() >= limit:
+                todo &= ~sub[-1][0]
             stack.append((dset, sub, todo))
-        elif (k + cover.bit_count(), k) < best:
-            cover = matching_cover(adj, free & ~dset, cover)
-        else:
-            continue                # the cover only grows from here
-        if (k + cover.bit_count(), k) < best:
+        elif cover.bit_count() < limit:
+            cover = matching_cover(adj, free & ~dset, cover, None, limit)
+        if cover.bit_count() < limit:
             best = (k + cover.bit_count(), k)
             best_bits = cover | dset
+    if best_bits is None:
+        return None
     return _sol(g, unit_weights(g.n), frozenset(bits(best_bits)), f"vc-budgeted[{c}]")
 
 
@@ -279,11 +311,12 @@ def vc_split(g: Graph) -> VertexCoverSol:
     edgeless the near-clique solution is optimal; otherwise the better of
     the recursive call and the budgeted 2-approximation (c = 2), each
     joined with Z.  Ties go to the recursion branch.  The recursion runs
-    as a loop: it descends, keeping each level's Z and budgeted cover,
-    then folds the answers back up from the bottom.
+    as a loop: it descends, keeping each level's Z and rest, then folds
+    the answers back up from the bottom, where the budgeted search is
+    asked only for a cover smaller than the recursion's.
     """
     alive = g.full_mask
-    levels: list[tuple[frozenset[int], frozenset[int]]] = []
+    levels: list[tuple[frozenset[int], int]] = []
     while True:
         if g.covers(0, alive):
             cover: frozenset[int] = frozenset()
@@ -299,12 +332,13 @@ def vc_split(g: Graph) -> VertexCoverSol:
                     cover = cand
                     break
             break
-        levels.append((z, vc_budgeted_2approx(g, 2, within=rest).cover))
+        levels.append((z, rest))
         alive = rest
-    for z, budgeted in reversed(levels):
-        x1 = budgeted | z
-        x2 = cover | z
-        cover = x2 if len(x2) <= len(x1) else x1
+    for z, rest in reversed(levels):
+        budgeted = vc_budgeted_2approx(g, 2, within=rest, below=len(cover))
+        if budgeted is not None:
+            cover = budgeted.cover
+        cover |= z
     return _sol(g, unit_weights(g.n), cover, "vc-split")
 
 

@@ -21,7 +21,7 @@ from epa.graphs import (
     path_graph,
     star_graph,
 )
-from epa.generator import GeneratorSpec, generate
+from epa.generator import GeneratorSpec, generate, random_connected_graph
 from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc
 from epa.solvers import cvc_savage, savage_mask
 from epa.vertex_cover import two_maximal_clique
@@ -69,6 +69,25 @@ def test_cvc_budgeted_bound_corpus():
             sol = cvc_budgeted(g, c)
             assert is_connected_vertex_cover(g, sol.cover)
             assert sol.size <= max(opt_cvc, opt_cvc + opt_vc - c)
+
+
+def test_cvc_budgeted_below_matches_unbounded():
+    """With ``below`` = b the search returns the unbounded cover when that
+    has fewer than b vertices and None otherwise, for b = 1..n + 1, on
+    connected random graphs and on clique contractions."""
+    graphs = connected_corpus(30, 2, 12, seed0=3050)
+    for i in range(6):
+        g = random_connected_graph(11, Fraction(1, 2), 3090 + i)
+        graphs.append(g.contract_with_pendant(two_maximal_clique(g))[0])
+    for i, g in enumerate(graphs):
+        for c in (1, 2, 3, 4):
+            cover = cvc_budgeted(g, c).cover
+            for b in range(1, g.n + 2):
+                sol = cvc_budgeted(g, c, below=b)
+                if len(cover) < b:
+                    assert sol is not None and sol.cover == cover, (i, c, b)
+                else:
+                    assert sol is None, (i, c, b)
 
 
 def test_cvc_small_after_contraction_examples():

@@ -206,6 +206,24 @@ def test_budgeted_within_matches_reference_corpus():
                 assert sol.weight == len(sol.cover)
 
 
+def test_budgeted_below_matches_unbounded():
+    """With ``below`` = b the search returns the unbounded cover when that
+    has fewer than b vertices and None otherwise, for b = 0..|mask| + 1."""
+    graphs = corpus(40, 1, 12, seed0=2750)
+    graphs += [generate(GeneratorSpec("split", 14, 2, Fraction(1, 2), 2790 + i))[0] for i in range(6)]
+    for i, g in enumerate(graphs):
+        rng = SplitMix64(2760 + i)
+        for within in (g.full_mask, sum(1 << v for v in range(g.n) if rng.below(3))):
+            for c in (0, 1, 2, 3):
+                cover = vc_budgeted_2approx(g, c, within=within).cover
+                for b in range(within.bit_count() + 2):
+                    sol = vc_budgeted_2approx(g, c, within=within, below=b)
+                    if len(cover) < b:
+                        assert sol is not None and sol.cover == cover, (i, c, b)
+                    else:
+                        assert sol is None, (i, c, b)
+
+
 def test_vc_split_exact_on_splits():
     for i in range(30):
         g, _ = generate(GeneratorSpec("split", 10, 0, Fraction(1, 2), 2700 + i))
