@@ -164,14 +164,31 @@ def _base_chordal(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
         clique = 1 << rng.below(v)
         common = rows[clique.bit_length() - 1]  # earlier, adjacent to all of clique
         while rng.chance(density) and common:
-            members = list(bits(common))
-            x = members[rng.below(len(members))]
+            x = _nth_bit(common, rng.below(common.bit_count()))
             clique |= 1 << x
             common &= rows[x]
         for c in bits(clique):
             rows[c] |= 1 << v
         rows[v] = clique
     return rows
+
+
+def _nth_bit(mask: int, i: int) -> int:
+    """Index of the set bit of ``mask`` with i set bits below it.  The
+    window [lo, lo + width) holding it is halved by popcounts until it is
+    the lowest set bit from lo up."""
+    lo, width = 0, mask.bit_length()
+    while i:
+        half = width >> 1
+        count = (mask >> lo & ((1 << half) - 1)).bit_count()
+        if i < count:
+            width = half
+        else:
+            i -= count
+            lo += half
+            width -= half
+    rest = mask >> lo
+    return lo + (rest & -rest).bit_length() - 1
 
 
 def _base_triangle_free(rng: SplitMix64, n: int, density: Fraction) -> list[int]:

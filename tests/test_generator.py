@@ -5,6 +5,7 @@ import pytest
 from epa.generator import (
     GENERATOR_CLASSES,
     _base_triangle_free,
+    _nth_bit,
     GenerationError,
     GeneratorSpec,
     SplitMix64,
@@ -13,7 +14,7 @@ from epa.generator import (
     random_graph,
     random_weights,
 )
-from epa.graphs import Graph
+from epa.graphs import Graph, bits
 from epa.instances import MAX_VERTICES, serialize_instance
 from epa.recognize import recognize
 
@@ -80,6 +81,15 @@ def test_generated_masks_form_a_valid_graph(base):
                 g, _ = generate(GeneratorSpec(base, n, k, density, 5100 + n))
                 assert Graph(g.n, g.edges()) == g
                 assert not any(row >> v & 1 for v, row in enumerate(g.adj_bits))
+
+
+def test_nth_bit_matches_listed_bits():
+    rng = SplitMix64(77)
+    for width in (1, 2, 3, 7, 64, 65, 300):
+        for _ in range(20):
+            mask = rng.next64() ** 5 % (1 << width) or 1
+            members = list(bits(mask))
+            assert [_nth_bit(mask, i) for i in range(len(members))] == members
 
 
 def test_random_graph_helpers():
