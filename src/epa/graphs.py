@@ -337,34 +337,3 @@ def unit_weights(n: int) -> Weights:
 
 def total(w: Sequence[Fraction], vertices: Iterable[int]) -> Fraction:
     return sum((w[v] for v in vertices), Fraction(0))
-
-
-# -- tiny constructors (used by tests) --------------------------------
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Star with center 0 and ``leaves`` leaves."""
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    es = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
-    return Graph(a.n + b.n, es)
-

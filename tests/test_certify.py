@@ -31,10 +31,11 @@ from epa.certify import (
     is_vertex_cover,
 )
 from epa.generator import SplitMix64, random_graph
-from epa.graphs import Graph, cycle_graph
+from epa.graphs import Graph
 from epa.oracle import DEFAULT_BUDGET, exact_min_vc
 
 from conftest import corpus
+from small_graphs import cycle_graph
 
 ORACLE_BUDGET = replace(DEFAULT_BUDGET, vc=14)
 

@@ -10,9 +10,9 @@ import pytest
 
 from epa.cli import main
 from epa.generator import GeneratorSpec, generate, random_weights
-from epa.graphs import cycle_graph, path_graph
 from epa.instances import MAX_VERTICES, serialize_instance
 from epa.reports import ROWS
+from small_graphs import cycle_graph, path_graph
 
 
 @pytest.fixture

@@ -11,10 +11,11 @@ from epa.coloring import (
     degeneracy_oracle,
 )
 from epa.generator import GeneratorSpec, chained_triangle_complement, generate
-from epa.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from epa.graphs import Graph
 from epa.oracle import OracleBudget, exact_chromatic, exact_min_modulator
 from epa.solvers import max_matching
 from conftest import corpus
+from small_graphs import complete_graph, cycle_graph, empty_graph
 
 
 def chi_after_deleting(g: Graph, cls: str) -> tuple[int, int]:

@@ -11,21 +11,13 @@ from epa.connected_vc import (
     cvc_small_after_contraction,
     cvc_split,
 )
-from epa.graphs import (
-    Graph,
-    bits,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    mask_of,
-    path_graph,
-    star_graph,
-)
+from epa.graphs import Graph, bits, mask_of
 from epa.generator import GeneratorSpec, generate, random_connected_graph
 from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc
 from epa.solvers import cvc_savage, savage_mask
 from epa.vertex_cover import two_maximal_clique
 from conftest import connected_corpus, corpus
+from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 from test_vertex_cover import stack_depth
 
 

@@ -48,7 +48,7 @@ from epa.generator import (
     random_graph,
     random_weights,
 )
-from epa.graphs import Graph, mask_of, path_graph
+from epa.graphs import Graph, mask_of
 from epa.instances import parse_instance, serialize_instance
 from epa.oracle import (
     exact_lp_vc,
@@ -63,6 +63,7 @@ from epa.recognize import Cotree, build_cotree, find_induced
 from epa.reports import bench
 from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx, vc_split
 from conftest import connected_corpus, corpus
+from small_graphs import path_graph
 
 BENCH_SPECS = [
     GeneratorSpec(base, 8, k, Fraction(1, 2), seed)

@@ -3,18 +3,16 @@ from fractions import Fraction
 import pytest
 
 from epa.generator import GeneratorSpec, SplitMix64, generate
-from epa.graphs import (
-    Graph,
-    as_weights,
+from epa.graphs import Graph, as_weights, first_triangle
+from conftest import corpus
+from small_graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    first_triangle,
     path_graph,
     star_graph,
 )
-from conftest import corpus
 
 
 def random_mask(n: int, seed: int) -> int:

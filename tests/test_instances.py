@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from epa import instances
-from epa.graphs import Graph, path_graph, unit_weights
+from epa.graphs import Graph, unit_weights
 from epa.instances import ParseError, parse_instance, serialize_instance
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph, random_weights
 from conftest import corpus
+from small_graphs import path_graph
 
 
 def test_parse_minimal():

@@ -4,13 +4,6 @@ from itertools import combinations
 import pytest
 
 from epa.certify import is_proper_coloring, is_triangle_packing, is_vertex_cover
-from epa.graphs import (
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-    star_graph,
-)
 from epa.oracle import (
     BudgetExceeded,
     OracleBudget,
@@ -24,6 +17,7 @@ from epa.oracle import (
 )
 from epa.recognize import recognize
 from conftest import corpus, weights_for
+from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 
 
 def test_wvc_examples():

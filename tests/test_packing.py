@@ -3,10 +3,11 @@ from itertools import combinations
 
 from epa.certify import is_triangle_packing
 from epa.generator import GeneratorSpec, generate
-from epa.graphs import Graph, complete_graph, cycle_graph, disjoint_union
+from epa.graphs import Graph
 from epa.oracle import exact_max_tp, exact_min_modulator
 from epa.packing import tp_3maximal, tp_maximal
 from conftest import corpus
+from small_graphs import complete_graph, cycle_graph, disjoint_union
 
 
 def all_triangles(g: Graph):

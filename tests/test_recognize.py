@@ -5,7 +5,7 @@ import pytest
 
 from epa.certify import induces_pattern, is_clique, is_independent_set, is_proper_coloring
 from epa.generator import GeneratorSpec, generate
-from epa.graphs import Graph, complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
+from epa.graphs import Graph
 from epa.recognize import (
     CLASSES,
     Cotree,
@@ -21,6 +21,7 @@ from epa.recognize import (
     two_coloring,
 )
 from conftest import brute_member, corpus
+from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 
 
 def validate_recognition(g: Graph, rec) -> None:

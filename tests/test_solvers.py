@@ -3,16 +3,7 @@ from fractions import Fraction
 import pytest
 
 from epa.certify import is_matching, is_vertex_cover, is_connected_vertex_cover
-from epa.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-    star_graph,
-    total,
-    unit_weights,
-)
+from epa.graphs import Graph, total, unit_weights
 from epa.generator import GeneratorSpec, generate, random_weights
 from epa.oracle import (
     exact_lp_vc,
@@ -35,6 +26,7 @@ from epa.solvers import (
     wvc_forest,
 )
 from conftest import connected_corpus, corpus, weights_for
+from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 from test_recognize import _build_cotree_recursive
 
 

@@ -3,15 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from epa.certify import is_clique, is_vertex_cover
-from epa.graphs import (
-    Graph,
-    bits,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
-    unit_weights,
-)
+from epa.graphs import Graph, bits, unit_weights
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_weights
 from epa.oracle import exact_min_modulator, exact_min_vc, exact_min_wvc
 from epa.recognize import find_induced
@@ -25,6 +17,7 @@ from epa.vertex_cover import (
     vc_split,
 )
 from conftest import corpus, weights_for
+from small_graphs import complete_graph, cycle_graph, path_graph, star_graph
 
 
 def test_ffree_exact_on_cographs():
