@@ -21,9 +21,10 @@ cand1 = lift(cover) ∪ Z, and only then asks the budgeted search for a
 cover of G<Z> below |cand1| - |Z| + 2.  Lifting drops the contracted
 vertex, which every connected cover of G<Z> holds, and the leaf when the
 cover holds it.  So a cover of |cand1| - |Z| + 2 vertices or more lifts
-to at least |cand1| - |Z| and loses the tie to the recursion.  The bounded search returns
-the first smallest candidate whenever it is below the bound, so the final
-comparison sees what the unbounded search would have given it.
+to at least |cand1| - |Z| and loses the tie to the recursion.  The
+bounded search returns the first smallest candidate whenever it is below
+the bound, so the final comparison sees what the unbounded search would
+have given it.
 
 The walk over Y is cut at a partial set S when |S| + |M_S| reaches the
 bound or the best size found so far, with M_S a greedy maximal matching

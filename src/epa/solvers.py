@@ -527,7 +527,11 @@ def vc_2approx(
 
 
 def matching_cover(
-    adj: Sequence[int], free: int, cover: int, trail: Optional[list] = None, limit: Optional[int] = None
+    adj: Sequence[int],
+    free: int,
+    cover: int,
+    trail: Optional[list] = None,
+    limit: Optional[int] = None,
 ) -> int:
     """``cover`` joined with both ends of a greedy maximal matching of the
     free vertices: the unit-weight local ratio on edges in lexicographic
