@@ -292,6 +292,8 @@ def vc_budgeted_2approx(
                 sub = trail[:lo]
                 cover = matching_cover(adj, free & ~dset, cover, sub, limit)
             if k + 1 == c and sub and sub[-1][1].bit_count() >= limit:
+                # The run stopped; a last-level set resuming at its final
+                # state would rank behind it, so those members are not tried.
                 todo &= ~sub[-1][0]
             stack.append((dset, sub, todo))
         elif cover.bit_count() < limit:
