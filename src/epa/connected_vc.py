@@ -16,7 +16,7 @@ where ``contract_with_pendant`` puts it, so the DFS visits vertices in
 the same order.  Its cover test runs on G itself, which is equivalent
 because Y is connected.
 
-The driver folds first: at each level it lifts the recursion's cover,
+``cvc_split`` folds first: at each level it lifts the recursion's cover,
 cand1 = lift(cover) ∪ Z, and only then asks the budgeted search for a
 cover of G<Z> below |cand1| - |Z| + 2.  Lifting drops the contracted
 vertex, which every connected cover of G<Z> holds, and the leaf when the

@@ -18,7 +18,7 @@ to one table each; the parse digest before canonical edge blocks were
 read in bulk; the generator digest before the base classes were built
 as adjacency masks; the pattern-search digest before ``find_induced``
 decided pattern-freeness by a clique-partition check; the
-``vc_split`` and larger ``cvc_split`` digests before the split drivers
+``vc_split`` and larger ``cvc_split`` digests before the split rows
 seeded their budgeted searches with the recursion's cover.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does.
