@@ -19,7 +19,9 @@ read in bulk; the generator digest before the base classes were built
 as adjacency masks; the pattern-search digest before ``find_induced``
 decided pattern-freeness by a clique-partition check; the
 ``vc_split`` and larger ``cvc_split`` digests before the split rows
-seeded their budgeted searches with the recursion's cover.  The
+seeded their budgeted searches with the recursion's cover; the
+recognition digest before ``recognize`` read one class table and
+searched every witness kind on vertex masks.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
@@ -59,7 +61,7 @@ from epa.oracle import (
     exact_min_wvc,
 )
 from epa.packing import tp_maximal
-from epa.recognize import Cotree, build_cotree, find_induced
+from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
 from epa.reports import bench
 from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx, vc_split
 from conftest import connected_corpus, corpus
@@ -560,3 +562,60 @@ def test_find_induced_golden():
                 w = find_induced(g, pattern, within)
                 out.append(f"{cls}-{n} {pattern} {None if w is None else sorted(w)}\n")
     assert _sha("".join(out)) == FIND_SHA256
+
+
+# -- recognition ---------------------------------------------------------
+
+RECOGNIZE_DENSITIES = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+# (class, total n, k) of the generated half of the recognition digest.
+# The k = 0 draws stop at n = 100: the split search on the 2K2-free
+# cocluster and cochordal members took 16-19 s at n = 200 when the
+# digest was pinned.
+RECOGNIZE_SIZES = [(cls, n, k) for cls in GENERATOR_CLASSES for n in (10, 40, 100, 200)
+                   for k in (0, n // 10) if not (k == 0 and n > 100)]
+RECOGNIZE_SHA256 = "87566f72d1b63a1bb16b7c4c00b92b8d8f8338341800c7a4781fa83e877e7127"
+
+
+def pseudo_split(clique: int, independent: int, seed: int) -> Graph:
+    """A C5 joined to a clique, plus an independent set with random edges
+    to the clique only, relabeled at random: not split, yet free of 2K2
+    and C4, so its split witness is a C5."""
+    rng = SplitMix64(seed)
+    n = 5 + clique + independent
+    k = range(5, 5 + clique)
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(u, v) for v in k for u in range(v)]
+    edges += [(u, v) for v in range(5 + clique, n) for u in k if rng.below(2)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _canonical_structure(structure) -> object:
+    """Sides, components and split parts as sorted lists, in their
+    order; a PEO as it is; a cotree as its preorder."""
+    if structure is None:
+        return None
+    if isinstance(structure, Cotree):
+        return structure._preorder()
+    return [sorted(p) if isinstance(p, frozenset) else p for p in structure]
+
+
+def test_recognize_golden():
+    """recognize(g, cls) for every class: the verdict, the sorted witness,
+    its kind and the structure, on random graphs (n 0..30 at densities
+    1/5, 1/2 and 4/5), on generated instances of every class (k = 0
+    and k = n/10 planted) up to n = 200, and on pseudo-split graphs."""
+    graphs = [random_graph(n, d, 7600 + 3 * n + j)
+              for n in range(31) for j, d in enumerate(RECOGNIZE_DENSITIES)]
+    graphs += [generate(GeneratorSpec(cls, n - k, k, Fraction(1, 2), 7700 + n + k))[0]
+               for cls, n, k in RECOGNIZE_SIZES]
+    graphs += [pseudo_split(c, i, 7800 + c + i) for c in (0, 2, 6) for i in (0, 3, 8)]
+    out = []
+    for i, g in enumerate(graphs):
+        for cls in CLASSES:
+            rec = recognize(g, cls)
+            witness = None if rec.witness is None else sorted(rec.witness)
+            out.append(f"{i} {cls} {rec.member} {witness} {rec.witness_kind}"
+                       f" {_canonical_structure(rec.structure)}\n")
+    assert _sha("".join(out)) == RECOGNIZE_SHA256
