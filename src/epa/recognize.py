@@ -1,19 +1,23 @@
 """Graph-class membership tests with witnesses.
 
-Each recognizer returns a :class:`Recognition`: a verdict plus either a
-structural witness (bipartition, perfect elimination ordering, split
-partition, cotree, clique partition) or a forbidden induced pattern
-(P3, co-P3, P4, hole, odd cycle, triangle, empty triple, P3+K1, and the
-split obstructions 2K2/C4/C5).  Witnesses are meant to be re-validated
-by :mod:`epa.certify`; nothing downstream trusts the producer.
+``recognize`` reads one table, ``_CLASSES``.  A class maps to a builder
+of a member's structure (bipartition, components, perfect elimination
+ordering, split partition, cotree), or None, and to its forbidden
+induced subgraphs in search order; the first that :func:`find_induced`,
+the one obstruction search, finds is the witness.  A co-class maps to
+its base class, recognized on the complement, and its witness's name.
+Every walk reads the adjacency masks under a vertex mask, and
+``tests/test_golden.py::test_recognize_golden`` pins every verdict,
+witness and structure.  Witnesses are meant to be re-validated by
+:mod:`epa.certify`; nothing downstream trusts the producer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import Graph, bits, first_triangle
+from .graphs import Graph, bits, first_triangle, mask_of
 
 class NotInClassError(ValueError):
     """Raised when an exact solver is handed a graph outside its class."""
@@ -120,19 +124,11 @@ def find_induced(g: Graph, pattern: str, within: Optional[int] = None) -> Option
     ``within`` optionally restricts the search to a vertex mask.  Returns
     ``None`` exactly when the (restricted) graph is pattern-free.
     """
-    mask = g.full_mask if within is None else within
-    if pattern == "P3":
-        return _find_p3(g, mask)
-    if pattern == "co-P3":
-        return _find_co_p3(g, mask)
-    if pattern == "P4":
-        return _find_p4(g, mask)
-    if pattern == "triangle":
-        t = first_triangle(g.adj_bits, mask)
-        return None if t is None else frozenset(t)
-    if pattern == "P3+K1":
-        return _find_p3k1(g, mask)
-    raise ValueError(f"unsupported pattern {pattern!r}")
+    find = _FINDERS.get(pattern)
+    if find is None:
+        raise ValueError(f"unsupported pattern {pattern!r}")
+    found = find(g, g.full_mask if within is None else within)
+    return None if found is None else frozenset(found)
 
 
 # The searches below walk their masks with inline low-bit loops rather
@@ -249,11 +245,10 @@ def _find_p3k1(g: Graph, mask: int) -> Optional[frozenset[int]]:
     if all(_cliques_within(adj, mask & ~adj[d] & ~(1 << d), False) for d in bits(mask)):
         return None
     for b in bits(mask):
-        nb = g.adj_bits[b] & mask
+        nb = adj[b] & mask
         for a in bits(nb):
-            for c in bits(nb & ~g.adj_bits[a] & ~(1 << a)):
-                closed = g.adj_bits[a] | g.adj_bits[b] | g.adj_bits[c]
-                closed |= (1 << a) | (1 << b) | (1 << c)
+            for c in bits(nb & ~adj[a] & ~(1 << a)):
+                closed = adj[a] | adj[b] | adj[c] | (1 << a) | (1 << b) | (1 << c)
                 rest = mask & ~closed
                 if rest:
                     d = (rest & -rest).bit_length() - 1
@@ -261,27 +256,83 @@ def _find_p3k1(g: Graph, mask: int) -> Optional[frozenset[int]]:
     return None
 
 
+def _find_k2(g: Graph, mask: int) -> Optional[tuple[int, int]]:
+    # the lowest vertex with a neighbour has only higher ones
+    for u in bits(mask):
+        nb = g.adj_bits[u] & mask
+        if nb:
+            return u, (nb & -nb).bit_length() - 1
+    return None
+
+
 # ---------------------------------------------------------------------
-# cycle machinery (forest / bipartite / chordal witnesses)
+# cycles, holes and the split obstructions
+
+
+def _find_cycle(g: Graph, mask: int, odd_only: bool) -> Optional[list[int]]:
+    """Some chordless cycle of G[mask] (odd if requested), or None.
+
+    Breadth first from the lowest vertex of each component, rows in
+    ascending order: the first edge from u back to a vertex no deeper
+    (not u's parent; with ``odd_only``, on u's level) closes a cycle
+    through the tree, then shrunk along its chords.
+    """
+    adj = g.adj_bits
+    left = mask
+    while left:
+        s = (left & -left).bit_length() - 1
+        parent = {s: -1}
+        seen = level = upper = 1 << s     # upper: the levels down to u's
+        frontier = [s]
+        while frontier:
+            deeper = []
+            for u in frontier:
+                row = adj[u] & mask
+                # odd: u's own level; else any level down to u's but u's
+                # parent (the root, whose parent is -1, has none above it)
+                p = parent[u]
+                back = row & (level if odd_only else upper & ~(1 << p) if p >= 0 else 0)
+                if back:
+                    chain_u = _chain(parent, u)
+                    chain_v = _chain(parent, (back & -back).bit_length() - 1)
+                    pos = {x: i for i, x in enumerate(chain_u)}
+                    j = next(i for i, x in enumerate(chain_v) if x in pos)
+                    cyc = chain_u[: pos[chain_v[j]] + 1] + list(reversed(chain_v[:j]))
+                    return _shrink_to_chordless(g, cyc, keep_odd=odd_only)
+                new = row & ~seen
+                seen |= new
+                for v in bits(new):
+                    parent[v] = u
+                    deeper.append(v)
+            level = seen & ~upper
+            upper = seen
+            frontier = deeper
+        left &= ~seen
+    return None
+
+
+def _chain(parent: dict[int, int], v: int) -> list[int]:
+    # v and its ancestors up to the root, whose parent is -1
+    out = [v]
+    while parent[out[-1]] != -1:
+        out.append(parent[out[-1]])
+    return out
 
 
 def _shrink_to_chordless(g: Graph, cycle: list[int], keep_odd: bool) -> list[int]:
     """Shrink a simple cycle along chords; optionally preserve odd length."""
+    adj = g.adj_bits
     while True:
         k = len(cycle)
-        chord = None
-        for i in range(k):
-            for j in range(i + 2, k):
-                if i == 0 and j == k - 1:
-                    continue
-                if g.has_edge(cycle[i], cycle[j]):
-                    chord = (i, j)
-                    break
-            if chord:
+        rest = mask_of(cycle[2:])      # positions i + 2 .. k - 1
+        for i in range(k - 2):
+            row = adj[cycle[i]] & (rest & ~(1 << cycle[-1]) if i == 0 else rest)
+            if row:
+                j = next(j for j in range(i + 2, k) if row >> cycle[j] & 1)
                 break
-        if chord is None:
+            rest ^= 1 << cycle[i + 2]
+        else:
             return cycle
-        i, j = chord
         arc1 = cycle[i : j + 1]                       # i..j plus chord
         arc2 = cycle[j:] + cycle[: i + 1]             # j..i plus chord
         if keep_odd:
@@ -290,130 +341,98 @@ def _shrink_to_chordless(g: Graph, cycle: list[int], keep_odd: bool) -> list[int
             cycle = arc1 if len(arc1) <= len(arc2) else arc2
 
 
-def _find_cycle(g: Graph, odd_only: bool) -> Optional[list[int]]:
-    """Some chordless cycle (odd if requested), or None."""
-    n = g.n
-    reached = [False] * n
-    for s in range(n):
-        # BFS from a component's lowest vertex sees every non-tree edge
-        # and every same-level (odd-cycle) edge of the component; if it
-        # found no cycle, no later start in the component finds one.
-        if reached[s]:
-            continue
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in g.adj[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u] and dist[v] <= dist[u]:
-                    if odd_only and (dist[u] + dist[v] + 1) % 2 == 0:
-                        continue
-                    chain_u = _chain(parent, u)
-                    chain_v = _chain(parent, v)
-                    pos = {x: i for i, x in enumerate(chain_u)}
-                    j = next(i for i, x in enumerate(chain_v) if x in pos)
-                    meet = chain_v[j]
-                    cyc = chain_u[: pos[meet] + 1] + list(reversed(chain_v[:j]))
-                    if odd_only and len(cyc) % 2 == 0:
-                        continue
-                    return _shrink_to_chordless(g, cyc, keep_odd=odd_only)
-        for v in queue:
-            reached[v] = True
-    return None
-
-
-def _chain(parent: list[int], v: int) -> list[int]:
-    out = [v]
-    while parent[out[-1]] != -1:
-        out.append(parent[out[-1]])
-    return out
-
-
-def _find_hole(g: Graph) -> Optional[frozenset[int]]:
-    """An induced cycle of length >= 4, or None (graph is chordal)."""
-    n = g.n
-    for v in range(n):
-        nb = g.adj[v]
-        for i, x in enumerate(nb):
-            for y in nb[i + 1 :]:
-                if g.has_edge(x, y):
-                    continue
-                allowed = (g.full_mask & ~g.adj_bits[v] & ~(1 << v)) | (1 << x) | (1 << y)
-                path = _shortest_path(g, x, y, allowed)
+def _find_hole(g: Graph, mask: int) -> Optional[list[int]]:
+    """An induced cycle of length >= 4 in G[mask], or None (G[mask] is
+    chordal): a vertex v, two non-adjacent neighbours x < y, and a
+    shortest x-y path that avoids v's other neighbours."""
+    adj = g.adj_bits
+    for v in bits(mask):
+        nb = adj[v] & mask
+        away = mask & ~adj[v] & ~(1 << v)
+        for x in bits(nb):
+            for y in bits(nb & ~adj[x] & ~((2 << x) - 1)):
+                path = _shortest_path(g, x, y, away | (1 << x) | (1 << y))
                 if path is not None:
-                    return frozenset([v] + path)
+                    return [v] + path
     return None
 
 
 def _shortest_path(g: Graph, s: int, t: int, allowed: int) -> Optional[list[int]]:
-    if not (allowed >> s & 1 and allowed >> t & 1):
-        return None
+    """The first shortest s-t path inside ``allowed`` found breadth first,
+    each row in ascending order, or None."""
+    adj = g.adj_bits
     parent = {s: -1}
+    seen = 1 << s
     queue = [s]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        if u == t:
-            out = [t]
-            while parent[out[-1]] != -1:
-                out.append(parent[out[-1]])
-            return list(reversed(out))
-        for v in bits(g.adj_bits[u] & allowed):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
+    for u in queue:
+        new = adj[u] & allowed & ~seen
+        seen |= new
+        for v in bits(new):
+            parent[v] = u
+            queue.append(v)
+        if seen >> t & 1:
+            return _chain(parent, t)[::-1]
     return None
 
 
-# ---------------------------------------------------------------------
-# split obstructions
-
-
-def _find_2k2(g: Graph, mask: int) -> Optional[frozenset[int]]:
-    edges = [(u, v) for u, v in g.edges() if mask >> u & 1 and mask >> v & 1]
-    for i, (a, b) in enumerate(edges):
-        blocked = g.adj_bits[a] | g.adj_bits[b] | (1 << a) | (1 << b)
-        for c, d in edges[i + 1 :]:
-            if not (blocked >> c & 1) and not (blocked >> d & 1):
-                return frozenset((a, b, c, d))
-    return None
-
-
-def _find_c4(g: Graph, mask: int) -> Optional[frozenset[int]]:
-    for u in bits(mask):
-        for v in bits(mask & ~((1 << (u + 1)) - 1)):
-            if g.has_edge(u, v):
-                continue
-            common = g.adj_bits[u] & g.adj_bits[v] & mask
-            for a in bits(common):
-                rest = common & ~g.adj_bits[a] & ~((1 << (a + 1)) - 1)
-                if rest:
-                    b = (rest & -rest).bit_length() - 1
-                    return frozenset((u, v, a, b))
-    return None
-
-
-def _find_c5(g: Graph, mask: int) -> Optional[frozenset[int]]:
+def _find_2k2(g: Graph, mask: int) -> Optional[tuple[int, int, int, int]]:
+    """The first edge ab (a < b, lexicographic order) whose common
+    non-neighbourhood F spans an edge, and the first edge cd of G[F],
+    which comes after ab: an earlier one would have paired with ab."""
+    adj = g.adj_bits
     for a in bits(mask):
-        for b in bits(g.adj_bits[a] & mask):
-            for c in bits(g.adj_bits[b] & mask & ~g.adj_bits[a] & ~(1 << a)):
-                seen_ab = g.adj_bits[a] | g.adj_bits[b] | (1 << a) | (1 << b)
-                for d in bits(g.adj_bits[c] & mask & ~seen_ab):
-                    es = g.adj_bits[d] & g.adj_bits[a] & mask
-                    es &= ~g.adj_bits[b] & ~g.adj_bits[c] & ~(1 << b) & ~(1 << c)
-                    if es:
-                        e = (es & -es).bit_length() - 1
-                        return frozenset((a, b, c, d, e))
+        far = mask & ~adj[a] & ~(1 << a)
+        for b in bits(adj[a] & mask & ~((2 << a) - 1)):
+            side = far & ~adj[b]
+            for c in bits(side):
+                ds = adj[c] & side
+                if ds:
+                    return a, b, c, (ds & -ds).bit_length() - 1
     return None
+
+
+def _find_c4(g: Graph, mask: int) -> Optional[tuple[int, int, int, int]]:
+    # non-adjacent u < v with two non-adjacent common neighbours a < b
+    adj = g.adj_bits
+    for u in bits(mask):
+        for v in bits(mask & ~adj[u] & ~((2 << u) - 1)):
+            common = adj[u] & adj[v] & mask
+            for a in bits(common):
+                rest = common & ~adj[a] & ~((2 << a) - 1)
+                if rest:
+                    return u, v, a, (rest & -rest).bit_length() - 1
+    return None
+
+
+def _find_c5(g: Graph, mask: int) -> Optional[tuple[int, int, int, int, int]]:
+    # an induced path a-b-c-d closed by a neighbour e of a and d seeing neither b nor c
+    adj = g.adj_bits
+    for a in bits(mask):
+        for b in bits(adj[a] & mask):
+            for c in bits(adj[b] & mask & ~adj[a] & ~(1 << a)):
+                seen_ab = adj[a] | adj[b] | (1 << a) | (1 << b)
+                for d in bits(adj[c] & mask & ~seen_ab):
+                    es = adj[d] & adj[a] & mask & ~adj[b] & ~adj[c] & ~(1 << b) & ~(1 << c)
+                    if es:
+                        return a, b, c, d, (es & -es).bit_length() - 1
+    return None
+
+
+# Every kind ``find_induced`` searches: (g, vertex mask) -> vertices or None.
+_FINDERS = {
+    "K2": _find_k2,
+    "P3": _find_p3,
+    "co-P3": _find_co_p3,
+    "P4": _find_p4,
+    "triangle": lambda g, mask: first_triangle(g.adj_bits, mask),
+    "P3+K1": _find_p3k1,
+    "cycle": lambda g, mask: _find_cycle(g, mask, False),
+    "odd-cycle": lambda g, mask: _find_cycle(g, mask, True),
+    "hole": _find_hole,
+    "2K2": _find_2k2,
+    "C4": _find_c4,
+    "C5": _find_c5,
+}
 
 
 # ---------------------------------------------------------------------
@@ -460,50 +479,58 @@ def build_cotree(g: Graph):
 
 
 # ---------------------------------------------------------------------
-# chordality via maximum cardinality search
+# recognition: the structures of members and the class table
 
 
 def mcs_order(g: Graph) -> tuple[int, ...]:
-    """Maximum-cardinality-search ordering; reversed it is a candidate PEO."""
-    n = g.n
-    weight = [0] * n
-    picked = [False] * n
+    """Maximum-cardinality-search ordering; reversed it is a candidate PEO.
+
+    Each step picks the lowest unpicked vertex with the most picked
+    neighbours; ``buckets[w]`` masks the unpicked ones with w of them.
+    """
+    adj = g.adj_bits
+    unpicked = g.full_mask
+    buckets = [unpicked] + [0] * g.n
+    top = 0
     order = []
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if not picked[u]),
-            key=lambda u: (weight[u], -u),
-        )
-        picked[v] = True
+    for _ in range(g.n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        unpicked ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        for u in g.adj[v]:
-            if not picked[u]:
-                weight[u] += 1
+        nb = adj[v] & unpicked
+        w = top
+        while nb:
+            moving = buckets[w] & nb
+            buckets[w] ^= moving
+            buckets[w + 1] |= moving
+            nb ^= moving
+            w -= 1
+        if buckets[top + 1]:
+            top += 1
     return tuple(reversed(order))
 
 
 def is_perfect_elimination(g: Graph, peo: tuple[int, ...]) -> bool:
-    pos = {v: i for i, v in enumerate(peo)}
+    """True when the neighbours of each vertex that come after it in
+    ``peo`` (an ordering of all vertices) form a clique."""
+    adj = g.adj_bits
+    rest = g.full_mask
     for v in peo:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        p = min(later, key=lambda u: pos[u])
-        for u in later:
-            if u != p and not g.has_edge(u, p):
+        rest ^= 1 << v
+        later = adj[v] & rest
+        for u in bits(later):
+            if later & ~adj[u] & ~(1 << u):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------
-# recognizers
 
 
 def _try_split_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Hammer-Simeone degree test; returns (clique, independent set)."""
     n = g.n
-    if n == 0:
-        return frozenset(), frozenset()
     by_deg = sorted(range(n), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in by_deg]
     m_idx = max((i + 1 for i in range(n) if degs[i] >= i), default=0)
@@ -517,105 +544,64 @@ def _try_split_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[i
 def two_coloring(g: Graph) -> Optional[list[int]]:
     """Colors 1 and 2 by breadth-first search from each lowest unreached
     vertex, or None when an edge joins two equal colors (g is not
-    bipartite)."""
+    bipartite).  The search runs a level at a time: a vertex's color is
+    the parity of its level, and an edge inside a level is a conflict."""
+    adj = g.adj_bits
     colors = [0] * g.n
-    for s in range(g.n):
-        if colors[s]:
-            continue
-        colors[s] = 1
-        queue = [s]
-        for u in queue:
-            for v in g.adj[u]:
-                if not colors[v]:
-                    colors[v] = 3 - colors[u]
-                    queue.append(v)
-                elif colors[v] == colors[u]:
-                    return None
+    left = g.full_mask
+    while left:
+        level = seen = left & -left
+        color = 1
+        while level:
+            reach = 0
+            for v in bits(level):
+                reach |= adj[v]
+                colors[v] = color
+            if reach & level:
+                return None
+            level = reach & ~seen
+            seen |= level
+            color = 3 - color
+        left &= ~seen
     return colors
 
 
-Checker = Callable[[Graph, str], Recognition]  # (g, class name) -> verdict
-
-
-def _pattern_free(kind: str, find: Callable[[Graph], object]) -> Checker:
-    """A class defined by one forbidden pattern, with no structure."""
-
-    def check(g: Graph, cls: str) -> Recognition:
-        w = find(g)
-        if w is None:
-            return Recognition(cls, True)
-        return Recognition(cls, False, frozenset(w), kind)
-
-    return check
-
-
-def _on_complement(base: str, kind: str) -> Checker:
-    """The complement class of ``base``: the complement's verdict and
-    structure, its witness renamed to ``kind``."""
-
-    def check(g: Graph, cls: str) -> Recognition:
-        inner = recognize(g.complement(), base)
-        return replace(inner, cls=cls, witness_kind=None if inner.member else kind)
-
-    return check
-
-
-def _bipartite(g: Graph, cls: str) -> Recognition:
+def _sides(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     colors = two_coloring(g)
-    if colors is None:
-        return Recognition(cls, False, frozenset(_find_cycle(g, odd_only=True)), "odd-cycle")
-    sides = tuple(frozenset(v for v in range(g.n) if colors[v] == c) for c in (1, 2))
-    return Recognition(cls, True, structure=sides)
+    return None if colors is None else tuple(
+        frozenset(v for v in range(g.n) if colors[v] == c) for c in (1, 2))
 
 
-def _cluster(g: Graph, cls: str) -> Recognition:
-    p3 = _find_p3(g, g.full_mask)
-    if p3 is not None:
-        return Recognition(cls, False, p3, "P3")
-    return Recognition(cls, True, structure=tuple(g.connected_components()))
+def _clusters(g: Graph) -> Optional[tuple[frozenset[int], ...]]:
+    if not _cliques_within(g.adj_bits, g.full_mask, False):
+        return None
+    return tuple(g.connected_components())
 
 
-def _cograph(g: Graph, cls: str) -> Recognition:
-    tree = build_cotree(g)
-    if isinstance(tree, frozenset):
-        return Recognition(cls, False, tree, "P4")
-    return Recognition(cls, True, structure=tree)
-
-
-def _split(g: Graph, cls: str) -> Recognition:
-    part = _try_split_partition(g)
-    if part is not None:
-        return Recognition(cls, True, structure=part)
-    for finder, kind in ((_find_2k2, "2K2"), (_find_c4, "C4"), (_find_c5, "C5")):
-        w = finder(g, g.full_mask)
-        if w is not None:
-            return Recognition(cls, False, w, kind)
-    raise AssertionError("non-split graph without a 2K2/C4/C5 witness")
-
-
-def _chordal(g: Graph, cls: str) -> Recognition:
+def _peo(g: Graph) -> Optional[tuple[int, ...]]:
     peo = mcs_order(g)
-    if is_perfect_elimination(g, peo):
-        return Recognition(cls, True, structure=peo)
-    return Recognition(cls, False, _find_hole(g), "hole")
+    return peo if is_perfect_elimination(g, peo) else None
 
 
-_CHECKERS: dict[str, Checker] = {
-    "edgeless": _pattern_free("K2", lambda g: next(g.edges(), None)),
-    "forest": _pattern_free("cycle", lambda g: _find_cycle(g, odd_only=False)),
-    "bipartite": _bipartite,
-    "cluster": _cluster,
-    "cocluster": _on_complement("cluster", "co-P3"),
-    "cograph": _cograph,
-    "split": _split,
-    "chordal": _chordal,
-    "cochordal": _on_complement("chordal", "co-hole"),
-    "triangle-free": _pattern_free("triangle", lambda g: first_triangle(g.adj_bits, g.full_mask)),
-    "co-triangle-free": _on_complement("triangle-free", "K3bar"),
-    "p3k1-free": _pattern_free("P3+K1", lambda g: _find_p3k1(g, g.full_mask)),
+# class -> (structure builder or None, witness kinds in search order);
+# co-class -> (base class, the base witness's kind on the complement).
+# ``build_cotree`` returns the P4 it met instead of None.
+_CLASSES: dict[str, tuple] = {
+    "edgeless": (None, ("K2",)),
+    "forest": (None, ("cycle",)),
+    "bipartite": (_sides, ("odd-cycle",)),
+    "cluster": (_clusters, ("P3",)),
+    "cocluster": ("cluster", "co-P3"),
+    "cograph": (build_cotree, ("P4",)),
+    "split": (_try_split_partition, ("2K2", "C4", "C5")),
+    "chordal": (_peo, ("hole",)),
+    "cochordal": ("chordal", "co-hole"),
+    "triangle-free": (None, ("triangle",)),
+    "co-triangle-free": ("triangle-free", "K3bar"),
+    "p3k1-free": (None, ("P3+K1",)),
 }
 
-CLASSES = tuple(_CHECKERS)
+CLASSES = tuple(_CLASSES)
 
 
 def recognize(g: Graph, cls: str) -> Recognition:
@@ -624,7 +610,21 @@ def recognize(g: Graph, cls: str) -> Recognition:
     Verdicts agree with exhaustive forbidden-subgraph search (this is
     property-tested at small sizes).
     """
-    check = _CHECKERS.get(cls)
-    if check is None:
+    entry = _CLASSES.get(cls)
+    if entry is None:
         raise ValueError(f"unsupported class {cls!r}")
-    return check(g, cls)
+    build, kinds = entry
+    if isinstance(build, str):
+        inner = recognize(g.complement(), build)
+        return replace(inner, cls=cls, witness_kind=None if inner.member else kinds)
+    structure = None if build is None else build(g)
+    if isinstance(structure, frozenset):
+        return Recognition(cls, False, structure, kinds[0])
+    if structure is None:
+        for kind in kinds:
+            witness = find_induced(g, kind)
+            if witness is not None:
+                return Recognition(cls, False, witness, kind)
+        if build is not None:
+            raise AssertionError(f"{cls} builder found no structure and no witness")
+    return Recognition(cls, True, structure=structure)

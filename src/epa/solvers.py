@@ -27,7 +27,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .graphs import Graph, Weights, bits, mask_of, unit_weights
-from .recognize import Cotree, NotInClassError, build_cotree, find_induced, _find_cycle
+from .recognize import Cotree, NotInClassError, recognize
 
 Matching = frozenset[tuple[int, int]]
 
@@ -38,57 +38,50 @@ Matching = frozenset[tuple[int, int]]
 
 def wvc_forest(g: Graph, w: Weights) -> frozenset[int]:
     """Minimum-weight vertex cover of a forest (tree DP)."""
-    cyc = _find_cycle(g, odd_only=False)
-    if cyc is not None:
-        raise NotInClassError("forest", frozenset(cyc))
+    rec = recognize(g, "forest")
+    if not rec.member:
+        raise NotInClassError("forest", rec.witness)
     n = g.n
-    dp_in = [Fraction(0)] * n   # v in the cover
-    dp_out = [Fraction(0)] * n  # v not in the cover
+    adj = g.adj_bits
+    # each tree breadth first from its lowest vertex, parents before children
+    order: list[int] = []
     parent = [-1] * n
-    cover: set[int] = set()
-    visited = [False] * n
+    seen = 0
     for root in range(n):
-        if visited[root]:
+        if seen >> root & 1:
             continue
-        # iterative post-order
-        order = []
-        stack = [root]
-        visited[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u in g.adj[v]:
-                if not visited[u]:
-                    visited[u] = True
-                    parent[u] = v
-                    stack.append(u)
-        for v in reversed(order):
-            dp_in[v] = w[v]
-            dp_out[v] = Fraction(0)
-            for u in g.adj[v]:
-                if parent[u] == v:
-                    dp_in[v] += min(dp_in[u], dp_out[u])
-                    dp_out[v] += dp_in[u]
-        # reconstruct top-down
-        take = [False] * n
-        take[root] = dp_in[root] < dp_out[root]
-        for v in order:
-            if v != root:
-                p = parent[v]
-                take[v] = True if not take[p] else dp_in[v] < dp_out[v]
-            if take[v]:
-                cover.add(v)
-    return frozenset(cover)
+        seen |= 1 << root
+        queue = [root]
+        for v in queue:
+            kids = adj[v] & ~seen
+            seen |= kids
+            for u in bits(kids):
+                parent[u] = v
+                queue.append(u)
+        order += queue
+    dp_in = list(w)               # best cover of v's subtree holding v
+    dp_out = [Fraction(0)] * n    # and not holding v
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            dp_in[p] += min(dp_in[v], dp_out[v])
+            dp_out[p] += dp_in[v]
+    # reconstruct top-down: v is taken when its parent is not, or when cheaper
+    take = [False] * n
+    for v in order:
+        p = parent[v]
+        take[v] = True if p >= 0 and not take[p] else dp_in[v] < dp_out[v]
+    return frozenset(v for v in range(n) if take[v])
 
 
 def wvc_cluster(g: Graph, w: Weights) -> frozenset[int]:
     """Minimum-weight vertex cover of a cluster graph: drop one heaviest
     vertex per clique."""
-    p3 = find_induced(g, "P3")
-    if p3 is not None:
-        raise NotInClassError("cluster", p3)
+    rec = recognize(g, "cluster")
+    if not rec.member:
+        raise NotInClassError("cluster", rec.witness)
     cover: set[int] = set()
-    for comp in g.connected_components():
+    for comp in rec.structure:
         keep_out = max(sorted(comp), key=lambda v: (w[v], -v))
         cover.update(comp - {keep_out})
     return frozenset(cover)
@@ -97,14 +90,14 @@ def wvc_cluster(g: Graph, w: Weights) -> frozenset[int]:
 def wvc_cograph(g: Graph, w: Weights) -> frozenset[int]:
     """Minimum-weight vertex cover of a cograph by cotree DP: the
     vertices outside a heaviest independent set."""
-    tree = build_cotree(g)
-    if isinstance(tree, frozenset):
-        raise NotInClassError("cograph", tree)
+    rec = recognize(g, "cograph")
+    if not rec.member:
+        raise NotInClassError("cograph", rec.witness)
     # Post-order with an explicit stack (a cotree can be about n deep).
     # A node's result is a heaviest independent set of its leaves as
     # (weight, vertices): a union takes all its children's sets, a join
     # its first heaviest child's.
-    stack: list[tuple[Cotree, list]] = [(tree, [])]
+    stack: list[tuple[Cotree, list]] = [(rec.structure, [])]
     while True:
         node, subs = stack[-1]
         if node.kind == "leaf":

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from epa.certify import induces_pattern, is_clique, is_independent_set, is_proper_coloring
-from epa.generator import GeneratorSpec, generate
+from epa.generator import GeneratorSpec, SplitMix64, generate
 from epa.graphs import Graph
 from epa.recognize import (
     CLASSES,
@@ -144,7 +144,17 @@ def brute_find(g: Graph, pattern: str, size: int):
     return None
 
 
+# The kinds that only recognition searched before, with the sizes a
+# brute-force search tries.
+MASK_KINDS = {"K2": (2,), "cycle": range(3, 9), "odd-cycle": (3, 5, 7), "hole": range(4, 9),
+              "2K2": (4,), "C4": (4,), "C5": (5,)}
+
+
 def test_find_induced_matches_bruteforce():
+    """The five pattern kinds on whole graphs; the seven other kinds on
+    n <= 8 under the full and a random vertex mask: None exactly when no
+    subset of the mask induces the kind, and otherwise a witness inside
+    the mask that induces it."""
     sizes = {"P3": 3, "co-P3": 3, "P4": 4, "triangle": 3, "P3+K1": 4}
     for g in corpus(60, 1, 8, seed0=1000):
         for pattern, size in sizes.items():
@@ -153,6 +163,17 @@ def test_find_induced_matches_bruteforce():
             assert (got is None) == (expect is None), (pattern, sorted(g.edges()))
             if got is not None:
                 assert induces_pattern(g, got, pattern)
+    for i, g in enumerate(corpus(120, 1, 8, seed0=1100)):
+        rng = SplitMix64(1100 + i)
+        for within in (g.full_mask, sum(1 << v for v in range(g.n) if rng.below(4))):
+            inside = [v for v in range(g.n) if within >> v & 1]
+            for kind, lengths in MASK_KINDS.items():
+                got = find_induced(g, kind, within)
+                exists = any(induces_pattern(g, sub, kind)
+                             for k in lengths for sub in combinations(inside, k))
+                assert (got is not None) == exists, (kind, within, sorted(g.edges()))
+                if got is not None:
+                    assert got <= set(inside) and induces_pattern(g, got, kind)
 
 
 def test_cliques_within_matches_bruteforce():
@@ -316,7 +337,7 @@ def test_two_coloring_matches_oracle_bfs_reference():
 def test_find_cycle_matches_every_start_reference():
     for g in _cycle_corpus():
         for odd_only in (False, True):
-            assert _find_cycle(g, odd_only) == _find_cycle_every_start(g, odd_only)
+            assert _find_cycle(g, g.full_mask, odd_only) == _find_cycle_every_start(g, odd_only)
 
 
 def test_cotree_matches_recursive_reference():
