@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .generator import GENERATOR_CLASSES, GenerationError, GeneratorSpec, generate
 from .instances import parse_instance, serialize_instance
+from .recognize import CLASSES
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -198,6 +199,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.modulator and args.modulator not in CLASSES:
+        print(f"error: no modulator oracle for class {args.modulator!r}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     g, w = _read_instance(args.input)
     budget = _budget(args)
     out: dict[str, str] = {}

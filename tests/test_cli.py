@@ -111,6 +111,15 @@ def test_oracle_command(c5_file, capsys):
     assert out["k"] == "1"
 
 
+def test_oracle_unknown_modulator_class_exits_2(c5_file, capsys):
+    """An unknown modulator class is an unsupported class, as in ``gen``
+    and ``bench``: exit code 2 and one ``error:`` line."""
+    assert main(["oracle", "--modulator", "interval", "--input", c5_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no modulator oracle for class 'interval'\n"
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_oracle_modulator_k_matches_verify(weighted, tmp_path, capsys):
     g, _ = generate(GeneratorSpec("cograph", 7, 2, Fraction(1, 2), 1))
