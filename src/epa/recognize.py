@@ -275,7 +275,8 @@ def _find_cycle(g: Graph, mask: int, odd_only: bool) -> Optional[list[int]]:
     Breadth first from the lowest vertex of each component, rows in
     ascending order: the first edge from u back to a vertex no deeper
     (not u's parent; with ``odd_only``, on u's level) closes a cycle
-    through the tree, then shrunk along its chords.
+    through the tree, then shrunk along its chords.  A search that
+    closes none has seen every such edge of its component.
     """
     adj = g.adj_bits
     left = mask
