@@ -3,8 +3,8 @@
 every guarantee row, of the two budgeted subroutines of the split
 rows, of ``epa oracle`` and the exact oracles, of the graph routines
 that several solvers share, of the checking side's pattern tests
-and obstruction sets, of parsing serialized instances and of
-generated instances.
+and obstruction sets, of parsing serialized instances, of
+generated instances and of the half-integral LP.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
@@ -21,9 +21,10 @@ decided pattern-freeness by a clique-partition check; the
 ``vc_split`` and larger ``cvc_split`` digests before the split rows
 seeded their budgeted searches with the recursion's cover; the
 recognition digest before ``recognize`` read one class table and
-searched every witness kind on vertex masks.  The
-``epa oracle`` digest was pinned again when ``--modulator`` began to
-weigh k on weighted rows, as ``verify`` does.
+searched every witness kind on vertex masks; the half-integral LP
+digest before ``lp_half_integral_vc`` ran its min cut on adjacency
+masks.  The ``epa oracle`` digest was pinned again when ``--modulator``
+began to weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -63,6 +64,7 @@ from epa.oracle import (
 from epa.packing import tp_maximal
 from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
 from epa.reports import bench
+from epa.solvers import lp_half_integral_vc
 from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx, vc_split
 from conftest import connected_corpus, corpus
 from small_graphs import path_graph
@@ -619,3 +621,36 @@ def test_recognize_golden():
             out.append(f"{i} {cls} {rec.member} {witness} {rec.witness_kind}"
                        f" {_canonical_structure(rec.structure)}\n")
     assert _sha("".join(out)) == RECOGNIZE_SHA256
+
+
+# -- the half-integral LP ------------------------------------------------
+
+LP_DENSITIES = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+LP_CLASSES = ("forest", "chordal", "bipartite", "cograph", "triangle-free")
+LP_HALF_SHA256 = "ba206e33ffaa39cd2ceff10436c134bbe91badab05de321f591ce480305d3210"
+
+
+def test_lp_half_integral_golden():
+    """values and objective of lp_half_integral_vc on random graphs
+    (n 0..30 at densities 1/5, 1/2 and 4/5) with unit weights, random
+    weights and random weights of which about half are zero; on planted
+    forest, chordal, bipartite, cograph and triangle-free draws at
+    n = 100 and 200 (k = n/10), unit and weighted; and on a 1000-vertex
+    path, a 1500-vertex caterpillar and a 700-vertex threshold cograph."""
+    cases = []
+    for n in range(31):
+        for j, d in enumerate(LP_DENSITIES):
+            i = 3 * n + j
+            g = random_graph(n, d, 8100 + i)
+            cases += [(g, None), (g, random_weights(n, 8200 + i)),
+                      (g, random_weights(n, 8200 + i, zero_share=Fraction(1, 2)))]
+    for i, (cls, n) in enumerate((c, n) for c in LP_CLASSES for n in (100, 200)):
+        g, _ = generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), 8300 + i))
+        cases += [(g, None), (g, random_weights(g.n, 8400 + i))]
+    cases += [(path_graph(1000), None), (caterpillar(1500), None),
+              (threshold_cograph(700), None)]
+    out = []
+    for i, (g, w) in enumerate(cases):
+        lp = lp_half_integral_vc(g, w)
+        out.append(f"{i} {lp.objective} {' '.join(map(str, lp.values))}\n")
+    assert _sha("".join(out)) == LP_HALF_SHA256
