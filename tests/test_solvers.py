@@ -4,7 +4,7 @@ import pytest
 
 from epa.certify import is_matching, is_vertex_cover, is_connected_vertex_cover
 from epa.graphs import Graph, total, unit_weights
-from epa.generator import GeneratorSpec, generate, random_weights
+from epa.generator import GeneratorSpec, generate, random_graph, random_weights
 from epa.oracle import (
     exact_lp_vc,
     exact_max_matching_size,
@@ -194,6 +194,51 @@ def test_lp_persistency_corpus():
         sub, old = g.induced_subgraph(lp.v_half)
         sub_w = tuple(w[v] for v in old)
         assert exact_lp_vc(sub, sub_w) == total(w, lp.v_half) / 2
+
+
+def _least_cut_reference(g: Graph, w) -> tuple[Fraction, ...]:
+    """The LP values read off the least minimum cut of the double cover.
+
+    A finite cut puts the left copies of a set A on the sink side and
+    then must put the right copies of B(A) = N(V - A) on the source side,
+    at cost w(A) + w(B(A)).  Minimum cuts are closed under union and
+    intersection of their source sides, so the least one cuts A*, the
+    union of the cheapest A, and B*, the intersection of their B(A).  The
+    set reachable from the source in the residual graph of any maximum
+    flow is that least source side (Picard and Queyranne, Math.
+    Programming 12, 1977), so every correct max flow gives these values.
+    """
+    n = g.n
+    full = g.full_mask
+    weight = [Fraction(0)] * (1 << n)       # w(mask)
+    nbrs = [0] * (1 << n)                   # N(mask)
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        weight[mask] = weight[mask & (mask - 1)] + w[v]
+        nbrs[mask] = nbrs[mask & (mask - 1)] | g.adj_bits[v]
+    best = None
+    union, inter = 0, full
+    for a in range(1 << n):
+        b = nbrs[full ^ a]
+        cost = weight[a] + weight[b]
+        if best is None or cost < best:
+            best, union, inter = cost, a, b
+        elif cost == best:
+            union |= a
+            inter &= b
+    return tuple(Fraction((union >> v & 1) + (inter >> v & 1), 2) for v in range(n))
+
+
+def test_lp_returns_least_minimum_cut():
+    i = 0
+    for n in range(10):
+        for d in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
+            for _ in range(12):
+                g = random_graph(n, d, 1700 + i)
+                for w in (unit_weights(n), random_weights(n, 1800 + i),
+                          random_weights(n, 1800 + i, zero_share=Fraction(1, 2))):
+                    assert lp_half_integral_vc(g, w).values == _least_cut_reference(g, w)
+                i += 1
 
 
 # -- matching -----------------------------------------------------------
