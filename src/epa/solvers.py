@@ -6,8 +6,9 @@ Contracts (all oracle-tested at small sizes):
 * ``wvc_forest`` / ``wvc_cograph`` / ``wvc_cluster`` are exact on their
   classes and raise :class:`~epa.recognize.NotInClassError` otherwise.
 * ``lp_half_integral_vc`` returns an optimal half-integral solution of
-  the vertex cover LP (computed by a minimum s-t cut on the bipartite
-  double cover, so it is exact with rational weights).
+  the vertex cover LP: the least minimum s-t cut of the bipartite double
+  cover, found on the adjacency masks in exact integers, so it does not
+  depend on which maximum flow the search finds.
 * ``max_matching`` is a maximum matching in a general graph (blossom
   contraction).
 * ``fvs_2approx`` returns an inclusion-minimal feedback vertex set of
@@ -130,108 +131,98 @@ class HalfIntegralLP:
     v1: frozenset[int]
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def maxflow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                u = queue[head]
-                head += 1
-                for e in self.head[u]:
-                    if self.cap[e] > 0 and level[self.to[e]] == -1:
-                        level[self.to[e]] = level[u] + 1
-                        queue.append(self.to[e])
-            if level[t] == -1:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                got = dfs(s, 1 << 62)
-                if not got:
-                    break
-                flow += got
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-
 def lp_half_integral_vc(g: Graph, w: Optional[Weights] = None) -> HalfIntegralLP:
     """Optimal half-integral LP solution by min cut on the double cover.
 
-    Left copies hang off the source with capacity w(u), right copies feed
-    the sink with capacity w(v); each edge {u,v} contributes two infinite
-    arcs.  A minimum cut is a minimum-weight vertex cover of the double
-    cover, and halving its indicator gives the LP optimum.
+    Left copies u hang off the source with capacity w(u), right copies v'
+    feed the sink with capacity w(v), and each edge {u,v} gives uncapped
+    arcs u -> v' and v -> u'.  A minimum cut is a minimum-weight vertex
+    cover of the double cover, and halving its indicator gives the LP
+    optimum.
+
+    Dinic's phases run on the adjacency masks, where the uncapped arcs
+    stay implicit.  Each phase builds the level masks breadth first and
+    walks them with an explicit path, clearing dead ends from their
+    level.  The last search, which misses the sink, sees the least
+    minimum cut, whichever maximum flow was found.
     """
     if w is None:
         w = unit_weights(g.n)
     n = g.n
+    adj = g.adj_bits
     scale = lcm(*(f.denominator for f in w)) if n else 1
-    wi = [int(f * scale) for f in w]
-    s, t = 2 * n, 2 * n + 1
-    net = _Dinic(2 * n + 2)
-    inf = sum(wi) + 1
-    for u in range(n):
-        net.add(s, u, wi[u])
-        net.add(n + u, t, wi[u])
-    for u, v in g.edges():
-        net.add(u, n + v, inf)
-        net.add(v, n + u, inf)
-    flow = net.maxflow(s, t)
-    reach = net.reachable(s)
-    halves = [0] * n  # x in half-units
-    for u in range(n):
-        if u not in reach:          # source arc cut: left copy in cover
-            halves[u] += 1
-        if (n + u) in reach:        # sink arc cut: right copy in cover
-            halves[u] += 1
-    values = tuple(Fraction(h, 2) for h in halves)
-    objective = Fraction(flow, 2 * scale)
+    src = [int(f * scale) for f in w]       # residual capacity of s -> u
+    snk = list(src)                         # residual capacity of v' -> t
+    open_src = open_snk = mask_of(u for u in range(n) if src[u])
+    flows: dict[tuple[int, int], int] = {}  # positive flow on u -> v'
+    back = [0] * n                          # back[v]: the u with flow on u -> v'
+    total = 0
+    while True:
+        # alternate left and right levels up to the first right level
+        # that meets the sink, cut down to the vertices that do
+        levels: list[int] = []
+        left = seen_left = open_src
+        seen_right = 0
+        while left:
+            right = 0
+            for u in bits(left):
+                right |= adj[u]
+            right &= ~seen_right
+            seen_right |= right
+            if right & open_snk:
+                levels += (left, right & open_snk)
+                break
+            levels += (left, right)
+            left = 0
+            for v in bits(right):
+                left |= back[v]
+            left &= ~seen_left
+            seen_left |= left
+        else:
+            break       # the sink is out of reach; the seen masks are the cut
+        # blocking flow: path[i] is taken from levels[i]
+        path: list[int] = []
+        while levels[0]:
+            k = len(path)
+            if k == len(levels):
+                u, v = path[0], path[-1]
+                push = min(src[u], snk[v], *(flows[path[j], path[j - 1]] for j in range(2, k, 2)))
+                total += push
+                src[u] -= push
+                snk[v] -= push
+                if not src[u]:
+                    open_src &= ~(1 << u)
+                    levels[0] &= ~(1 << u)
+                if not snk[v]:
+                    open_snk &= ~(1 << v)
+                    levels[-1] &= ~(1 << v)
+                # back up to the tail of the first saturated arc
+                cut = 0 if not src[u] else k - 1
+                for j in range(0, k, 2):
+                    u, v = path[j], path[j + 1]
+                    flows[u, v] = flows.get((u, v), 0) + push
+                    back[v] |= 1 << u
+                    if j:
+                        v = path[j - 1]
+                        flows[u, v] -= push
+                        if not flows[u, v]:
+                            del flows[u, v]
+                            back[v] &= ~(1 << u)
+                            cut = min(cut, j)
+                del path[cut:]
+                continue
+            cand = levels[k]
+            if k:
+                cand &= (adj if k % 2 else back)[path[-1]]
+            if cand:
+                path.append((cand & -cand).bit_length() - 1)
+            else:
+                levels[k - 1] &= ~(1 << path.pop())
+    # a left copy off the source side and a right copy on it are cut
+    halves = [(~seen_left >> u & 1) + (seen_right >> u & 1) for u in range(n)]
     return HalfIntegralLP(
-        values=values,
-        objective=objective,
+        values=tuple(Fraction(h, 2) for h in halves),
+        objective=Fraction(total, 2 * scale),
         v0=frozenset(u for u in range(n) if halves[u] == 0),
         v_half=frozenset(u for u in range(n) if halves[u] == 1),
         v1=frozenset(u for u in range(n) if halves[u] == 2),

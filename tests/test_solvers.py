@@ -4,7 +4,7 @@ import pytest
 
 from epa.certify import is_matching, is_vertex_cover, is_connected_vertex_cover
 from epa.graphs import Graph, total, unit_weights
-from epa.generator import GeneratorSpec, generate, random_graph, random_weights
+from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph, random_weights
 from epa.oracle import (
     exact_lp_vc,
     exact_max_matching_size,
@@ -239,6 +239,22 @@ def test_lp_returns_least_minimum_cut():
                           random_weights(n, 1800 + i, zero_share=Fraction(1, 2))):
                     assert lp_half_integral_vc(g, w).values == _least_cut_reference(g, w)
                 i += 1
+
+
+def test_lp_long_augmenting_path():
+    """A shuffled 3001-vertex path: its augmenting paths run thousands of
+    vertices deep, which once overflowed the recursion limit of the
+    blocking-flow search.  The LP, and the vc-fvs and vc-chordal rows
+    built on it, run at the default limit."""
+    n = 3001
+    perm = list(range(n))
+    SplitMix64(1).shuffle(perm)
+    g = Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+    lp = lp_half_integral_vc(g)
+    assert lp.objective == 1500 and not lp.v_half
+    for param in ("fvs", "chordal"):
+        res = run_algorithm("vc", param, g)
+        assert res.feasible and res.value == 1500
 
 
 # -- matching -----------------------------------------------------------
