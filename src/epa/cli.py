@@ -146,6 +146,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     for c in classes:
         if c not in GENERATOR_CLASSES:

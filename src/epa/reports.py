@@ -302,8 +302,10 @@ def bench(
     workers: int = 1,
 ) -> str:
     """Deterministic CSV: rows sorted by (seed, class, algorithm) so the
-    bytes do not depend on worker scheduling."""
+    bytes do not depend on worker scheduling.  It starts at most one
+    worker process per instance, and none for a single instance."""
     args = [(s, budget, timing) for s in specs]
+    workers = min(workers, len(args))
     if workers <= 1:
         chunks = [_bench_worker(a) for a in args]
     else:

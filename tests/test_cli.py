@@ -11,7 +11,7 @@ import pytest
 from epa.cli import main
 from epa.generator import GeneratorSpec, generate, random_weights
 from epa.instances import MAX_VERTICES, serialize_instance
-from epa.reports import ROWS
+from epa.reports import ROWS, bench
 from small_graphs import cycle_graph, path_graph
 
 
@@ -150,6 +150,32 @@ def test_bench_csv_and_determinism(tmp_path):
         assert cells[9] == "1"
 
 
+def test_bench_starts_no_more_workers_than_instances(monkeypatch):
+    """``bench`` starts at most one process per instance, and none for a
+    single instance; the CSV does not depend on the pool."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
+    specs = [GeneratorSpec("cluster", 8, 1, Fraction(1, 2), seed) for seed in range(3)]
+    assert bench(specs[:1], workers=64) == bench(specs[:1])
+    assert sizes == []
+    assert bench(specs, workers=64) == bench(specs, workers=1)
+    assert sizes == [3]
+
+
 def test_bench_empty_range(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["bench", "--classes", "cluster", "--n", "8", "--k", "0",
@@ -181,7 +207,7 @@ def test_verify_cchordal_tightness_family(tmp_path, capsys):
 
 
 def test_solve_every_supported_pair(tmp_path, capsys):
-    from epa.reports import ROWS
+    from epa.reports import ROWS, bench
     from epa.generator import GeneratorSpec, generate
     from fractions import Fraction
 
@@ -210,6 +236,7 @@ def test_solve_every_supported_pair(tmp_path, capsys):
         ["bench", "--classes", "split", "--n", "4", "--density", "-1"],
         # vc_fvs raises RecursionError below (an input too deep)
         ["solve", "--problem", "vc", "--param", "fvs", "--input", "{graph}"],
+        ["bench", "--classes", "split", "--n", "4", "--workers", "0"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
