@@ -207,7 +207,7 @@ def test_verify_cchordal_tightness_family(tmp_path, capsys):
 
 
 def test_solve_every_supported_pair(tmp_path, capsys):
-    from epa.reports import ROWS, bench
+    from epa.reports import ROWS
     from epa.generator import GeneratorSpec, generate
     from fractions import Fraction
 
