@@ -319,3 +319,12 @@ def test_solver_modules_do_not_import_the_checkers():
     for mod in SOLVER_MODULES:
         imported = _imported_epa_modules(src / f"{mod}.py")
         assert not imported & {"certify", "oracle"}, (mod, sorted(imported))
+
+
+def test_checking_modules_import_only_graphs():
+    """``certify`` builds on ``graphs`` alone and ``oracle`` on ``graphs``
+    and ``certify``, so the ground truth borrows no recognizer or solver
+    code."""
+    src = Path(__file__).resolve().parents[1] / "src" / "epa"
+    assert _imported_epa_modules(src / "certify.py") <= {"graphs"}
+    assert _imported_epa_modules(src / "oracle.py") <= {"graphs", "certify"}

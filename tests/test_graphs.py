@@ -224,6 +224,32 @@ def test_degeneracy_matches_definition_corpus():
         assert val == brute_degeneracy(g) if g.n else val == 0
 
 
+def ref_degeneracy_order(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Min-degree removal order by a scan of every live vertex per step,
+    lowest id on ties, and the largest residual degree removed."""
+    alive = g.full_mask
+    deg = [g.degree(v) for v in range(g.n)]
+    order = []
+    degen = 0
+    for _ in range(g.n):
+        v = min((u for u in range(g.n) if alive >> u & 1), key=lambda u: (deg[u], u))
+        degen = max(degen, deg[v])
+        order.append(v)
+        alive ^= 1 << v
+        for u in range(g.n):
+            if alive >> u & 1 and g.has_edge(u, v):
+                deg[u] -= 1
+    return tuple(order), degen
+
+
+def test_degeneracy_order_matches_scan():
+    graphs = [Graph(0, []), Graph(1, [])] + corpus(60, 2, 40, seed0=640)
+    graphs += [generate(GeneratorSpec("chordal", n, n // 10, Fraction(1, 2), 650 + n))[0]
+               for n in (20, 60, 150, 300)]
+    for g in graphs:
+        assert g.degeneracy_order() == ref_degeneracy_order(g)
+
+
 def test_connected_components():
     g = disjoint_union(complete_graph(3), complete_graph(2))
     assert sorted(len(c) for c in g.connected_components()) == [2, 3]

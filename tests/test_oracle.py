@@ -3,10 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from epa.certify import is_proper_coloring, is_triangle_packing, is_vertex_cover
+from epa.certify import induces_pattern, is_proper_coloring, is_triangle_packing, is_vertex_cover
+from epa.generator import SplitMix64, random_weights
+from epa.graphs import bits, mask_of, unit_weights
 from epa.oracle import (
     BudgetExceeded,
     OracleBudget,
+    _first_hitting_set,
+    _min_weight_hitting_set,
     exact_chromatic,
     exact_lp_vc,
     exact_max_matching_size,
@@ -14,6 +18,7 @@ from epa.oracle import (
     exact_min_cvc,
     exact_min_modulator,
     exact_min_wvc,
+    obstruction_masks,
 )
 from epa.recognize import recognize
 from conftest import corpus, weights_for
@@ -177,3 +182,83 @@ def test_chromatic_known_families():
     assert exact_chromatic(petersen)[0] == 3
     assert exact_chromatic(cycle_graph(7))[0] == 3
     assert exact_chromatic(cycle_graph(8))[0] == 2
+
+
+# -- the hitting-set scans and the obstruction sets, against references --
+
+
+def ref_first_hitting_set(n, sets, accept=None):
+    """Smallest set meeting every mask, lexicographically first of its
+    size, by the plain definition: every mask shares a vertex with it."""
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            mask = mask_of(combo)
+            if all(mask & s for s in sets) and (accept is None or accept(combo)):
+                return k, frozenset(combo)
+    raise AssertionError("the accepted full set meets every mask")
+
+
+def ref_min_weight_hitting_set(sets, w):
+    """Lightest set meeting every mask, the first of least weight in
+    ascending mask order, with Fraction sums."""
+    best = None
+    for mask in range(1 << len(w)):
+        if all(mask & s for s in sets):
+            weight = sum((w[v] for v in bits(mask)), Fraction(0))
+            if best is None or weight < best[0]:
+                best = (weight, frozenset(bits(mask)))
+    return best
+
+
+def random_set_family(n, seed):
+    """Up to 3n nonempty vertex masks of random sizes, repeats allowed."""
+    rng = SplitMix64(seed)
+    if n == 0:
+        return []
+    sets = []
+    for _ in range(rng.below(3 * n + 1)):
+        keep = 1 + rng.below(n)  # about 1 in ``keep`` vertices per set
+        mask = sum(1 << v for v in range(n) if rng.below(keep) == 0)
+        sets.append(mask or 1 << rng.below(n))
+    return sets
+
+
+def test_hitting_sets_match_definition():
+    for n in range(11):
+        for j in range(12 if n < 9 else 4):
+            seed = 9100 + 16 * n + j
+            sets = random_set_family(n, seed)
+            assert _first_hitting_set(n, sets) == ref_first_hitting_set(n, sets)
+            # reject about a third of the candidates, never the full set
+            accept = lambda combo: len(combo) == n or mask_of(combo) % 3 != seed % 3
+            assert (_first_hitting_set(n, sets, accept)
+                    == ref_first_hitting_set(n, sets, accept))
+            for w in (unit_weights(n), random_weights(n, seed),
+                      random_weights(n, seed, zero_share=Fraction(1, 2))):
+                assert _min_weight_hitting_set(sets, w) == ref_min_weight_hitting_set(sets, w)
+
+
+# The modulator classes' forbidden patterns, by the names
+# ``certify.induces_pattern`` takes; a co-class is its base class on the
+# complement.
+CLASS_PATTERNS = {
+    "edgeless": ("K2",), "cluster": ("P3",), "cograph": ("P4",), "p3k1-free": ("P3+K1",),
+    "triangle-free": ("triangle",), "split": ("2K2", "C4", "C5"), "forest": ("cycle",),
+    "bipartite": ("odd-cycle",), "chordal": ("hole",),
+}
+CO_CLASSES = {"cocluster": "cluster", "co-triangle-free": "triangle-free",
+              "cochordal": "chordal"}
+
+
+def ref_obstruction_masks(g, cls):
+    """Every vertex mask inducing one of the class's patterns, ascending."""
+    if cls in CO_CLASSES:
+        g, cls = g.complement(), CO_CLASSES[cls]
+    return [mask for mask in range(1 << g.n) for name in CLASS_PATTERNS[cls]
+            if induces_pattern(g, bits(mask), name)]
+
+
+def test_obstruction_masks_match_every_mask_scan():
+    for g in corpus(40, 0, 9, seed0=9300):
+        for cls in (*CLASS_PATTERNS, *CO_CLASSES):
+            assert sorted(obstruction_masks(g, cls)) == ref_obstruction_masks(g, cls), cls
