@@ -14,7 +14,7 @@ that names an id outside 0..n-1 is rejected, never read.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, bits
 
@@ -83,25 +83,38 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
 
 # -- small induced patterns, tested on a vertex mask --------------------
 
-def _degrees(degrees: tuple[int, ...]) -> Callable[[Graph, int], bool]:
+class Pattern(NamedTuple):
+    """A named induced pattern.  ``test(g, mask)`` decides whether the
+    mask induces it, and is the definition.  ``edges(k)`` is the edge
+    count of every k-vertex mask that induces it, or None when no
+    k-vertex mask does, so a scan over many masks can skip those whose
+    counts differ: the test would reject them."""
+
+    test: Callable[[Graph, int], bool]
+    edges: Callable[[int], Optional[int]]
+
+
+def _degrees(degrees: tuple[int, ...]) -> Pattern:
     """The mask induces the graph with this sorted degree sequence.  On
     the 2..5 vertices used here the sequence fixes the graph: on 2 or 3
     vertices the edge count does; on 4, P4 differs from the other 3-edge
     graphs (K3+K1, the claw) and C4 is the only 2-regular graph; on 5,
     C5 is the only 2-regular graph."""
     size, want = len(degrees), list(degrees)
+    edges = sum(degrees) // 2
 
     def test(g: Graph, mask: int) -> bool:
         adj = g.adj_bits
         return mask.bit_count() == size and sorted(
             [(adj[v] & mask).bit_count() for v in bits(mask)]) == want
 
-    return test
+    return Pattern(test, lambda k: edges if k == size else None)
 
 
-def _cycle(lengths: range) -> Callable[[Graph, int], bool]:
+def _cycle(lengths: range) -> Pattern:
     """The mask induces a cycle with a length in ``lengths``: every
-    degree is 2 (checked with an early exit) and G[mask] is connected."""
+    degree is 2 (checked with an early exit) and G[mask] is connected.
+    A cycle has as many edges as vertices."""
 
     def test(g: Graph, mask: int) -> bool:
         if mask.bit_count() not in lengths:
@@ -112,7 +125,18 @@ def _cycle(lengths: range) -> Callable[[Graph, int], bool]:
                 return False
         return _connected(g, mask)
 
-    return test
+    return Pattern(test, lambda k: k if k in lengths else None)
+
+
+def _complemented(p: Pattern) -> Pattern:
+    """The pattern on the complement graph: a k-vertex mask keeps the
+    k(k-1)/2 pairs that are no edge of the pattern."""
+
+    def edges(k: int) -> Optional[int]:
+        e = p.edges(k)
+        return None if e is None else k * (k - 1) // 2 - e
+
+    return Pattern(lambda g, mask: p.test(g.complement(), mask), edges)
 
 
 _PATTERNS = {
@@ -130,8 +154,7 @@ _PATTERNS = {
     "odd-cycle": _cycle(range(3, sys.maxsize, 2)),
     "hole": _cycle(range(4, sys.maxsize)),
 }
-_hole = _PATTERNS["hole"]
-_PATTERNS["co-hole"] = lambda g, mask: _hole(g.complement(), mask)
+_PATTERNS["co-hole"] = _complemented(_PATTERNS["hole"])
 
 
 def _packs(g: Graph, parts: Iterable[Iterable[int]], test: Callable) -> bool:
@@ -146,17 +169,17 @@ def _packs(g: Graph, parts: Iterable[Iterable[int]], test: Callable) -> bool:
 
 
 def is_triangle_packing(g: Graph, triangles: Iterable[Iterable[int]]) -> bool:
-    return _packs(g, triangles, _PATTERNS["triangle"])
+    return _packs(g, triangles, _PATTERNS["triangle"].test)
 
 
 def is_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
-    return _packs(g, edges, _PATTERNS["K2"])
+    return _packs(g, edges, _PATTERNS["K2"].test)
 
 
 def induces_pattern(g: Graph, s: Iterable[int], pattern: str) -> bool:
     """Does ``s`` induce the named pattern in ``g``?"""
-    test = _PATTERNS.get(pattern)
-    if test is None:
+    p = _PATTERNS.get(pattern)
+    if p is None:
         raise ValueError(f"unknown pattern {pattern!r}")
     m = _vertex_mask(g, s)
-    return m is not None and test(g, m)
+    return m is not None and p.test(g, m)

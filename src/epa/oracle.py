@@ -6,15 +6,23 @@ bitmask graphs.  Every solver refuses inputs above its budget instead of
 stalling, and enumeration order is fixed so that certificates are
 reproducible (subsets are scanned ascending by size and then in
 lexicographic vertex order, or by ascending subset rank where noted).
+
+Vertex covers and modulators are hitting sets of obstruction masks.  One
+superset table, a 2^n-bit integer closed upward in n shift-or steps,
+tells whether a candidate meets every obstruction in one lookup.  The
+obstructions of a class are the masks that ``certify``'s pattern tests
+accept; only masks whose vertex count and induced edge count (one
+table per graph) fit a pattern are tested.  The module imports only
+``graphs`` and ``certify``, never recognizer or solver code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .certify import _PATTERNS
 from .graphs import Graph, Weights, bits, mask_of, unit_weights
@@ -49,11 +57,11 @@ def _scaled_int_weights(w: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _subset_weights(wi: Sequence[int]) -> list[int]:
-    """Total weight of every vertex mask, indexed by the mask."""
-    tab = [0] * (1 << len(wi))
-    for mask in range(1, len(tab)):
-        low = mask & -mask
-        tab[mask] = tab[mask ^ low] + wi[low.bit_length() - 1]
+    """Total weight of every vertex mask, indexed by the mask: the masks
+    with highest vertex v are those below it plus v's weight."""
+    tab = [0]
+    for x in wi:
+        tab += [t + x for t in tab]
     return tab
 
 
@@ -61,35 +69,59 @@ def _subset_weights(wi: Sequence[int]) -> list[int]:
 # hitting sets: vertex covers and modulators
 
 
+_HITS = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _hitting_flags(n: int, sets: Iterable[int]) -> bytes:
+    """One byte per vertex mask S, indexed by S: 1 when S meets every
+    mask in ``sets``.
+
+    Bit m of ``table`` is set when the mask m contains one of ``sets``,
+    by the superset closure over the subset lattice (the zeta transform;
+    Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007), one shift-or
+    per vertex.  S meets every set exactly when its complement contains
+    none, that is when bit full ^ S is clear, and the size-wide binary
+    digits of ``table`` give bit full ^ S at index S.  No 2^n-bit integer
+    is divided, as CPython divides in quadratic time."""
+    size = 1 << n
+    marks = bytearray(size // 8 + 1)
+    for s in sets:
+        marks[s >> 3] |= 1 << (s & 7)
+    table = int.from_bytes(marks, "little")
+    for v in range(n):
+        step = 1 << v
+        # the masks without v: runs of ``step`` ones, ``step`` apart
+        without = (1 << step) - 1
+        width = 2 * step
+        while width < size:
+            without |= without << width
+            width *= 2
+        table |= (table & without) << step
+    return format(table, f"0{size}b").encode().translate(_HITS)
+
+
 def _first_hitting_set(
     n: int, sets: Sequence[int], accept: Optional[Callable] = None
 ) -> tuple[int, frozenset[int]]:
     """Smallest vertex set meeting every mask in ``sets`` (and passing
     ``accept``), lexicographically first among those of its size."""
-    for k in range(n + 1):
+    hits = _hitting_flags(n, sets)
+    # no smaller set meets every mask, so the scan starts at the least size
+    least = min(map(int.bit_count, compress(range(len(hits)), hits)))
+    for k in range(least, n + 1):
         for combo in combinations(range(n), k):
-            mask = mask_of(combo)
-            if all(mask & s for s in sets) and (accept is None or accept(combo)):
+            if hits[mask_of(combo)] and (accept is None or accept(combo)):
                 return k, frozenset(combo)
     raise AssertionError("unreachable: V meets every set")
 
 
 def _min_weight_hitting_set(sets: Sequence[int], w: Weights) -> tuple[Fraction, frozenset[int]]:
-    """Lightest vertex set meeting every mask in ``sets``: all subsets
-    ascending by rank, keeping the first strict improvement."""
-    if not sets:
-        return Fraction(0), frozenset()
+    """Lightest vertex set meeting every mask in ``sets``, the first of
+    least weight in ascending mask order."""
     wi, scale = _scaled_int_weights(w)
     wtab = _subset_weights(wi)
-    best_w = None
-    best_mask = 0
-    for mask in range(len(wtab)):
-        if best_w is not None and wtab[mask] >= best_w:
-            continue
-        if all(mask & s for s in sets):
-            best_w = wtab[mask]
-            best_mask = mask
-    return Fraction(best_w, scale), frozenset(bits(best_mask))
+    best = min(compress(range(len(wtab)), _hitting_flags(len(wi), sets)), key=wtab.__getitem__)
+    return Fraction(wtab[best], scale), frozenset(bits(best))
 
 
 def exact_min_wvc(
@@ -232,17 +264,34 @@ _COMPLEMENTS = {"cocluster": "cluster", "co-triangle-free": "triangle-free",
                 "cochordal": "chordal"}
 
 
+def _induced_edge_counts(g: Graph) -> list[int]:
+    """Edge count of G[mask] for every vertex mask, indexed by the mask:
+    the masks with highest vertex v add v's edges into the lower part."""
+    counts = [0]
+    for v, row in enumerate(g.adj_bits):
+        counts += [c + (row & low).bit_count() for low, c in enumerate(counts)]
+    return counts
+
+
 def obstruction_masks(g: Graph, cls: str) -> list[int]:
-    """Vertex sets of all minimal induced obstructions for ``cls``."""
+    """Vertex sets of all minimal induced obstructions for ``cls``.
+
+    Only masks whose vertex and edge counts fit a pattern, by the counts
+    in ``certify``'s pattern table, go to that table's tests."""
     if cls == "edgeless":
         return [(1 << u) | (1 << v) for u, v in g.edges()]
     if cls in _COMPLEMENTS:
         return obstruction_masks(g.complement(), _COMPLEMENTS[cls])
     if cls not in _OBSTRUCTIONS:
         raise ValueError(f"no modulator oracle for class {cls!r}")
+    patterns = [_PATTERNS[p] for p in _OBSTRUCTIONS[cls]]
+    shapes = {(k, e) for p in patterns for k in range(g.n + 1) if (e := p.edges(k)) is not None}
+    edges = _induced_edge_counts(g)
+    masks = range(len(edges))
+    fits = map(shapes.__contains__, zip(map(int.bit_count, masks), edges))
     # a vertex set induces at most one of a class's patterns
-    tests = [_PATTERNS[p] for p in _OBSTRUCTIONS[cls]]
-    return [mask for mask in range(1 << g.n) for test in tests if test(g, mask)]
+    tests = [p.test for p in patterns]
+    return [mask for mask in compress(masks, fits) for test in tests if test(g, mask)]
 
 
 def exact_min_modulator(

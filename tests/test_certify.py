@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from epa.certify import (
+    _PATTERNS,
     induces_pattern,
     is_clique,
     is_connected_vertex_cover,
@@ -239,7 +240,8 @@ def test_coloring_near_misses_fail():
 
 def test_patterns_match_isomorphism_reference():
     """Every pattern name against a bijection search onto the pattern's
-    edge list, on every vertex set of size 2..6 of random graphs."""
+    edge list, on every vertex set of size 2..6 of random graphs.  A set
+    that induces the pattern has the edge count its table entry names."""
     names = (*PATTERN_GRAPHS, *CYCLE_LENGTHS, "co-hole")
     hits = dict.fromkeys(names, 0)
     cycles = [cycle_graph(n) for n in (5, 6, 7)]
@@ -250,6 +252,9 @@ def test_patterns_match_isomorphism_reference():
                     got = induces_pattern(g, s, name)
                     assert got == ref_induces_pattern(g, s, name), (g, s, name)
                     hits[name] += got
+                    if got:
+                        edges = sum(g.has_edge(u, v) for u, v in combinations(s, 2))
+                        assert _PATTERNS[name].edges(k) == edges, (g, s, name)
     assert all(hits.values()), hits
 
 
