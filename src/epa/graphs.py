@@ -247,19 +247,35 @@ class Graph:
 
         Repeatedly removes a minimum-degree vertex (lowest id on ties);
         the returned value is the largest residual degree seen, which
-        equals max over subgraphs of the minimum degree.
+        equals max over subgraphs of the minimum degree.  One mask per
+        residual degree holds the live vertices of that degree; the
+        next vertex is the lowest one of the lowest non-empty mask, and
+        a removal moves each live neighbour one mask down, so the next
+        minimum is at least one below the degree just removed.
         """
+        adj_bits = self.adj_bits
+        deg = [row.bit_count() for row in adj_bits]
+        by_deg = [0] * self.n
+        for v, d in enumerate(deg):
+            by_deg[d] |= 1 << v
         alive = self.full_mask
-        deg = [self.degree(v) for v in range(self.n)]
         order: list[int] = []
-        degen = 0
-        for _ in range(self.n):
-            v = min((u for u in range(self.n) if alive >> u & 1), key=lambda u: (deg[u], u))
-            degen = max(degen, deg[v])
+        degen = d = 0
+        while alive:
+            d = max(d - 1, 0)
+            while not by_deg[d]:
+                d += 1
+            low = by_deg[d] & -by_deg[d]
+            by_deg[d] ^= low
+            v = low.bit_length() - 1
+            degen = max(degen, d)
             order.append(v)
-            alive ^= 1 << v
-            for u in bits(self.adj_bits[v] & alive):
-                deg[u] -= 1
+            alive ^= low
+            for u in bits(adj_bits[v] & alive):
+                du = deg[u]
+                deg[u] = du - 1
+                by_deg[du] ^= 1 << u
+                by_deg[du - 1] |= 1 << u
         return tuple(order), degen
 
     def connected_components(self) -> list[frozenset[int]]:
