@@ -128,17 +128,6 @@ def _cycle(lengths: range) -> Pattern:
     return Pattern(test, lambda k: k if k in lengths else None)
 
 
-def _complemented(p: Pattern) -> Pattern:
-    """The pattern on the complement graph: a k-vertex mask keeps the
-    k(k-1)/2 pairs that are no edge of the pattern."""
-
-    def edges(k: int) -> Optional[int]:
-        e = p.edges(k)
-        return None if e is None else k * (k - 1) // 2 - e
-
-    return Pattern(lambda g, mask: p.test(g.complement(), mask), edges)
-
-
 _PATTERNS = {
     "K2": _degrees((1, 1)),
     "P3": _degrees((1, 1, 2)),
@@ -154,7 +143,10 @@ _PATTERNS = {
     "odd-cycle": _cycle(range(3, sys.maxsize, 2)),
     "hole": _cycle(range(4, sys.maxsize)),
 }
-_PATTERNS["co-hole"] = _complemented(_PATTERNS["hole"])
+_hole = _PATTERNS["hole"]
+# a hole of the complement: its k-set spans the k(k-1)/2 - k non-edges of a hole
+_PATTERNS["co-hole"] = Pattern(lambda g, mask: _hole.test(g.complement(), mask),
+                               lambda k: k * (k - 3) // 2 if _hole.edges(k) else None)
 
 
 def _packs(g: Graph, parts: Iterable[Iterable[int]], test: Callable) -> bool:

@@ -106,11 +106,12 @@ def _first_hitting_set(
     """Smallest vertex set meeting every mask in ``sets`` (and passing
     ``accept``), lexicographically first among those of its size."""
     hits = _hitting_flags(n, sets)
-    # no smaller set meets every mask, so the scan starts at the least size
-    least = min(map(int.bit_count, compress(range(len(hits)), hits)))
-    for k in range(least, n + 1):
-        for combo in combinations(range(n), k):
-            if hits[mask_of(combo)] and (accept is None or accept(combo)):
+    powers = [1 << v for v in range(n)]
+    for k in range(n + 1):
+        # the masks of the k-sets, in lexicographic order of the sets
+        for mask in filter(hits.__getitem__, map(sum, combinations(powers, k))):
+            combo = tuple(bits(mask))
+            if accept is None or accept(combo):
                 return k, frozenset(combo)
     raise AssertionError("unreachable: V meets every set")
 
