@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -121,7 +121,10 @@ def _min_weight_hitting_set(sets: Sequence[int], w: Weights) -> tuple[Fraction, 
     least weight in ascending mask order."""
     wi, scale = _scaled_int_weights(w)
     wtab = _subset_weights(wi)
-    best = min(compress(range(len(wtab)), _hitting_flags(len(wi), sets)), key=wtab.__getitem__)
+    hits = _hitting_flags(len(wi), sets)
+    weights = list(compress(wtab, hits))  # of the hitting masks, ascending
+    first = weights.index(min(weights))
+    best = next(islice(compress(range(len(wtab)), hits), first, None))
     return Fraction(wtab[best], scale), frozenset(bits(best))
 
 
