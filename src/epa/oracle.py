@@ -272,7 +272,7 @@ def _induced_edge_counts(g: Graph) -> list[int]:
     """Edge count of G[mask] for every vertex mask, indexed by the mask:
     the masks with highest vertex v add v's edges into the lower part."""
     counts = [0]
-    for v, row in enumerate(g.adj_bits):
+    for row in g.adj_bits:
         counts += [c + (row & low).bit_count() for low, c in enumerate(counts)]
     return counts
 
@@ -291,11 +291,12 @@ def obstruction_masks(g: Graph, cls: str) -> list[int]:
     patterns = [_PATTERNS[p] for p in _OBSTRUCTIONS[cls]]
     shapes = {(k, e) for p in patterns for k in range(g.n + 1) if (e := p.edges(k)) is not None}
     edges = _induced_edge_counts(g)
-    masks = range(len(edges))
-    fits = map(shapes.__contains__, zip(map(int.bit_count, masks), edges))
-    # a vertex set induces at most one of a class's patterns
+    # the edge count is checked in one C-level pass, then the pair of counts
+    wanted = {e for _, e in shapes}
     tests = [p.test for p in patterns]
-    return [mask for mask in compress(masks, fits) for test in tests if test(g, mask)]
+    # a vertex set induces at most one of a class's patterns
+    return [mask for mask in compress(range(len(edges)), map(wanted.__contains__, edges))
+            if (mask.bit_count(), edges[mask]) in shapes for test in tests if test(g, mask)]
 
 
 def exact_min_modulator(
