@@ -251,7 +251,7 @@ class Graph:
         residual degree holds the live vertices of that degree; the
         next vertex is the lowest one of the lowest non-empty mask, and
         a removal moves each live neighbour one mask down, so the next
-        minimum is at least one below the degree just removed.
+        minimum is no lower than the degree just removed, less one.
         """
         adj_bits = self.adj_bits
         deg = [row.bit_count() for row in adj_bits]
