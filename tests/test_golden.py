@@ -13,7 +13,9 @@ stopped doing a whole subroutine run per candidate; the oracle and
 graph-routine digests before those routines were folded into one
 implementation each; the ``cvc_split`` and exact-tail digests before
 ``cvc_small_after_contraction`` became one loop over the clique; the
-pattern and obstruction digests before ``certify`` and ``oracle`` moved
+every-clique exact-tail digest, which also pins the tail's error text,
+before the tail ran on G's adjacency masks from the contraction's
+optimum up; the pattern and obstruction digests before ``certify`` and ``oracle`` moved
 to one table each; the parse digest before canonical edge blocks were
 read in bulk; the generator digest before the base classes were built
 as adjacency masks; the pattern-search digest before ``find_induced``
@@ -243,6 +245,7 @@ BUDGETED_VC_SHA256 = "5e6280b2c0c7851c0572d740cece39f0ae3837d37c3f8bbe16845d2540
 BUDGETED_CVC_SHA256 = "6575a5659bd8ed60eaf3446ab1bb59d9df71beb378fd1040a80edc2702d74181"
 CVC_SPLIT_SHA256 = "871fe80938d3d2eedbed14cb568c728e9c78397f85d18aaebfccc95baaaf0b60"
 CVC_SMALL_SHA256 = "c5355dff405244512a32870715bd59f55090d594757be580e298f81c97a0050d"
+CVC_SMALL_CLIQUES_SHA256 = "6f61deb59d386faf8ad5ec9d64bc9d6ac40feaf4191578349a839996c9597154"
 
 
 def test_vc_budgeted_2approx_golden():
@@ -335,6 +338,25 @@ def test_cvc_small_after_contraction_golden():
                     sol = cvc_small_after_contraction(g, z, c)
                     out.append(f"{i} {sorted(z)} {c} {sorted(sol.cover)}\n")
     assert _sha("".join(out)) == CVC_SMALL_SHA256
+
+
+def test_cvc_small_after_contraction_every_clique_golden():
+    """The exact tail on every clique z of 1-4 vertices of connected
+    random graphs (n = 2-11), c = 1..4, with the ValueError text
+    wherever the contraction's optimum is past the budget."""
+    out = []
+    for i, g in enumerate(connected_corpus(120, 2, 11, seed0=6300)):
+        for size in (1, 2, 3, 4):
+            for z in combinations(range(g.n), size):
+                if not all(g.has_edge(u, v) for u, v in combinations(z, 2)):
+                    continue
+                for c in (1, 2, 3, 4):
+                    try:
+                        got = sorted(cvc_small_after_contraction(g, frozenset(z), c).cover)
+                    except ValueError as exc:
+                        got = f"ValueError: {exc}"
+                    out.append(f"{i} {list(z)} {c} {got}\n")
+    assert _sha("".join(out)) == CVC_SMALL_CLIQUES_SHA256
 
 
 # -- oracles and shared graph routines ------------------------------------
