@@ -112,7 +112,7 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
             sub, old = g.induced_subgraph(bits(alive))
             sub_w = tuple(wp[v] for v in old)
             inner = exact_solver(sub, sub_w)
-            cover = {old[v] for v in inner}
+            cover = mask_of(old[v] for v in inner)
             break
         lam = min(wp[v] for v in pattern)
         for v in pattern:
@@ -121,9 +121,9 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
                 zero |= 1 << v
         depth += 1
     for v, nbrs in reversed(removed):
-        if any(u not in cover for u in bits(nbrs)):
-            cover.add(v)
-    return _sol(g, w, frozenset(cover), f"vc-ffree[{family}]", depth)
+        if nbrs & ~cover:
+            cover |= 1 << v
+    return _sol(g, w, frozenset(bits(cover)), f"vc-ffree[{family}]", depth)
 
 
 # ---------------------------------------------------------------------
