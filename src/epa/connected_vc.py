@@ -8,6 +8,16 @@ contracted vertex swapped for the whole clique.  Once G<Z> has a
 connected cover of at most 3 vertices, :func:`cvc_small_after_contraction`
 solves G exactly from the contractions G<Z - u>, one per clique vertex.
 
+Neither that tail nor the driver's test for it builds a contraction.
+:func:`_contraction_rows` gives the rows of G<Y> in G's own id space,
+with the contracted vertex at bit n and its leaf at bit n + 1: the
+order in which ``contract_with_pendant`` numbers them, so the walk over
+connected subsets visits the same sets in the same order and the first
+smallest cover is the same.  ``cvc_split`` builds G<Z> only to descend
+a level.  The optimum of G<Z> that its test finds is a floor for every
+G<Z - u>, so the tail starts each search there and stops at the first u
+whose optimum reaches it.
+
 :func:`cvc_budgeted` runs Savage's DFS on G<Y> for every connected set Y
 of size c+1 without building G<Y>.  ``solvers.savage_mask`` walks G's
 adjacency masks and treats Y as one virtual vertex.  That vertex comes
@@ -40,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, mask_covers, mask_of
 from .recognize import find_induced
 from .solvers import matching_cover, savage_mask
 from .vertex_cover import _improve_to_2maximal
@@ -60,24 +70,27 @@ class ConnectedVCSol:
 # connected subset enumeration
 
 
-def connected_subsets(g: Graph, k: int) -> Iterator[int]:
+def connected_subsets(adj: Sequence[int], within: int, k: int) -> Iterator[int]:
     """All vertex masks of connected induced subgraphs on exactly ``k``
-    vertices, each exactly once, in a fixed order.
+    vertices of the graph with adjacency masks ``adj`` on the vertex mask
+    ``within``, each exactly once, in a fixed order.  Each row of a
+    vertex in ``within`` must lie inside ``within``; other rows are not
+    read.
 
     ESU-style expansion: grow from every anchor vertex using only higher
     ids, extending with exclusive new neighbors so no set repeats.  The
     stack holds one frame per added vertex: the set, the extensions not
-    yet tried and the set's closed neighbourhood.
+    yet tried and the set's closed neighbourhood.  The order depends only
+    on the relative order of the ids.
     """
     if k == 0:
         yield 0
         return
-    adj = g.adj_bits
-    for v in range(g.n):
+    for v in bits(within):
         if k == 1:
             yield 1 << v
             continue
-        above = g.full_mask & ~((2 << v) - 1)
+        above = within & ~((2 << v) - 1)
         stack = [(1 << v, adj[v] & above, adj[v])]
         while stack:
             sub, ext, closed = stack[-1]
@@ -94,22 +107,51 @@ def connected_subsets(g: Graph, k: int) -> Iterator[int]:
                 stack.append((sub | wbit, ext | (nbrs & above & ~closed & ~sub), closed | nbrs))
 
 
-def _brute_min_cvc(g: Graph, limit: int) -> Optional[frozenset[int]]:
-    """Minimum connected vertex cover if its size is at most ``limit``."""
-    full = g.full_mask
-    if g.m == 0:
-        return frozenset()
+def _brute_min_cvc(adj: Sequence[int], within: int, limit: int, start: int = 1) -> Optional[int]:
+    """Minimum connected vertex cover of the graph of
+    :func:`connected_subsets`, as a vertex mask, if its size is at most
+    ``limit``; every row outside ``within`` must be empty.  Sizes below
+    ``start`` are not searched: the caller knows that no cover has so few
+    vertices (an edgeless graph still gets the empty one)."""
+    # Sorted with the empty rows outside ``within``, the first n degrees
+    # are those of the n vertices.
+    degrees = sorted(map(int.bit_count, adj), reverse=True)
+    if not degrees or not degrees[0]:
+        return 0
+    n = within.bit_count()
     # A cover of size k holds every vertex of degree above k (else it
     # holds all of that vertex's neighbors), so sizes with more than k
     # such vertices are skipped.
-    degrees = sorted((b.bit_count() for b in g.adj_bits), reverse=True)
-    for k in range(1, min(limit, g.n) + 1):
-        if k < g.n and degrees[k] > k:
+    for k in range(start, min(limit, n) + 1):
+        if k < n and degrees[k] > k:
             continue
-        for sub in connected_subsets(g, k):
-            if g.covers(sub, full):
-                return frozenset(bits(sub))
+        for sub in connected_subsets(adj, within, k):
+            if mask_covers(adj, sub, within):
+                return sub
     return None
+
+
+def _contraction_rows(adj: Sequence[int], y: int) -> tuple[list[int], int]:
+    """Rows of the contraction G<y> in G's own id space, and its vertex
+    mask: the vertices outside the nonempty mask ``y`` keep their ids,
+    the contracted vertex is bit n and its pendant leaf bit n + 1.  The
+    rows of the members of ``y`` are empty.
+
+    ``Graph.contract_with_pendant`` numbers the same graph by the
+    order-preserving map (kept ids to 0..|kept|-1, then the contracted
+    vertex and the leaf), so a walk that depends only on the order of
+    the ids, as :func:`connected_subsets` does, visits the same sets.
+    """
+    n = len(adj)
+    vert, leaf = 1 << n, 2 << n
+    kept = ((1 << n) - 1) & ~y
+    rows = [row & kept | vert if row & y else row & kept for row in adj]
+    outside = 0
+    for u in bits(y):
+        outside |= adj[u]
+        rows[u] = 0
+    rows += [outside & kept | leaf, vert]
+    return rows, kept | vert | leaf
 
 
 # ---------------------------------------------------------------------
@@ -135,11 +177,13 @@ def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[Conn
         below = g.n + 1
     # A small cover has at most min(c, n-1) vertices, fewer than any
     # lifted candidate, which contains Y.
-    small = _brute_min_cvc(g, min(c, below - 1))
-    if small is not None:
-        return ConnectedVCSol(small, f"cvc-budgeted[{c}]") if len(small) < below else None
-    k = min(c + 1, g.n)
     adj, full = g.adj_bits, g.full_mask
+    small = _brute_min_cvc(adj, full, min(c, below - 1))
+    if small is not None:
+        if small.bit_count() < below:
+            return ConnectedVCSol(frozenset(bits(small)), f"cvc-budgeted[{c}]")
+        return None
+    k = min(c + 1, g.n)
     best: Optional[int] = None
     # connected_subsets' walk, cut at every set S with |S| + |M_S| >= below
     # for a greedy maximal matching M_S of G - S.  The first frame of an
@@ -189,7 +233,9 @@ def _lift(cover: Iterable[int], kept: Sequence[int]) -> frozenset[int]:
     return frozenset(kept[v] for v in cover if v < len(kept))
 
 
-def cvc_small_after_contraction(g: Graph, z: frozenset[int], c: int) -> ConnectedVCSol:
+def cvc_small_after_contraction(
+    g: Graph, z: frozenset[int], c: int, opt_contracted: Optional[int] = None
+) -> ConnectedVCSol:
     """Exact minimum connected vertex cover, given a clique ``z`` whose
     contraction G<z> has a connected cover of size at most ``c``.
 
@@ -203,29 +249,51 @@ def cvc_small_after_contraction(g: Graph, z: frozenset[int], c: int) -> Connecte
     |z| + OPT(G<z - u>) - 2 <= |z| + OPT(G<z>) - 1.  Coming last, only a
     strictly smaller one would have replaced the best.
 
-    Later contractions are only searched below the best so far, as ties
-    go to the first u: ``_brute_min_cvc`` scans sizes in ascending order,
-    so a lower limit finds the same set or none.  Raises when the first
-    search (up to c + 1) fails, which by the bound disproves the premise.
+    The contractions are never built: each search walks the rows of
+    G<z - u> in G's id space (see :func:`_contraction_rows`), which
+    visit the same sets in the same order as the built graph.  For
+    |z| >= 2 the merge above makes OPT(G<z>) a floor: every search starts
+    at that size, and the loop stops at the first u whose optimum
+    reaches it, as a later u cannot be strictly smaller.  The caller may
+    pass OPT(G<z>) as ``opt_contracted``; otherwise it is searched for
+    here.  Later contractions are only searched below the best so far, as
+    ties go to the first u: ``_brute_min_cvc`` scans sizes in ascending
+    order, so a lower limit finds the same set or none.  Raises when the
+    first search (up to c + 1) fails, which by the bound disproves the
+    premise, and with the same message when OPT(G<z>) is above c + 1, as
+    the floor then puts every G<z - u> past that limit.
     """
     if not g.is_connected():
         raise ValueError("needs a connected graph")
     zm = mask_of(z)
+    adj = g.adj_bits
     # each member of z is a vertex of g adjacent to every other member
-    if not zm or zm >> g.n or any(zm & ~g.adj_bits[u] & ~(1 << u) for u in z):
+    if not zm or zm >> g.n or any(zm & ~adj[u] & ~(1 << u) for u in z):
         raise ValueError("z must be a nonempty clique")
-    best: Optional[frozenset[int]] = None
     limit = c + 1
-    for u in sorted(z):
-        rest = z - {u}
-        h, kept = g.contract_with_pendant(rest) if rest else (g, range(g.n))
-        inner = _brute_min_cvc(h, limit)
+    floor = 1
+    if len(z) > 1:
+        if opt_contracted is None:
+            found = _brute_min_cvc(*_contraction_rows(adj, zm), limit)
+            if found is None:
+                raise ValueError("contraction optimum exceeds the stated budget")
+            opt_contracted = found.bit_count()
+        floor = opt_contracted
+    full = g.full_mask
+    best: Optional[int] = None
+    for u in bits(zm):
+        rest = zm ^ 1 << u
+        rows, within = _contraction_rows(adj, rest) if rest else (adj, full)
+        inner = _brute_min_cvc(rows, within, limit, floor)
         if inner is not None:
-            best = rest | _lift(inner, kept)
-            limit = len(inner) - 1
+            # lifting drops the contracted vertex and the leaf
+            best = rest | inner & full
+            if inner.bit_count() == floor:
+                break
+            limit = inner.bit_count() - 1
         elif best is None:
             raise ValueError("contraction optimum exceeds the stated budget")
-    return ConnectedVCSol(best, "cvc-exact-small")
+    return ConnectedVCSol(frozenset(bits(best)), "cvc-exact-small")
 
 
 # ---------------------------------------------------------------------
@@ -268,10 +336,11 @@ def cvc_split(g: Graph) -> ConnectedVCSol:
     cover: frozenset[int] = frozenset()
     while h.n > 1:
         z = _contraction_clique(h)
-        contracted, kept = h.contract_with_pendant(z)
-        if _brute_min_cvc(contracted, 3) is not None:
-            cover = cvc_small_after_contraction(h, z, 3).cover
+        small = _brute_min_cvc(*_contraction_rows(h.adj_bits, mask_of(z)), 3)
+        if small is not None:
+            cover = cvc_small_after_contraction(h, z, 3, small.bit_count()).cover
             break
+        contracted, kept = h.contract_with_pendant(z)
         levels.append((contracted, kept, z))
         h = contracted
     for contracted, kept, z in reversed(levels):

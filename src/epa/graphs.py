@@ -57,6 +57,19 @@ def _neighbours(mask: int, n: int) -> tuple[int, ...]:
     return tuple(list(compress(range(len(digits)), digits)))
 
 
+def mask_covers(adj_bits: Sequence[int], cover: int, within: int) -> bool:
+    """True when the vertex mask ``cover`` covers every edge inside the
+    vertex mask ``within`` of the adjacency masks ``adj_bits``."""
+    uncovered = within & ~cover
+    rest = uncovered
+    while rest:
+        low = rest & -rest
+        if adj_bits[low.bit_length() - 1] & uncovered:
+            return False
+        rest ^= low
+    return True
+
+
 def first_triangle(adj_bits: Sequence[int], within: int) -> Optional[tuple[int, int, int]]:
     """Lexicographically first triangle u < v < w of the adjacency masks
     ``adj_bits`` inside the vertex mask ``within``, or None."""
@@ -309,14 +322,7 @@ class Graph:
 
     def covers(self, cover: int, within: int) -> bool:
         """True when the vertex mask ``cover`` covers every edge of G[within]."""
-        uncovered = within & ~cover
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            if self.adj_bits[low.bit_length() - 1] & uncovered:
-                return False
-            rest ^= low
-        return True
+        return mask_covers(self.adj_bits, cover, within)
 
     def is_connected(self) -> bool:
         if self.n <= 1:

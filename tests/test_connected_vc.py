@@ -6,13 +6,14 @@ import pytest
 
 from epa.certify import is_connected_vertex_cover
 from epa.connected_vc import (
+    _contraction_rows,
     connected_subsets,
     cvc_budgeted,
     cvc_small_after_contraction,
     cvc_split,
 )
 from epa.graphs import Graph, bits, mask_of
-from epa.generator import GeneratorSpec, generate, random_connected_graph
+from epa.generator import GeneratorSpec, SplitMix64, generate, random_connected_graph
 from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc
 from epa.solvers import cvc_savage, savage_mask
 from epa.vertex_cover import two_maximal_clique
@@ -24,7 +25,7 @@ from test_vertex_cover import stack_depth
 def test_connected_subsets_match_bruteforce():
     for g in corpus(30, 1, 8, seed0=2900):
         for k in range(0, min(g.n, 5) + 1):
-            got = sorted(connected_subsets(g, k))
+            got = sorted(connected_subsets(g.adj_bits, g.full_mask, k))
             expect = sorted(
                 mask_of(c)
                 for c in combinations(range(g.n), k)
@@ -36,7 +37,7 @@ def test_connected_subsets_match_bruteforce():
 def test_connected_subsets_deep_without_recursion():
     # 1,100-vertex sets are deeper than the default recursion limit
     n, k = 1200, 1100
-    got = list(connected_subsets(path_graph(n), k))
+    got = list(connected_subsets(path_graph(n).adj_bits, (1 << n) - 1, k))
     assert got == [((1 << k) - 1) << start for start in range(n - k + 1)]
 
 
@@ -115,15 +116,62 @@ def test_cvc_small_after_contraction_past_its_premise():
 
 
 def test_contracting_one_vertex_less_adds_at_most_one():
-    """OPT(G<z - u>) is OPT(G<z>) or OPT(G<z>) + 1 for every u in a clique
-    z of two or more vertices: why the exact tail needs no z candidate."""
+    """OPT(G<z - u>) is OPT(G<z>) or OPT(G<z>) + 1 for every u in every
+    clique z of two to four vertices: why the exact tail needs no z
+    candidate, and why OPT(G<z>) is a floor for all of its searches."""
+    checked = 0
     for g in connected_corpus(40, 2, 10, seed0=3800):
-        z = two_maximal_clique(g)
-        if len(z) < 2:
-            continue
-        opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
-        for u in z:
-            assert exact_min_cvc(g.contract_with_pendant(z - {u})[0])[0] - opt in (0, 1)
+        for size in (2, 3, 4):
+            for z in map(frozenset, combinations(range(g.n), size)):
+                if not all(g.has_edge(u, v) for u, v in combinations(z, 2)):
+                    continue
+                opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
+                for u in z:
+                    assert exact_min_cvc(g.contract_with_pendant(z - {u})[0])[0] - opt in (0, 1)
+                checked += 1
+    assert checked > 100
+
+
+def test_contraction_rows_relabel_to_the_built_contraction():
+    """The rows of G<y> in G's id space, relabeled by the order-preserving
+    map (kept ids to 0..|kept|-1, bit n to |kept|, bit n + 1 to
+    |kept| + 1), are the rows of ``contract_with_pendant(y)``: the
+    premise for walking the rows instead of the built graph."""
+    graphs = corpus(40, 1, 12, seed0=3850) + [path_graph(7), complete_graph(5), star_graph(6)]
+    for i, g in enumerate(graphs):
+        rng = SplitMix64(3900 + i)
+        masks = {1 << v for v in range(g.n)} | {g.full_mask}
+        masks |= {rng.below(1 << g.n) for _ in range(6)}
+        for y in sorted(masks - {0}):
+            rows, within = _contraction_rows(g.adj_bits, y)
+            h, kept = g.contract_with_pendant(bits(y))
+            order = list(bits(within))
+            assert order == list(kept) + [g.n, g.n + 1]
+            assert not any(rows[u] for u in bits(y))
+            new_id = {old: new for new, old in enumerate(order)}
+            relabeled = tuple(mask_of(new_id[v] for v in bits(rows[old])) for old in order)
+            assert relabeled == h.adj_bits, (i, y)
+
+
+def test_cvc_small_with_the_contraction_optimum_given():
+    """Handing the tail OPT(G<z>), as ``cvc_split`` does, gives the cover
+    it finds on its own, for every clique z of two to four vertices."""
+    for g in connected_corpus(30, 2, 10, seed0=3950):
+        for size in (2, 3, 4):
+            for z in map(frozenset, combinations(range(g.n), size)):
+                if not all(g.has_edge(u, v) for u, v in combinations(z, 2)):
+                    continue
+                opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
+                for c in range(max(1, opt - 1), opt + 2):
+                    assert _tail_outcome(g, z, c, opt) == _tail_outcome(g, z, c)
+
+
+def _tail_outcome(*args):
+    """The exact tail's cover, or its error text."""
+    try:
+        return cvc_small_after_contraction(*args).cover
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_cvc_small_budget_violation_detected():
@@ -263,7 +311,7 @@ def test_virtual_vertex_dfs_matches_contraction():
     for g in graphs:
         assert savage_mask(g, 0) == mask_of(cvc_savage(g)) == mask_of(_savage_stack_reference(g))
         for k in range(1, g.n + 1):
-            for sub in connected_subsets(g, k):
+            for sub in connected_subsets(g.adj_bits, g.full_mask, k):
                 y = frozenset(bits(sub))
                 h, kept = g.contract_with_pendant(y)
                 savage = cvc_savage(h)

@@ -334,7 +334,7 @@ def test_cvc_small_after_contraction_golden():
         for z in [two_maximal_clique(g)] + [frozenset({v}) for v in range(g.n)]:
             h, _ = g.contract_with_pendant(z)
             for c in (1, 2, 3, 4):
-                if _brute_min_cvc(h, c) is not None:
+                if _brute_min_cvc(h.adj_bits, h.full_mask, c) is not None:
                     sol = cvc_small_after_contraction(g, z, c)
                     out.append(f"{i} {sorted(z)} {c} {sorted(sol.cover)}\n")
     assert _sha("".join(out)) == CVC_SMALL_SHA256
