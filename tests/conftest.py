@@ -31,6 +31,15 @@ def connected_corpus(count: int, n_lo: int, n_hi: int, seed0: int = 0):
     return out
 
 
+def cliques(g: Graph, sizes):
+    """Every clique of ``g`` with a size in ``sizes``, size by size, each
+    size in lexicographic order."""
+    for size in sizes:
+        for z in combinations(range(g.n), size):
+            if all(g.has_edge(u, v) for u, v in combinations(z, 2)):
+                yield frozenset(z)
+
+
 def weights_for(g: Graph, seed: int, unit: bool):
     from epa.graphs import unit_weights
 

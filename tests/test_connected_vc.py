@@ -17,7 +17,7 @@ from epa.generator import GeneratorSpec, SplitMix64, generate, random_connected_
 from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc
 from epa.solvers import cvc_savage, savage_mask
 from epa.vertex_cover import two_maximal_clique
-from conftest import connected_corpus, corpus
+from conftest import cliques, connected_corpus, corpus
 from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 from test_vertex_cover import stack_depth
 
@@ -121,14 +121,11 @@ def test_contracting_one_vertex_less_adds_at_most_one():
     candidate, and why OPT(G<z>) is a floor for all of its searches."""
     checked = 0
     for g in connected_corpus(40, 2, 10, seed0=3800):
-        for size in (2, 3, 4):
-            for z in map(frozenset, combinations(range(g.n), size)):
-                if not all(g.has_edge(u, v) for u, v in combinations(z, 2)):
-                    continue
-                opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
-                for u in z:
-                    assert exact_min_cvc(g.contract_with_pendant(z - {u})[0])[0] - opt in (0, 1)
-                checked += 1
+        for z in cliques(g, (2, 3, 4)):
+            opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
+            for u in z:
+                assert exact_min_cvc(g.contract_with_pendant(z - {u})[0])[0] - opt in (0, 1)
+            checked += 1
     assert checked > 100
 
 
@@ -157,13 +154,10 @@ def test_cvc_small_with_the_contraction_optimum_given():
     """Handing the tail OPT(G<z>), as ``cvc_split`` does, gives the cover
     it finds on its own, for every clique z of two to four vertices."""
     for g in connected_corpus(30, 2, 10, seed0=3950):
-        for size in (2, 3, 4):
-            for z in map(frozenset, combinations(range(g.n), size)):
-                if not all(g.has_edge(u, v) for u, v in combinations(z, 2)):
-                    continue
-                opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
-                for c in range(max(1, opt - 1), opt + 2):
-                    assert _tail_outcome(g, z, c, opt) == _tail_outcome(g, z, c)
+        for z in cliques(g, (2, 3, 4)):
+            opt = exact_min_cvc(g.contract_with_pendant(z)[0])[0]
+            for c in range(max(1, opt - 1), opt + 2):
+                assert _tail_outcome(g, z, c, opt) == _tail_outcome(g, z, c)
 
 
 def _tail_outcome(*args):

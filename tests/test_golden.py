@@ -68,7 +68,7 @@ from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
 from epa.reports import bench
 from epa.solvers import lp_half_integral_vc
 from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx, vc_split
-from conftest import connected_corpus, corpus
+from conftest import cliques, connected_corpus, corpus
 from small_graphs import path_graph
 
 BENCH_SPECS = [
@@ -346,16 +346,13 @@ def test_cvc_small_after_contraction_every_clique_golden():
     wherever the contraction's optimum is past the budget."""
     out = []
     for i, g in enumerate(connected_corpus(120, 2, 11, seed0=6300)):
-        for size in (1, 2, 3, 4):
-            for z in combinations(range(g.n), size):
-                if not all(g.has_edge(u, v) for u, v in combinations(z, 2)):
-                    continue
-                for c in (1, 2, 3, 4):
-                    try:
-                        got = sorted(cvc_small_after_contraction(g, frozenset(z), c).cover)
-                    except ValueError as exc:
-                        got = f"ValueError: {exc}"
-                    out.append(f"{i} {list(z)} {c} {got}\n")
+        for z in cliques(g, (1, 2, 3, 4)):
+            for c in (1, 2, 3, 4):
+                try:
+                    got = sorted(cvc_small_after_contraction(g, z, c).cover)
+                except ValueError as exc:
+                    got = f"ValueError: {exc}"
+                out.append(f"{i} {sorted(z)} {c} {got}\n")
     assert _sha("".join(out)) == CVC_SMALL_CLIQUES_SHA256
 
 
