@@ -9,10 +9,11 @@ connected cover of at most 3 vertices, :func:`cvc_small_after_contraction`
 solves G exactly from the contractions G<Z - u>, one per clique vertex.
 
 Neither that tail nor the driver's test for it builds a contraction.
-:func:`_contraction_rows` gives the rows of G<Y> in G's own id space,
-with the contracted vertex at bit n and its leaf at bit n + 1: the
-order in which ``contract_with_pendant`` numbers them, so the walk over
-connected subsets visits the same sets in the same order and the first
+They walk ``graphs.contraction_rows``, the rows of G<Y> in G's own id
+space, with the contracted vertex at bit n and its leaf at bit n + 1.
+``contract_with_pendant`` relabels those rows by the order-preserving
+map, so the walk over connected subsets, which depends only on the
+order of the ids, visits the same sets in the same order and the first
 smallest cover is the same.  ``cvc_split`` builds G<Z> only to descend
 a level.  The optimum of G<Z> that its test finds is a floor for every
 G<Z - u>, so the tail starts each search there and stops at the first u
@@ -36,21 +37,23 @@ bounded search returns the first smallest candidate whenever it is below
 the bound, so the final comparison sees what the unbounded search would
 have given it.
 
-The walk over Y is cut at a partial set S when |S| + |M_S| reaches the
-bound or the best size found so far, with M_S a greedy maximal matching
-of G - S.  Every candidate of the branch is a vertex cover of G that
-holds some Y ⊇ S, so it has at least |Y| + ν(G - Y) ≥ |S| + |M_S|
-vertices: each vertex of Y - S breaks at most one edge of M_S.  Nothing
-in a cut branch can be strictly smaller, and the walk's order is
-unchanged, so the first smallest candidate is the same.
+:func:`connected_subsets` takes a ``cut`` test: a set S for which it
+holds is neither yielded nor grown, and the walk's order is otherwise
+unchanged.  ``cvc_budgeted`` cuts the walk over Y at a partial set S
+when |S| + |M_S| reaches the bound or the best size found so far, with
+M_S a greedy maximal matching of G - S.  Every candidate of the branch
+is a vertex cover of G that holds some Y ⊇ S, so it has at least
+|Y| + ν(G - Y) ≥ |S| + |M_S| vertices: each vertex of Y - S breaks at
+most one edge of M_S.  Nothing in a cut branch can be strictly smaller,
+so the first smallest candidate is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, bits, mask_covers, mask_of
+from .graphs import Graph, bits, contraction_rows, mask_covers, mask_of
 from .recognize import find_induced
 from .solvers import matching_cover, savage_mask
 from .vertex_cover import _improve_to_2maximal
@@ -70,16 +73,21 @@ class ConnectedVCSol:
 # connected subset enumeration
 
 
-def connected_subsets(adj: Sequence[int], within: int, k: int) -> Iterator[int]:
+def connected_subsets(
+    adj: Sequence[int], within: int, k: int, cut: Optional[Callable[[int, int], bool]] = None
+) -> Iterator[int]:
     """All vertex masks of connected induced subgraphs on exactly ``k``
     vertices of the graph with adjacency masks ``adj`` on the vertex mask
     ``within``, each exactly once, in a fixed order.  Each row of a
     vertex in ``within`` must lie inside ``within``; other rows are not
-    read.
+    read.  A nonempty set S with ``cut(S, |S|)`` true is neither
+    yielded nor grown, so no set that the walk grows from S is yielded
+    either.
 
     ESU-style expansion: grow from every anchor vertex using only higher
     ids, extending with exclusive new neighbors so no set repeats.  The
-    stack holds one frame per added vertex: the set, the extensions not
+    stack holds one frame per set on the path, starting from the empty
+    set, whose one extension is the anchor: the set, the extensions not
     yet tried and the set's closed neighbourhood.  The order depends only
     on the relative order of the ids.
     """
@@ -87,11 +95,8 @@ def connected_subsets(adj: Sequence[int], within: int, k: int) -> Iterator[int]:
         yield 0
         return
     for v in bits(within):
-        if k == 1:
-            yield 1 << v
-            continue
         above = within & ~((2 << v) - 1)
-        stack = [(1 << v, adj[v] & above, adj[v])]
+        stack = [(0, 1 << v, 0)]
         while stack:
             sub, ext, closed = stack[-1]
             if not ext:
@@ -100,11 +105,15 @@ def connected_subsets(adj: Sequence[int], within: int, k: int) -> Iterator[int]:
             wbit = ext & -ext
             ext ^= wbit
             stack[-1] = (sub, ext, closed)
-            if len(stack) == k - 1:
-                yield sub | wbit
+            grown = sub | wbit
+            size = len(stack)
+            if cut is not None and cut(grown, size):
+                continue
+            if size == k:
+                yield grown
             else:
                 nbrs = adj[wbit.bit_length() - 1]
-                stack.append((sub | wbit, ext | (nbrs & above & ~closed & ~sub), closed | nbrs))
+                stack.append((grown, ext | (nbrs & above & ~closed & ~sub), closed | nbrs))
 
 
 def _brute_min_cvc(adj: Sequence[int], within: int, limit: int, start: int = 1) -> Optional[int]:
@@ -129,29 +138,6 @@ def _brute_min_cvc(adj: Sequence[int], within: int, limit: int, start: int = 1) 
             if mask_covers(adj, sub, within):
                 return sub
     return None
-
-
-def _contraction_rows(adj: Sequence[int], y: int) -> tuple[list[int], int]:
-    """Rows of the contraction G<y> in G's own id space, and its vertex
-    mask: the vertices outside the nonempty mask ``y`` keep their ids,
-    the contracted vertex is bit n and its pendant leaf bit n + 1.  The
-    rows of the members of ``y`` are empty.
-
-    ``Graph.contract_with_pendant`` numbers the same graph by the
-    order-preserving map (kept ids to 0..|kept|-1, then the contracted
-    vertex and the leaf), so a walk that depends only on the order of
-    the ids, as :func:`connected_subsets` does, visits the same sets.
-    """
-    n = len(adj)
-    vert, leaf = 1 << n, 2 << n
-    kept = ((1 << n) - 1) & ~y
-    rows = [row & kept | vert if row & y else row & kept for row in adj]
-    outside = 0
-    for u in bits(y):
-        outside |= adj[u]
-        rows[u] = 0
-    rows += [outside & kept | leaf, vert]
-    return rows, kept | vert | leaf
 
 
 # ---------------------------------------------------------------------
@@ -185,42 +171,20 @@ def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[Conn
         return None
     k = min(c + 1, g.n)
     best: Optional[int] = None
-    # connected_subsets' walk, cut at every set S with |S| + |M_S| >= below
-    # for a greedy maximal matching M_S of G - S.  The first frame of an
-    # anchor v holds the empty set, whose one extension is v.
-    for v in range(g.n):
-        above = full & ~((2 << v) - 1)
-        stack = [(0, 1 << v, 0)]
-        while stack:
-            sub, ext, closed = stack[-1]
-            if not ext:
-                stack.pop()
-                continue
-            wbit = ext & -ext
-            ext ^= wbit
-            stack[-1] = (sub, ext, closed)
-            grown = sub | wbit
-            size = len(stack)
-            if _cannot_win(adj, full, grown, size, below):
-                continue
-            if size == k:
-                cand = savage_mask(g, grown)
-                if cand.bit_count() < below:
-                    best, below = cand, cand.bit_count()
-            else:
-                nbrs = adj[wbit.bit_length() - 1]
-                stack.append((grown, ext | (nbrs & above & ~closed & ~sub), closed | nbrs))
+
+    def cut(sub: int, size: int) -> bool:
+        # True when sub plus a greedy maximal matching of G - sub
+        # already needs ``below`` vertices (see the module docstring).
+        limit = 2 * (below - size)
+        return matching_cover(adj, full & ~sub, 0, None, limit).bit_count() >= limit
+
+    for y in connected_subsets(adj, full, k, cut):
+        cand = savage_mask(g, y)
+        if cand.bit_count() < below:
+            best, below = cand, cand.bit_count()
     if best is None:
         return None
     return ConnectedVCSol(frozenset(bits(best)), f"cvc-budgeted[{c}]")
-
-
-def _cannot_win(adj: Sequence[int], full: int, sub: int, size: int, below: int) -> bool:
-    """True when every vertex cover of G holding the ``size`` vertices of
-    ``sub`` has at least ``below`` vertices: ``sub`` plus a greedy
-    maximal matching of G - sub already needs that many."""
-    limit = 2 * (below - size)
-    return matching_cover(adj, full & ~sub, 0, None, limit).bit_count() >= limit
 
 
 # ---------------------------------------------------------------------
@@ -250,7 +214,7 @@ def cvc_small_after_contraction(
     strictly smaller one would have replaced the best.
 
     The contractions are never built: each search walks the rows of
-    G<z - u> in G's id space (see :func:`_contraction_rows`), which
+    G<z - u> in G's id space (see ``graphs.contraction_rows``), which
     visit the same sets in the same order as the built graph.  For
     |z| >= 2 the merge above makes OPT(G<z>) a floor: every search starts
     at that size, and the loop stops at the first u whose optimum
@@ -274,7 +238,7 @@ def cvc_small_after_contraction(
     floor = 1
     if len(z) > 1:
         if opt_contracted is None:
-            found = _brute_min_cvc(*_contraction_rows(adj, zm), limit)
+            found = _brute_min_cvc(*contraction_rows(adj, zm), limit)
             if found is None:
                 raise ValueError("contraction optimum exceeds the stated budget")
             opt_contracted = found.bit_count()
@@ -283,7 +247,7 @@ def cvc_small_after_contraction(
     best: Optional[int] = None
     for u in bits(zm):
         rest = zm ^ 1 << u
-        rows, within = _contraction_rows(adj, rest) if rest else (adj, full)
+        rows, within = contraction_rows(adj, rest) if rest else (adj, full)
         inner = _brute_min_cvc(rows, within, limit, floor)
         if inner is not None:
             # lifting drops the contracted vertex and the leaf
@@ -336,7 +300,7 @@ def cvc_split(g: Graph) -> ConnectedVCSol:
     cover: frozenset[int] = frozenset()
     while h.n > 1:
         z = _contraction_clique(h)
-        small = _brute_min_cvc(*_contraction_rows(h.adj_bits, mask_of(z)), 3)
+        small = _brute_min_cvc(*contraction_rows(h.adj_bits, mask_of(z)), 3)
         if small is not None:
             cover = cvc_small_after_contraction(h, z, 3, small.bit_count()).cover
             break

@@ -16,6 +16,12 @@ map back to the parent's ids); they are built straight from the
 parent's adjacency masks, which are correct by construction, so they
 skip validation, as do the generator's graphs, built as masks.
 
+The contraction G<Y> has one definition, :func:`contraction_rows`: its
+rows in G's own id space, where the kept ids stay, Y becomes bit n and
+its pendant leaf bit n + 1.  ``Graph.contract_with_pendant`` numbers
+those rows by the order-preserving map through ``Graph.relabeled``;
+``connected_vc`` walks them as they are.
+
 Vertex weights are plain tuples of nonnegative ``Fraction`` values so
 that weight subtractions and comparisons are exact.
 """
@@ -80,6 +86,25 @@ def first_triangle(adj_bits: Sequence[int], within: int) -> Optional[tuple[int, 
             if ws:
                 return u, v, (ws & -ws).bit_length() - 1
     return None
+
+
+def contraction_rows(adj_bits: Sequence[int], y: int) -> tuple[list[int], int]:
+    """Rows of the contraction G<y> in G's own id space, and its vertex
+    mask: the vertices outside the nonempty mask ``y`` keep their ids,
+    ``y`` becomes one vertex, bit n, and that vertex gets a pendant
+    leaf, bit n + 1.  The rows of the members of ``y`` are empty.  No
+    parallel edges arise: the contracted vertex is adjacent to the
+    outside neighbourhood of ``y``."""
+    n = len(adj_bits)
+    vert, leaf = 1 << n, 2 << n
+    kept = ((1 << n) - 1) & ~y
+    rows = [row & kept | vert if row & y else row & kept for row in adj_bits]
+    outside = 0
+    for u in bits(y):
+        outside |= adj_bits[u]
+        rows[u] = 0
+    rows += [outside & kept | leaf, vert]
+    return rows, kept | vert | leaf
 
 
 class Graph:
@@ -213,45 +238,18 @@ class Graph:
         """Contract ``y`` to one vertex and append a fresh pendant leaf;
         returns (graph, old-ids-by-new-id of the surviving vertices).
 
-        The surviving vertices keep their relative order and occupy ids
-        0..n-|y|-1; the contracted vertex and the leaf take the next two
-        ids, len(kept) and len(kept) + 1.  No parallel edges arise: the
-        contracted vertex is adjacent to the outside neighborhood of ``y``.
+        The rows of :func:`contraction_rows`, numbered by the
+        order-preserving map: the surviving vertices keep their relative
+        order and occupy ids 0..n-|y|-1; the contracted vertex and the
+        leaf take the next two ids, len(kept) and len(kept) + 1.
         """
         ys = sorted(set(y))
         if not ys:
             raise ValueError("cannot contract an empty vertex set")
         self._check_ids(ys)
-        rest = self.full_mask & ~mask_of(ys)
-        kept = tuple(bits(rest))
-        nv = len(kept)
-        vert = nv          # contracted vertex
-        leaf = nv + 1
-        # Kept ids form runs between the members of y; a run starting
-        # after i members of y moves down by i.
-        runs = []
-        lo = 0
-        for i, p in enumerate(ys + [self.n]):
-            if p > lo:
-                runs.append((lo, (1 << (p - lo)) - 1, lo - i))
-            lo = p + 1
-        adj = []
-        for u in kept:
-            b = self.adj_bits[u]
-            nb = 0
-            for start, ones, new in runs:
-                nb |= (b >> start & ones) << new
-            adj.append(nb)
-        outside = 0
-        for u in ys:
-            outside |= self.adj_bits[u]
-        vadj = 1 << leaf
-        for i, u in enumerate(kept):
-            if outside >> u & 1:
-                adj[i] |= 1 << vert
-                vadj |= 1 << i
-        adj += [vadj, 1 << vert]
-        return Graph._from_masks(adj), kept
+        rows, within = contraction_rows(self.adj_bits, mask_of(ys))
+        order = tuple(bits(within))
+        return Graph._from_masks(rows).relabeled(order), order[:-2]
 
     # -- structural primitives ----------------------------------------
 

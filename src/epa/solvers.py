@@ -433,7 +433,7 @@ def savage_mask(g: Graph, ymask: int) -> int:
     G and a connected vertex set ``ymask`` (0 for G itself).
 
     G<Y> contracts Y to one vertex placed after every kept vertex and
-    followed by a pendant leaf (see ``Graph.contract_with_pendant``).
+    followed by a pendant leaf (see ``graphs.contraction_rows``).
     The DFS runs on G's masks with Y as one virtual vertex in that place.
     It visits the lowest unvisited neighbour first, and it enters Y only
     when no kept neighbour is left.  The leaf always hangs below Y, so Y

@@ -6,13 +6,12 @@ import pytest
 
 from epa.certify import is_connected_vertex_cover
 from epa.connected_vc import (
-    _contraction_rows,
     connected_subsets,
     cvc_budgeted,
     cvc_small_after_contraction,
     cvc_split,
 )
-from epa.graphs import Graph, bits, mask_of
+from epa.graphs import Graph, bits, contraction_rows, mask_of
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_connected_graph
 from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc
 from epa.solvers import cvc_savage, savage_mask
@@ -39,6 +38,20 @@ def test_connected_subsets_deep_without_recursion():
     n, k = 1200, 1100
     got = list(connected_subsets(path_graph(n).adj_bits, (1 << n) - 1, k))
     assert got == [((1 << k) - 1) << start for start in range(n - k + 1)]
+
+
+def test_connected_subsets_cut_drops_the_sets_it_holds_for():
+    """Cutting every set that holds x leaves the uncut walk's sets
+    without x, in the same order.  A cut that never holds changes
+    nothing; this one holds only if the size it is passed is wrong."""
+    for g in corpus(30, 1, 8, seed0=2950):
+        adj, full = g.adj_bits, g.full_mask
+        for k in range(1, min(g.n, 5) + 1):
+            walk = list(connected_subsets(adj, full, k))
+            assert list(connected_subsets(adj, full, k, lambda s, size: size != s.bit_count())) == walk
+            for x in range(g.n):
+                got = list(connected_subsets(adj, full, k, lambda s, _: s >> x & 1))
+                assert got == [s for s in walk if not s >> x & 1], (k, x, sorted(g.edges()))
 
 
 def test_cvc_budgeted_examples():
@@ -140,7 +153,7 @@ def test_contraction_rows_relabel_to_the_built_contraction():
         masks = {1 << v for v in range(g.n)} | {g.full_mask}
         masks |= {rng.below(1 << g.n) for _ in range(6)}
         for y in sorted(masks - {0}):
-            rows, within = _contraction_rows(g.adj_bits, y)
+            rows, within = contraction_rows(g.adj_bits, y)
             h, kept = g.contract_with_pendant(bits(y))
             order = list(bits(within))
             assert order == list(kept) + [g.n, g.n + 1]
