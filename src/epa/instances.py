@@ -63,7 +63,8 @@ def parse_instance(text: str) -> tuple[Graph, Weights]:
     g = Graph._from_masks(rows)
     if g.m != m_declared:
         raise ParseError(f"declared {m_declared} edges, found {g.m}", 1)
-    w = tuple(weights.get(v, Fraction(1)) for v in range(n))
+    one = Fraction(1)
+    w = tuple(weights.get(v, one) for v in range(n))
     return g, w
 
 

@@ -62,7 +62,7 @@ class VertexCoverSol:
         return len(self.cover)
 
 
-def _sol(g: Graph, w: Weights, cover: frozenset[int], algorithm: str, depth: int = 0) -> VertexCoverSol:
+def _sol(w: Weights, cover: frozenset[int], algorithm: str, depth: int = 0) -> VertexCoverSol:
     return VertexCoverSol(cover, total(w, cover), algorithm, depth)
 
 
@@ -123,7 +123,7 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
     for v, nbrs in reversed(removed):
         if nbrs & ~cover:
             cover |= 1 << v
-    return _sol(g, w, frozenset(bits(cover)), f"vc-ffree[{family}]", depth)
+    return _sol(w, frozenset(bits(cover)), f"vc-ffree[{family}]", depth)
 
 
 # ---------------------------------------------------------------------
@@ -148,7 +148,7 @@ def vc_fvs(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     forest, fold = g.induced_subgraph(lp.v_half - {old[v] for v in fvs})
     tree_cover = wvc_forest(forest, tuple(w[v] for v in fold))
     cover.update(fold[v] for v in tree_cover)
-    return _sol(g, w, frozenset(cover), "vc-fvs")
+    return _sol(w, frozenset(cover), "vc-fvs")
 
 
 # ---------------------------------------------------------------------
@@ -187,7 +187,7 @@ def vc_chordal(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     sub_w = tuple(wp[v] for v in old)
     inner = vc_fvs(sub, sub_w)
     cover.update(old[v] for v in inner.cover)
-    return _sol(g, w, frozenset(cover), "vc-chordal", depth)
+    return _sol(w, frozenset(cover), "vc-chordal", depth)
 
 
 # ---------------------------------------------------------------------
@@ -303,7 +303,7 @@ def vc_budgeted_2approx(
             best_bits = cover | dset
     if best_bits is None:
         return None
-    return _sol(g, unit_weights(g.n), frozenset(bits(best_bits)), f"vc-budgeted[{c}]")
+    return _sol(unit_weights(g.n), frozenset(bits(best_bits)), f"vc-budgeted[{c}]")
 
 
 def vc_split(g: Graph) -> VertexCoverSol:
@@ -341,7 +341,7 @@ def vc_split(g: Graph) -> VertexCoverSol:
         if budgeted is not None:
             cover = budgeted.cover
         cover |= z
-    return _sol(g, unit_weights(g.n), cover, "vc-split")
+    return _sol(unit_weights(g.n), cover, "vc-split")
 
 
 def _cover_of_size_le1(g: Graph, mask: int) -> Optional[frozenset[int]]:
