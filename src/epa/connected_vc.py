@@ -86,10 +86,11 @@ def connected_subsets(
 
     ESU-style expansion: grow from every anchor vertex using only higher
     ids, extending with exclusive new neighbors so no set repeats.  The
-    stack holds one frame per set on the path, starting from the empty
-    set, whose one extension is the anchor: the set, the extensions not
-    yet tried and the set's closed neighbourhood.  The order depends only
-    on the relative order of the ids.
+    stack holds one frame per set on the path: the set, the extensions
+    not yet tried and the set's closed neighbourhood.  The first frame
+    holds the empty set, whose one extension is the anchor, so the
+    anchor passes the same cut and size test as every other set.  The
+    order depends only on the relative order of the ids.
     """
     if k == 0:
         yield 0
