@@ -1,10 +1,11 @@
 """Golden byte-identity: pinned digests of ``epa bench`` CSV, of
 ``solve --json`` on planted split instances, of the CLI output of
 every guarantee row, of the two budgeted subroutines of the split
-rows, of ``epa oracle`` and the exact oracles, of the graph routines
-that several solvers share, of the checking side's pattern tests
-and obstruction sets, of parsing serialized instances, of
-generated instances and of the half-integral LP.
+rows, of the local-ratio cover rows, of ``epa oracle`` and the exact
+oracles, of the graph routines that several solvers share, of the
+checking side's pattern tests and obstruction sets, of parsing
+serialized instances, of generated instances and of the half-integral
+LP.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
@@ -25,8 +26,10 @@ seeded their budgeted searches with the recursion's cover; the
 recognition digest before ``recognize`` read one class table and
 searched every witness kind on vertex masks; the half-integral LP
 digest before ``lp_half_integral_vc`` ran its min cut on adjacency
-masks.  The ``epa oracle`` digest was pinned again when ``--modulator``
-began to weigh k on weighted rows, as ``verify`` does.
+masks; the local-ratio digest before ``vc_local_ratio_ffree`` and
+``vc_chordal`` shared one local-ratio loop.  The ``epa oracle`` digest
+was pinned again when ``--modulator`` began to weigh k on weighted
+rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -53,7 +56,7 @@ from epa.generator import (
     random_graph,
     random_weights,
 )
-from epa.graphs import Graph, mask_of
+from epa.graphs import Graph, mask_of, unit_weights
 from epa.instances import parse_instance, serialize_instance
 from epa.oracle import (
     exact_lp_vc,
@@ -67,7 +70,14 @@ from epa.packing import tp_maximal
 from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
 from epa.reports import bench
 from epa.solvers import lp_half_integral_vc
-from epa.vertex_cover import two_maximal_clique, vc_budgeted_2approx, vc_split
+from epa.vertex_cover import (
+    two_maximal_clique,
+    vc_budgeted_2approx,
+    vc_chordal,
+    vc_fvs,
+    vc_local_ratio_ffree,
+    vc_split,
+)
 from conftest import cliques, connected_corpus, corpus
 from small_graphs import path_graph
 
@@ -354,6 +364,46 @@ def test_cvc_small_after_contraction_every_clique_golden():
                     got = f"ValueError: {exc}"
                 out.append(f"{i} {sorted(z)} {c} {got}\n")
     assert _sha("".join(out)) == CVC_SMALL_CLIQUES_SHA256
+
+
+# (row, generator classes) of the local-ratio digest: the three
+# forbidden-family rows and vc_chordal on every listed class, vc_fvs on
+# three of them.
+LOCAL_RATIO_ROWS = (
+    ("P3", ("cluster", "cocluster", "cograph", "chordal", "forest", "split", "triangle-free")),
+    ("co-P3", ("cluster", "cocluster", "cograph", "chordal", "forest", "split", "triangle-free")),
+    ("P4", ("cluster", "cocluster", "cograph", "chordal", "forest", "split", "triangle-free")),
+    ("chordal", ("cluster", "cocluster", "cograph", "chordal", "forest", "split", "triangle-free")),
+    ("fvs", ("cluster", "chordal", "forest")),
+)
+LOCAL_RATIO_SHA256 = "3b9427ed6f5054a2da0b91b3ce33053e360242653275d200b728cc4e043ca41b"
+
+
+def _local_ratio_row(row: str):
+    if row == "chordal":
+        return vc_chordal
+    if row == "fvs":
+        return vc_fvs
+    return lambda g, w: vc_local_ratio_ffree(g, w, row)
+
+
+def test_local_ratio_rows_golden():
+    """Covers of vc_local_ratio_ffree (P3, co-P3, P4), vc_chordal and
+    vc_fvs on planted draws (n = 10, 40, 100, 200, k = n/10, density
+    1/2) with unit weights and random weights of which none, about a
+    tenth and about two fifths are zero."""
+    out = []
+    for row, classes in LOCAL_RATIO_ROWS:
+        solve = _local_ratio_row(row)
+        for cls in classes:
+            for i, n in enumerate((10, 40, 100, 200)):
+                g, _ = generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), 9100 + i))
+                weights = [unit_weights(g.n)]
+                weights += [random_weights(g.n, 9200 + i, zero_share=z)
+                            for z in (Fraction(0), Fraction(1, 10), Fraction(2, 5))]
+                for j, w in enumerate(weights):
+                    out.append(f"{row} {cls} {n} {j} {sorted(solve(g, w).cover)}\n")
+    assert _sha("".join(out)) == LOCAL_RATIO_SHA256
 
 
 # -- oracles and shared graph routines ------------------------------------
