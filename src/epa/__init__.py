@@ -26,7 +26,6 @@ from .vertex_cover import (
     vc_split,
 )
 from .connected_vc import (
-    ConnectedVCSol,
     connected_subsets,
     cvc_budgeted,
     cvc_small_after_contraction,

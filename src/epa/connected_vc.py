@@ -50,23 +50,12 @@ so the first smallest candidate is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits, contraction_rows, mask_covers, mask_of
 from .recognize import find_induced
 from .solvers import matching_cover, savage_mask
-from .vertex_cover import _improve_to_2maximal
-
-
-@dataclass(frozen=True)
-class ConnectedVCSol:
-    cover: frozenset[int]
-    algorithm: str
-
-    @property
-    def size(self) -> int:
-        return len(self.cover)
+from .vertex_cover import VertexCoverSol, _improve_to_2maximal
 
 
 # ---------------------------------------------------------------------
@@ -145,7 +134,7 @@ def _brute_min_cvc(adj: Sequence[int], within: int, limit: int, start: int = 1) 
 # budgeted connected cover
 
 
-def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[ConnectedVCSol]:
+def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[VertexCoverSol]:
     """Connected cover of size at most max(OPT_CVC, OPT_CVC + OPT_VC - c).
 
     Small connected sets that already cover everything are returned as
@@ -168,7 +157,7 @@ def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[Conn
     small = _brute_min_cvc(adj, full, min(c, below - 1))
     if small is not None:
         if small.bit_count() < below:
-            return ConnectedVCSol(frozenset(bits(small)), f"cvc-budgeted[{c}]")
+            return VertexCoverSol(frozenset(bits(small)), f"cvc-budgeted[{c}]")
         return None
     k = min(c + 1, g.n)
     best: Optional[int] = None
@@ -185,7 +174,7 @@ def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[Conn
             best, below = cand, cand.bit_count()
     if best is None:
         return None
-    return ConnectedVCSol(frozenset(bits(best)), f"cvc-budgeted[{c}]")
+    return VertexCoverSol(frozenset(bits(best)), f"cvc-budgeted[{c}]")
 
 
 # ---------------------------------------------------------------------
@@ -200,7 +189,7 @@ def _lift(cover: Iterable[int], kept: Sequence[int]) -> frozenset[int]:
 
 def cvc_small_after_contraction(
     g: Graph, z: frozenset[int], c: int, opt_contracted: Optional[int] = None
-) -> ConnectedVCSol:
+) -> VertexCoverSol:
     """Exact minimum connected vertex cover, given a clique ``z`` whose
     contraction G<z> has a connected cover of size at most ``c``.
 
@@ -258,7 +247,7 @@ def cvc_small_after_contraction(
             limit = inner.bit_count() - 1
         elif best is None:
             raise ValueError("contraction optimum exceeds the stated budget")
-    return ConnectedVCSol(frozenset(bits(best)), "cvc-exact-small")
+    return VertexCoverSol(frozenset(bits(best)), "cvc-exact-small")
 
 
 # ---------------------------------------------------------------------
@@ -283,7 +272,7 @@ def _contraction_clique(g: Graph) -> frozenset[int]:
     return frozenset(next(g.edges()))
 
 
-def cvc_split(g: Graph) -> ConnectedVCSol:
+def cvc_split(g: Graph) -> VertexCoverSol:
     """Connected vertex cover of size at most OPT_CVC + OPT_SVD.
 
     Recursion on the contraction G<Z> of a clique Z: when G<Z> has a
@@ -317,4 +306,4 @@ def cvc_split(g: Graph) -> ConnectedVCSol:
         if budgeted is not None:
             cand2 = _lift(budgeted.cover, kept) | z
             cover = cand1 if len(cand1) <= len(cand2) else cand2
-    return ConnectedVCSol(cover, "cvc-split")
+    return VertexCoverSol(cover, "cvc-split")

@@ -1,9 +1,17 @@
 """Vertex cover algorithms with additive guarantees.
 
-Each routine returns a :class:`VertexCoverSol` whose cover is feasible by
-construction and re-checked in tests by :mod:`epa.certify`.  The bounds
-(`weight <= OPT + f(k)` with k a modulator weight/size the algorithm never
-sees) are exercised against the brute-force oracles; see the test suite.
+Every routine returns a :class:`VertexCoverSol`, a cover and the name of
+its algorithm.  The cover is feasible by construction; callers recompute
+its weight from it, and :mod:`epa.certify` re-checks it.
+
+The cluster, cocluster, cograph and chordal rows run one local-ratio
+loop, :func:`_local_ratio` (Bar-Yehuda and Even, 1985), on an induced
+pattern every such modulator hits (P3, co-P3, P4, triangle); a vertex at
+weight 0 leaves, lowest first, with its alive neighbourhood.
+:func:`vc_local_ratio_ffree` solves the rest exactly and re-adds, last
+first, each leaver with an uncovered edge; :func:`vc_chordal` covers
+every leaver and hands the rest to :func:`vc_fvs`.  :func:`_solve_on`
+solves a residual on its induced subgraph, in G's ids.
 
 The split row's budgeted 2-approximation (:func:`vc_budgeted_2approx`)
 runs the unit-weight greedy matching (``solvers.matching_cover``) once
@@ -36,9 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import accumulate
+from typing import Callable, Iterable, Optional
 
-from .graphs import Graph, Weights, bits, mask_of, total, unit_weights
+from .graphs import Graph, Weights, bits, mask_of, unit_weights
 from .recognize import find_induced
 from .solvers import (
     fvs_2approx,
@@ -53,21 +62,47 @@ from .solvers import (
 @dataclass(frozen=True)
 class VertexCoverSol:
     cover: frozenset[int]
-    weight: Fraction
     algorithm: str
-    depth: int = 0
 
     @property
     def size(self) -> int:
         return len(self.cover)
 
 
-def _sol(w: Weights, cover: frozenset[int], algorithm: str, depth: int = 0) -> VertexCoverSol:
-    return VertexCoverSol(cover, total(w, cover), algorithm, depth)
+def _solve_on(g: Graph, vertices: Iterable[int], w: Weights, solve: Callable) -> frozenset[int]:
+    """``solve`` run on G[vertices] and ``w``, its answer in G's ids."""
+    sub, old = g.induced_subgraph(vertices)
+    return frozenset(old[v] for v in solve(sub, tuple(w[v] for v in old)))
 
 
 # ---------------------------------------------------------------------
-# local ratio over a finite forbidden family
+# local ratio over a forbidden pattern
+
+
+def _local_ratio(g: Graph, w: Weights, kind: str) -> tuple[list[Fraction], int, list[tuple[int, int]]]:
+    """Local ratio on the induced ``kind`` patterns (module docstring): the
+    residual weights, the ``kind``-free alive mask, and the leavers in
+    order, each with its alive neighbour mask when it left."""
+    wp = list(w)
+    alive = g.full_mask
+    # Alive zero-weight vertices; only a reduced pattern can add to it.
+    zero = mask_of(v for v in range(g.n) if wp[v] == 0)
+    left: list[tuple[int, int]] = []
+    while True:
+        while zero:
+            low = zero & -zero
+            v = low.bit_length() - 1
+            left.append((v, g.adj_bits[v] & alive))
+            alive ^= low
+            zero ^= low
+        pattern = find_induced(g, kind, within=alive)
+        if pattern is None:
+            return wp, alive, left
+        lam = min(wp[v] for v in pattern)
+        for v in pattern:
+            wp[v] -= lam
+            if wp[v] == 0:
+                zero |= 1 << v
 
 
 # Each forbidden family has independence number 2; its exact weighted
@@ -84,46 +119,30 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
     """Cover of weight at most OPT plus 2 times the lightest modulator to
     the class free of ``family`` ('P3', 'co-P3' or 'P4').
 
-    Loop: solve exactly once the alive graph is family-free; delete
-    zero-weight vertices (re-adding them later only if an incident edge
-    is still uncovered); otherwise uniformly reduce the weights on a
-    found forbidden pattern by its minimum.
+    Local ratio on the family's patterns, the family-free rest solved
+    exactly, then each zero-weight leaver re-added, last first, only if
+    an edge to a vertex that was alive when it left is still uncovered.
     """
     exact_solver = _FFREE_SOLVERS.get(family)
     if exact_solver is None:
         raise ValueError(f"unsupported forbidden family {family!r}")
-    wp = list(w)
-    alive = g.full_mask
-    # Alive zero-weight vertices; only a reduced pattern can add to it.
-    zero = mask_of(v for v in range(g.n) if wp[v] == 0)
-    removed: list[tuple[int, int]] = []  # (vertex, neighbor mask at removal)
-    depth = 0
-    while True:
-        if zero:
-            low = zero & -zero
-            v = low.bit_length() - 1
-            removed.append((v, g.adj_bits[v] & alive))
-            alive ^= low
-            zero ^= low
-            depth += 1
-            continue
-        pattern = find_induced(g, family, within=alive)
-        if pattern is None:
-            sub, old = g.induced_subgraph(bits(alive))
-            sub_w = tuple(wp[v] for v in old)
-            inner = exact_solver(sub, sub_w)
-            cover = mask_of(old[v] for v in inner)
-            break
-        lam = min(wp[v] for v in pattern)
-        for v in pattern:
-            wp[v] -= lam
-            if wp[v] == 0:
-                zero |= 1 << v
-        depth += 1
-    for v, nbrs in reversed(removed):
+    wp, alive, left = _local_ratio(g, w, family)
+    cover = mask_of(_solve_on(g, bits(alive), wp, exact_solver))
+    for v, nbrs in reversed(left):
         if nbrs & ~cover:
             cover |= 1 << v
-    return _sol(w, frozenset(bits(cover)), f"vc-ffree[{family}]", depth)
+    return VertexCoverSol(frozenset(bits(cover)), f"vc-ffree[{family}]")
+
+
+def vc_chordal(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
+    """Cover of weight at most (3/2) OPT_WVC + OPT_ChVD.
+
+    Local ratio on triangles, every leaver in the cover; chordal subgraphs
+    of the triangle-free rest are forests, so vc_fvs covers it.
+    """
+    wp, alive, left = _local_ratio(g, unit_weights(g.n) if w is None else w, "triangle")
+    rest = _solve_on(g, bits(alive), wp, lambda sub, sub_w: vc_fvs(sub, sub_w).cover)
+    return VertexCoverSol(rest.union(v for v, _ in left), "vc-chordal")
 
 
 # ---------------------------------------------------------------------
@@ -140,54 +159,8 @@ def vc_fvs(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     if w is None:
         w = unit_weights(g.n)
     lp = lp_half_integral_vc(g, w)
-    cover = set(lp.v1)
-    half, old = g.induced_subgraph(lp.v_half)
-    half_w = tuple(w[v] for v in old)
-    fvs = fvs_2approx(half, half_w)
-    cover.update(old[v] for v in fvs)
-    forest, fold = g.induced_subgraph(lp.v_half - {old[v] for v in fvs})
-    tree_cover = wvc_forest(forest, tuple(w[v] for v in fold))
-    cover.update(fold[v] for v in tree_cover)
-    return _sol(w, frozenset(cover), "vc-fvs")
-
-
-# ---------------------------------------------------------------------
-# chordal-modulator parameterized cover
-
-
-def vc_chordal(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
-    """Cover of weight at most (3/2) OPT_WVC + OPT_ChVD.
-
-    Uniform local-ratio reductions on triangles (zero-weight vertices go
-    into the cover and leave the graph) until the residual graph is
-    triangle-free, where chordal subgraphs are forests, then vc_fvs.
-    """
-    if w is None:
-        w = unit_weights(g.n)
-    wp = list(w)
-    alive = g.full_mask
-    # Alive zero-weight vertices; only a reduced triangle can add to it.
-    zero = mask_of(v for v in range(g.n) if wp[v] == 0)
-    cover: set[int] = set()
-    depth = 0
-    while True:
-        cover.update(bits(zero))
-        alive &= ~zero
-        zero = 0
-        tri = find_induced(g, "triangle", within=alive)
-        if tri is None:
-            break
-        lam = min(wp[v] for v in tri)
-        for v in tri:
-            wp[v] -= lam
-            if wp[v] == 0:
-                zero |= 1 << v
-        depth += 1
-    sub, old = g.induced_subgraph(bits(alive))
-    sub_w = tuple(wp[v] for v in old)
-    inner = vc_fvs(sub, sub_w)
-    cover.update(old[v] for v in inner.cover)
-    return _sol(w, frozenset(cover), "vc-chordal", depth)
+    fvs = _solve_on(g, lp.v_half, w, fvs_2approx)
+    return VertexCoverSol(lp.v1 | fvs | _solve_on(g, lp.v_half - fvs, w, wvc_forest), "vc-fvs")
 
 
 # ---------------------------------------------------------------------
@@ -209,7 +182,8 @@ def two_maximal_clique(g: Graph, within: Optional[int] = None) -> frozenset[int]
 def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
     """Grow the clique mask ``clique`` inside ``mask`` into a 2-maximal
     clique: add the lowest common neighbour while there is one, then swap
-    the first vertex that one out, two in allows, and grow again."""
+    the first vertex that one out, two in allows, and grow again.  A
+    member's swap candidates AND a running prefix with a stored suffix."""
     adj = g.adj_bits
     while True:
         common = mask & ~clique
@@ -219,18 +193,21 @@ def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
             low = common & -common
             clique |= low
             common &= adj[low.bit_length() - 1]
-        for u in bits(clique):
-            base = clique & ~(1 << u)
-            cand = mask & ~clique
-            for v in bits(base):
-                cand &= adj[v]
+        members = list(bits(clique))
+        # after[i]: the vertices outside the clique adjacent to members[i:]
+        after = list(accumulate(reversed(members), lambda m, v: m & adj[v], initial=mask & ~clique))
+        after.reverse()
+        before = after[-1]
+        for i, u in enumerate(members):
+            cand = before & after[i + 1]
+            before &= adj[u]
             for x in bits(cand):
                 ys = cand & adj[x] & ~((1 << (x + 1)) - 1)
                 if ys:
                     break
             else:
                 continue
-            clique = base | (1 << x) | (ys & -ys)
+            clique ^= (1 << u) | (1 << x) | (ys & -ys)
             break
         else:
             return frozenset(bits(clique))
@@ -303,7 +280,7 @@ def vc_budgeted_2approx(
             best_bits = cover | dset
     if best_bits is None:
         return None
-    return _sol(unit_weights(g.n), frozenset(bits(best_bits)), f"vc-budgeted[{c}]")
+    return VertexCoverSol(frozenset(bits(best_bits)), f"vc-budgeted[{c}]")
 
 
 def vc_split(g: Graph) -> VertexCoverSol:
@@ -341,7 +318,7 @@ def vc_split(g: Graph) -> VertexCoverSol:
         if budgeted is not None:
             cover = budgeted.cover
         cover |= z
-    return _sol(unit_weights(g.n), cover, "vc-split")
+    return VertexCoverSol(cover, "vc-split")
 
 
 def _cover_of_size_le1(g: Graph, mask: int) -> Optional[frozenset[int]]:

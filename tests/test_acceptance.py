@@ -150,16 +150,16 @@ def test_acceptance_2_vertex_cover_bounds():
         opt_w, _ = exact_min_wvc(g, w, budget)
         k_fvs, _ = exact_min_modulator(g, "forest", w, budget)
         sol = vc_fvs(g, w)
-        if not certify.is_vertex_cover(g, sol.cover) or sol.weight > opt_w + k_fvs:
+        if not certify.is_vertex_cover(g, sol.cover) or total(w, sol.cover) > opt_w + k_fvs:
             violations += 1
         k_ch, _ = exact_min_modulator(g, "chordal", w, budget)
         sol = vc_chordal(g, w)
-        if not certify.is_vertex_cover(g, sol.cover) or sol.weight > Fraction(3, 2) * opt_w + k_ch:
+        if not certify.is_vertex_cover(g, sol.cover) or total(w, sol.cover) > Fraction(3, 2) * opt_w + k_ch:
             violations += 1
         for fam, cls in (("P4", "cograph"), ("P3", "cluster"), ("co-P3", "cocluster")):
             k_mod, _ = exact_min_modulator(g, cls, w, budget)
             sol = vc_local_ratio_ffree(g, w, fam)
-            if not certify.is_vertex_cover(g, sol.cover) or sol.weight > opt_w + 2 * k_mod:
+            if not certify.is_vertex_cover(g, sol.cover) or total(w, sol.cover) > opt_w + 2 * k_mod:
                 violations += 1
         opt_u, _ = exact_min_vc(g, budget)
         k_svd, _ = exact_min_modulator(g, "split", None, budget)
@@ -324,7 +324,7 @@ def test_acceptance_8_exact_on_class():
     for i in range(per):
         g, _ = generate(GeneratorSpec("forest", 9 + i % 3, 0, Fraction(1, 2), 810_000 + i))
         w = unit_weights(g.n) if i % 2 else random_weights(g.n, 810_000 + i)
-        if vc_fvs(g, w).weight != exact_min_wvc(g, w)[0]:
+        if total(w, vc_fvs(g, w).cover) != exact_min_wvc(g, w)[0]:
             violations += 1
     for i in range(per):
         g, _ = generate(GeneratorSpec("cograph", 8 + i % 3, 0, Fraction(1, 2), 820_000 + i))

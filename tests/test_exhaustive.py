@@ -52,12 +52,12 @@ def test_all_vertex_cover_bounds_exhaustively():
         opt = exact_min_wvc(g, w)[0]
         sol = vc_fvs(g, w)
         assert is_vertex_cover(g, sol.cover)
-        assert sol.weight <= opt + exact_min_modulator(g, "forest", w)[0]
+        assert sol.size <= opt + exact_min_modulator(g, "forest", w)[0]
         sol = vc_chordal(g, w)
-        assert sol.weight <= Fraction(3, 2) * opt + exact_min_modulator(g, "chordal", w)[0]
+        assert sol.size <= Fraction(3, 2) * opt + exact_min_modulator(g, "chordal", w)[0]
         for fam, cls in families:
             sol = vc_local_ratio_ffree(g, w, fam)
-            assert sol.weight <= opt + 2 * exact_min_modulator(g, cls, w)[0]
+            assert sol.size <= opt + 2 * exact_min_modulator(g, cls, w)[0]
         k_svd = exact_min_modulator(g, "split")[0]
         sol = vc_split(g)
         assert len(sol.cover) <= exact_min_vc(g)[0] + k_svd

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from epa.certify import is_clique, is_vertex_cover
-from epa.graphs import Graph, bits, unit_weights
+from epa.graphs import Graph, bits, mask_of, total, unit_weights
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_weights
 from epa.oracle import exact_min_modulator, exact_min_vc, exact_min_wvc
 from epa.recognize import find_induced
@@ -26,7 +26,7 @@ def test_ffree_exact_on_cographs():
         w = weights_for(g, i, unit=i % 2 == 0)
         sol = vc_local_ratio_ffree(g, w, "P4")
         assert is_vertex_cover(g, sol.cover)
-        assert sol.weight == exact_min_wvc(g, w)[0]
+        assert total(w, sol.cover) == exact_min_wvc(g, w)[0]
 
 
 def test_ffree_bounds_all_families():
@@ -38,23 +38,21 @@ def test_ffree_bounds_all_families():
             sol = vc_local_ratio_ffree(g, w, fam)
             assert is_vertex_cover(g, sol.cover)
             k = exact_min_modulator(g, cls, w)[0]
-            assert sol.weight <= opt + 2 * k, (fam, sorted(g.edges()))
+            assert total(w, sol.cover) <= opt + 2 * k, (fam, sorted(g.edges()))
 
 
 def _ffree_rescan_reference(g, w, family):
     """The local-ratio loop as it was: every step rescans the alive
-    vertices for zero weights.  Returns (cover, depth)."""
+    vertices for zero weights.  Returns the cover."""
     exact_solver = {"P3": wvc_cluster, "co-P3": wvc_cograph, "P4": wvc_cograph}[family]
     wp = list(w)
     alive = g.full_mask
     removed = []
-    depth = 0
     while True:
         zeros = [v for v in bits(alive) if wp[v] == 0]
         if zeros:
             removed.append((zeros[0], g.adj_bits[zeros[0]] & alive))
             alive &= ~(1 << zeros[0])
-            depth += 1
             continue
         pattern = find_induced(g, family, within=alive)
         if pattern is None:
@@ -64,34 +62,55 @@ def _ffree_rescan_reference(g, w, family):
         lam = min(wp[v] for v in pattern)
         for v in pattern:
             wp[v] -= lam
-        depth += 1
     for v, nbrs in reversed(removed):
         if any(u not in cover for u in bits(nbrs)):
             cover.add(v)
-    return frozenset(cover), depth
+    return frozenset(cover)
+
+
+def _chordal_rescan_reference(g, w):
+    """vc_chordal's triangle loop as it was: every step puts all alive
+    zero-weight vertices in the cover, then reduces on a triangle; the
+    triangle-free rest goes to vc_fvs."""
+    wp = list(w)
+    alive = g.full_mask
+    cover = set()
+    while True:
+        zeros = [v for v in bits(alive) if wp[v] == 0]
+        cover.update(zeros)
+        alive &= ~mask_of(zeros)
+        tri = find_induced(g, "triangle", within=alive)
+        if tri is None:
+            break
+        lam = min(wp[v] for v in tri)
+        for v in tri:
+            wp[v] -= lam
+    sub, old = g.induced_subgraph(bits(alive))
+    cover.update(old[v] for v in vc_fvs(sub, tuple(wp[v] for v in old)).cover)
+    return frozenset(cover)
 
 
 def test_ffree_zero_mask_matches_rescan_reference():
     for i, g in enumerate(corpus(45, 2, 30, seed0=2300)):
         w = random_weights(g.n, 2300 + i, zero_share=Fraction(i % 3, 5))
         for fam in ("P3", "co-P3", "P4"):
-            sol = vc_local_ratio_ffree(g, w, fam)
-            assert (sol.cover, sol.depth) == _ffree_rescan_reference(g, w, fam)
+            assert vc_local_ratio_ffree(g, w, fam).cover == _ffree_rescan_reference(g, w, fam)
+        assert vc_chordal(g, w).cover == _chordal_rescan_reference(g, w)
 
 
 def test_ffree_c5_example():
     c5 = cycle_graph(5)
     sol = vc_local_ratio_ffree(c5, unit_weights(5), "P3")
     assert is_vertex_cover(c5, sol.cover)
-    assert sol.weight <= 3 + 2 * exact_min_modulator(c5, "cluster", unit_weights(5))[0]
+    assert sol.size <= 3 + 2 * exact_min_modulator(c5, "cluster", unit_weights(5))[0]
 
 
 def test_vc_fvs_examples():
     tree = path_graph(7)
     sol = vc_fvs(tree)
-    assert sol.weight == exact_min_wvc(tree)[0]
-    assert vc_fvs(complete_graph(3)).weight <= 3
-    assert vc_fvs(cycle_graph(4)).weight <= 3
+    assert sol.size == exact_min_wvc(tree)[0]
+    assert vc_fvs(complete_graph(3)).size <= 3
+    assert vc_fvs(cycle_graph(4)).size <= 3
 
 
 def test_vc_fvs_bound_corpus():
@@ -101,14 +120,14 @@ def test_vc_fvs_bound_corpus():
         assert is_vertex_cover(g, sol.cover)
         opt = exact_min_wvc(g, w)[0]
         k = exact_min_modulator(g, "forest", w)[0]
-        assert sol.weight <= opt + k
+        assert total(w, sol.cover) <= opt + k
 
 
 def test_vc_chordal_examples():
-    assert vc_chordal(complete_graph(3)).weight <= 3
+    assert vc_chordal(complete_graph(3)).size <= 3
     # triangle-free inputs behave like vc_fvs
     c4 = cycle_graph(4)
-    assert vc_chordal(c4).weight <= Fraction(3, 2) * 2 + 1
+    assert vc_chordal(c4).size <= Fraction(3, 2) * 2 + 1
 
 
 def test_vc_chordal_bound_corpus():
@@ -118,7 +137,7 @@ def test_vc_chordal_bound_corpus():
         assert is_vertex_cover(g, sol.cover)
         opt = exact_min_wvc(g, w)[0]
         k = exact_min_modulator(g, "chordal", w)[0]
-        assert sol.weight <= Fraction(3, 2) * opt + k
+        assert total(w, sol.cover) <= Fraction(3, 2) * opt + k
 
 
 def assert_two_maximal(g: Graph, z: frozenset[int]):
@@ -196,7 +215,6 @@ def test_budgeted_within_matches_reference_corpus():
             for c in (0, 1, 2):
                 sol = vc_budgeted_2approx(g, c, within=within)
                 assert sol.cover == reference_budgeted(g, c, within)
-                assert sol.weight == len(sol.cover)
 
 
 def test_budgeted_below_matches_unbounded():
@@ -237,15 +255,6 @@ def test_vc_split_bound_corpus():
         opt = exact_min_vc(g)[0]
         k = exact_min_modulator(g, "split")[0]
         assert len(sol.cover) <= opt + k
-
-
-def test_local_ratio_trace_depth_bounded():
-    # each step deletes a vertex or zeroes one more weight: depth <= 2n
-    for i, g in enumerate(corpus(30, 1, 10, seed0=2900)):
-        w = weights_for(g, i, unit=False)
-        for fam in ("P3", "co-P3", "P4"):
-            sol = vc_local_ratio_ffree(g, w, fam)
-            assert sol.depth <= 2 * g.n
 
 
 def stack_depth() -> int:
