@@ -1,6 +1,7 @@
 """Checks on the source text of the package itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import epa
@@ -37,3 +38,44 @@ def test_every_imported_name_is_used():
             if name not in used
         ]
     assert not unused, unused
+
+
+def _private_definitions(tree: ast.Module):
+    """Each module-level function, class or constant whose name starts
+    with one underscore, with the statement that binds it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or as an
+    attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    )
+
+
+def test_every_private_definition_is_read():
+    """A module-level ``_private`` function, class or constant is read
+    somewhere in the package, outside the statement that defines it."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {name: _reads(tree) for name, tree in trees.items()}
+    orphans = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            outside = reads[module][name] - _reads(node)[name]
+            if outside <= 0 and not any(reads[m][name] for m in trees if m != module):
+                orphans.append(f"{module}:{node.lineno}: {name}")
+    assert not orphans, orphans
