@@ -44,7 +44,7 @@ def _private_definitions(tree: ast.Module):
     """Each module-level function, class or constant whose name starts
     with one underscore, with the statement that binds it."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
