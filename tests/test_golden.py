@@ -27,7 +27,9 @@ recognition digest before ``recognize`` read one class table and
 searched every witness kind on vertex masks; the half-integral LP
 digest before ``lp_half_integral_vc`` ran its min cut on adjacency
 masks; the local-ratio digest before ``vc_local_ratio_ffree`` and
-``vc_chordal`` shared one local-ratio loop.  The ``epa oracle`` digest
+``vc_chordal`` shared one local-ratio loop; the oracle-sweep CSV and
+every-class ``verify --json`` digests before ``epa bench`` asked each
+exact oracle once per instance.  The ``epa oracle`` digest
 was pinned again when ``--modulator`` began to weigh k on weighted
 rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
@@ -198,6 +200,39 @@ def test_every_row_cli_golden(tmp_path):
                 _run_cli([command, "--problem", problem, "--param", param, "--input", path], log)
     assert _sha(_MICROS.sub("#", log.getvalue())) == ROWS_CLI_SHA256
 
+
+# The oracle sweep: every generator class at n = 6-10, k = 0-2, seeds 0-5.
+SWEEP_SPECS = [
+    GeneratorSpec(base, n, k, Fraction(1, 2), seed)
+    for base in GENERATOR_CLASSES
+    for n in range(6, 11)
+    for k in range(3)
+    for seed in range(6)
+]
+
+SWEEP_SHA256 = "8ff6c8d4af988752ba744c4eaea27f6b741bbe09334469ee4f429ecbfbeb6156"
+VERIFY_CLASSES_SHA256 = "e4de01b73420d07198ac18d568b4de9f47429093a0bc3ee035f31fd2d5dc7bb4"
+
+
+def test_bench_sweep_golden():
+    assert _sha(bench(SWEEP_SPECS)) == SWEEP_SHA256
+
+
+def test_verify_json_every_class_golden(tmp_path):
+    """verify --json on every row, on a planted draw of every generator
+    class (n = 7, k = 2, seeds 0-2), once with unit and once with random
+    weights."""
+    log = io.StringIO()
+    for base in GENERATOR_CLASSES:
+        for seed in range(3):
+            g, _ = generate(GeneratorSpec(base, 7, 2, Fraction(1, 2), seed))
+            for w in (None, random_weights(g.n, seed)):
+                path = tmp_path / f"{base}-{seed}-{int(w is not None)}.epa"
+                path.write_text(serialize_instance(g, w), encoding="utf-8")
+                for problem, param in ROW_PAIRS:
+                    _run_cli(["verify", "--json", "--problem", problem, "--param", param,
+                              "--input", str(path)], log)
+    assert _sha(_MICROS.sub("#", log.getvalue())) == VERIFY_CLASSES_SHA256
 
 # -- the scale path -------------------------------------------------------
 
