@@ -36,6 +36,7 @@ from .reports import (
     GuaranteeReport,
     UnsupportedPair,
     bench,
+    oracle_weights,
     run_algorithm,
     verify_guarantee,
 )
@@ -208,11 +209,10 @@ def cmd_oracle(args) -> int:
     budget = _budget(args)
     out: dict[str, str] = {}
     if args.modulator:
-        # weighted rows weigh k as verify does; unit weights keep the unweighted certificate
+        # k is weighed as verify weighs it: by w only on weighted rows with non-unit weights
         pair = (args.problem, args.modulator)
         weighted = any(r.weighted for r in ROWS if (r.problem, r.modulator) == pair)
-        wk = w if weighted and any(x != 1 for x in w) else None
-        val, cert = exact_min_modulator(g, args.modulator, wk, budget)
+        val, cert = exact_min_modulator(g, args.modulator, oracle_weights(weighted, w), budget)
         out["modulator_class"] = args.modulator
         out["k"] = str(val)
         out["modulator"] = str(sorted(v + 1 for v in cert))

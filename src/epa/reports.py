@@ -10,7 +10,9 @@ verification, the CLI's choices, ``epa oracle`` and the bench rows all
 derive from these two tables.
 The verifier recomputes the solution value from the certificate and the
 pass flag from the oracle numbers; nothing is taken from the solver's own
-report.
+report.  A weighted row whose weights are all 1 is valued and checked as
+an unweighted one (``oracle_weights``), and ``epa bench`` asks each exact
+question of an instance once, sharing the answer across its rows.
 """
 
 from __future__ import annotations
@@ -185,19 +187,38 @@ class GuaranteeReport:
     micros: int
 
 
+def oracle_weights(weighted: bool, w: Optional[Weights]) -> Optional[Weights]:
+    """The weights a row is valued and checked with: ``w`` if the row is
+    weighted and some weight is not 1, else None, so that unit weights
+    count a cover by its size and ask the unweighted oracles."""
+    return w if weighted and w is not None and any(x != 1 for x in w) else None
+
+
 def run_algorithm(problem: str, param: str, g: Graph, w: Optional[Weights] = None) -> RunResult:
     """Run the row's algorithm; the value is recomputed from the
     certificate by the independent checkers."""
     row = _row(problem, param, "algorithm")
     prob = PROBLEMS[problem]
+    wk = oracle_weights(row.weighted, w)
     if w is None:
         w = unit_weights(g.n)
     start = time.perf_counter_ns()
     sol = row.solve(g, w)
     micros = (time.perf_counter_ns() - start) // 1000
     cert = prob.certificate(sol)
-    value = prob.value(cert, w if row.weighted else None)
-    return RunResult(sol.algorithm, value, cert, prob.feasible(g, cert), micros)
+    return RunResult(sol.algorithm, prob.value(cert, wk), cert, prob.feasible(g, cert), micros)
+
+
+def _asked(answers: dict, question: tuple, ask: Callable[[], tuple]) -> tuple:
+    """The answer to ``question``, from the oracle the first time it is asked."""
+    if question not in answers:
+        answers[question] = ask()
+    return answers[question]
+
+
+def _optimum(answers: dict, problem: str, g: Graph, wk: Optional[Weights],
+             budget: OracleBudget) -> tuple:
+    return _asked(answers, (problem, wk), lambda: PROBLEMS[problem].optimum(g, wk, budget))
 
 
 def verify_guarantee(
@@ -206,23 +227,35 @@ def verify_guarantee(
     g: Graph,
     w: Optional[Weights] = None,
     budget: OracleBudget = DEFAULT_BUDGET,
+    *,
+    answers: Optional[dict] = None,
 ) -> GuaranteeReport:
-    """Run the algorithm and evaluate its bound with oracle ground truth."""
+    """Run the algorithm and evaluate its bound with oracle ground truth.
+
+    ``answers`` holds the exact answers already found on ``g`` under
+    ``budget``, keyed by question: (problem, weights) for an optimum and
+    (modulator class, weights) for a modulator; problem and class names
+    are disjoint.  New answers are added to it, and the report is the
+    same with or without it."""
     row = _row(problem, param, "guarantee row")
     prob = PROBLEMS[problem]
-    if w is None:
-        w = unit_weights(g.n)
+    if answers is None:
+        answers = {}
     res = run_algorithm(problem, param, g, w)
-    wk = w if row.weighted else None
+    wk = oracle_weights(row.weighted, w)
     if prob.optimum_first:
-        opt, _ = prob.optimum(g, wk, budget)
-    k, mod = exact_min_modulator(g, row.modulator, wk, budget)
+        opt, _ = _optimum(answers, problem, g, wk, budget)
+    k, mod = _asked(answers, (row.modulator, wk),
+                    lambda: exact_min_modulator(g, row.modulator, wk, budget))
     chi = None
     if "chi(G-M)" in row.formula:
-        rest, _ = g.induced_subgraph(set(range(g.n)) - set(mod))
-        chi, _ = exact_chromatic(rest, budget)
+        if mod:
+            rest, _ = g.induced_subgraph(set(range(g.n)) - set(mod))
+            chi, _ = exact_chromatic(rest, budget)
+        else:   # chi(G - M) is chi(G), the col optimum
+            chi, _ = _optimum(answers, "col", g, None, budget)
     if not prob.optimum_first:
-        opt, _ = prob.optimum(g, wk, budget)
+        opt, _ = _optimum(answers, problem, g, wk, budget)
     bound = Fraction(row.bound(opt, k, chi))
     value = Fraction(res.value)
     passed = res.feasible and (value <= bound if prob.minimize else value >= bound)
@@ -257,9 +290,11 @@ def _fmt(x) -> str:
 
 
 def bench_instance(spec: GeneratorSpec, budget: OracleBudget, timing: bool) -> list[str]:
-    """CSV rows for one generated instance (EPA rows plus baselines)."""
+    """CSV rows for one generated instance (EPA rows plus baselines).
+    Its rows and the vc-2approx lines share one table of exact answers."""
     g, planted = generate(spec)
     rows: list[str] = []
+    answers: dict = {}
 
     def line(alg, value, micros, k=None, opt=None, bound=None, passed=None) -> None:
         cells = (spec.seed, spec.base, g.n, len(planted), k, alg, value, opt, bound, passed,
@@ -271,7 +306,7 @@ def bench_instance(spec: GeneratorSpec, budget: OracleBudget, timing: bool) -> l
         if spec.base not in row.bench or row.problem == "cvc" and not g.is_connected():
             continue
         if within:
-            rep = verify_guarantee(row.problem, row.param, g, None, budget)
+            rep = verify_guarantee(row.problem, row.param, g, None, budget, answers=answers)
             line(rep.algorithm, rep.value, rep.micros, rep.k_oracle, rep.opt, rep.bound_value,
                  rep.passed)
         else:
@@ -283,7 +318,7 @@ def bench_instance(spec: GeneratorSpec, budget: OracleBudget, timing: bool) -> l
         cover = vc_2approx(g)
         micros = (time.perf_counter_ns() - start) // 1000
         if g.n <= budget.vc:
-            opt, _ = exact_min_vc(g, budget)
+            opt, _ = _optimum(answers, "vc", g, None, budget)
             passed = certify.is_vertex_cover(g, cover) and len(cover) <= 2 * opt
             line("vc-2approx", len(cover), micros, None, opt, Fraction(2 * opt), passed)
         else:

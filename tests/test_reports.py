@@ -1,10 +1,13 @@
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from epa import certify, reports
-from epa.generator import random_weights
+from epa.generator import GENERATOR_CLASSES, GeneratorSpec, random_weights
+from epa.graphs import unit_weights
+from epa.oracle import DEFAULT_BUDGET
 from epa.reports import ROWS
 from small_graphs import cycle_graph
 
@@ -22,16 +25,18 @@ def test_readme_guarantees_table_matches_rows():
     assert listed == [(row.problem, row.param, row.weighted) for row in ROWS]
 
 
-@pytest.mark.parametrize("problem, param, expect", [
-    ("vc", "split", ["vc_split", "is_vertex_cover", "exact_min_vc", "exact_min_modulator"]),
-    ("vc", "fvs", ["vc_fvs", "is_vertex_cover", "exact_min_wvc", "exact_min_modulator"]),
-    ("col", "chordal", ["color_degeneracy", "is_proper_coloring", "exact_min_modulator",
-                        "exact_chromatic:4", "exact_chromatic:5"]),
+@pytest.mark.parametrize("problem, param, weighted, expect", [
+    ("vc", "split", True, ["vc_split", "is_vertex_cover", "exact_min_vc", "exact_min_modulator"]),
+    ("vc", "fvs", True, ["vc_fvs", "is_vertex_cover", "exact_min_wvc", "exact_min_modulator"]),
+    ("vc", "fvs", False, ["vc_fvs", "is_vertex_cover", "exact_min_vc", "exact_min_modulator"]),
+    ("col", "chordal", True, ["color_degeneracy", "is_proper_coloring", "exact_min_modulator",
+                              "exact_chromatic:4", "exact_chromatic:5"]),
 ])
-def test_rows_reach_rebound_module_attributes(problem, param, expect, monkeypatch):
+def test_rows_reach_rebound_module_attributes(problem, param, weighted, expect, monkeypatch):
     """Rows call solvers, checkers and oracles through module attributes at
     call time, so a rebinding (a tracer, a spy) sees every call; the
-    unweighted split row asks the unweighted oracle; oracles run in order."""
+    unweighted split row and a weighted row at unit weights ask the
+    unweighted oracle; oracles run in order."""
     calls = []
 
     def spy(module, name):
@@ -49,5 +54,36 @@ def test_rows_reach_rebound_module_attributes(problem, param, expect, monkeypatc
     for name in ("is_vertex_cover", "is_proper_coloring"):
         spy(certify, name)
     g = cycle_graph(5)
-    rep = reports.verify_guarantee(problem, param, g, random_weights(5, 1))
+    w = random_weights(5, 1) if weighted else unit_weights(5)
+    rep = reports.verify_guarantee(problem, param, g, w)
     assert calls == expect and rep.passed
+
+
+ORACLES = ("exact_min_vc", "exact_min_wvc", "exact_min_cvc", "exact_chromatic", "exact_max_tp",
+           "exact_min_modulator")
+
+
+@pytest.mark.parametrize("base", GENERATOR_CLASSES)
+def test_bench_asks_each_oracle_question_once(base, monkeypatch):
+    """One ``bench_instance`` asks each oracle each question (graph and
+    arguments) at most once, across its rows and the vc-2approx line, and
+    never the weighted cover oracle: bench instances have unit weights."""
+    asked = []
+
+    def spy(name):
+        fn = getattr(reports, name)
+
+        def wrapper(g, *args):
+            asked.append((name, g.n, tuple(g.adj_bits), repr(args)))
+            return fn(g, *args)
+
+        monkeypatch.setattr(reports, name, wrapper)
+
+    for name in ORACLES:
+        spy(name)
+    for k in (0, 2):
+        asked.clear()
+        reports.bench_instance(GeneratorSpec(base, 8, k, Fraction(1, 2), 3), DEFAULT_BUDGET,
+                               False)
+        assert asked and len(set(asked)) == len(asked)
+        assert all(name != "exact_min_wvc" for name, *_ in asked)
