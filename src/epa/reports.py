@@ -188,10 +188,10 @@ class GuaranteeReport:
 
 
 def oracle_weights(weighted: bool, w: Optional[Weights]) -> Optional[Weights]:
-    """The weights a row is valued and checked with: ``w`` if the row is
-    weighted and some weight is not 1, else None, so that unit weights
-    count a cover by its size and ask the unweighted oracles."""
-    return w if weighted and w is not None and any(x != 1 for x in w) else None
+    """The weights a row is valued and checked with: ``w`` (as a tuple) if
+    the row is weighted and some weight is not 1, else None, so that unit
+    weights count a cover by its size and ask the unweighted oracles."""
+    return tuple(w) if weighted and w is not None and any(x != 1 for x in w) else None
 
 
 def run_algorithm(problem: str, param: str, g: Graph, w: Optional[Weights] = None) -> RunResult:
