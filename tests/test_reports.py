@@ -28,10 +28,10 @@ def test_readme_guarantees_table_matches_rows():
 @pytest.mark.parametrize("problem, param, weighted, expect", [
     ("vc", "split", True, ["vc_split", "is_vertex_cover", "exact_min_vc", "exact_min_modulator"]),
     ("vc", "fvs", True, ["vc_fvs", "is_vertex_cover", "exact_min_wvc", "exact_min_modulator"]),
-    ("vc", "fvs", False, ["vc_fvs", "is_vertex_cover", "exact_min_vc", "exact_min_modulator"]),
     ("col", "chordal", True, ["color_degeneracy", "is_proper_coloring", "exact_min_modulator",
                               "exact_chromatic:4", "exact_chromatic:5"]),
-])
+    ("vc", "fvs", False, ["vc_fvs", "is_vertex_cover", "exact_min_vc", "exact_min_modulator"]),
+], ids=["vc-split-expect0", "vc-fvs-expect1", "col-chordal-expect2", "vc-fvs-unit-weights"])
 def test_rows_reach_rebound_module_attributes(problem, param, weighted, expect, monkeypatch):
     """Rows call solvers, checkers and oracles through module attributes at
     call time, so a rebinding (a tracer, a spy) sees every call; the
