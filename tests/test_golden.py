@@ -29,9 +29,10 @@ digest before ``lp_half_integral_vc`` ran its min cut on adjacency
 masks; the local-ratio digest before ``vc_local_ratio_ffree`` and
 ``vc_chordal`` shared one local-ratio loop; the oracle-sweep CSV and
 every-class ``verify --json`` digests before ``epa bench`` asked each
-exact oracle once per instance.  The ``epa oracle`` digest
-was pinned again when ``--modulator`` began to weigh k on weighted
-rows, as ``verify`` does.
+exact oracle once per instance; the deep-descent ``cvc_split`` digest
+before the driver descended on contraction rows in G's id space.  The
+``epa oracle`` digest was pinned again when ``--modulator`` began to
+weigh k on weighted rows, as ``verify`` does.
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -344,6 +345,7 @@ VC_SPLIT_CASES = [
 ]
 VC_SPLIT_SHA256 = "b95699fcee51957caa8e5ff765215aac670be35b6b378089f053b95434cb740b"
 CVC_SPLIT_LARGE_SHA256 = "4097e6d213fb79b2869a3f8e51f9052287c138391e29e5cd91cd3e6614ed591b"
+CVC_SPLIT_DEEP_SHA256 = "f87fde14b06da6f4926c79243c77e386eb328667da42197635b8b515ea2945de"
 
 
 def test_vc_split_golden():
@@ -368,6 +370,25 @@ def test_cvc_split_large_golden():
                 found += 1
             seed += 1
     assert _sha("".join(out)) == CVC_SPLIT_LARGE_SHA256
+
+
+# (n, density, draws) of the deep-descent digest; seeds count up from 6400.
+CVC_SPLIT_DEEP_DRAWS = (
+    (12, Fraction(1, 4), 100), (14, Fraction(1, 5), 100), (16, Fraction(1, 6), 100),
+    (18, Fraction(1, 6), 20),
+)
+
+
+def test_cvc_split_deep_golden():
+    """cvc_split on sparse connected random draws (n = 12-18), which
+    descend one to five contraction levels before the exact tail; the
+    planted split draws above reach at most one."""
+    out = []
+    for n, density, draws in CVC_SPLIT_DEEP_DRAWS:
+        for seed in range(6400, 6400 + draws):
+            g = random_connected_graph(n, density, seed)
+            out.append(f"{n} {seed} {sorted(cvc_split(g).cover)}\n")
+    assert _sha("".join(out)) == CVC_SPLIT_DEEP_SHA256
 
 
 def test_cvc_small_after_contraction_golden():
