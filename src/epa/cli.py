@@ -208,20 +208,21 @@ def cmd_oracle(args) -> int:
     g, w = _read_instance(args.input)
     budget = _budget(args)
     out: dict[str, str] = {}
+    # k and the optimum are weighed as verify weighs them: by w only on
+    # weighted rows with non-unit weights
+    weighted = any(r.weighted for r in ROWS
+                   if r.problem == args.problem and args.modulator in (None, r.modulator))
+    wk = oracle_weights(weighted, w)
     if args.modulator:
-        # k is weighed as verify weighs it: by w only on weighted rows with non-unit weights
-        pair = (args.problem, args.modulator)
-        weighted = any(r.weighted for r in ROWS if (r.problem, r.modulator) == pair)
-        val, cert = exact_min_modulator(g, args.modulator, oracle_weights(weighted, w), budget)
+        val, cert = exact_min_modulator(g, args.modulator, wk, budget)
         out["modulator_class"] = args.modulator
         out["k"] = str(val)
         out["modulator"] = str(sorted(v + 1 for v in cert))
     elif args.problem == "lp":
         out["opt"] = str(exact_lp_vc(g, w, budget))
     else:
-        # the instance always carries weights, so vc is the weighted optimum
         prob = PROBLEMS[args.problem]
-        opt, cert = prob.optimum(g, w, budget)
+        opt, cert = prob.optimum(g, wk, budget)
         out["opt"] = str(opt)
         out[prob.key] = str(prob.render(cert))
     if args.json:

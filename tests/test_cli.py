@@ -11,6 +11,7 @@ import pytest
 from epa.cli import main
 from epa.generator import GeneratorSpec, generate, random_weights
 from epa.instances import MAX_VERTICES, serialize_instance
+from epa.oracle import exact_min_vc, exact_min_wvc
 from epa.reports import ROWS, bench
 from small_graphs import cycle_graph, path_graph
 
@@ -131,6 +132,21 @@ def test_oracle_modulator_k_matches_verify(weighted, tmp_path, capsys):
         k_verify = json.loads(capsys.readouterr().out)["k_oracle"]
         assert main(["oracle", "--modulator", row.modulator] + argv) == 0
         assert json.loads(capsys.readouterr().out)["k"] == k_verify, (row.problem, row.param)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_oracle_vc_asks_the_oracle_verify_asks(weighted, tmp_path, capsys):
+    """``oracle --problem vc`` follows the unit-weight rule: at unit
+    weights it prints the unweighted oracle's cover, whose choice differs
+    from the weighted oracle's on this instance."""
+    g, _ = generate(GeneratorSpec("cograph", 7, 2, Fraction(1, 2), 5))
+    w = random_weights(g.n, 5) if weighted else None
+    path = tmp_path / "g.epa"
+    path.write_text(serialize_instance(g, w))
+    assert main(["oracle", "--problem", "vc", "--input", str(path), "--json"]) == 0
+    opt, cover = exact_min_vc(g) if w is None else exact_min_wvc(g, w)
+    assert json.loads(capsys.readouterr().out) == {
+        "opt": str(opt), "cover": str(sorted(v + 1 for v in cover))}
 
 
 def test_bench_csv_and_determinism(tmp_path):

@@ -32,7 +32,10 @@ every-class ``verify --json`` digests before ``epa bench`` asked each
 exact oracle once per instance; the deep-descent ``cvc_split`` digest
 before the driver descended on contraction rows in G's id space.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
-weigh k on weighted rows, as ``verify`` does.
+weigh k on weighted rows, as ``verify`` does, and again when ``--problem
+vc`` at unit weights began to ask the unweighted oracle, as ``verify``
+does: one line moved, the cover of the unit-weight cograph instance
+(same optimum, the unweighted oracle's first cover).
 Any change of tie-breaking, cover choice or output format changes them;
 such a change must say why and pin the new digests.
 """
@@ -470,7 +473,7 @@ MODULATOR_CLASSES = (
     "co-triangle-free", "split", "forest", "bipartite", "chordal", "cochordal",
 )
 
-ORACLE_CLI_SHA256 = "98929d4dd66c30e49538e5c6cb42553dde5875d0510ec7c5adeb31f88fc59605"
+ORACLE_CLI_SHA256 = "eb5eb9796f7feb23a6352e1c227a5a3433c086b060831361cd76872af4321b06"
 EXACT_ORACLES_SHA256 = "275b6e2d48eebce2c7d54aaa22f855ea8b4ca6b57f98ef8707e07740b5c33cf3"
 GRAPH_ROUTINES_SHA256 = "bddaafde8b9e403dcc82959a2ecf3dcf172be1b5086c7d4b130e1a57960d7e11"
 EXACT_LP_SHA256 = "30ee2ce6093a2dcb2c360f301dd41f90dcec753689cfc174bbc27f15fdb7c160"
