@@ -1,31 +1,23 @@
 """Connected vertex cover with a split-graph additive guarantee.
 
-The driver (:func:`cvc_split`) recurses on clique contractions G<Z> (the
-clique collapses to one vertex that gains a pendant leaf, forcing it into
-any connected cover).  A cover of the contraction lifts back through the
-surviving ids that ``Graph.contract_with_pendant`` returns, with the
-contracted vertex swapped for the whole clique.  Once G<Z> has a
-connected cover of at most 3 vertices, :func:`cvc_small_after_contraction`
-solves G exactly from the contractions G<Z - u>, one per clique vertex.
+Every graph here is a pair (adj, within) of adjacency masks and a
+vertex mask, with the rows outside ``within`` empty.  The clique
+contraction G<Y> is ``graphs.contraction_rows``, in the same id space:
+Y becomes one vertex after every kept one, with a pendant leaf that
+forces it into any connected cover.  The driver (:func:`cvc_split`)
+descends through clique contractions G<Z>, each level the rows of the
+one above, and lifts a cover of G<Z> back as ``cover & within | Z``,
+which drops the contracted vertex and its leaf.  Once G<Z> has a
+connected cover of at most 3 vertices, the exact tail
+:func:`cvc_small_after_contraction` solves G from the contractions
+G<Z - u>, one per clique vertex.  The optimum of G<Z> that the driver's
+test finds is a floor for every G<Z - u>, so the tail starts each
+search there and stops at the first u whose optimum reaches it.
 
-Neither that tail nor the driver's test for it builds a contraction.
-They walk ``graphs.contraction_rows``, the rows of G<Y> in G's own id
-space, with the contracted vertex at bit n and its leaf at bit n + 1.
-``contract_with_pendant`` relabels those rows by the order-preserving
-map, so the walk over connected subsets, which depends only on the
-order of the ids, visits the same sets in the same order and the first
-smallest cover is the same.  ``cvc_split`` builds G<Z> only to descend
-a level.  The optimum of G<Z> that its test finds is a floor for every
-G<Z - u>, so the tail starts each search there and stops at the first u
-whose optimum reaches it.
-
-:func:`cvc_budgeted` runs Savage's DFS on G<Y> for every connected set Y
-of size c+1 without building G<Y>.  ``solvers.savage_mask`` walks G's
-adjacency masks and treats Y as one virtual vertex.  That vertex comes
-after every kept vertex and is followed by its pendant leaf, which is
-where ``contract_with_pendant`` puts it, so the DFS visits vertices in
-the same order.  Its cover test runs on G itself, which is equivalent
-because Y is connected.
+:func:`cvc_budgeted` runs Savage's DFS on G<Y> for every connected set
+Y of size c+1.  ``solvers.savage_mask`` walks G's rows with Y as one
+virtual vertex in the place that ``contraction_rows`` gives it, so no
+rows are built per Y.
 
 ``cvc_split`` folds first: at each level it lifts the recursion's cover,
 cand1 = lift(cover) ∪ Z, and only then asks the budgeted search for a
@@ -50,10 +42,9 @@ so the first smallest candidate is the same.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import Graph, bits, contraction_rows, mask_covers, mask_of
-from .recognize import find_induced
+from .graphs import Graph, bits, component_mask, contraction_rows, first_triangle, mask_covers, mask_of
 from .solvers import matching_cover, savage_mask
 from .vertex_cover import VertexCoverSol, _improve_to_2maximal
 
@@ -130,46 +121,51 @@ def _brute_min_cvc(adj: Sequence[int], within: int, limit: int, start: int = 1) 
     return None
 
 
+def _connected(adj: Sequence[int], within: int) -> bool:
+    """True when the graph on the vertex mask ``within`` is connected."""
+    return not within or component_mask(adj, (within & -within).bit_length() - 1, within) == within
+
+
 # ---------------------------------------------------------------------
 # budgeted connected cover
 
 
-def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[VertexCoverSol]:
-    """Connected cover of size at most max(OPT_CVC, OPT_CVC + OPT_VC - c).
+def cvc_budgeted(
+    adj: Sequence[int], within: int, c: int, below: Optional[int] = None
+) -> Optional[VertexCoverSol]:
+    """Connected cover of the graph (adj, within) of size at most
+    max(OPT_CVC, OPT_CVC + OPT_VC - c).
 
     Small connected sets that already cover everything are returned as
     is; otherwise, for every connected set Y of size c+1, Savage's cover
     of the contraction G<Y> is lifted by swapping the contracted vertex
-    for Y, and the first smallest is kept.  The contraction is never
-    built: the DFS treats Y as one virtual vertex (see
-    ``solvers.savage_mask``).  With ``below`` given, that cover is
-    returned only when it has fewer than ``below`` vertices, and None
-    otherwise; the walk over Y skips every branch that cannot beat the
-    best so far (see the module docstring).
+    for Y, and the first smallest is kept.  With ``below`` given, that
+    cover is returned only when it has fewer than ``below`` vertices,
+    and None otherwise; the walk over Y skips every branch that cannot
+    beat the best so far (see the module docstring).
     """
-    if not g.is_connected():
+    if not _connected(adj, within):
         raise ValueError("budgeted connected cover needs a connected graph")
+    n = within.bit_count()
     if below is None:
-        below = g.n + 1
+        below = n + 1
     # A small cover has at most min(c, n-1) vertices, fewer than any
     # lifted candidate, which contains Y.
-    adj, full = g.adj_bits, g.full_mask
-    small = _brute_min_cvc(adj, full, min(c, below - 1))
+    small = _brute_min_cvc(adj, within, min(c, below - 1))
     if small is not None:
         if small.bit_count() < below:
             return VertexCoverSol(frozenset(bits(small)), f"cvc-budgeted[{c}]")
         return None
-    k = min(c + 1, g.n)
     best: Optional[int] = None
 
     def cut(sub: int, size: int) -> bool:
         # True when sub plus a greedy maximal matching of G - sub
         # already needs ``below`` vertices (see the module docstring).
         limit = 2 * (below - size)
-        return matching_cover(adj, full & ~sub, 0, None, limit).bit_count() >= limit
+        return matching_cover(adj, within & ~sub, 0, None, limit).bit_count() >= limit
 
-    for y in connected_subsets(adj, full, k, cut):
-        cand = savage_mask(g, y)
+    for y in connected_subsets(adj, within, min(c + 1, n), cut):
+        cand = savage_mask(adj, within, y)
         if cand.bit_count() < below:
             best, below = cand, cand.bit_count()
     if best is None:
@@ -181,17 +177,12 @@ def cvc_budgeted(g: Graph, c: int, below: Optional[int] = None) -> Optional[Vert
 # exact solver for instances whose contraction has a tiny optimum
 
 
-def _lift(cover: Iterable[int], kept: Sequence[int]) -> frozenset[int]:
-    """Old ids of the surviving vertices in a cover of a contraction; the
-    contracted vertex and its leaf, ids len(kept) and up, are dropped."""
-    return frozenset(kept[v] for v in cover if v < len(kept))
-
-
 def cvc_small_after_contraction(
-    g: Graph, z: frozenset[int], c: int, opt_contracted: Optional[int] = None
+    adj: Sequence[int], within: int, z: int, c: int, opt_contracted: Optional[int] = None
 ) -> VertexCoverSol:
-    """Exact minimum connected vertex cover, given a clique ``z`` whose
-    contraction G<z> has a connected cover of size at most ``c``.
+    """Exact minimum connected vertex cover of the graph (adj, within),
+    given a clique mask ``z`` whose contraction G<z> has a connected
+    cover of size at most ``c``.
 
     For each u in z, in id order, the optimum of G<z - u> (G itself when
     z = {u}) is lifted and joined with z - u; the first smallest wins.
@@ -203,11 +194,8 @@ def cvc_small_after_contraction(
     |z| + OPT(G<z - u>) - 2 <= |z| + OPT(G<z>) - 1.  Coming last, only a
     strictly smaller one would have replaced the best.
 
-    The contractions are never built: each search walks the rows of
-    G<z - u> in G's id space (see ``graphs.contraction_rows``), which
-    visit the same sets in the same order as the built graph.  For
-    |z| >= 2 the merge above makes OPT(G<z>) a floor: every search starts
-    at that size, and the loop stops at the first u whose optimum
+    For |z| >= 2 the merge above makes OPT(G<z>) a floor: every search
+    starts at that size, and the loop stops at the first u whose optimum
     reaches it, as a later u cannot be strictly smaller.  The caller may
     pass OPT(G<z>) as ``opt_contracted``; otherwise it is searched for
     here.  Later contractions are only searched below the best so far, as
@@ -217,31 +205,29 @@ def cvc_small_after_contraction(
     premise, and with the same message when OPT(G<z>) is above c + 1, as
     the floor then puts every G<z - u> past that limit.
     """
-    if not g.is_connected():
+    if not _connected(adj, within):
         raise ValueError("needs a connected graph")
-    zm = mask_of(z)
-    adj = g.adj_bits
-    # each member of z is a vertex of g adjacent to every other member
-    if not zm or zm >> g.n or any(zm & ~adj[u] & ~(1 << u) for u in z):
+    # each member of z is a vertex of the graph adjacent to every other
+    # member; z is tested against within before any row is read
+    if z <= 0 or z & ~within or any(z & ~adj[u] & ~(1 << u) for u in bits(z)):
         raise ValueError("z must be a nonempty clique")
     limit = c + 1
     floor = 1
-    if len(z) > 1:
+    if z.bit_count() > 1:
         if opt_contracted is None:
-            found = _brute_min_cvc(*contraction_rows(adj, zm), limit)
+            found = _brute_min_cvc(*contraction_rows(adj, z, within), limit)
             if found is None:
                 raise ValueError("contraction optimum exceeds the stated budget")
             opt_contracted = found.bit_count()
         floor = opt_contracted
-    full = g.full_mask
     best: Optional[int] = None
-    for u in bits(zm):
-        rest = zm ^ 1 << u
-        rows, within = contraction_rows(adj, rest) if rest else (adj, full)
-        inner = _brute_min_cvc(rows, within, limit, floor)
+    for u in bits(z):
+        rest = z ^ 1 << u
+        rows, verts = contraction_rows(adj, rest, within) if rest else (adj, within)
+        inner = _brute_min_cvc(rows, verts, limit, floor)
         if inner is not None:
             # lifting drops the contracted vertex and the leaf
-            best = rest | inner & full
+            best = rest | inner & within
             if inner.bit_count() == floor:
                 break
             limit = inner.bit_count() - 1
@@ -254,22 +240,25 @@ def cvc_small_after_contraction(
 # the split-modulator driver
 
 
-def _contraction_clique(g: Graph) -> frozenset[int]:
-    """A 2-maximal clique that guarantees recursion progress.
+def _contraction_clique(adj: Sequence[int], within: int) -> int:
+    """A 2-maximal clique mask that guarantees recursion progress.
 
-    When a triangle exists the clique is grown from one (size >= 3, so
-    contraction shrinks the graph).  In triangle-free graphs every edge
-    is 2-maximal; an edge with both endpoints of degree >= 2 strictly
-    decreases the number of such vertices, and when none exists the graph
-    is a star whose contraction the caller solves exactly.
+    When a triangle exists the clique is grown from the first one (size
+    >= 3, so contraction shrinks the graph).  In triangle-free graphs
+    every edge is 2-maximal; the first edge with both endpoints of degree
+    >= 2 strictly decreases the number of such vertices, and when none
+    exists the graph is a star whose contraction the caller solves
+    exactly.
     """
-    tri = find_induced(g, "triangle")
+    tri = first_triangle(adj, within)
     if tri is not None:
-        return _improve_to_2maximal(g, mask_of(tri), g.full_mask)
-    for u, v in g.edges():
-        if g.degree(u) >= 2 and g.degree(v) >= 2:
-            return frozenset((u, v))
-    return frozenset(next(g.edges()))
+        return _improve_to_2maximal(adj, mask_of(tri), within)
+    # the first edge inside ``twos`` is at its first vertex with a
+    # neighbour there; the first edge of a star is at its lowest vertex
+    twos = mask_of(u for u in bits(within) if adj[u].bit_count() >= 2)
+    u = next((u for u in bits(twos) if adj[u] & twos), (within & -within).bit_length() - 1)
+    nbrs = adj[u] & twos or adj[u]
+    return 1 << u | nbrs & -nbrs
 
 
 def cvc_split(g: Graph) -> VertexCoverSol:
@@ -284,26 +273,25 @@ def cvc_split(g: Graph) -> VertexCoverSol:
     """
     if not g.is_connected():
         raise ValueError("split-parameterized connected cover needs a connected graph")
-    h = g
-    # per level: the contraction, its surviving ids and the clique
-    levels: list[tuple[Graph, tuple[int, ...], frozenset[int]]] = []
-    cover: frozenset[int] = frozenset()
-    while h.n > 1:
-        z = _contraction_clique(h)
-        small = _brute_min_cvc(*contraction_rows(h.adj_bits, mask_of(z)), 3)
+    adj, within = g.adj_bits, g.full_mask
+    # per level: the vertex mask of the graph contracted, its clique and
+    # the rows and vertex mask of the contraction
+    levels: list[tuple[int, int, Sequence[int], int]] = []
+    cover = 0
+    while within.bit_count() > 1:
+        z = _contraction_clique(adj, within)
+        rows, verts = contraction_rows(adj, z, within)
+        small = _brute_min_cvc(rows, verts, 3)
         if small is not None:
-            cover = cvc_small_after_contraction(h, z, 3, small.bit_count()).cover
+            cover = mask_of(cvc_small_after_contraction(adj, within, z, 3, small.bit_count()).cover)
             break
-        contracted, kept = h.contract_with_pendant(z)
-        levels.append((contracted, kept, z))
-        h = contracted
-    for contracted, kept, z in reversed(levels):
-        cand1 = _lift(cover, kept) | z
+        levels.append((within, z, rows, verts))
+        adj, within = rows, verts
+    for within, z, rows, verts in reversed(levels):
+        cover = cover & within | z
         # A cover of G<Z> loses at most two vertices, the contracted one
-        # and its leaf, when it is lifted.
-        budgeted = cvc_budgeted(contracted, 4, below=len(cand1) - len(z) + 2)
-        cover = cand1
+        # and its leaf, when it is lifted; ties go to the recursion.
+        budgeted = cvc_budgeted(rows, verts, 4, below=cover.bit_count() - z.bit_count() + 2)
         if budgeted is not None:
-            cand2 = _lift(budgeted.cover, kept) | z
-            cover = cand1 if len(cand1) <= len(cand2) else cand2
-    return VertexCoverSol(cover, "cvc-split")
+            cover = min(cover, mask_of(budgeted.cover) & within | z, key=int.bit_count)
+    return VertexCoverSol(frozenset(bits(cover)), "cvc-split")

@@ -16,11 +16,11 @@ map back to the parent's ids); they are built straight from the
 parent's adjacency masks, which are correct by construction, so they
 skip validation, as do the generator's graphs, built as masks.
 
-The contraction G<Y> has one definition, :func:`contraction_rows`: its
-rows in G's own id space, where the kept ids stay, Y becomes bit n and
-its pendant leaf bit n + 1.  ``Graph.contract_with_pendant`` numbers
-those rows by the order-preserving map through ``Graph.relabeled``;
-``connected_vc`` walks them as they are.
+The clique contraction G<Y> is :func:`contraction_rows`: rows in G's
+own id space, where Y and its pendant leaf take the next two ids, so a
+contraction of the rows is again such rows and ``connected_vc``
+descends without building a graph.  ``Graph.contract_with_pendant``
+renumbers them as a graph of their own; the tests compare against it.
 
 Vertex weights are plain tuples of nonnegative ``Fraction`` values so
 that weight subtractions and comparisons are exact.
@@ -88,16 +88,34 @@ def first_triangle(adj_bits: Sequence[int], within: int) -> Optional[tuple[int, 
     return None
 
 
-def contraction_rows(adj_bits: Sequence[int], y: int) -> tuple[list[int], int]:
-    """Rows of the contraction G<y> in G's own id space, and its vertex
-    mask: the vertices outside the nonempty mask ``y`` keep their ids,
-    ``y`` becomes one vertex, bit n, and that vertex gets a pendant
-    leaf, bit n + 1.  The rows of the members of ``y`` are empty.  No
-    parallel edges arise: the contracted vertex is adjacent to the
-    outside neighbourhood of ``y``."""
+def component_mask(adj_bits: Sequence[int], start: int, within: int) -> int:
+    """Mask of the connected component of ``start`` inside the vertex
+    mask ``within`` of the adjacency masks ``adj_bits``."""
+    comp = 1 << start
+    frontier = comp
+    while frontier:
+        # OR the frontier's rows, then cut to new vertices once per level
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj_bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def contraction_rows(adj_bits: Sequence[int], y: int, within: int) -> tuple[list[int], int]:
+    """Rows of the contraction G<y> of the graph on the vertex mask
+    ``within``, in the same id space, and its vertex mask.  The kept
+    vertices keep their ids; the nonempty mask ``y`` becomes one vertex,
+    bit n = len(adj_bits), with a pendant leaf at bit n + 1.  The rows of
+    ``y`` are emptied and the rows outside ``within``, which must be
+    empty, stay so.  No parallel edges arise: the contracted vertex is
+    adjacent to the outside neighbourhood of ``y``."""
     n = len(adj_bits)
     vert, leaf = 1 << n, 2 << n
-    kept = ((1 << n) - 1) & ~y
+    kept = within & ~y
     rows = [row & kept | vert if row & y else row & kept for row in adj_bits]
     outside = 0
     for u in bits(y):
@@ -247,7 +265,7 @@ class Graph:
         if not ys:
             raise ValueError("cannot contract an empty vertex set")
         self._check_ids(ys)
-        rows, within = contraction_rows(self.adj_bits, mask_of(ys))
+        rows, within = contraction_rows(self.adj_bits, mask_of(ys), self.full_mask)
         order = tuple(bits(within))
         return Graph._from_masks(rows).relabeled(order), order[:-2]
 
@@ -297,26 +315,14 @@ class Graph:
         comps = []
         left = within
         while left:
-            comp = self.component_mask((left & -left).bit_length() - 1, within)
+            comp = component_mask(self.adj_bits, (left & -left).bit_length() - 1, within)
             comps.append(comp)
             left &= ~comp
         return comps
 
     def component_mask(self, start: int, within: int) -> int:
         """Mask of the connected component of ``start`` inside ``within``."""
-        adj = self.adj_bits
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            # OR the frontier's rows, then cut to new vertices once per level
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & within & ~comp
-            comp |= frontier
-        return comp
+        return component_mask(self.adj_bits, start, within)
 
     def covers(self, cover: int, within: int) -> bool:
         """True when the vertex mask ``cover`` covers every edge of G[within]."""
@@ -325,7 +331,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        return self.component_mask(0, self.full_mask) == self.full_mask
+        return component_mask(self.adj_bits, 0, self.full_mask) == self.full_mask
 
     def induces_connected(self, s: Iterable[int]) -> bool:
         """True when G[s] is connected (the empty set counts as connected)."""
@@ -333,7 +339,7 @@ class Graph:
         if m == 0:
             return True
         start = (m & -m).bit_length() - 1
-        return self.component_mask(start, m) == m
+        return component_mask(self.adj_bits, start, m) == m
 
 
 # -- weights ----------------------------------------------------------

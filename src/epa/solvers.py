@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .graphs import Graph, Weights, bits, mask_of, unit_weights
+from .graphs import Graph, Weights, bits, component_mask, mask_covers, mask_of, unit_weights
 from .recognize import Cotree, NotInClassError, recognize
 
 Matching = frozenset[tuple[int, int]]
@@ -425,12 +425,13 @@ def cvc_savage(g: Graph) -> frozenset[int]:
         raise ValueError("Savage's algorithm needs a connected graph")
     if g.n <= 1:
         return frozenset()
-    return frozenset(bits(savage_mask(g, 0)))
+    return frozenset(bits(savage_mask(g.adj_bits, g.full_mask, 0)))
 
 
-def savage_mask(g: Graph, ymask: int) -> int:
-    """Mask of Savage's cover of G<Y>, lifted back to G, for a connected
-    G and a connected vertex set ``ymask`` (0 for G itself).
+def savage_mask(adj: Sequence[int], within: int, ymask: int) -> int:
+    """Mask of Savage's cover of G<Y>, lifted back to G, for the
+    connected graph G with adjacency masks ``adj`` on the vertex mask
+    ``within`` and a connected vertex set ``ymask`` (0 for G itself).
 
     G<Y> contracts Y to one vertex placed after every kept vertex and
     followed by a pendant leaf (see ``graphs.contraction_rows``).
@@ -441,8 +442,7 @@ def savage_mask(g: Graph, ymask: int) -> int:
     itself.  The pruned set holds Y, and it covers and connects G exactly
     when its contraction covers and connects G<Y>, because Y is connected.
     """
-    adj = g.adj_bits
-    kept = g.full_mask & ~ymask
+    kept = within & ~ymask
     if not kept:
         return ymask
     out = 0
@@ -476,8 +476,8 @@ def savage_mask(g: Graph, ymask: int) -> int:
         else:
             break
     pruned = internal & ~root
-    if pruned and g.covers(pruned, g.full_mask) and g.component_mask(
-        (pruned & -pruned).bit_length() - 1, pruned
+    if pruned and mask_covers(adj, pruned, within) and component_mask(
+        adj, (pruned & -pruned).bit_length() - 1, pruned
     ) == pruned:
         return pruned
     return internal

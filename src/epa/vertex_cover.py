@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import Graph, Weights, bits, mask_of, unit_weights
 from .recognize import find_induced
@@ -176,15 +176,15 @@ def two_maximal_clique(g: Graph, within: Optional[int] = None) -> frozenset[int]
     if mask == 0:
         return frozenset()
     seed = max(bits(mask), key=lambda v: ((g.adj_bits[v] & mask).bit_count(), -v))
-    return _improve_to_2maximal(g, 1 << seed, mask)
+    return frozenset(bits(_improve_to_2maximal(g.adj_bits, 1 << seed, mask)))
 
 
-def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
-    """Grow the clique mask ``clique`` inside ``mask`` into a 2-maximal
-    clique: add the lowest common neighbour while there is one, then swap
-    the first vertex that one out, two in allows, and grow again.  A
-    member's swap candidates AND a running prefix with a stored suffix."""
-    adj = g.adj_bits
+def _improve_to_2maximal(adj: Sequence[int], clique: int, mask: int) -> int:
+    """Grow the clique mask ``clique`` inside ``mask`` of the adjacency
+    masks ``adj`` into a 2-maximal clique mask: add the lowest common
+    neighbour while there is one, then swap the first vertex that one
+    out, two in allows, and grow again.  A member's swap candidates AND
+    a running prefix with a stored suffix."""
     while True:
         common = mask & ~clique
         for v in bits(clique):
@@ -210,7 +210,7 @@ def _improve_to_2maximal(g: Graph, clique: int, mask: int) -> frozenset[int]:
             clique ^= (1 << u) | (1 << x) | (ys & -ys)
             break
         else:
-            return frozenset(bits(clique))
+            return clique
 
 
 def vc_budgeted_2approx(

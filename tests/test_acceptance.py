@@ -100,7 +100,7 @@ def test_acceptance_1_feasibility_suite():
          certify.is_vertex_cover),
         ("vc-2approx", False, lambda g: vc_2approx(g), certify.is_vertex_cover),
         ("cvc-split", True, lambda g: cvc_split(g).cover, certify.is_connected_vertex_cover),
-        ("cvc-budgeted", True, lambda g: cvc_budgeted(g, 2).cover,
+        ("cvc-budgeted", True, lambda g: cvc_budgeted(g.adj_bits, g.full_mask, 2).cover,
          certify.is_connected_vertex_cover),
         ("cvc-savage", True, lambda g: cvc_savage(g), certify.is_connected_vertex_cover),
         ("col-oracle[bipartite]", False,

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from epa import connected_vc
 from epa.certify import is_connected_vertex_cover
 from epa.connected_vc import (
     connected_subsets,
@@ -57,14 +58,15 @@ def test_connected_subsets_cut_drops_the_sets_it_holds_for():
 def test_cvc_budgeted_examples():
     # an optimum within the budget is found exactly
     p4 = path_graph(4)
-    assert cvc_budgeted(p4, 2).size == 2
+    assert cvc_budgeted(p4.adj_bits, p4.full_mask, 2).size == 2
     # c = 0 keeps the Savage guarantee
     c5 = cycle_graph(5)
-    sol = cvc_budgeted(c5, 0)
+    sol = cvc_budgeted(c5.adj_bits, c5.full_mask, 0)
     assert is_connected_vertex_cover(c5, sol.cover)
     assert sol.size <= exact_min_cvc(c5)[0] + exact_min_vc(c5)[0]
     with pytest.raises(ValueError):
-        cvc_budgeted(disjoint_union(complete_graph(2), complete_graph(2)), 1)
+        two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
+        cvc_budgeted(two_k2.adj_bits, two_k2.full_mask, 1)
 
 
 def test_cvc_budgeted_bound_corpus():
@@ -72,7 +74,7 @@ def test_cvc_budgeted_bound_corpus():
         opt_cvc = exact_min_cvc(g)[0]
         opt_vc = exact_min_vc(g)[0]
         for c in (0, 2, 4):
-            sol = cvc_budgeted(g, c)
+            sol = cvc_budgeted(g.adj_bits, g.full_mask, c)
             assert is_connected_vertex_cover(g, sol.cover)
             assert sol.size <= max(opt_cvc, opt_cvc + opt_vc - c)
 
@@ -87,9 +89,9 @@ def test_cvc_budgeted_below_matches_unbounded():
         graphs.append(g.contract_with_pendant(two_maximal_clique(g))[0])
     for i, g in enumerate(graphs):
         for c in (1, 2, 3, 4):
-            cover = cvc_budgeted(g, c).cover
+            cover = cvc_budgeted(g.adj_bits, g.full_mask, c).cover
             for b in range(1, g.n + 2):
-                sol = cvc_budgeted(g, c, below=b)
+                sol = cvc_budgeted(g.adj_bits, g.full_mask, c, below=b)
                 if len(cover) < b:
                     assert sol is not None and sol.cover == cover, (i, c, b)
                 else:
@@ -98,13 +100,13 @@ def test_cvc_budgeted_below_matches_unbounded():
 
 def test_cvc_small_after_contraction_examples():
     k4 = complete_graph(4)
-    sol = cvc_small_after_contraction(k4, frozenset(range(4)), 3)
+    sol = cvc_small_after_contraction(k4.adj_bits, k4.full_mask, 0b1111, 3)
     assert sol.size == 3
     p4 = path_graph(4)
-    sol = cvc_small_after_contraction(p4, frozenset({1, 2}), 3)
+    sol = cvc_small_after_contraction(p4.adj_bits, p4.full_mask, 0b110, 3)
     assert sol.cover == frozenset({1, 2})
     k5 = complete_graph(5)
-    sol = cvc_small_after_contraction(k5, frozenset(range(5)), 3)
+    sol = cvc_small_after_contraction(k5.adj_bits, k5.full_mask, 0b11111, 3)
     assert sol.size == 4
 
 
@@ -114,7 +116,7 @@ def test_cvc_small_after_contraction_is_exact():
         for z in [two_maximal_clique(g)] + [frozenset({v}) for v in range(g.n)]:
             h, _ = g.contract_with_pendant(z)
             opt_contracted, _ = exact_min_cvc(h)
-            sol = cvc_small_after_contraction(g, z, max(3, opt_contracted))
+            sol = cvc_small_after_contraction(g.adj_bits, g.full_mask, mask_of(z), max(3, opt_contracted))
             assert is_connected_vertex_cover(g, sol.cover)
             assert sol.size == exact_min_cvc(g)[0]
 
@@ -124,7 +126,7 @@ def test_cvc_small_after_contraction_past_its_premise():
     # the first G<z - u> still has a cover within c + 1, so the answer
     # is an exact minimum instead of an error
     p = path_graph(5)
-    sol = cvc_small_after_contraction(p, frozenset({0, 1}), 2)
+    sol = cvc_small_after_contraction(p.adj_bits, p.full_mask, 0b11, 2)
     assert sol.cover == frozenset({1, 2, 3}) and sol.size == exact_min_cvc(p)[0]
 
 
@@ -153,7 +155,7 @@ def test_contraction_rows_relabel_to_the_built_contraction():
         masks = {1 << v for v in range(g.n)} | {g.full_mask}
         masks |= {rng.below(1 << g.n) for _ in range(6)}
         for y in sorted(masks - {0}):
-            rows, within = contraction_rows(g.adj_bits, y)
+            rows, within = contraction_rows(g.adj_bits, y, g.full_mask)
             h, kept = g.contract_with_pendant(bits(y))
             order = list(bits(within))
             assert order == list(kept) + [g.n, g.n + 1]
@@ -173,10 +175,10 @@ def test_cvc_small_with_the_contraction_optimum_given():
                 assert _tail_outcome(g, z, c, opt) == _tail_outcome(g, z, c)
 
 
-def _tail_outcome(*args):
+def _tail_outcome(g, z, *args):
     """The exact tail's cover, or its error text."""
     try:
-        return cvc_small_after_contraction(*args).cover
+        return cvc_small_after_contraction(g.adj_bits, g.full_mask, mask_of(z), *args).cover
     except ValueError as exc:
         return str(exc)
 
@@ -185,14 +187,26 @@ def test_cvc_small_budget_violation_detected():
     # a long path's contraction still needs a big cover
     p = path_graph(10)
     with pytest.raises(ValueError):
-        cvc_small_after_contraction(p, frozenset({0, 1}), 1)
+        cvc_small_after_contraction(p.adj_bits, p.full_mask, 0b11, 1)
 
 
 @pytest.mark.parametrize("z", [(), (0, 2), (1, 2, 3), (4,), (0, 4), (3, 9)])
 def test_cvc_small_rejects_a_z_that_is_no_clique_of_g(z):
-    """Empty, not a clique, or holding an id that is no vertex of g."""
-    with pytest.raises(ValueError, match="z must be a nonempty clique"):
-        cvc_small_after_contraction(path_graph(4), frozenset(z), 3)
+    """Empty, not a clique, or holding an id that is no vertex of g, on
+    P4 and on P4 contracted twice, {0} and then the vertex 4 it became.
+    The rows of the latter run to id 7, and ids 0 and 4 lie outside its
+    vertex mask, so no z here is a clique of it and 9 has no row.  Rows
+    that are not connected are rejected before z is read."""
+    p4 = path_graph(4)
+    rows, verts = contraction_rows(p4.adj_bits, 0b1, p4.full_mask)
+    rows, verts = contraction_rows(rows, 1 << 4, verts)
+    assert len(rows) == 8 and verts == 0b11101110
+    two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
+    for adj, within in ((p4.adj_bits, p4.full_mask), (rows, verts)):
+        with pytest.raises(ValueError, match="z must be a nonempty clique"):
+            cvc_small_after_contraction(adj, within, mask_of(z), 3)
+    with pytest.raises(ValueError, match="needs a connected graph"):
+        cvc_small_after_contraction(two_k2.adj_bits, two_k2.full_mask, mask_of(z), 3)
 
 
 def test_contraction_lemma_invariants():
@@ -274,6 +288,28 @@ def test_cvc_split_terminates_on_adversarial_shapes():
     assert is_connected_vertex_cover(broom, sol.cover)
 
 
+def test_cvc_split_descends_on_rows(monkeypatch):
+    """On a draw four levels deep the driver builds no graph: each level
+    is the rows of the one above, so ``contract_with_pendant`` and
+    ``relabeled`` are never called.  One budgeted search runs per level."""
+    def forbidden(*args):
+        raise AssertionError("cvc_split built a graph")
+
+    levels = []
+    budgeted = connected_vc.cvc_budgeted
+
+    def counted(*args, **kwargs):
+        levels.append(args)
+        return budgeted(*args, **kwargs)
+
+    monkeypatch.setattr(Graph, "contract_with_pendant", forbidden)
+    monkeypatch.setattr(Graph, "relabeled", forbidden)
+    monkeypatch.setattr(connected_vc, "cvc_budgeted", counted)
+    g = random_connected_graph(14, Fraction(1, 5), 6497)
+    assert is_connected_vertex_cover(g, cvc_split(g).cover)
+    assert len(levels) >= 3
+
+
 def test_cvc_split_runs_without_deep_recursion():
     """Each contraction of a 60-vertex path shrinks it by one vertex;
     with only 40 frames to spare the loop still answers, with the cover
@@ -316,7 +352,7 @@ def test_virtual_vertex_dfs_matches_contraction():
     graphs = connected_corpus(24, 2, 10, seed0=3600)
     graphs += [path_graph(7), cycle_graph(8), star_graph(6), complete_graph(5)]
     for g in graphs:
-        assert savage_mask(g, 0) == mask_of(cvc_savage(g)) == mask_of(_savage_stack_reference(g))
+        assert savage_mask(g.adj_bits, g.full_mask, 0) == mask_of(cvc_savage(g)) == mask_of(_savage_stack_reference(g))
         for k in range(1, g.n + 1):
             for sub in connected_subsets(g.adj_bits, g.full_mask, k):
                 y = frozenset(bits(sub))
@@ -324,5 +360,5 @@ def test_virtual_vertex_dfs_matches_contraction():
                 savage = cvc_savage(h)
                 assert savage == _savage_stack_reference(h)
                 lifted = {kept[v] for v in savage if v < len(kept)}
-                assert savage_mask(g, sub) == mask_of(lifted | y), (sorted(g.edges()), y)
+                assert savage_mask(g.adj_bits, g.full_mask, sub) == mask_of(lifted | y), (sorted(g.edges()), y)
 

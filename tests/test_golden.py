@@ -322,7 +322,7 @@ def test_cvc_budgeted_golden():
     out = []
     for i, g in enumerate(graphs):
         for c in (1, 2, 3, 4):
-            out.append(f"{i} {c} {sorted(cvc_budgeted(g, c).cover)}\n")
+            out.append(f"{i} {c} {sorted(cvc_budgeted(g.adj_bits, g.full_mask, c).cover)}\n")
     assert _sha("".join(out)) == BUDGETED_CVC_SHA256
 
 
@@ -404,7 +404,7 @@ def test_cvc_small_after_contraction_golden():
             h, _ = g.contract_with_pendant(z)
             for c in (1, 2, 3, 4):
                 if _brute_min_cvc(h.adj_bits, h.full_mask, c) is not None:
-                    sol = cvc_small_after_contraction(g, z, c)
+                    sol = cvc_small_after_contraction(g.adj_bits, g.full_mask, mask_of(z), c)
                     out.append(f"{i} {sorted(z)} {c} {sorted(sol.cover)}\n")
     assert _sha("".join(out)) == CVC_SMALL_SHA256
 
@@ -418,7 +418,7 @@ def test_cvc_small_after_contraction_every_clique_golden():
         for z in cliques(g, (1, 2, 3, 4)):
             for c in (1, 2, 3, 4):
                 try:
-                    got = sorted(cvc_small_after_contraction(g, z, c).cover)
+                    got = sorted(cvc_small_after_contraction(g.adj_bits, g.full_mask, mask_of(z), c).cover)
                 except ValueError as exc:
                     got = f"ValueError: {exc}"
                 out.append(f"{i} {sorted(z)} {c} {got}\n")

@@ -79,3 +79,17 @@ def test_every_private_definition_is_read():
             if outside <= 0 and not any(reads[m][name] for m in trees if m != module):
                 orphans.append(f"{module}:{node.lineno}: {name}")
     assert not orphans, orphans
+
+
+def test_one_form_of_the_clique_contraction():
+    """The contraction G<Y> is ``graphs.contraction_rows``: no other
+    module builds it with ``Graph.contract_with_pendant``, and the
+    connected cover layer builds no derived graph at all."""
+    reads = {path.name: _reads(ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    builders = [name for name, counts in reads.items()
+                if name != "graphs.py" and counts["contract_with_pendant"]]
+    assert not builders, builders
+    derived = [name for name in ("induced_subgraph", "relabeled", "complement")
+               if reads["connected_vc.py"][name]]
+    assert not derived, derived
