@@ -210,8 +210,8 @@ def cmd_oracle(args) -> int:
     out: dict[str, str] = {}
     # k and the optimum are weighed as verify weighs them: by w only on
     # weighted rows with non-unit weights
-    weighted = any(r.weighted for r in ROWS
-                   if r.problem == args.problem and args.modulator in (None, r.modulator))
+    weighted = any(r.weighted for r in ROWS if r.problem == args.problem
+                   and (not args.modulator or r.modulator == args.modulator))
     wk = oracle_weights(weighted, w)
     if args.modulator:
         val, cert = exact_min_modulator(g, args.modulator, wk, budget)
