@@ -27,7 +27,9 @@ recognition digest before ``recognize`` read one class table and
 searched every witness kind on vertex masks; the half-integral LP
 digest before ``lp_half_integral_vc`` ran its min cut on adjacency
 masks; the local-ratio digest before ``vc_local_ratio_ffree`` and
-``vc_chordal`` shared one local-ratio loop; the oracle-sweep CSV and
+``vc_chordal`` shared one local-ratio loop, and its scale digest before
+the P4 loop ended on the cotree of the rest and the P4 and co-P3 rests
+were solved in G's ids; the oracle-sweep CSV and
 every-class ``verify --json`` digests before ``epa bench`` asked each
 exact oracle once per instance; the deep-descent ``cvc_split`` digest
 before the driver descended on contraction rows in G's id space.  The
@@ -463,6 +465,33 @@ def test_local_ratio_rows_golden():
                 for j, w in enumerate(weights):
                     out.append(f"{row} {cls} {n} {j} {sorted(solve(g, w).cover)}\n")
     assert _sha("".join(out)) == LOCAL_RATIO_SHA256
+
+
+# (family, shape, n) of the benchmark's cograph and cocluster rows that
+# the local-ratio digest above does not reach: planted draws (k = n/10,
+# density 1/2) and threshold cographs.
+LOCAL_RATIO_SCALE = (
+    ("P4", "cograph", 300), ("P4", "threshold", 400), ("P4", "threshold", 700),
+    ("co-P3", "cocluster", 400), ("co-P3", "cocluster", 800),
+)
+LOCAL_RATIO_SCALE_SHA256 = "1e893d040ca2a4446652857d61a038f04f5333377d07136257c96ebdcdc4b034"
+
+
+def test_local_ratio_scale_golden():
+    """Covers of vc_local_ratio_ffree on the P4 and co-P3 rows at the
+    benchmark's sizes, with unit weights and random weights of which
+    none and about two fifths are zero."""
+    out = []
+    for i, (family, shape, n) in enumerate(LOCAL_RATIO_SCALE):
+        if shape == "threshold":
+            g = threshold_cograph(n)
+        else:
+            g, _ = generate(GeneratorSpec(shape, n - n // 10, n // 10, Fraction(1, 2), 9300 + i))
+        weights = [unit_weights(g.n)]
+        weights += [random_weights(g.n, 9400 + i, zero_share=z) for z in (Fraction(0), Fraction(2, 5))]
+        for j, w in enumerate(weights):
+            out.append(f"{family} {shape} {n} {j} {sorted(vc_local_ratio_ffree(g, w, family).cover)}\n")
+    assert _sha("".join(out)) == LOCAL_RATIO_SCALE_SHA256
 
 
 # -- oracles and shared graph routines ------------------------------------
