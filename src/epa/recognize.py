@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .graphs import Graph, bits, first_triangle, mask_of
+from .graphs import Graph, bits, component_mask, first_triangle, mask_of
 
 class NotInClassError(ValueError):
     """Raised when an exact solver is handed a graph outside its class."""
@@ -440,8 +440,9 @@ _FINDERS = {
 # cotree construction
 
 
-def build_cotree(g: Graph):
-    """Cotree of ``g`` or, on failure, the frozenset of an induced P4.
+def build_cotree(g: Graph, within: Optional[int] = None):
+    """Cotree of G[within] (default: all of G), its leaves G's ids, or,
+    on failure, the frozenset of an induced P4.
 
     Complement-connectivity decomposition: at each level either the
     graph or its complement splits; if neither does (on two or more
@@ -449,17 +450,17 @@ def build_cotree(g: Graph):
     Parts are expanded depth first, in order, with an explicit stack,
     since the cotree can be about n deep.
     """
-    if g.n == 0:
+    mask = g.full_mask if within is None else within
+    if not mask:
         return Cotree("union", children=())
-    co = g.complement()
+    adj = g.adj_bits
     # frames: (kind, part masks, subtrees of the parts built so far)
     frames: list[tuple[str, list[int], list[Cotree]]] = []
-    mask = g.full_mask
     while True:
         if mask & (mask - 1):
-            kind, parts = "union", g.component_masks(mask)
+            kind, parts = "union", _parts(adj, mask, False)
             if len(parts) == 1:
-                kind, parts = "join", co.component_masks(mask)
+                kind, parts = "join", _parts(adj, mask, True)
                 if len(parts) == 1:
                     return _find_p4(g, mask)
             frames.append((kind, parts, []))
@@ -477,6 +478,32 @@ def build_cotree(g: Graph):
             node = Cotree(kind, children=tuple(kids))
         else:
             return node
+
+
+def _parts(adj: Sequence[int], mask: int, co: bool) -> list[int]:
+    """Masks of the components of G[mask], or with ``co`` of its
+    complement, by lowest vertex.  A complement component is walked on
+    the rows: the complement neighbours of a frontier are the vertices
+    of ``mask`` outside the AND of the frontier's rows."""
+    parts = []
+    left = mask
+    while left:
+        low = left & -left
+        if co:
+            part = frontier = low
+            while frontier:
+                common = mask
+                while frontier:
+                    bit = frontier & -frontier
+                    common &= adj[bit.bit_length() - 1]
+                    frontier ^= bit
+                frontier = mask & ~common & ~part
+                part |= frontier
+        else:
+            part = component_mask(adj, low.bit_length() - 1, mask)
+        parts.append(part)
+        left &= ~part
+    return parts
 
 
 # ---------------------------------------------------------------------

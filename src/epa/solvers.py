@@ -94,25 +94,37 @@ def wvc_cograph(g: Graph, w: Weights) -> frozenset[int]:
     rec = recognize(g, "cograph")
     if not rec.member:
         raise NotInClassError("cograph", rec.witness)
-    # Post-order with an explicit stack (a cotree can be about n deep).
-    # A node's result is a heaviest independent set of its leaves as
-    # (weight, vertices): a union takes all its children's sets, a join
-    # its first heaviest child's.
-    stack: list[tuple[Cotree, list]] = [(rec.structure, [])]
+    return frozenset(bits(g.full_mask & ~cotree_independent_set(rec.structure, w)))
+
+
+def cotree_independent_set(tree: Cotree, w: Weights) -> int:
+    """Mask of a heaviest independent set of the cograph that ``tree``
+    denotes, its leaves ids into ``w``.
+
+    Post-order with an explicit stack (a cotree can be about n deep).  A
+    node's result is a heaviest independent set of its leaves as
+    (weight, mask): a union takes all its children's sets, a join its
+    first heaviest child's.
+    """
+    stack: list[tuple[Cotree, list]] = [(tree, [])]
     while True:
         node, subs = stack[-1]
         if node.kind == "leaf":
-            res = (w[node.vertex], [node.vertex])
+            res = (w[node.vertex], 1 << node.vertex)
         elif len(subs) < len(node.children):
             stack.append((node.children[len(subs)], []))
             continue
         elif node.kind == "union":
-            res = (sum(weight for weight, _ in subs), [v for _, vs in subs for v in vs])
+            weight, mask = 0, 0
+            for sub_weight, sub_mask in subs:
+                weight += sub_weight
+                mask |= sub_mask
+            res = (weight, mask)
         else:
             res = max(subs, key=lambda sub: sub[0])
         stack.pop()
         if not stack:
-            return frozenset(range(g.n)).difference(res[1])
+            return res[1]
         stack[-1][1].append(res)
 
 

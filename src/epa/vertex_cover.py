@@ -10,8 +10,11 @@ pattern every such modulator hits (P3, co-P3, P4, triangle); a vertex at
 weight 0 leaves, lowest first, with its alive neighbourhood.
 :func:`vc_local_ratio_ffree` solves the rest exactly and re-adds, last
 first, each leaver with an uncovered edge; :func:`vc_chordal` covers
-every leaver and hands the rest to :func:`vc_fvs`.  :func:`_solve_on`
-solves a residual on its induced subgraph, in G's ids.
+every leaver and hands the rest to :func:`vc_fvs`.  A P4 step first asks
+for the cotree of the alive vertices, which also decides whether a P4 is
+left, and the loop ends on it; the cograph and cocluster rests are
+solved on their cotree in G's ids.  :func:`_solve_on` solves the other
+residuals on their induced subgraph, in G's ids.
 
 The split row's budgeted 2-approximation (:func:`vc_budgeted_2approx`)
 runs the unit-weight greedy matching (``solvers.matching_cover``) once
@@ -48,13 +51,13 @@ from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import Graph, Weights, bits, mask_of, unit_weights
-from .recognize import find_induced
+from .recognize import Cotree, build_cotree, find_induced
 from .solvers import (
+    cotree_independent_set,
     fvs_2approx,
     lp_half_integral_vc,
     matching_cover,
     wvc_cluster,
-    wvc_cograph,
     wvc_forest,
 )
 
@@ -79,10 +82,15 @@ def _solve_on(g: Graph, vertices: Iterable[int], w: Weights, solve: Callable) ->
 # local ratio over a forbidden pattern
 
 
-def _local_ratio(g: Graph, w: Weights, kind: str) -> tuple[list[Fraction], int, list[tuple[int, int]]]:
+def _local_ratio(
+    g: Graph, w: Weights, kind: str
+) -> tuple[list[Fraction], int, list[tuple[int, int]], Optional[Cotree]]:
     """Local ratio on the induced ``kind`` patterns (module docstring): the
-    residual weights, the ``kind``-free alive mask, and the leavers in
-    order, each with its alive neighbour mask when it left."""
+    residual weights, the ``kind``-free alive mask, the leavers in order,
+    each with its alive neighbour mask when it left, and for P4 the
+    cotree of the alive vertices (None for the other kinds).  A P4 step
+    that gets a P4 back instead of a cotree reduces the first P4 that
+    ``find_induced`` meets, as every other kind does."""
     wp = list(w)
     alive = g.full_mask
     # Alive zero-weight vertices; only a reduced pattern can add to it.
@@ -95,24 +103,18 @@ def _local_ratio(g: Graph, w: Weights, kind: str) -> tuple[list[Fraction], int, 
             left.append((v, g.adj_bits[v] & alive))
             alive ^= low
             zero ^= low
+        if kind == "P4":
+            tree = build_cotree(g, alive)
+            if isinstance(tree, Cotree):
+                return wp, alive, left, tree
         pattern = find_induced(g, kind, within=alive)
         if pattern is None:
-            return wp, alive, left
+            return wp, alive, left, None
         lam = min(wp[v] for v in pattern)
         for v in pattern:
             wp[v] -= lam
             if wp[v] == 0:
                 zero |= 1 << v
-
-
-# Each forbidden family has independence number 2; its exact weighted
-# vertex cover solver for family-free graphs is looked up at call time, so
-# a rebinding of the module attribute (a tracer, a test double) reaches it.
-_FFREE_SOLVERS = {
-    "P3": lambda g, w: wvc_cluster(g, w),
-    "co-P3": lambda g, w: wvc_cograph(g, w),
-    "P4": lambda g, w: wvc_cograph(g, w),
-}
 
 
 def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
@@ -123,11 +125,15 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
     exactly, then each zero-weight leaver re-added, last first, only if
     an edge to a vertex that was alive when it left is still uncovered.
     """
-    exact_solver = _FFREE_SOLVERS.get(family)
-    if exact_solver is None:
+    if family not in ("P3", "co-P3", "P4"):
         raise ValueError(f"unsupported forbidden family {family!r}")
-    wp, alive, left = _local_ratio(g, w, family)
-    cover = mask_of(_solve_on(g, bits(alive), wp, exact_solver))
+    wp, alive, left, tree = _local_ratio(g, w, family)
+    if family == "P3":
+        cover = mask_of(_solve_on(g, bits(alive), wp, wvc_cluster))
+    else:
+        if tree is None:           # co-P3: the cocluster rest is a cograph
+            tree = build_cotree(g, alive)
+        cover = alive & ~cotree_independent_set(tree, wp)
     for v, nbrs in reversed(left):
         if nbrs & ~cover:
             cover |= 1 << v
@@ -140,7 +146,7 @@ def vc_chordal(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     Local ratio on triangles, every leaver in the cover; chordal subgraphs
     of the triangle-free rest are forests, so vc_fvs covers it.
     """
-    wp, alive, left = _local_ratio(g, unit_weights(g.n) if w is None else w, "triangle")
+    wp, alive, left, _ = _local_ratio(g, unit_weights(g.n) if w is None else w, "triangle")
     rest = _solve_on(g, bits(alive), wp, lambda sub, sub_w: vc_fvs(sub, sub_w).cover)
     return VertexCoverSol(rest.union(v for v, _ in left), "vc-chordal")
 

@@ -5,7 +5,7 @@ import pytest
 
 from epa.certify import induces_pattern, is_clique, is_independent_set, is_proper_coloring
 from epa.generator import GeneratorSpec, SplitMix64, generate
-from epa.graphs import Graph
+from epa.graphs import Graph, bits, mask_of
 from epa.recognize import (
     CLASSES,
     Cotree,
@@ -350,6 +350,37 @@ def test_cotree_matches_recursive_reference():
             vs, es = tree.evaluate()
             assert (vs, es) == _evaluate_recursive(tree)
             assert tree.leaves() == vs
+
+
+def _mapped(tree, old):
+    """A cotree or a P4 with each vertex v renamed ``old[v]``."""
+    if isinstance(tree, frozenset):
+        return frozenset(old[v] for v in tree)
+    if tree.kind == "leaf":
+        return Cotree("leaf", vertex=old[tree.vertex])
+    return Cotree(tree.kind, children=tuple(_mapped(c, old) for c in tree.children))
+
+
+def test_cotree_within_is_the_cotree_of_the_induced_subgraph():
+    """build_cotree(g, within) is the cotree of G[within], or the P4 it
+    meets, mapped back to G's ids: random masks (0, every single vertex
+    and the full mask among them) on random graphs up to n = 18 and on
+    planted cographs up to n = 40, with and without a modulator."""
+    rng = SplitMix64(9600)
+    graphs = list(corpus(60, 0, 18, seed0=9600))
+    graphs += [generate(GeneratorSpec("cograph", n - k, k, Fraction(1, 2), 9700 + n))[0]
+               for n in range(4, 41, 3) for k in (0, n // 10)]
+    seen = set()
+    for g in graphs:
+        masks = [0, g.full_mask] + [1 << v for v in range(g.n)]
+        masks += [mask_of(v for v in range(g.n) if rng.chance(Fraction(p, 4)))
+                  for p in (1, 2, 3) for _ in range(4)]
+        for within in masks:
+            sub, old = g.induced_subgraph(bits(within))
+            tree = build_cotree(g, within)
+            assert tree == _mapped(build_cotree(sub), old)
+            seen.add(type(tree))
+    assert seen == {Cotree, frozenset}
 
 
 def _deepest_path(tree: Cotree) -> list[Cotree]:

@@ -8,6 +8,7 @@ from epa.generator import GeneratorSpec, SplitMix64, generate, random_weights
 from epa.oracle import exact_min_modulator, exact_min_vc, exact_min_wvc
 from epa.recognize import find_induced
 from epa.solvers import vc_2approx, wvc_cluster, wvc_cograph
+from epa import vertex_cover
 from epa.vertex_cover import (
     two_maximal_clique,
     vc_budgeted_2approx,
@@ -96,6 +97,45 @@ def test_ffree_zero_mask_matches_rescan_reference():
         for fam in ("P3", "co-P3", "P4"):
             assert vc_local_ratio_ffree(g, w, fam).cover == _ffree_rescan_reference(g, w, fam)
         assert vc_chordal(g, w).cover == _chordal_rescan_reference(g, w)
+
+
+def test_cograph_rows_end_on_the_cotree_in_g_ids(monkeypatch):
+    """The P4 row ends on the cotree of the alive vertices, so every P4
+    search it runs finds a P4, and neither it nor the co-P3 row builds a
+    derived graph: a planted n = 100 cograph and a 300-vertex threshold
+    cograph under P4, a planted n = 100 cocluster under co-P3, each with
+    unit and random weights."""
+    cases = [("P4", generate(GeneratorSpec("cograph", 90, 10, Fraction(1, 2), 2400))[0]),
+             ("P4", Graph(300, [(j, i) for i in range(1, 300, 2) for j in range(i)])),
+             ("co-P3", generate(GeneratorSpec("cocluster", 90, 10, Fraction(1, 2), 2401))[0])]
+    expect = [vc_local_ratio_ffree(g, w, fam).cover
+              for fam, g in cases for w in (unit_weights(g.n), random_weights(g.n, 2402))]
+
+    def forbidden(*args):
+        raise AssertionError("a local-ratio row built a graph")
+
+    searches, trees = [], []
+    find, cotree = vertex_cover.find_induced, vertex_cover.build_cotree
+
+    def searched(g, kind, within):
+        searches.append((kind, find(g, kind, within)))
+        return searches[-1][1]
+
+    def built(g, within):
+        trees.append(cotree(g, within))
+        return trees[-1]
+
+    monkeypatch.setattr(vertex_cover, "find_induced", searched)
+    monkeypatch.setattr(vertex_cover, "build_cotree", built)
+    for name in ("complement", "induced_subgraph", "relabeled", "_from_masks"):
+        monkeypatch.setattr(Graph, name, forbidden)
+    got = [vc_local_ratio_ffree(g, w, fam).cover
+           for fam, g in cases for w in (unit_weights(g.n), random_weights(g.n, 2402))]
+    assert got == expect
+    p4 = [found for kind, found in searches if kind == "P4"]
+    assert len(p4) > 10 and all(found is not None for found in p4)
+    assert sum(isinstance(tree, frozenset) for tree in trees) == len(p4)
+    assert any(kind == "co-P3" and found is None for kind, found in searches)
 
 
 def test_ffree_c5_example():
