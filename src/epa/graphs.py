@@ -177,9 +177,6 @@ class Graph:
 
     # -- basic queries ------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_bits[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
 

@@ -8,6 +8,7 @@ from itertools import combinations
 from epa.certify import induces_pattern
 from epa.graphs import Graph
 from epa.generator import random_connected_graph, random_graph, random_weights
+from small_graphs import adjacent
 
 DENSITIES = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
 
@@ -36,7 +37,7 @@ def cliques(g: Graph, sizes):
     size in lexicographic order."""
     for size in sizes:
         for z in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(z, 2)):
+            if all(adjacent(g, u, v) for u, v in combinations(z, 2)):
                 yield frozenset(z)
 
 
@@ -81,7 +82,7 @@ def brute_member(g: Graph, cls: str) -> bool:
         return g.n == 0
     if cls == "cluster":
         return all(
-            g.has_edge(u, v)
+            adjacent(g, u, v)
             for comp in _components(g)
             for u in comp
             for v in comp
@@ -95,8 +96,8 @@ def brute_member(g: Graph, cls: str) -> bool:
         for mask in range(1 << g.n):
             cl = [v for v in range(g.n) if mask >> v & 1]
             ind = [v for v in range(g.n) if not mask >> v & 1]
-            if all(g.has_edge(u, v) for i, u in enumerate(cl) for v in cl[i + 1 :]) and not any(
-                g.has_edge(u, v) for i, u in enumerate(ind) for v in ind[i + 1 :]
+            if all(adjacent(g, u, v) for i, u in enumerate(cl) for v in cl[i + 1 :]) and not any(
+                adjacent(g, u, v) for i, u in enumerate(ind) for v in ind[i + 1 :]
             ):
                 return True
         return False

@@ -5,6 +5,10 @@ from __future__ import annotations
 from epa.graphs import Graph
 
 
+def adjacent(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj_bits[u] >> v & 1)
+
+
 def empty_graph(n: int) -> Graph:
     return Graph(n, [])
 

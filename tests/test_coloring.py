@@ -15,7 +15,7 @@ from epa.graphs import Graph
 from epa.oracle import OracleBudget, exact_chromatic, exact_min_modulator
 from epa.solvers import max_matching
 from conftest import corpus
-from small_graphs import complete_graph, cycle_graph, empty_graph
+from small_graphs import adjacent, complete_graph, cycle_graph, empty_graph
 
 
 def chi_after_deleting(g: Graph, cls: str) -> tuple[int, int]:
@@ -159,7 +159,7 @@ def test_p3k1_phase2_matches_matching_count():
     for i, g in enumerate(corpus(40, 1, 9, seed0=6200)):
         co = g.complement()
         if any(
-            not any(g.has_edge(u, v) for u, v in combinations(c, 2))
+            not any(adjacent(g, u, v) for u, v in combinations(c, 2))
             for c in combinations(range(g.n), 3)
         ):
             continue

@@ -6,6 +6,7 @@ from epa.generator import GeneratorSpec, SplitMix64, generate
 from epa.graphs import Graph, as_weights, first_triangle
 from conftest import corpus
 from small_graphs import (
+    adjacent,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -124,7 +125,7 @@ def test_induced_subgraph_rejects_out_of_range_ids():
 
 def test_complement_equals_validated_build_corpus():
     for g in corpus(60, 0, 10, seed0=700):
-        es = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        es = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not adjacent(g, u, v)]
         assert_same_graph(g.complement(), Graph(g.n, es))
 
 
@@ -183,7 +184,7 @@ def test_contraction_equals_validated_build_corpus():
         index = {o: j for j, o in enumerate(kept)}
         vert, leaf = len(kept), len(kept) + 1
         es = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-        es += [(index[u], vert) for u in kept if any(g.has_edge(u, x) for x in y)]
+        es += [(index[u], vert) for u in kept if any(adjacent(g, u, x) for x in y)]
         es.append((vert, leaf))
         h, got_kept = g.contract_with_pendant(y)
         assert_same_graph(h, Graph(len(kept) + 2, es))
@@ -237,7 +238,7 @@ def ref_degeneracy_order(g: Graph) -> tuple[tuple[int, ...], int]:
         order.append(v)
         alive ^= 1 << v
         for u in range(g.n):
-            if alive >> u & 1 and g.has_edge(u, v):
+            if alive >> u & 1 and adjacent(g, u, v):
                 deg[u] -= 1
     return tuple(order), degen
 
@@ -272,7 +273,7 @@ def test_first_triangle_is_lexicographic_minimum_corpus():
             (u, v, w)
             for u in range(g.n) for v in range(u + 1, g.n) for w in range(v + 1, g.n)
             if all(within >> x & 1 for x in (u, v, w))
-            and g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+            and adjacent(g, u, v) and adjacent(g, u, w) and adjacent(g, v, w)
         ]
         assert first_triangle(g.adj_bits, within) == (min(tris) if tris else None)
 

@@ -22,7 +22,14 @@ from epa.oracle import (
 )
 from epa.recognize import recognize
 from conftest import corpus, weights_for
-from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
+from small_graphs import (
+    adjacent,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    star_graph,
+)
 
 
 def test_wvc_examples():
@@ -115,7 +122,7 @@ def test_oracles_mutually_consistent():
         # clique number lower-bounds the chromatic number
         omega = max(
             (len(c) for k in range(1, g.n + 1) for c in combinations(range(g.n), k)
-             if all(g.has_edge(u, v) for u, v in combinations(c, 2))),
+             if all(adjacent(g, u, v) for u, v in combinations(c, 2))),
             default=0,
         )
         assert chi >= omega

@@ -7,14 +7,14 @@ from epa.graphs import Graph
 from epa.oracle import exact_max_tp, exact_min_modulator
 from epa.packing import tp_3maximal, tp_maximal
 from conftest import corpus
-from small_graphs import complete_graph, cycle_graph, disjoint_union
+from small_graphs import adjacent, complete_graph, cycle_graph, disjoint_union
 
 
 def all_triangles(g: Graph):
     return [
         set(c)
         for c in combinations(range(g.n), 3)
-        if all(g.has_edge(u, v) for u, v in combinations(c, 2))
+        if all(adjacent(g, u, v) for u, v in combinations(c, 2))
     ]
 
 

@@ -21,7 +21,14 @@ from epa.recognize import (
     two_coloring,
 )
 from conftest import brute_member, corpus
-from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
+from small_graphs import (
+    adjacent,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    star_graph,
+)
 
 
 def validate_recognition(g: Graph, rec) -> None:
@@ -41,7 +48,7 @@ def validate_recognition(g: Graph, rec) -> None:
         for p in parts:
             assert is_clique(base, p)
         for a, b in combinations(parts, 2):
-            assert not any(base.has_edge(u, v) for u in a for v in b)
+            assert not any(adjacent(base, u, v) for u in a for v in b)
     elif rec.cls == "split":
         cl, ind = rec.structure
         assert cl | ind == set(range(g.n)) and not cl & ind
@@ -186,7 +193,7 @@ def test_cliques_within_matches_bruteforce():
             g = Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
             for mask in range(1 << n):
                 edge_counts = {
-                    sum(g.has_edge(x, y) for x, y in combinations(t, 2))
+                    sum(adjacent(g, x, y) for x, y in combinations(t, 2))
                     for t in combinations([v for v in range(n) if mask >> v & 1], 3)
                 }
                 assert _cliques_within(g.adj_bits, mask, False) == (2 not in edge_counts)
