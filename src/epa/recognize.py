@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .graphs import Graph, bits, component_mask, first_triangle, mask_of
+from .graphs import Graph, bits, first_triangle, mask_of
 
 class NotInClassError(ValueError):
     """Raised when an exact solver is handed a graph outside its class."""
@@ -453,14 +453,13 @@ def build_cotree(g: Graph, within: Optional[int] = None):
     mask = g.full_mask if within is None else within
     if not mask:
         return Cotree("union", children=())
-    adj = g.adj_bits
     # frames: (kind, part masks, subtrees of the parts built so far)
     frames: list[tuple[str, list[int], list[Cotree]]] = []
     while True:
         if mask & (mask - 1):
-            kind, parts = "union", _parts(adj, mask, False)
+            kind, parts = "union", g.component_masks(mask)
             if len(parts) == 1:
-                kind, parts = "join", _parts(adj, mask, True)
+                kind, parts = "join", _co_components(g.adj_bits, mask)
                 if len(parts) == 1:
                     return _find_p4(g, mask)
             frames.append((kind, parts, []))
@@ -480,27 +479,22 @@ def build_cotree(g: Graph, within: Optional[int] = None):
             return node
 
 
-def _parts(adj: Sequence[int], mask: int, co: bool) -> list[int]:
-    """Masks of the components of G[mask], or with ``co`` of its
-    complement, by lowest vertex.  A complement component is walked on
-    the rows: the complement neighbours of a frontier are the vertices
-    of ``mask`` outside the AND of the frontier's rows."""
+def _co_components(adj: Sequence[int], mask: int) -> list[int]:
+    """Masks of the components of the complement of G[mask], by lowest
+    vertex, walked on the rows: the complement neighbours of a frontier
+    are the vertices of ``mask`` outside the AND of the frontier's rows."""
     parts = []
     left = mask
     while left:
-        low = left & -left
-        if co:
-            part = frontier = low
+        part = frontier = left & -left
+        while frontier:
+            common = mask
             while frontier:
-                common = mask
-                while frontier:
-                    bit = frontier & -frontier
-                    common &= adj[bit.bit_length() - 1]
-                    frontier ^= bit
-                frontier = mask & ~common & ~part
-                part |= frontier
-        else:
-            part = component_mask(adj, low.bit_length() - 1, mask)
+                bit = frontier & -frontier
+                common &= adj[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = mask & ~common & ~part
+            part |= frontier
         parts.append(part)
         left &= ~part
     return parts

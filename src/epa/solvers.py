@@ -5,6 +5,8 @@ Contracts (all oracle-tested at small sizes):
 
 * ``wvc_forest`` / ``wvc_cograph`` / ``wvc_cluster`` are exact on their
   classes and raise :class:`~epa.recognize.NotInClassError` otherwise.
+  ``cotree_independent_set`` is the cograph DP on a given cotree, in
+  the ids of its leaves.
 * ``lp_half_integral_vc`` returns an optimal half-integral solution of
   the vertex cover LP: the least minimum s-t cut of the bipartite double
   cover, found on the adjacency masks in exact integers, so it does not
