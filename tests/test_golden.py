@@ -1,11 +1,11 @@
 """Golden byte-identity: pinned digests of ``epa bench`` CSV, of
 ``solve --json`` on planted split instances, of the CLI output of
 every guarantee row, of the two budgeted subroutines of the split
-rows, of the local-ratio cover rows, of ``epa oracle`` and the exact
-oracles, of the graph routines that several solvers share, of the
-checking side's pattern tests and obstruction sets, of parsing
-serialized instances, of generated instances and of the half-integral
-LP.
+rows, of the local-ratio cover rows, of the 3-maximal triangle
+packing, of ``epa oracle`` and the exact oracles, of the graph
+routines that several solvers share, of the checking side's pattern
+tests and obstruction sets, of parsing serialized instances, of
+generated instances and of the half-integral LP.
 
 The split digests were taken before the split rows moved to adjacency
 masks; the all-class CSV and every-row digests before the rows moved
@@ -29,7 +29,10 @@ digest before ``lp_half_integral_vc`` ran its min cut on adjacency
 masks; the local-ratio digest before ``vc_local_ratio_ffree`` and
 ``vc_chordal`` shared one local-ratio loop, and its scale digest before
 the P4 loop ended on the cotree of the rest and the P4 and co-P3 rests
-were solved in G's ids; the oracle-sweep CSV and
+were solved in G's ids, and its residual scale digest before the
+cluster, chordal and fvs rests were solved in G's ids; the 3-maximal
+packing digest before its swap search skipped pools with fewer than
+three vertices per wanted triangle; the oracle-sweep CSV and
 every-class ``verify --json`` digests before ``epa bench`` asked each
 exact oracle once per instance; the deep-descent ``cvc_split`` digest
 before the driver descended on contraction rows in G's id space.  The
@@ -74,7 +77,7 @@ from epa.oracle import (
     exact_min_vc,
     exact_min_wvc,
 )
-from epa.packing import tp_maximal
+from epa.packing import tp_3maximal, tp_maximal
 from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
 from epa.reports import bench
 from epa.solvers import lp_half_integral_vc
@@ -493,6 +496,59 @@ def test_local_ratio_scale_golden():
             out.append(f"{family} {shape} {n} {j} {sorted(vc_local_ratio_ffree(g, w, family).cover)}\n")
     assert _sha("".join(out)) == LOCAL_RATIO_SCALE_SHA256
 
+
+# (row, shape, n) of the benchmark's cluster, fvs and chordal rows that
+# the local-ratio digest above does not reach: planted draws (k = n/10,
+# density 1/2), the 1,000-vertex path and the 1,500-vertex caterpillar.
+RESIDUAL_SCALE = (
+    ("P3", "cluster", 400), ("P3", "cluster", 800),
+    ("fvs", "forest", 400), ("fvs", "forest", 800),
+    ("chordal", "chordal", 400), ("chordal", "chordal", 800),
+    ("fvs", "path", 1000), ("fvs", "caterpillar", 1500),
+    ("chordal", "path", 1000), ("chordal", "caterpillar", 1500),
+)
+RESIDUAL_SCALE_SHA256 = "0bf6ceb8d9850434292e8d9966f63e2968dd7a3956127eb6a067e3b1b0298b77"
+
+
+def test_residual_scale_golden():
+    """Covers of vc_local_ratio_ffree (P3), vc_fvs and vc_chordal at the
+    benchmark's sizes, with unit weights and random weights of which
+    none and about two fifths are zero."""
+    out = []
+    for i, (row, shape, n) in enumerate(RESIDUAL_SCALE):
+        if shape == "path":
+            g = path_graph(n)
+        elif shape == "caterpillar":
+            g = caterpillar(n)
+        else:
+            g, _ = generate(GeneratorSpec(shape, n - n // 10, n // 10, Fraction(1, 2), 9500 + i))
+        weights = [unit_weights(g.n)]
+        weights += [random_weights(g.n, 9600 + i, zero_share=z) for z in (Fraction(0), Fraction(2, 5))]
+        solve = _local_ratio_row(row)
+        for j, w in enumerate(weights):
+            out.append(f"{row} {shape} {n} {j} {sorted(solve(g, w).cover)}\n")
+    assert _sha("".join(out)) == RESIDUAL_SCALE_SHA256
+
+
+
+# Planted coclusters (k = n/10, density 1/2) for the 3-maximal packing
+# digest, and one draw whose swap search meets pools too small for the
+# triangles it asks for.
+TP_3MAXIMAL_SPECS = [
+    GeneratorSpec("cocluster", n - n // 10, n // 10, Fraction(1, 2), seed)
+    for n in (30, 60, 100, 150) for seed in range(1, 21)
+] + [GeneratorSpec("cocluster", 54, 6, Fraction(1, 2), 10)]
+TP_3MAXIMAL_SHA256 = "93279dcbf12e605a7e243011531139926b2c97172963096393af332bbe7a96d1"
+
+
+def test_tp_3maximal_golden():
+    """Packings of tp_3maximal on planted coclusters, triangles in order."""
+    out = []
+    for spec in TP_3MAXIMAL_SPECS:
+        g, _ = generate(spec)
+        tris = [sorted(t) for t in tp_3maximal(g).triangles]
+        out.append(f"{spec.n} {spec.seed} {tris}\n")
+    assert _sha("".join(out)) == TP_3MAXIMAL_SHA256
 
 # -- oracles and shared graph routines ------------------------------------
 
