@@ -20,6 +20,10 @@ Contracts (all oracle-tested at small sizes):
   is the same DFS on a clique contraction G<Y>, with Y kept virtual.
 * ``vc_2approx`` returns a vertex cover of weight at most twice the
   optimum (local ratio on edges).
+* ``wvc_forest``, ``lp_half_integral_vc``, ``fvs_2approx`` and
+  ``vc_2approx`` solve G[within] for an optional vertex mask ``within``
+  (default: all of G), in G's ids.  The LP's values outside ``within``
+  are 0, and its v0, v_half and v1 partition ``within``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .graphs import Graph, Weights, bits, component_mask, mask_covers, mask_of, unit_weights
-from .recognize import Cotree, NotInClassError, recognize
+from .recognize import Cotree, NotInClassError, find_induced, recognize
 
 Matching = frozenset[tuple[int, int]]
 
@@ -39,18 +43,19 @@ Matching = frozenset[tuple[int, int]]
 # exact solvers on tractable classes
 
 
-def wvc_forest(g: Graph, w: Weights) -> frozenset[int]:
-    """Minimum-weight vertex cover of a forest (tree DP)."""
-    rec = recognize(g, "forest")
-    if not rec.member:
-        raise NotInClassError("forest", rec.witness)
+def wvc_forest(g: Graph, w: Weights, within: Optional[int] = None) -> frozenset[int]:
+    """Minimum-weight vertex cover of the forest G[within] (tree DP)."""
+    mask = g.full_mask if within is None else within
+    cycle = find_induced(g, "cycle", mask)
+    if cycle is not None:
+        raise NotInClassError("forest", cycle)
     n = g.n
     adj = g.adj_bits
     # each tree breadth first from its lowest vertex, parents before children
     order: list[int] = []
     parent = [-1] * n
-    seen = 0
-    for root in range(n):
+    seen = g.full_mask & ~mask
+    for root in bits(mask):
         if seen >> root & 1:
             continue
         seen |= 1 << root
@@ -74,7 +79,7 @@ def wvc_forest(g: Graph, w: Weights) -> frozenset[int]:
     for v in order:
         p = parent[v]
         take[v] = True if p >= 0 and not take[p] else dp_in[v] < dp_out[v]
-    return frozenset(v for v in range(n) if take[v])
+    return frozenset(v for v in order if take[v])
 
 
 def wvc_cluster(g: Graph, w: Weights) -> frozenset[int]:
@@ -145,8 +150,10 @@ class HalfIntegralLP:
     v1: frozenset[int]
 
 
-def lp_half_integral_vc(g: Graph, w: Optional[Weights] = None) -> HalfIntegralLP:
-    """Optimal half-integral LP solution by min cut on the double cover.
+def lp_half_integral_vc(
+    g: Graph, w: Optional[Weights] = None, within: Optional[int] = None
+) -> HalfIntegralLP:
+    """Optimal half-integral LP solution of G[within] by double-cover min cut.
 
     Left copies u hang off the source with capacity w(u), right copies v'
     feed the sink with capacity w(v), and each edge {u,v} gives uncapped
@@ -164,10 +171,11 @@ def lp_half_integral_vc(g: Graph, w: Optional[Weights] = None) -> HalfIntegralLP
         w = unit_weights(g.n)
     n = g.n
     adj = g.adj_bits
-    scale = lcm(*(f.denominator for f in w)) if n else 1
+    mask = g.full_mask if within is None else within
+    scale = lcm(*(w[u].denominator for u in bits(mask)))
     src = [int(f * scale) for f in w]       # residual capacity of s -> u
     snk = list(src)                         # residual capacity of v' -> t
-    open_src = open_snk = mask_of(u for u in range(n) if src[u])
+    open_src = open_snk = mask_of(u for u in bits(mask) if src[u])
     flows: dict[tuple[int, int], int] = {}  # positive flow on u -> v'
     back = [0] * n                          # back[v]: the u with flow on u -> v'
     total = 0
@@ -181,7 +189,7 @@ def lp_half_integral_vc(g: Graph, w: Optional[Weights] = None) -> HalfIntegralLP
             right = 0
             for u in bits(left):
                 right |= adj[u]
-            right &= ~seen_right
+            right &= mask & ~seen_right
             seen_right |= right
             if right & open_snk:
                 levels += (left, right & open_snk)
@@ -233,13 +241,13 @@ def lp_half_integral_vc(g: Graph, w: Optional[Weights] = None) -> HalfIntegralLP
             else:
                 levels[k - 1] &= ~(1 << path.pop())
     # a left copy off the source side and a right copy on it are cut
-    halves = [(~seen_left >> u & 1) + (seen_right >> u & 1) for u in range(n)]
+    halves = [((mask & ~seen_left) >> u & 1) + (seen_right >> u & 1) for u in range(n)]
     return HalfIntegralLP(
         values=tuple(Fraction(h, 2) for h in halves),
         objective=Fraction(total, 2 * scale),
-        v0=frozenset(u for u in range(n) if halves[u] == 0),
-        v_half=frozenset(u for u in range(n) if halves[u] == 1),
-        v1=frozenset(u for u in range(n) if halves[u] == 2),
+        v0=frozenset(u for u in bits(mask) if halves[u] == 0),
+        v_half=frozenset(u for u in bits(mask) if halves[u] == 1),
+        v1=frozenset(u for u in bits(mask) if halves[u] == 2),
     )
 
 
@@ -370,16 +378,16 @@ def _degree2_cycle(g: Graph, alive: int) -> Optional[list[int]]:
     return None
 
 
-def fvs_2approx(g: Graph, w: Weights) -> frozenset[int]:
-    """Inclusion-minimal feedback vertex set of weight <= 2 * OPT.
+def fvs_2approx(g: Graph, w: Weights, within: Optional[int] = None) -> frozenset[int]:
+    """Inclusion-minimal feedback vertex set of G[within] of weight <= 2 * OPT.
 
     Local-ratio scheme: clean degree <= 1 vertices, reduce uniformly on a
     semidisjoint cycle when one exists and proportionally to degree
     otherwise, harvest zero-weight vertices, then reverse-delete.
     """
-    n = g.n
+    mask = g.full_mask if within is None else within
     wp = list(w)
-    alive = g.full_mask
+    alive = mask
     picked: list[int] = []
 
     def deg(v: int) -> int:
@@ -416,7 +424,7 @@ def fvs_2approx(g: Graph, w: Weights) -> frozenset[int]:
     kept = mask_of(picked)
     for v in reversed(picked):
         trial = kept & ~(1 << v)
-        if _is_forest(g, g.full_mask & ~trial):
+        if _is_forest(g, mask & ~trial):
             kept = trial
     return frozenset(bits(kept))
 

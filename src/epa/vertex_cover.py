@@ -8,13 +8,13 @@ The cluster, cocluster, cograph and chordal rows run one local-ratio
 loop, :func:`_local_ratio` (Bar-Yehuda and Even, 1985), on an induced
 pattern every such modulator hits (P3, co-P3, P4, triangle); a vertex at
 weight 0 leaves, lowest first, with its alive neighbourhood.
-:func:`vc_local_ratio_ffree` solves the rest exactly and re-adds, last
-first, each leaver with an uncovered edge; :func:`vc_chordal` covers
-every leaver and hands the rest to :func:`vc_fvs`.  A P4 step first asks
-for the cotree of the alive vertices, which also decides whether a P4 is
-left, and the loop ends on it; the cograph and cocluster rests are
-solved on their cotree in G's ids.  :func:`_solve_on` solves the other
-residuals on their induced subgraph, in G's ids.
+:func:`vc_local_ratio_ffree` solves the rest exactly on its cotree and
+re-adds, last first, each leaver with an uncovered edge; :func:`vc_chordal`
+covers every leaver and hands the rest to :func:`vc_fvs`.  A P4 step
+first builds the cotree of the alive vertices, or meets a P4 doing so.
+A cluster's cotree joins each clique's vertices in id order, and a join
+keeps its first heaviest child: the vertex ``wvc_cluster`` leaves out.
+Every rest is solved on its mask in G's ids; no row builds a graph below G.
 
 The split row's budgeted 2-approximation (:func:`vc_budgeted_2approx`)
 runs the unit-weight greedy matching (``solvers.matching_cover``) once
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import Graph, Weights, bits, mask_of, unit_weights
 from .recognize import Cotree, build_cotree, find_induced
@@ -57,7 +57,6 @@ from .solvers import (
     fvs_2approx,
     lp_half_integral_vc,
     matching_cover,
-    wvc_cluster,
     wvc_forest,
 )
 
@@ -70,12 +69,6 @@ class VertexCoverSol:
     @property
     def size(self) -> int:
         return len(self.cover)
-
-
-def _solve_on(g: Graph, vertices: Iterable[int], w: Weights, solve: Callable) -> frozenset[int]:
-    """``solve`` run on G[vertices] and ``w``, its answer in G's ids."""
-    sub, old = g.induced_subgraph(vertices)
-    return frozenset(old[v] for v in solve(sub, tuple(w[v] for v in old)))
 
 
 # ---------------------------------------------------------------------
@@ -128,12 +121,9 @@ def vc_local_ratio_ffree(g: Graph, w: Weights, family: str) -> VertexCoverSol:
     if family not in ("P3", "co-P3", "P4"):
         raise ValueError(f"unsupported forbidden family {family!r}")
     wp, alive, left, tree = _local_ratio(g, w, family)
-    if family == "P3":
-        cover = mask_of(_solve_on(g, bits(alive), wp, wvc_cluster))
-    else:
-        if tree is None:           # co-P3: the cocluster rest is a cograph
-            tree = build_cotree(g, alive)
-        cover = alive & ~cotree_independent_set(tree, wp)
+    if tree is None:
+        tree = build_cotree(g, alive)
+    cover = alive & ~cotree_independent_set(tree, wp)
     for v, nbrs in reversed(left):
         if nbrs & ~cover:
             cover |= 1 << v
@@ -147,16 +137,15 @@ def vc_chordal(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     of the triangle-free rest are forests, so vc_fvs covers it.
     """
     wp, alive, left, _ = _local_ratio(g, unit_weights(g.n) if w is None else w, "triangle")
-    rest = _solve_on(g, bits(alive), wp, lambda sub, sub_w: vc_fvs(sub, sub_w).cover)
-    return VertexCoverSol(rest.union(v for v, _ in left), "vc-chordal")
+    return VertexCoverSol(vc_fvs(g, wp, alive).cover.union(v for v, _ in left), "vc-chordal")
 
 
 # ---------------------------------------------------------------------
 # feedback-vertex-set parameterized cover
 
 
-def vc_fvs(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
-    """Cover of weight at most OPT_WVC + OPT_FVS.
+def vc_fvs(g: Graph, w: Optional[Weights] = None, within: Optional[int] = None) -> VertexCoverSol:
+    """Cover of G[within] (default: G) of weight at most OPT_WVC + OPT_FVS.
 
     Pipeline: half-integral LP persistency keeps V1 and discards V0; a
     2-approximate feedback vertex set of the half part joins the cover;
@@ -164,9 +153,10 @@ def vc_fvs(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     """
     if w is None:
         w = unit_weights(g.n)
-    lp = lp_half_integral_vc(g, w)
-    fvs = _solve_on(g, lp.v_half, w, fvs_2approx)
-    return VertexCoverSol(lp.v1 | fvs | _solve_on(g, lp.v_half - fvs, w, wvc_forest), "vc-fvs")
+    lp = lp_half_integral_vc(g, w, within)
+    half = mask_of(lp.v_half)
+    fvs = fvs_2approx(g, w, half)
+    return VertexCoverSol(lp.v1 | fvs | wvc_forest(g, w, half & ~mask_of(fvs)), "vc-fvs")
 
 
 # ---------------------------------------------------------------------

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from epa.certify import is_matching, is_vertex_cover, is_connected_vertex_cover
-from epa.graphs import Graph, total, unit_weights
+from epa.certify import induces_pattern, is_matching, is_vertex_cover, is_connected_vertex_cover
+from epa.graphs import Graph, bits, mask_of, total, unit_weights
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph, random_weights
 from epa.oracle import (
     exact_lp_vc,
@@ -13,8 +13,9 @@ from epa.oracle import (
     exact_min_vc,
     exact_min_wvc,
 )
-from epa.recognize import NotInClassError, build_cotree
+from epa.recognize import NotInClassError, build_cotree, find_induced
 from epa.reports import run_algorithm
+from epa.vertex_cover import vc_fvs
 from epa.solvers import (
     cvc_savage,
     fvs_2approx,
@@ -337,13 +338,43 @@ def test_vc2approx_unit_path_matches_weighted_corpus():
 
 
 def test_vc2approx_within_matches_induced_subgraph_corpus():
+    """vc_2approx, vc_fvs, lp_half_integral_vc, fvs_2approx and wvc_forest
+    on a vertex mask answer in G's ids what they answer on the induced
+    subgraph, mapped back.  wvc_forest is asked on G[within] less a
+    feedback vertex set, a forest, and on G[within] itself, which raises
+    with a cycle inside the mask when it has one."""
     for i, g in enumerate(corpus(60, 1, 12, seed0=2150)):
         within = sum(1 << v for v in range(g.n) if (v * 7 + i) % 3)
-        sub, old = g.induced_subgraph(v for v in range(g.n) if within >> v & 1)
+        sub, old = g.induced_subgraph(bits(within))
+        lift = lambda vs: {old[v] for v in vs}
         for w in (None, weights_for(g, 2160 + i, unit=False)):
             sub_w = None if w is None else tuple(w[v] for v in old)
-            expect = {old[v] for v in vc_2approx(sub, sub_w)}
-            assert vc_2approx(g, w, within=within) == expect
+            assert vc_2approx(g, w, within=within) == lift(vc_2approx(sub, sub_w))
+            assert vc_fvs(g, w, within).cover == lift(vc_fvs(sub, sub_w).cover)
+
+            lp, sub_lp = lp_half_integral_vc(g, w, within), lp_half_integral_vc(sub, sub_w)
+            assert lp.objective == sub_lp.objective
+            assert [lp.values[v] for v in old] == list(sub_lp.values)
+            assert all(lp.values[v] == 0 for v in range(g.n) if not within >> v & 1)
+            assert (lp.v0, lp.v_half, lp.v1) == tuple(map(lift, (sub_lp.v0, sub_lp.v_half, sub_lp.v1)))
+            assert len(lp.v0) + len(lp.v_half) + len(lp.v1) == within.bit_count()
+            assert lp.v0 | lp.v_half | lp.v1 == set(bits(within))
+
+            w = unit_weights(g.n) if w is None else w
+            sub_w = tuple(w[v] for v in old)
+            fvs = fvs_2approx(g, w, within)
+            assert fvs == lift(fvs_2approx(sub, sub_w))
+            forest = within & ~mask_of(fvs)
+            f_sub, f_old = g.induced_subgraph(bits(forest))
+            assert wvc_forest(g, w, forest) == {f_old[v] for v in wvc_forest(f_sub, tuple(w[v] for v in f_old))}
+            cycle = find_induced(sub, "cycle")
+            if cycle is None:
+                assert wvc_forest(g, w, within) == lift(wvc_forest(sub, sub_w))
+                continue
+            with pytest.raises(NotInClassError) as caught:
+                wvc_forest(g, w, within)
+            assert caught.value.witness == lift(cycle)
+            assert induces_pattern(g, caught.value.witness, "cycle")
 
 
 def test_vc2approx_bound_corpus():

@@ -93,3 +93,13 @@ def test_one_form_of_the_clique_contraction():
     derived = [name for name in ("induced_subgraph", "relabeled", "complement")
                if reads["connected_vc.py"][name]]
     assert not derived, derived
+
+
+def test_vertex_cover_builds_no_derived_graph():
+    """Every residual of the vertex cover rows is solved on a vertex mask
+    in G's ids: ``vertex_cover`` reads no ``induced_subgraph``,
+    ``relabeled`` or ``complement``."""
+    path = PACKAGE / "vertex_cover.py"
+    reads = _reads(ast.parse(path.read_text(), str(path)))
+    derived = [name for name in ("induced_subgraph", "relabeled", "complement") if reads[name]]
+    assert not derived, derived

@@ -138,6 +138,36 @@ def test_cograph_rows_end_on_the_cotree_in_g_ids(monkeypatch):
     assert any(kind == "co-P3" and found is None for kind, found in searches)
 
 
+def test_residual_rows_build_no_graph(monkeypatch):
+    """The P3 row ends on the cotree of its cluster rest, and vc_fvs and
+    vc_chordal solve their LP, feedback-set and forest steps on masks in
+    G's ids: none of them builds a derived graph.  Planted n = 100
+    cluster, forest and chordal draws and a 100-vertex path, each with
+    unit and random weights."""
+    draw = lambda cls, seed: generate(GeneratorSpec(cls, 90, 10, Fraction(1, 2), seed))[0]
+    cases = [(lambda g, w: vc_local_ratio_ffree(g, w, "P3"), draw("cluster", 2410)),
+             (vc_fvs, draw("forest", 2411)), (vc_fvs, draw("chordal", 2412)),
+             (vc_chordal, draw("chordal", 2413)), (vc_chordal, path_graph(100))]
+    weights = lambda g: (unit_weights(g.n), random_weights(g.n, 2414))
+    expect = [solve(g, w).cover for solve, g in cases for w in weights(g)]
+
+    def forbidden(*args):
+        raise AssertionError("a cover row built a graph")
+
+    trees = []
+    cotree = vertex_cover.build_cotree
+
+    def built(g, within):
+        trees.append(cotree(g, within))
+        return trees[-1]
+
+    monkeypatch.setattr(vertex_cover, "build_cotree", built)
+    for name in ("complement", "induced_subgraph", "relabeled", "_from_masks"):
+        monkeypatch.setattr(Graph, name, forbidden)
+    assert [solve(g, w).cover for solve, g in cases for w in weights(g)] == expect
+    assert len(trees) == 2 and all(tree.kind == "union" for tree in trees)
+
+
 def test_ffree_c5_example():
     c5 = cycle_graph(5)
     sol = vc_local_ratio_ffree(c5, unit_weights(5), "P3")
