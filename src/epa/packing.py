@@ -49,6 +49,8 @@ def tp_maximal(g: Graph) -> TrianglePackingSol:
 
 def _disjoint_sets(g: Graph, pool: int, want: int) -> Optional[list[tuple[int, int, int]]]:
     """``want`` pairwise disjoint triangles inside ``pool``, if they exist."""
+    if pool.bit_count() < 3 * want:
+        return None
     tris = list(_triangles_within(g, pool))
     masks = [mask_of(t) for t in tris]
 
