@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from epa import generator
 from epa.generator import (
     GENERATOR_CLASSES,
     _base_triangle_free,
@@ -56,6 +57,27 @@ def test_generate_planted_verified_every_class():
             assert g.n == spec.n + spec.k
             rest, _ = g.induced_subgraph(set(range(g.n)) - planted)
             assert recognize(rest, base).member
+
+
+def _path_rows(rng, n, density):
+    return [(1 << v >> 1 | 1 << v << 1) & ((1 << n) - 1) for v in range(n)]
+
+
+def _two_k2_rows(rng, n, density):
+    return [0b0010, 0b0001, 0b1000, 0b0100]
+
+
+@pytest.mark.parametrize("base, build, n", [
+    ("cluster", _path_rows, 3),          # P3 is no cluster graph
+    ("cochordal", _two_k2_rows, 4),      # the complement of 2K2 is a C4
+])
+@pytest.mark.parametrize("k", [0, 2])
+def test_generate_self_check_rejects_a_broken_base(monkeypatch, base, build, n, k):
+    """A base construction that leaves its class is caught by the
+    recognizer at generation time, planted vertices or not."""
+    monkeypatch.setitem(generator._BASES, base, build)
+    with pytest.raises(GenerationError, match="construction bug"):
+        generate(GeneratorSpec(base, n, k, Fraction(1, 2), 1))
 
 
 def test_generate_rejects_unknown_class():

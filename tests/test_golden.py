@@ -32,7 +32,9 @@ the P4 loop ended on the cotree of the rest and the P4 and co-P3 rests
 were solved in G's ids, and its residual scale digest before the
 cluster, chordal and fvs rests were solved in G's ids; the 3-maximal
 packing digest before its swap search skipped pools with fewer than
-three vertices per wanted triangle; the oracle-sweep CSV and
+three vertices per wanted triangle; the coloring digest before
+``color_p3k1free`` matched its rest in G's ids and
+``color_degeneracy`` kept its colour classes as masks; the oracle-sweep CSV and
 every-class ``verify --json`` digests before ``epa bench`` asked each
 exact oracle once per instance; the deep-descent ``cvc_split`` digest
 before the driver descended on contraction rows in G's id space.  The
@@ -56,7 +58,7 @@ from itertools import combinations
 
 from epa.certify import induces_pattern
 from epa.cli import main
-from epa.coloring import color_p3k1free
+from epa.coloring import color_degeneracy, color_p3k1free
 from epa.connected_vc import _brute_min_cvc, cvc_budgeted, cvc_small_after_contraction, cvc_split
 from epa.generator import (
     GENERATOR_CLASSES,
@@ -80,7 +82,7 @@ from epa.oracle import (
 from epa.packing import tp_3maximal, tp_maximal
 from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
 from epa.reports import bench
-from epa.solvers import lp_half_integral_vc
+from epa.solvers import lp_half_integral_vc, max_matching
 from epa.vertex_cover import (
     two_maximal_clique,
     vc_budgeted_2approx,
@@ -549,6 +551,32 @@ def test_tp_3maximal_golden():
         tris = [sorted(t) for t in tp_3maximal(g).triangles]
         out.append(f"{spec.n} {spec.seed} {tris}\n")
     assert _sha("".join(out)) == TP_3MAXIMAL_SHA256
+
+
+# (class, total n) of the planted draws (k = n/10, density 1/2, seeds
+# 1-3) of the coloring digest, and the densities of its matching half.
+COLORING_SCALE = [("p3k1-free", n) for n in (100, 150)]
+COLORING_SCALE += [(cls, n) for cls in ("cochordal", "cograph") for n in (100, 200, 300, 400)]
+COLORING_SCALE += [("chordal", n) for n in (400, 800)]
+MATCHING_DENSITIES = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+COLORING_SCALE_SHA256 = "021489b74c0d4de5d50f9e3da0fb34e792afd247a929af6ff7337a9dcbf8f1e8"
+
+
+def test_coloring_scale_golden():
+    """Colors of color_p3k1free and color_degeneracy on planted draws of
+    the classes above, and the sorted pairs of max_matching on random
+    graphs (n 0..40 at densities 1/5, 1/2 and 4/5)."""
+    out = []
+    for cls, n in COLORING_SCALE:
+        for seed in (1, 2, 3):
+            g, _ = generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), seed))
+            out.append(f"{cls} {n} {seed} {list(color_p3k1free(g).colors)}"
+                       f" {list(color_degeneracy(g).colors)}\n")
+    for n in range(41):
+        for j, d in enumerate(MATCHING_DENSITIES):
+            g = random_graph(n, d, 9900 + 3 * n + j)
+            out.append(f"{n} {j} {sorted(max_matching(g))}\n")
+    assert _sha("".join(out)) == COLORING_SCALE_SHA256
 
 # -- oracles and shared graph routines ------------------------------------
 
