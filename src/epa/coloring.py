@@ -121,14 +121,19 @@ def color_with_class_oracle(g: Graph, oracle: ClassColoringOracle) -> ColoringSo
 
 
 def _degeneracy_greedy(g: Graph) -> list[int]:
-    order, _ = g.degeneracy_order()
+    """Each vertex, in reverse degeneracy order, takes the first colour
+    whose class mask holds none of its neighbours.  At most ``degen`` of
+    them come before it, so ``degen + 1`` classes suffice."""
+    order, degen = g.degeneracy_order()
+    adj = g.adj_bits
     colors = [0] * g.n
+    classes = [0] * (degen + 1)
     for v in reversed(order):
-        used = {colors[u] for u in g.adj[v] if colors[u]}
-        c = 1
-        while c in used:
+        c = 0
+        while adj[v] & classes[c]:
             c += 1
-        colors[v] = c
+        classes[c] |= 1 << v
+        colors[v] = c + 1
     return colors
 
 
@@ -187,18 +192,11 @@ def color_p3k1free(g: Graph) -> ColoringSol:
         for v in bits(ind):
             colors[v] = used
         remaining &= ~ind
-    rest = sorted(bits(remaining))
-    if rest:
-        co_rest, old = co.induced_subgraph(rest)
-        matching = sorted(max_matching(co_rest))
-        matched = set()
-        for u, v in matching:
+    for u, v in sorted(max_matching(co, remaining)):
+        used += 1
+        colors[u] = colors[v] = used
+    for v in bits(remaining):
+        if not colors[v]:
             used += 1
-            colors[old[u]] = used
-            colors[old[v]] = used
-            matched.update((u, v))
-        for v in range(co_rest.n):
-            if v not in matched:
-                used += 1
-                colors[old[v]] = used
+            colors[v] = used
     return _normalized(colors, "col-p3k1free")

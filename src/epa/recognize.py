@@ -6,10 +6,12 @@ ordering, split partition, cotree), or None, and to its forbidden
 induced subgraphs in search order; the first that :func:`find_induced`,
 the one obstruction search, finds is the witness.  A co-class maps to
 its base class, recognized on the complement, and its witness's name.
-Every walk reads the adjacency masks under a vertex mask, and
-``tests/test_golden.py::test_recognize_golden`` pins every verdict,
-witness and structure.  Witnesses are meant to be re-validated by
-:mod:`epa.certify`; nothing downstream trusts the producer.
+``recognize``, ``two_coloring``, ``find_induced`` and ``build_cotree``
+answer for G[within] in G's ids, ``within`` an optional vertex mask
+(default: all of G).  Every builder and walk reads the adjacency masks
+under a vertex mask, and ``tests/test_golden.py::test_recognize_golden``
+pins every verdict, witness and structure.  Witnesses are meant to be
+re-validated by :mod:`epa.certify`; nothing downstream trusts the producer.
 """
 
 from __future__ import annotations
@@ -504,18 +506,19 @@ def _co_components(adj: Sequence[int], mask: int) -> list[int]:
 # recognition: the structures of members and the class table
 
 
-def mcs_order(g: Graph) -> tuple[int, ...]:
-    """Maximum-cardinality-search ordering; reversed it is a candidate PEO.
+def mcs_order(g: Graph, mask: int) -> tuple[int, ...]:
+    """Maximum-cardinality-search ordering of G[mask]; reversed it is a
+    candidate PEO.
 
     Each step picks the lowest unpicked vertex with the most picked
     neighbours; ``buckets[w]`` masks the unpicked ones with w of them.
     """
     adj = g.adj_bits
-    unpicked = g.full_mask
-    buckets = [unpicked] + [0] * g.n
+    unpicked = mask
+    buckets = [unpicked] + [0] * mask.bit_count()
     top = 0
     order = []
-    for _ in range(g.n):
+    for _ in range(mask.bit_count()):
         while not buckets[top]:
             top -= 1
         low = buckets[top] & -buckets[top]
@@ -538,9 +541,9 @@ def mcs_order(g: Graph) -> tuple[int, ...]:
 
 def is_perfect_elimination(g: Graph, peo: tuple[int, ...]) -> bool:
     """True when the neighbours of each vertex that come after it in
-    ``peo`` (an ordering of all vertices) form a clique."""
+    ``peo`` (an ordering of some vertices, read in G[peo]) form a clique."""
     adj = g.adj_bits
-    rest = g.full_mask
+    rest = mask_of(peo)
     for v in peo:
         rest ^= 1 << v
         later = adj[v] & rest
@@ -550,11 +553,12 @@ def is_perfect_elimination(g: Graph, peo: tuple[int, ...]) -> bool:
     return True
 
 
-def _try_split_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """Hammer-Simeone degree test; returns (clique, independent set)."""
-    n = g.n
-    by_deg = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in by_deg]
+def _try_split_partition(g: Graph, mask: int) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """Hammer-Simeone degree test on G[mask]; returns (clique, independent set)."""
+    adj = g.adj_bits
+    n = mask.bit_count()
+    by_deg = sorted(bits(mask), key=lambda v: (-(adj[v] & mask).bit_count(), v))
+    degs = [(adj[v] & mask).bit_count() for v in by_deg]
     m_idx = max((i + 1 for i in range(n) if degs[i] >= i), default=0)
     lhs = sum(degs[:m_idx])
     rhs = m_idx * (m_idx - 1) + sum(degs[m_idx:])
@@ -563,14 +567,15 @@ def _try_split_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[i
     return frozenset(by_deg[:m_idx]), frozenset(by_deg[m_idx:])
 
 
-def two_coloring(g: Graph) -> Optional[list[int]]:
-    """Colors 1 and 2 by breadth-first search from each lowest unreached
-    vertex, or None when an edge joins two equal colors (g is not
-    bipartite).  The search runs a level at a time: a vertex's color is
-    the parity of its level, and an edge inside a level is a conflict."""
+def two_coloring(g: Graph, within: Optional[int] = None) -> Optional[list[int]]:
+    """Colors 1 and 2 of G[within] (default: all of G; 0 outside it) by
+    breadth-first search from each lowest unreached vertex, or None when
+    an edge joins two equal colors (G[within] is not bipartite).  The
+    search runs a level at a time: a vertex's color is the parity of its
+    level, and an edge inside a level is a conflict."""
     adj = g.adj_bits
     colors = [0] * g.n
-    left = g.full_mask
+    left = mask = g.full_mask if within is None else within
     while left:
         level = seen = left & -left
         color = 1
@@ -579,6 +584,7 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
             for v in bits(level):
                 reach |= adj[v]
                 colors[v] = color
+            reach &= mask
             if reach & level:
                 return None
             level = reach & ~seen
@@ -588,20 +594,20 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
     return colors
 
 
-def _sides(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    colors = two_coloring(g)
+def _sides(g: Graph, mask: int) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    colors = two_coloring(g, mask)
     return None if colors is None else tuple(
-        frozenset(v for v in range(g.n) if colors[v] == c) for c in (1, 2))
+        frozenset(v for v in bits(mask) if colors[v] == c) for c in (1, 2))
 
 
-def _clusters(g: Graph) -> Optional[tuple[frozenset[int], ...]]:
-    if not _cliques_within(g.adj_bits, g.full_mask, False):
+def _clusters(g: Graph, mask: int) -> Optional[tuple[frozenset[int], ...]]:
+    if not _cliques_within(g.adj_bits, mask, False):
         return None
-    return tuple(g.connected_components())
+    return tuple(frozenset(bits(comp)) for comp in g.component_masks(mask))
 
 
-def _peo(g: Graph) -> Optional[tuple[int, ...]]:
-    peo = mcs_order(g)
+def _peo(g: Graph, mask: int) -> Optional[tuple[int, ...]]:
+    peo = mcs_order(g, mask)
     return peo if is_perfect_elimination(g, peo) else None
 
 
@@ -626,8 +632,9 @@ _CLASSES: dict[str, tuple] = {
 CLASSES = tuple(_CLASSES)
 
 
-def recognize(g: Graph, cls: str) -> Recognition:
-    """Class membership plus a validating witness.
+def recognize(g: Graph, cls: str, within: Optional[int] = None) -> Recognition:
+    """Class membership of G[within] (default: all of G) plus a
+    validating witness, both in G's ids.
 
     Verdicts agree with exhaustive forbidden-subgraph search (this is
     property-tested at small sizes).
@@ -635,16 +642,17 @@ def recognize(g: Graph, cls: str) -> Recognition:
     entry = _CLASSES.get(cls)
     if entry is None:
         raise ValueError(f"unsupported class {cls!r}")
+    mask = g.full_mask if within is None else within
     build, kinds = entry
     if isinstance(build, str):
-        inner = recognize(g.complement(), build)
+        inner = recognize(g.complement(), build, mask)
         return replace(inner, cls=cls, witness_kind=None if inner.member else kinds)
-    structure = None if build is None else build(g)
+    structure = None if build is None else build(g, mask)
     if isinstance(structure, frozenset):
         return Recognition(cls, False, structure, kinds[0])
     if structure is None:
         for kind in kinds:
-            witness = find_induced(g, kind)
+            witness = find_induced(g, kind, mask)
             if witness is not None:
                 return Recognition(cls, False, witness, kind)
         if build is not None:

@@ -20,9 +20,9 @@ Contracts (all oracle-tested at small sizes):
   is the same DFS on a clique contraction G<Y>, with Y kept virtual.
 * ``vc_2approx`` returns a vertex cover of weight at most twice the
   optimum (local ratio on edges).
-* ``wvc_forest``, ``lp_half_integral_vc``, ``fvs_2approx`` and
-  ``vc_2approx`` solve G[within] for an optional vertex mask ``within``
-  (default: all of G), in G's ids.  The LP's values outside ``within``
+* ``wvc_forest``, ``lp_half_integral_vc``, ``max_matching``,
+  ``fvs_2approx`` and ``vc_2approx`` solve G[within] for an optional
+  vertex mask ``within`` (default: all of G), in G's ids.  The LP's values outside ``within``
   are 0, and its v0, v_half and v1 partition ``within``.
 """
 
@@ -255,21 +255,25 @@ def lp_half_integral_vc(
 # maximum matching (blossom contraction)
 
 
-def max_matching(g: Graph) -> Matching:
-    """Maximum cardinality matching in a general graph.
+def max_matching(g: Graph, within: Optional[int] = None) -> Matching:
+    """Maximum cardinality matching of G[within] (default: all of G).
 
     Alternating-tree search with blossom contraction; O(n^3) and honest
     about odd components, which bipartite augmenting paths are not.
     """
     n = g.n
+    adj = g.adj_bits
+    mask = g.full_mask if within is None else within
+    verts = list(bits(mask))
     match = [-1] * n
-    for u in range(n):                      # greedy warm start
-        if match[u] == -1:
-            for v in g.adj[u]:
-                if match[v] == -1:
-                    match[u] = v
-                    match[v] = u
-                    break
+    free = mask
+    for u in verts:                         # greedy warm start
+        nb = adj[u] & free
+        if free >> u & 1 and nb:
+            v = (nb & -nb).bit_length() - 1
+            match[u] = v
+            match[v] = u
+            free ^= (1 << u) | (1 << v)
 
     def find_path(root: int) -> bool:
         used = [False] * n
@@ -306,7 +310,7 @@ def max_matching(g: Graph) -> Matching:
         while head < len(queue):
             v = queue[head]
             head += 1
-            for to in g.adj[v]:
+            for to in bits(adj[v] & mask):
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
@@ -314,7 +318,7 @@ def max_matching(g: Graph) -> Matching:
                     blossom = [False] * n
                     mark_path(v, curbase, to, blossom)
                     mark_path(to, curbase, v, blossom)
-                    for i in range(n):
+                    for i in verts:
                         if blossom[base[i]]:
                             base[i] = curbase
                             if not used[i]:
@@ -335,10 +339,10 @@ def max_matching(g: Graph) -> Matching:
                     queue.append(match[to])
         return False
 
-    for v in range(n):
+    for v in verts:
         if match[v] == -1:
             find_path(v)
-    return frozenset((u, match[u]) for u in range(n) if match[u] > u)
+    return frozenset((u, match[u]) for u in verts if match[u] > u)
 
 
 # ---------------------------------------------------------------------
@@ -517,18 +521,20 @@ def vc_2approx(
     mask = g.full_mask if within is None else within
     if w is None:
         return frozenset(bits(matching_cover(g.adj_bits, mask, 0)))
+    adj = g.adj_bits
     wp = list(w)
     cover: set[int] = set()
-    for u, v in g.edges():
-        if u in cover or v in cover or not (mask >> u & mask >> v & 1):
-            continue
-        gamma = min(wp[u], wp[v])
-        wp[u] -= gamma
-        wp[v] -= gamma
-        if wp[u] == 0:
-            cover.add(u)
-        if wp[v] == 0:
-            cover.add(v)
+    for u in bits(mask):
+        for v in bits(adj[u] & mask >> (u + 1) << (u + 1)):
+            if u in cover or v in cover:
+                continue
+            gamma = min(wp[u], wp[v])
+            wp[u] -= gamma
+            wp[v] -= gamma
+            if wp[u] == 0:
+                cover.add(u)
+            if wp[v] == 0:
+                cover.add(v)
     return frozenset(cover)
 
 

@@ -32,6 +32,33 @@ def connected_corpus(count: int, n_lo: int, n_hi: int, seed0: int = 0):
     return out
 
 
+MASK_DENSITIES = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+
+
+def masked_corpus():
+    """(graph, vertex mask) pairs for the checks that a routine under a
+    mask answers what it answers on the induced subgraph: random graphs
+    (n 0..21 at densities 1/5, 1/2 and 4/5) and planted draws of every
+    generator class (n = 10, 20 and 40, k = n/10), each under the empty
+    mask, the full mask and three random masks; a planted draw also under
+    the mask of its unplanted vertices."""
+    from epa.generator import GENERATOR_CLASSES, GeneratorSpec, SplitMix64, generate
+    from epa.graphs import mask_of
+
+    graphs = [(random_graph(n, d, 3300 + 3 * n + j), frozenset())
+              for n in range(22) for j, d in enumerate(MASK_DENSITIES)]
+    graphs += [generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), 3400 + n))
+               for cls in GENERATOR_CLASSES for n in (10, 20, 40)]
+    rng = SplitMix64(3500)
+    for g, planted in graphs:
+        masks = [0, g.full_mask] + [mask_of(v for v in range(g.n) if rng.chance(Fraction(p, 4)))
+                                    for p in (1, 2, 3)]
+        if planted:
+            masks.append(g.full_mask & ~mask_of(planted))
+        for within in masks:
+            yield g, within
+
+
 def cliques(g: Graph, sizes):
     """Every clique of ``g`` with a size in ``sizes``, size by size, each
     size in lexicographic order."""

@@ -153,6 +153,23 @@ def test_p3k1_bound_corpus():
         assert sol.colors_used <= chi_rest + k
 
 
+def test_p3k1_rest_is_matched_in_g_ids(monkeypatch):
+    """color_p3k1free matches its rest on the complement under a vertex
+    mask: it builds no induced subgraph and relabels nothing, on planted
+    p3k1-free draws whose rest is large and on random graphs."""
+    graphs = [generate(GeneratorSpec("p3k1-free", n, n // 10, Fraction(1, 2), 5900 + n))[0]
+              for n in (40, 90, 135)]
+    graphs += corpus(20, 1, 12, seed0=5950)
+    expect = [color_p3k1free(g) for g in graphs]
+
+    def forbidden(*args):
+        raise AssertionError("color_p3k1free built a subgraph")
+
+    monkeypatch.setattr(Graph, "relabeled", forbidden)
+    monkeypatch.setattr(Graph, "induced_subgraph", forbidden)
+    assert [color_p3k1free(g) for g in graphs] == expect
+
+
 def test_p3k1_phase2_matches_matching_count():
     # on graphs with no independent triple, colors = n - max matching in
     # the complement

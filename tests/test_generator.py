@@ -80,6 +80,29 @@ def test_generate_self_check_rejects_a_broken_base(monkeypatch, base, build, n, 
         generate(GeneratorSpec(base, n, k, Fraction(1, 2), 1))
 
 
+def test_generate_relabels_once_and_builds_no_subgraph(monkeypatch):
+    """generate relabels its construction once, the final shuffle, and
+    self-checks the final graph under a vertex mask, so it builds no
+    induced subgraph: every class, with and without planted vertices."""
+    calls = []
+    relabeled = Graph.relabeled
+
+    def counted(g, old):
+        calls.append(len(old))
+        return relabeled(g, old)
+
+    def forbidden(*args):
+        raise AssertionError("generate built an induced subgraph")
+
+    monkeypatch.setattr(Graph, "relabeled", counted)
+    monkeypatch.setattr(Graph, "induced_subgraph", forbidden)
+    for base in GENERATOR_CLASSES:
+        for k in (0, 3):
+            g, _ = generate(GeneratorSpec(base, 30, k, Fraction(1, 2), 7400))
+            assert calls == [g.n], (base, k)
+            calls.clear()
+
+
 def test_generate_rejects_unknown_class():
     with pytest.raises(GenerationError):
         generate(GeneratorSpec("interval", 5, 0, Fraction(1, 2), 0))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from epa.recognize import (
     recognize,
     two_coloring,
 )
-from conftest import brute_member, corpus
+from conftest import brute_member, corpus, masked_corpus
 from small_graphs import (
     adjacent,
     complete_graph,
@@ -388,6 +389,45 @@ def test_cotree_within_is_the_cotree_of_the_induced_subgraph():
             assert tree == _mapped(build_cotree(sub), old)
             seen.add(type(tree))
     assert seen == {Cotree, frozenset}
+
+
+def _mapped_structure(structure, old):
+    """A recognition's structure with each vertex v renamed ``old[v]``:
+    a cotree leaf by leaf, a PEO in order, and sides, components or a
+    split partition part by part."""
+    if structure is None:
+        return None
+    if isinstance(structure, Cotree):
+        return _mapped(structure, old)
+    return tuple(frozenset(old[v] for v in part) if isinstance(part, frozenset) else old[part]
+                 for part in structure)
+
+
+def test_recognize_within_is_recognition_of_the_induced_subgraph():
+    """recognize(g, cls, within) for every class is recognize(sub, cls)
+    on sub = G[within], its witness and structure mapped back to G's ids;
+    two_coloring(g, within) is two_coloring(sub) mapped back, 0 outside
+    the mask, and None on the same masks."""
+    kinds = set()
+    for g, within in masked_corpus():
+        sub, old = g.induced_subgraph(bits(within))
+        for cls in CLASSES:
+            got, expect = recognize(g, cls, within), recognize(sub, cls)
+            kinds.add((got.member, type(got.structure).__name__))
+            assert got == replace(
+                expect,
+                witness=None if expect.witness is None else frozenset(old[v] for v in expect.witness),
+                structure=_mapped_structure(expect.structure, old),
+            ), (cls, within, sorted(g.edges()))
+        colors, sub_colors = two_coloring(g, within), two_coloring(sub)
+        if sub_colors is None:
+            assert colors is None
+        else:
+            lifted = [0] * g.n
+            for v, c in zip(old, sub_colors):
+                lifted[v] = c
+            assert colors == lifted
+    assert kinds >= {(True, "tuple"), (True, "Cotree"), (False, "NoneType"), (True, "NoneType")}
 
 
 def _deepest_path(tree: Cotree) -> list[Cotree]:

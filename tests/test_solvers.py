@@ -26,7 +26,7 @@ from epa.solvers import (
     wvc_cograph,
     wvc_forest,
 )
-from conftest import connected_corpus, corpus, weights_for
+from conftest import connected_corpus, corpus, masked_corpus, weights_for
 from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 from test_recognize import _build_cotree_recursive
 
@@ -273,6 +273,18 @@ def test_matching_matches_oracle():
         m = max_matching(g)
         assert is_matching(g, m)
         assert len(m) == exact_max_matching_size(g)
+
+
+def test_matching_within_is_the_matching_of_the_induced_subgraph():
+    """max_matching(g, within) is max_matching(G[within]) with its pairs
+    mapped back to G's ids, edge for edge."""
+    sizes = set()
+    for g, within in masked_corpus():
+        sub, old = g.induced_subgraph(bits(within))
+        got = max_matching(g, within)
+        assert got == {(old[u], old[v]) for u, v in max_matching(sub)}, (within, sorted(g.edges()))
+        sizes.add(len(got))
+    assert max(sizes) > 5
 
 
 # -- FVS 2-approximation -------------------------------------------------

@@ -103,3 +103,27 @@ def test_vertex_cover_builds_no_derived_graph():
     reads = _reads(ast.parse(path.read_text(), str(path)))
     derived = [name for name in ("induced_subgraph", "relabeled", "complement") if reads[name]]
     assert not derived, derived
+
+
+def _attributes(node: ast.AST) -> Counter:
+    """How often each attribute is read under ``node``.  Unlike
+    ``_reads``, a local name such as ``adj`` does not count."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_one_adjacency_form_in_the_algorithm_layer():
+    """The algorithm modules read the adjacency masks only: no ``.adj``
+    tuples and no ``.edges()``.  ``generator`` self-checks under a vertex
+    mask and reads no ``induced_subgraph``; ``coloring`` reads it once,
+    in ``color_with_class_oracle``."""
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text())
+             for name in ("solvers", "vertex_cover", "connected_vc", "coloring", "packing",
+                          "recognize", "generator")}
+    found = [f"{name}.py: .{attr}" for name, tree in trees.items() if name != "generator"
+             for attr in ("adj", "edges") if _attributes(tree)[attr]]
+    assert not found, found
+    assert not _attributes(trees["generator"])["induced_subgraph"]
+    oracle = next(node for node in trees["coloring"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "color_with_class_oracle")
+    assert _attributes(trees["coloring"])["induced_subgraph"] == 1
+    assert _attributes(oracle)["induced_subgraph"] == 1
