@@ -507,8 +507,7 @@ def _co_components(adj: Sequence[int], mask: int) -> list[int]:
 
 
 def mcs_order(g: Graph, mask: int) -> tuple[int, ...]:
-    """Maximum-cardinality-search ordering of G[mask]; reversed it is a
-    candidate PEO.
+    """Maximum-cardinality-search order of G[mask]; reversed, a candidate PEO.
 
     Each step picks the lowest unpicked vertex with the most picked
     neighbours; ``buckets[w]`` masks the unpicked ones with w of them.
@@ -556,10 +555,9 @@ def is_perfect_elimination(g: Graph, peo: tuple[int, ...]) -> bool:
 def _try_split_partition(g: Graph, mask: int) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Hammer-Simeone degree test on G[mask]; returns (clique, independent set)."""
     adj = g.adj_bits
-    n = mask.bit_count()
     by_deg = sorted(bits(mask), key=lambda v: (-(adj[v] & mask).bit_count(), v))
     degs = [(adj[v] & mask).bit_count() for v in by_deg]
-    m_idx = max((i + 1 for i in range(n) if degs[i] >= i), default=0)
+    m_idx = max((i + 1 for i, d in enumerate(degs) if d >= i), default=0)
     lhs = sum(degs[:m_idx])
     rhs = m_idx * (m_idx - 1) + sum(degs[m_idx:])
     if lhs != rhs:

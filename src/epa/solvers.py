@@ -22,8 +22,9 @@ Contracts (all oracle-tested at small sizes):
   optimum (local ratio on edges).
 * ``wvc_forest``, ``lp_half_integral_vc``, ``max_matching``,
   ``fvs_2approx`` and ``vc_2approx`` solve G[within] for an optional
-  vertex mask ``within`` (default: all of G), in G's ids.  The LP's values outside ``within``
-  are 0, and its v0, v_half and v1 partition ``within``.
+  vertex mask ``within`` (default: all of G), in G's ids.  The LP's
+  values outside ``within`` are 0, and its v0, v_half and v1 partition
+  ``within``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from epa.certify import induces_pattern
-from epa.graphs import Graph
-from epa.generator import random_connected_graph, random_graph, random_weights
+from epa.graphs import Graph, mask_of
+from epa.generator import (
+    GENERATOR_CLASSES,
+    GeneratorSpec,
+    SplitMix64,
+    generate,
+    random_connected_graph,
+    random_graph,
+    random_weights,
+)
 from small_graphs import adjacent
 
 DENSITIES = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
@@ -42,9 +50,6 @@ def masked_corpus():
     generator class (n = 10, 20 and 40, k = n/10), each under the empty
     mask, the full mask and three random masks; a planted draw also under
     the mask of its unplanted vertices."""
-    from epa.generator import GENERATOR_CLASSES, GeneratorSpec, SplitMix64, generate
-    from epa.graphs import mask_of
-
     graphs = [(random_graph(n, d, 3300 + 3 * n + j), frozenset())
               for n in range(22) for j, d in enumerate(MASK_DENSITIES)]
     graphs += [generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), 3400 + n))

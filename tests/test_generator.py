@@ -59,25 +59,17 @@ def test_generate_planted_verified_every_class():
             assert recognize(rest, base).member
 
 
-def _path_rows(rng, n, density):
-    return [(1 << v >> 1 | 1 << v << 1) & ((1 << n) - 1) for v in range(n)]
-
-
-def _two_k2_rows(rng, n, density):
-    return [0b0010, 0b0001, 0b1000, 0b0100]
-
-
-@pytest.mark.parametrize("base, build, n", [
-    ("cluster", _path_rows, 3),          # P3 is no cluster graph
-    ("cochordal", _two_k2_rows, 4),      # the complement of 2K2 is a C4
+@pytest.mark.parametrize("base, rows", [
+    ("cluster", (0b010, 0b101, 0b010)),              # P3 is no cluster graph
+    ("cochordal", (0b0010, 0b0001, 0b1000, 0b0100)),  # 2K2, whose complement is a C4
 ])
 @pytest.mark.parametrize("k", [0, 2])
-def test_generate_self_check_rejects_a_broken_base(monkeypatch, base, build, n, k):
+def test_generate_self_check_rejects_a_broken_base(monkeypatch, base, rows, k):
     """A base construction that leaves its class is caught by the
     recognizer at generation time, planted vertices or not."""
-    monkeypatch.setitem(generator._BASES, base, build)
+    monkeypatch.setitem(generator._BASES, base, lambda rng, n, density: list(rows))
     with pytest.raises(GenerationError, match="construction bug"):
-        generate(GeneratorSpec(base, n, k, Fraction(1, 2), 1))
+        generate(GeneratorSpec(base, len(rows), k, Fraction(1, 2), 1))
 
 
 def test_generate_relabels_once_and_builds_no_subgraph(monkeypatch):

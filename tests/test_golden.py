@@ -33,8 +33,8 @@ were solved in G's ids, and its residual scale digest before the
 cluster, chordal and fvs rests were solved in G's ids; the 3-maximal
 packing digest before its swap search skipped pools with fewer than
 three vertices per wanted triangle; the coloring digest before
-``color_p3k1free`` matched its rest in G's ids and
-``color_degeneracy`` kept its colour classes as masks; the oracle-sweep CSV and
+``color_p3k1free`` matched its rest in G's ids and ``color_degeneracy``
+kept its colour classes as masks; the oracle-sweep CSV and
 every-class ``verify --json`` digests before ``epa bench`` asked each
 exact oracle once per instance; the deep-descent ``cvc_split`` digest
 before the driver descended on contraction rows in G's id space.  The

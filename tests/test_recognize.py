@@ -1,5 +1,5 @@
-from fractions import Fraction
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
