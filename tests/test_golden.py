@@ -19,7 +19,9 @@ before the tail ran on G's adjacency masks from the contraction's
 optimum up; the pattern and obstruction digests before ``certify`` and ``oracle`` moved
 to one table each; the parse digest before canonical edge blocks were
 read in bulk; the generator digest before the base classes were built
-as adjacency masks; the pattern-search digest before ``find_induced``
+as adjacency masks, and its scale digest before runs of draws were
+computed lane-packed and the serializer read adjacency masks; the
+pattern-search digest before ``find_induced``
 decided pattern-freeness by a clique-partition check; the
 ``vc_split`` and larger ``cvc_split`` digests before the split rows
 seeded their budgeted searches with the recursion's cover; the
@@ -769,6 +771,34 @@ def test_generate_golden():
                         h.update(serialize_instance(g).encode())
                         h.update(f"planted {sorted(planted)}\n".encode())
     assert h.hexdigest() == GENERATE_SHA256
+
+
+# Total n of the scale generator digest, per class: the benchmark's
+# sizes, which GENERATE_SIZES does not reach.  Bipartite, split and
+# triangle-free draw once per vertex pair, so they stop at n = 400.
+GENERATE_SCALE_SIZES = {
+    "cluster": (400, 800), "cocluster": (400, 800), "forest": (400, 800), "chordal": (400, 800),
+    "bipartite": (200, 400), "split": (200, 400), "triangle-free": (200, 400),
+}
+GENERATE_SCALE_SHA256 = "2566771e6905a766e6b376c0981bbab59f8388bcc1a87bd5c3324cd7c3a8ac8b"
+
+
+def test_generate_scale_golden():
+    """serialize_instance(g, w) and the sorted planted set of generate()
+    at GENERATE_SCALE_SIZES (k = n/10 planted), densities 1/2 and 1/3
+    and two seeds; w is a random_weights draw on each class's first
+    draw and None on the others."""
+    h = hashlib.sha256()
+    for i, (base, sizes) in enumerate(GENERATE_SCALE_SIZES.items()):
+        first = (sizes[0], Fraction(1, 2), 4500 + i)
+        for n in sizes:
+            for density in (Fraction(1, 2), Fraction(1, 3)):
+                for seed in (4500 + i, 4550 + i):
+                    g, planted = generate(GeneratorSpec(base, n - n // 10, n // 10, density, seed))
+                    w = random_weights(g.n, seed) if (n, density, seed) == first else None
+                    h.update(serialize_instance(g, w).encode())
+                    h.update(f"planted {sorted(planted)}\n".encode())
+    assert h.hexdigest() == GENERATE_SCALE_SHA256
 
 
 # -- pattern search ------------------------------------------------------
