@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable
 
-from .graphs import Graph, Weights, bits, mask_of
+from .graphs import Graph, Weights, _neighbours, bits, mask_of
 from .instances import MAX_VERTICES
 from .recognize import recognize
 
@@ -24,10 +24,25 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_FOREST_EDGE = Fraction(7, 8)
+_CHORDAL_EDGE = Fraction(15, 16)
+
+# ``chances`` runs up to _WIDTH draws at once, draw i in bits 128i..128i+127
+# of one integer: one per lane, 2^64 - 1 per lane and i + 1 per lane.
+_WIDTH = 1024
+_ONES = int.from_bytes(bytes([1] + [0] * 15) * _WIDTH, "little")
+_LANES = _ONES * _M64
+_STEPS = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, _WIDTH + 1)),
+                        "little")
+_BIT126 = bytes(b >> 6 & 1 for b in range(256))
 
 
 class SplitMix64:
-    """The standard splitmix64 stream (documented constants above)."""
+    """The standard splitmix64 stream (documented constants above).
+
+    ``chances`` computes a run of ``chance`` draws lane-packed, one big
+    integer operation per step of ``next64`` for up to _WIDTH draws, and
+    gives the same results and the same state as the single draws."""
 
     def __init__(self, seed: int):
         self.state = seed & _M64
@@ -46,6 +61,33 @@ class SplitMix64:
     def chance(self, p: Fraction) -> bool:
         """True with probability p (exact up to 2^-64)."""
         return self.next64() * p.denominator < p.numerator * (1 << 64)
+
+    def chances(self, count: int, p: Fraction) -> bytes:
+        """The next ``count`` results of ``chance(p)``, as bytes 0 and 1.
+
+        Each lane's value stays below 2^128: states and xor-shifts are
+        masked back to 64 bits (a shift brings down the next lane's low
+        bits), and products of two 64-bit values fit.  With q < 2^62,
+        lane i of (2^126 - 1 + p 2^64) - output q lies in [0, 2^127) and
+        has bit 126 set exactly when output q < p 2^64."""
+        q = p.denominator
+        if q >= 1 << 62:
+            return bytes([self.chance(p) for _ in range(count)])
+        out = []
+        test = (1 << 126) - 1 + (p.numerator << 64)
+        for start in range(0, count, _WIDTH):
+            width = min(_WIDTH, count - start)
+            low = (1 << 128 * width) - 1
+            ones, lanes = _ONES & low, _LANES & low
+            z = (self.state * ones + _GAMMA * (_STEPS & low)) & lanes
+            self.state = (self.state + width * _GAMMA) & _M64
+            z = (z ^ z >> 30) & lanes
+            z = (z * _MIX1) & lanes
+            z = (z ^ z >> 27) & lanes
+            z = (z * _MIX2) & lanes
+            z = (z ^ z >> 31) & lanes
+            out.append((test * ones - z * q).to_bytes(16 * width, "little")[15::16])
+        return b"".join(out).translate(_BIT126)
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
@@ -93,7 +135,7 @@ def _base_cluster(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
 def _base_forest(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     rows = [0] * n
     for v in range(1, n):
-        if rng.chance(Fraction(7, 8)):
+        if rng.chance(_FOREST_EDGE):
             u = rng.below(v)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
@@ -104,16 +146,17 @@ def _draw_pairs(rng: SplitMix64, rows: list[int], others: list[int],
                 density: Fraction) -> list[int]:
     """``rows`` plus the edge uv for each v > u in ``others[u]`` with the
     given chance, one draw per pair in lexicographic order."""
+    n = len(rows)
     for u, other in enumerate(others):
-        for v in bits(other >> (u + 1) << (u + 1)):
-            if rng.chance(density):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        vs = _neighbours(other >> (u + 1) << (u + 1), n)
+        for v in compress(vs, rng.chances(len(vs), density)):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
     return rows
 
 
 def _base_bipartite(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
-    side = [rng.chance(Fraction(1, 2)) for _ in range(n)]
+    side = rng.chances(n, Fraction(1, 2))
     right = mask_of(compress(range(n), side))
     left = ((1 << n) - 1) ^ right
     return _draw_pairs(rng, [0] * n, [left if s else right for s in side], density)
@@ -121,7 +164,7 @@ def _base_bipartite(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
 
 def _base_split(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     # clique pairs are edges and independent pairs are not, without a draw
-    in_clique = [rng.chance(Fraction(1, 2)) for _ in range(n)]
+    in_clique = rng.chances(n, Fraction(1, 2))
     clique = mask_of(compress(range(n), in_clique))
     rest = ((1 << n) - 1) ^ clique
     rows = [clique ^ (1 << v) if c else 0 for v, c in enumerate(in_clique)]
@@ -159,7 +202,7 @@ def _base_chordal(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     # order is a perfect elimination ordering
     rows = [0] * n
     for v in range(1, n):
-        if not rng.chance(Fraction(15, 16)):
+        if not rng.chance(_CHORDAL_EDGE):
             continue
         clique = 1 << rng.below(v)
         common = rows[clique.bit_length() - 1]  # earlier, adjacent to all of clique
@@ -250,10 +293,9 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:
     rng = SplitMix64(spec.seed)
     rows = _BASES[spec.base](rng, spec.n, spec.density) + [0] * spec.k
     for p in range(spec.n, total):
-        for u in range(p):
-            if rng.chance(spec.density):
-                rows[u] |= 1 << p
-                rows[p] |= 1 << u
+        for u in compress(range(p), rng.chances(p, spec.density)):
+            rows[u] |= 1 << p
+            rows[p] |= 1 << u
     perm = list(range(total))
     rng.shuffle(perm)
     # vertex u of the construction gets the label perm[u]

@@ -15,11 +15,10 @@ a dense graph take n^2/8 bytes, 512 MiB at the cap.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, NoReturn, Optional
 
-from .graphs import Graph, Weights, unit_weights
+from .graphs import Graph, Weights, _neighbours, unit_weights
 
 MAX_VERTICES = 2**16
 
@@ -202,13 +201,16 @@ def serialize_instance(
                 lines.append(f"v {v + 1} {tok}")
     # The "e u v" lines in the order of g.edges(), one join per row over
     # the ids as strings instead of one format per line; the leading ""
-    # puts the separator "\ne u " before every neighbour.  No string is
+    # puts the separator "\ne u " before every neighbour.  The higher
+    # neighbours are read from each mask, so the neighbour tuples of
+    # ``g.adj`` (each edge twice) are not built.  No string is
     # concatenated: temporary copies of rows or of the text raised the
     # benchmark set-up's peak RSS (by 0.3 MB, with an n = 800 instance).
-    labels = list(map(str, range(1, g.n + 1)))
+    n = g.n
+    labels = list(map(str, range(1, n + 1)))
     rows = []
-    for u, nbrs in enumerate(g.adj):
-        higher = nbrs[bisect_right(nbrs, u):]
+    for u, row in enumerate(g.adj_bits):
+        higher = _neighbours(row >> (u + 1) << (u + 1), n)
         if higher:
             rows.append(f"\ne {labels[u]} ".join(["", *map(labels.__getitem__, higher)]))
     return "".join(["\n".join(lines), *rows, "\n"])

@@ -40,6 +40,23 @@ def test_splitmix64_below_and_chance():
     assert 800 <= hits <= 1200
 
 
+CHANCES_SEEDS = (0, 1, 12345, 2**64 - 1)
+# 1/2^70 and (2^61 - 1)/(2^62 - 1) sit on either side of the lane-packed
+# bound q < 2^62; counts cross the 1024-draw chunk boundaries.
+CHANCES_DENSITIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(7, 8),
+                     Fraction(1, 2**70), Fraction(2**61 - 1, 2**62 - 1))
+CHANCES_COUNTS = (0, 1, 2, 3, 17, 100, 1000, 1023, 1024, 1025, 2100)
+
+
+def test_chances_is_repeated_chance():
+    for seed in CHANCES_SEEDS:
+        for p in CHANCES_DENSITIES:
+            for count in CHANCES_COUNTS:
+                rng, rng2 = SplitMix64(seed), SplitMix64(seed)
+                assert list(map(bool, rng.chances(count, p))) == [rng2.chance(p) for _ in range(count)]
+                assert rng.state == rng2.state, (seed, p, count)
+
+
 def test_generate_deterministic_bytes():
     spec = GeneratorSpec("chordal", 11, 2, Fraction(1, 2), 99)
     g1, p1 = generate(spec)

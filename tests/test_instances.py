@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,30 @@ def test_roundtrip_generated():
     text = serialize_instance(g)
     g2, _ = parse_instance(text)
     assert g2 == g
+
+
+def _serialize_reference(g, w=None):
+    """serialize_instance as it was written over ``g.adj``: each row's
+    neighbour tuple cut above u by ``bisect_right``."""
+    lines = [f"p epa {g.n} {g.m}"]
+    if w is not None and tuple(w) != unit_weights(g.n):
+        lines += [f"v {v + 1} {x}" for v, x in enumerate(w) if x != 1]
+    for u, nbrs in enumerate(g.adj):
+        lines += [f"e {u + 1} {v + 1}" for v in nbrs[bisect_right(nbrs, u):]]
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_matches_neighbour_tuple_form_and_builds_no_tuples():
+    cases = [random_graph(n, density, 7200 + n)
+             for n in (0, 1, 2, 5, 17, 64, 65, 130, 200)
+             for density in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))]
+    cases += [generate(GeneratorSpec(base, n - n // 10, n // 10, Fraction(1, 2), 7300 + n))[0]
+              for base in ("cocluster", "forest", "split") for n in (10, 100, 200)]
+    for i, g in enumerate(cases):
+        for w in (None, random_weights(g.n, 7400 + i)):
+            text = serialize_instance(g, w)
+            assert g._adj is None
+            assert text == _serialize_reference(Graph._from_masks(g.adj_bits), w)
 
 
 @pytest.mark.parametrize(
