@@ -27,8 +27,9 @@ _MIX2 = 0x94D049BB133111EB
 _FOREST_EDGE = Fraction(7, 8)
 _CHORDAL_EDGE = Fraction(15, 16)
 
-# ``chances`` runs up to _WIDTH draws at once, draw i in bits 128i..128i+127
-# of one integer: one per lane, 2^64 - 1 per lane and i + 1 per lane.
+# ``chances`` runs up to _WIDTH draws at once, draw i in lane i (bits
+# 128i..128i+127) of one integer; lane i of _ONES, _LANES and _STEPS holds
+# 1, 2^64 - 1 and i + 1, and _BIT126 reads bit 126 from a lane's top byte.
 _WIDTH = 1024
 _ONES = int.from_bytes(bytes([1] + [0] * 15) * _WIDTH, "little")
 _LANES = _ONES * _M64
@@ -146,9 +147,8 @@ def _draw_pairs(rng: SplitMix64, rows: list[int], others: list[int],
                 density: Fraction) -> list[int]:
     """``rows`` plus the edge uv for each v > u in ``others[u]`` with the
     given chance, one draw per pair in lexicographic order."""
-    n = len(rows)
     for u, other in enumerate(others):
-        vs = _neighbours(other >> (u + 1) << (u + 1), n)
+        vs = _neighbours(other >> (u + 1) << (u + 1), len(rows))
         for v in compress(vs, rng.chances(len(vs), density)):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
