@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, component_mask
 
 
 def _vertex_mask(g: Graph, ids: Iterable[int]) -> Optional[int]:
@@ -44,7 +44,7 @@ def _covers(g: Graph, cover: int) -> bool:
 
 def _connected(g: Graph, mask: int) -> bool:
     """G[mask] is connected; the empty set counts as connected."""
-    return not mask or g.component_mask((mask & -mask).bit_length() - 1, mask) == mask
+    return not mask or component_mask(g.adj_bits, (mask & -mask).bit_length() - 1, mask) == mask
 
 
 def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import Graph, bits, component_mask, contraction_rows, first_triangle, mask_covers, mask_of
+from .graphs import Graph, bits, connected, contraction_rows, first_triangle, mask_covers, mask_of
 from .solvers import matching_cover, savage_mask
 from .vertex_cover import VertexCoverSol, _improve_to_2maximal
 
@@ -121,11 +121,6 @@ def _brute_min_cvc(adj: Sequence[int], within: int, limit: int, start: int = 1) 
     return None
 
 
-def _connected(adj: Sequence[int], within: int) -> bool:
-    """True when the graph on the vertex mask ``within`` is connected."""
-    return not within or component_mask(adj, (within & -within).bit_length() - 1, within) == within
-
-
 # ---------------------------------------------------------------------
 # budgeted connected cover
 
@@ -144,7 +139,7 @@ def cvc_budgeted(
     and None otherwise; the walk over Y skips every branch that cannot
     beat the best so far (see the module docstring).
     """
-    if not _connected(adj, within):
+    if not connected(adj, within):
         raise ValueError("budgeted connected cover needs a connected graph")
     n = within.bit_count()
     if below is None:
@@ -205,7 +200,7 @@ def cvc_small_after_contraction(
     premise, and with the same message when OPT(G<z>) is above c + 1, as
     the floor then puts every G<z - u> past that limit.
     """
-    if not _connected(adj, within):
+    if not connected(adj, within):
         raise ValueError("needs a connected graph")
     # each member of z is a vertex of the graph adjacent to every other
     # member; z is tested against within before any row is read

@@ -1,10 +1,11 @@
 """Immutable simple undirected graphs with dense integer vertex ids.
 
 Vertices are always 0..n-1.  Adjacency is kept as integer bitmasks
-(``adj_bits``, for the set arithmetic that the solvers and oracles lean
-on) and, for iteration, as sorted neighbour tuples (``adj``).  The
-tuples are built from the masks on first use, so a graph that only
-ever sees mask work never builds them.  All graph values are immutable.
+(``adj_bits``), the one form that every other module of the package
+reads; a graph question has one mask-level helper here (``connected``,
+``mask_covers``, ``component_mask``).  Sorted neighbour tuples
+(``adj``) are built from the masks on first use, only for callers
+outside the package.  All graph values are immutable.
 
 Outside input is validated exactly once, where it enters: ``Graph(n,
 edges)`` checks every edge (range, self-loop, duplicate, the last by a
@@ -105,6 +106,13 @@ def component_mask(adj_bits: Sequence[int], start: int, within: int) -> int:
     return comp
 
 
+def connected(adj_bits: Sequence[int], within: int) -> bool:
+    """True when the graph on the vertex mask ``within`` of the adjacency
+    masks ``adj_bits`` is connected; the empty mask counts as connected."""
+    start = (within & -within).bit_length() - 1
+    return not within or component_mask(adj_bits, start, within) == within
+
+
 def contraction_rows(adj_bits: Sequence[int], y: int, within: int) -> tuple[list[int], int]:
     """Rows of the contraction G<y> of the graph on the vertex mask
     ``within``, in the same id space, and its vertex mask.  The kept
@@ -182,11 +190,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        adj = self.adj
-        for u in range(self.n):
-            for v in adj[u]:
-                if v > u:
-                    yield (u, v)
+        for u, row in enumerate(self.adj_bits):
+            for v in bits(row >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     @property
     def full_mask(self) -> int:
@@ -304,9 +310,6 @@ class Graph:
                 by_deg[du - 1] |= 1 << u
         return tuple(order), degen
 
-    def connected_components(self) -> list[frozenset[int]]:
-        return [frozenset(bits(comp)) for comp in self.component_masks(self.full_mask)]
-
     def component_masks(self, within: int) -> list[int]:
         """Masks of the connected components of G[within], by lowest vertex."""
         comps = []
@@ -317,26 +320,8 @@ class Graph:
             left &= ~comp
         return comps
 
-    def component_mask(self, start: int, within: int) -> int:
-        """Mask of the connected component of ``start`` inside ``within``."""
-        return component_mask(self.adj_bits, start, within)
-
-    def covers(self, cover: int, within: int) -> bool:
-        """True when the vertex mask ``cover`` covers every edge of G[within]."""
-        return mask_covers(self.adj_bits, cover, within)
-
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return component_mask(self.adj_bits, 0, self.full_mask) == self.full_mask
-
-    def induces_connected(self, s: Iterable[int]) -> bool:
-        """True when G[s] is connected (the empty set counts as connected)."""
-        m = mask_of(s)
-        if m == 0:
-            return True
-        start = (m & -m).bit_length() - 1
-        return component_mask(self.adj_bits, start, m) == m
+        return connected(self.adj_bits, self.full_mask)
 
 
 # -- weights ----------------------------------------------------------

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NoReturn, Optional
 
-from .graphs import Graph, Weights, _neighbours, unit_weights
+from .graphs import Graph, Weights, _neighbours
 
 MAX_VERTICES = 2**16
 
@@ -193,7 +193,7 @@ def serialize_instance(
 ) -> str:
     lines = [f"c {c}" for c in comments]
     lines.append(f"p epa {g.n} {g.m}")
-    if w is not None and tuple(w) != unit_weights(g.n):
+    if w is not None:
         for v in range(g.n):
             if w[v] != 1:
                 frac = w[v]

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .certify import _PATTERNS
-from .graphs import Graph, Weights, bits, mask_of, unit_weights
+from .graphs import Graph, Weights, bits, connected, mask_of, unit_weights
 
 
 class BudgetExceeded(RuntimeError):
@@ -149,7 +149,8 @@ def exact_min_cvc(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int,
     _require(g.n, budget.cvc, "connected vertex cover")
     if not g.is_connected():
         raise ValueError("connected vertex cover oracle needs a connected graph")
-    return _first_hitting_set(g.n, obstruction_masks(g, "edgeless"), g.induces_connected)
+    return _first_hitting_set(g.n, obstruction_masks(g, "edgeless"),
+                              lambda combo: connected(g.adj_bits, mask_of(combo)))
 
 
 # ---------------------------------------------------------------------
@@ -208,11 +209,10 @@ def exact_max_tp(
     """Maximum triangle packing by branch and bound over vertex choices."""
     _require(g.n, budget.tp, "triangle packing")
     triangles: list[tuple[int, int, int]] = []
+    adj = g.adj_bits
     for u in range(g.n):
-        for v in g.adj[u]:
-            if v <= u:
-                continue
-            for t in bits(g.adj_bits[u] & g.adj_bits[v] & ~((1 << (v + 1)) - 1)):
+        for v in bits(adj[u] >> (u + 1) << (u + 1)):
+            for t in bits(adj[u] & adj[v] >> (v + 1) << (v + 1)):
                 triangles.append((u, v, t))
     tri_by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     tri_masks = [mask_of(t) for t in triangles]
@@ -283,7 +283,8 @@ def obstruction_masks(g: Graph, cls: str) -> list[int]:
     Only masks whose vertex and edge counts fit a pattern, by the counts
     in ``certify``'s pattern table, go to that table's tests."""
     if cls == "edgeless":
-        return [(1 << u) | (1 << v) for u, v in g.edges()]
+        return [1 << u | 1 << v for u, row in enumerate(g.adj_bits)
+                for v in bits(row >> (u + 1) << (u + 1))]
     if cls in _COMPLEMENTS:
         return obstruction_masks(g.complement(), _COMPLEMENTS[cls])
     if cls not in _OBSTRUCTIONS:

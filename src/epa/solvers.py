@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .graphs import Graph, Weights, bits, component_mask, mask_covers, mask_of, unit_weights
+from .graphs import Graph, Weights, bits, connected, mask_covers, mask_of, unit_weights
 from .recognize import Cotree, NotInClassError, find_induced, recognize
 
 Matching = frozenset[tuple[int, int]]
@@ -503,9 +503,7 @@ def savage_mask(adj: Sequence[int], within: int, ymask: int) -> int:
         else:
             break
     pruned = internal & ~root
-    if pruned and mask_covers(adj, pruned, within) and component_mask(
-        adj, (pruned & -pruned).bit_length() - 1, pruned
-    ) == pruned:
+    if pruned and mask_covers(adj, pruned, within) and connected(adj, pruned):
         return pruned
     return internal
 

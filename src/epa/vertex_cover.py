@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .graphs import Graph, Weights, bits, mask_of, unit_weights
+from .graphs import Graph, Weights, bits, mask_covers, mask_of, unit_weights
 from .recognize import Cotree, build_cotree, find_induced
 from .solvers import (
     cotree_independent_set,
@@ -293,7 +293,7 @@ def vc_split(g: Graph) -> VertexCoverSol:
     alive = g.full_mask
     levels: list[tuple[frozenset[int], int]] = []
     while True:
-        if g.covers(0, alive):
+        if mask_covers(g.adj_bits, 0, alive):
             cover: frozenset[int] = frozenset()
             break
         z = two_maximal_clique(g, within=alive)
@@ -303,7 +303,7 @@ def vc_split(g: Graph) -> VertexCoverSol:
             cover = z | small
             for v in sorted(z):
                 cand = (z - {v}) | small
-                if g.covers(mask_of(cand), alive):
+                if mask_covers(g.adj_bits, mask_of(cand), alive):
                     cover = cand
                     break
             break
@@ -319,10 +319,10 @@ def vc_split(g: Graph) -> VertexCoverSol:
 
 def _cover_of_size_le1(g: Graph, mask: int) -> Optional[frozenset[int]]:
     """A vertex cover of G[mask] of size at most 1, if one exists."""
-    if g.covers(0, mask):
+    if mask_covers(g.adj_bits, 0, mask):
         return frozenset()
     for v in bits(mask):
-        if g.covers(1 << v, mask):
+        if mask_covers(g.adj_bits, 1 << v, mask):
             return frozenset((v,))
     return None
 

@@ -306,27 +306,87 @@ def test_import_loads_only_the_standard_library():
     assert got.stdout == "[]\n"
 
 
-def test_benchmark_tracer_finds_every_traced_name():
+_TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+from fractions import Fraction
+from pathlib import Path
+
+import epa, epa.cli, epa.reports
+from epa.generator import GeneratorSpec, generate, random_weights
+from epa.instances import serialize_instance
+from epa.oracle import DEFAULT_BUDGET
+
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+t = tracer.Tracer()
+t.install()
+t.uninstall()
+missing = t.missing
+
+# one small planted draw per README row, a connected one for cvc
+argvs = []
+for i, row in enumerate(epa.reports.ROWS):
+    seed = 0
+    while True:
+        g, _ = generate(GeneratorSpec(row.bench[0], 12, 2, Fraction(1, 2), 4100 + seed))
+        if row.problem != "cvc" or g.is_connected():
+            break
+        seed += 1
+    path = Path(sys.argv[2]) / f"row{i}.epa"
+    path.write_text(serialize_instance(g, random_weights(g.n, i) if row.weighted else None))
+    argvs.append(["solve", "--problem", row.problem, "--param", row.param,
+                  "--input", str(path), "--json"])
+
+
+def run():
+    outs = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = epa.cli.main(argv)
+        outs.append((code, buf.getvalue()))
+    outs.append(epa.reports.bench_instance(
+        GeneratorSpec("bipartite", 8, 2, Fraction(1, 2), 4200), DEFAULT_BUDGET, False))
+    return outs
+
+
+plain = run()
+t.install()
+try:
+    traced = run()
+finally:
+    t.uninstall()
+_, counts = t.take()
+print(json.dumps({
+    "missing": missing,
+    "codes": [code for code, _ in traced[:-1]],
+    "same": traced == plain,
+    "attempts": counts["coloring.oracle_attempt.calls"],
+}))
+"""
+
+
+def test_benchmark_tracer_finds_every_traced_name(tmp_path):
     """Every function the benchmark tracer (``bench/tracer.py``) wraps
-    still exists, so deleting one fails here and not only in a traced
-    benchmark run.  Runs in a subprocess, since ``install`` rebinds the
-    package's functions."""
+    still exists, and the package runs under it: ``epa solve --json``
+    on one small planted draw per README row, plus one bench instance,
+    exits 0 and prints what it prints untraced, and the class oracle's
+    one-argument ``attempt(g)`` is called through the tracer's wrapper.
+    So deleting or changing a traced name fails here and not only in a
+    traced benchmark run.  Runs in a subprocess, since ``install``
+    rebinds the package's functions."""
     root = Path(__file__).resolve().parents[1]
-    code = (
-        "import importlib.util\n"
-        "import epa, epa.cli\n"
-        f"spec = importlib.util.spec_from_file_location('tracer', {str(root / 'bench' / 'tracer.py')!r})\n"
-        "tracer = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(tracer)\n"
-        "t = tracer.Tracer()\n"
-        "t.install()\n"
-        "t.uninstall()\n"
-        "print(t.missing)\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert got.stdout == "[]\n"
+    got = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(root / "bench" / "tracer.py"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    out = json.loads(got.stdout)
+    assert out["missing"] == []
+    assert out["codes"] == [0] * len(ROWS)
+    assert out["same"]
+    assert out["attempts"] > 0
 
 
 def test_repeated_calls_keep_no_state(tree_file, tmp_path, capsys):

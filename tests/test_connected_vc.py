@@ -12,7 +12,7 @@ from epa.connected_vc import (
     cvc_small_after_contraction,
     cvc_split,
 )
-from epa.graphs import Graph, bits, contraction_rows, mask_of
+from epa.graphs import Graph, bits, connected, contraction_rows, mask_of
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_connected_graph
 from epa.oracle import exact_min_cvc, exact_min_modulator, exact_min_vc
 from epa.solvers import cvc_savage, savage_mask
@@ -29,7 +29,7 @@ def test_connected_subsets_match_bruteforce():
             expect = sorted(
                 mask_of(c)
                 for c in combinations(range(g.n), k)
-                if g.induces_connected(c)
+                if connected(g.adj_bits, mask_of(c))
             )
             assert got == expect, (k, sorted(g.edges()))
 
@@ -341,7 +341,7 @@ def _savage_stack_reference(g: Graph) -> frozenset[int]:
         stack.extend((u, v) for u in reversed(g.adj[v]) if u not in visited)
     internal = {v for v in range(g.n) if children[v] > 0}
     pruned = internal - {0}
-    if pruned and all(u in pruned or v in pruned for u, v in g.edges()) and g.induces_connected(pruned):
+    if pruned and all(u in pruned or v in pruned for u, v in g.edges()) and connected(g.adj_bits, mask_of(pruned)):
         return frozenset(pruned)
     return frozenset(internal)
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from epa.generator import GeneratorSpec, SplitMix64, generate
-from epa.graphs import Graph, as_weights, first_triangle
-from conftest import corpus
+from epa.graphs import Graph, as_weights, bits, connected, first_triangle, mask_covers
+from conftest import _components, corpus, masked_corpus
 from small_graphs import (
     adjacent,
     complete_graph,
@@ -201,7 +201,7 @@ def test_covers_matches_edge_scan_corpus():
                 for u, v in g.edges()
                 if within >> u & 1 and within >> v & 1
             )
-            assert g.covers(cover, within) == expect
+            assert mask_covers(g.adj_bits, cover, within) == expect
 
 
 def brute_degeneracy(g: Graph) -> int:
@@ -253,16 +253,29 @@ def test_degeneracy_order_matches_scan():
 
 def test_connected_components():
     g = disjoint_union(complete_graph(3), complete_graph(2))
-    assert sorted(len(c) for c in g.connected_components()) == [2, 3]
-    assert len(empty_graph(4).connected_components()) == 4
+    assert sorted(m.bit_count() for m in g.component_masks(g.full_mask)) == [2, 3]
+    assert len(empty_graph(4).component_masks(0b1111)) == 4
     assert cycle_graph(5).is_connected()
+
+
+def test_connected_is_at_most_one_component_of_the_induced_subgraph():
+    for g, within in masked_corpus():
+        sub, _ = g.induced_subgraph(bits(within))
+        assert connected(g.adj_bits, within) == (len(_components(sub)) <= 1), (g, within)
+
+
+def test_edges_read_the_masks_and_match_the_tuple_form():
+    for g in [Graph(0, []), Graph(1, [])] + corpus(40, 2, 30, seed0=830):
+        got = list(g.edges())
+        assert g._adj is None
+        assert got == [(u, v) for u in range(g.n) for v in g.adj[u] if v > u]
 
 
 def test_component_masks_match_induced_subgraph_corpus():
     for i, g in enumerate(corpus(40, 1, 10, seed0=800)):
         within = random_mask(g.n, 810 + i) if i % 2 else g.full_mask
         sub, old = g.induced_subgraph(v for v in range(g.n) if within >> v & 1)
-        expect = [sum(1 << old[v] for v in comp) for comp in sub.connected_components()]
+        expect = [sum(1 << old[v] for v in comp) for comp in _components(sub)]
         assert g.component_masks(within) == sorted(expect, key=lambda m: m & -m)
 
 

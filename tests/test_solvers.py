@@ -26,7 +26,7 @@ from epa.solvers import (
     wvc_cograph,
     wvc_forest,
 )
-from conftest import connected_corpus, corpus, masked_corpus, weights_for
+from conftest import _components, connected_corpus, corpus, masked_corpus, weights_for
 from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
 from test_recognize import _build_cotree_recursive
 
@@ -304,12 +304,12 @@ def test_fvs_bound_minimality_corpus():
         w = weights_for(g, 13 + i, unit=i % 2 == 0)
         fvs = fvs_2approx(g, w)
         rest, _ = g.induced_subgraph(set(range(g.n)) - fvs)
-        assert rest.m == rest.n - len(rest.connected_components())  # acyclic
+        assert rest.m == rest.n - len(_components(rest))  # acyclic
         opt = exact_min_modulator(g, "forest", w)[0]
         assert total(w, fvs) <= 2 * opt
         for v in fvs:  # inclusion-minimal
             rest2, _ = g.induced_subgraph(set(range(g.n)) - (fvs - {v}))
-            assert rest2.m > rest2.n - len(rest2.connected_components())
+            assert rest2.m > rest2.n - len(_components(rest2))
 
 
 # -- Savage -------------------------------------------------------------

@@ -111,16 +111,22 @@ def _attributes(node: ast.AST) -> Counter:
     return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
+def _edge_walks(node: ast.AST) -> int:
+    """How many ``.edges()`` calls without arguments are under ``node``;
+    ``certify``'s pattern table has an ``edges(k)`` of its own."""
+    return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "edges" and not n.args for n in ast.walk(node))
+
+
 def test_one_adjacency_form_in_the_algorithm_layer():
-    """The algorithm modules read the adjacency masks only: no ``.adj``
-    tuples and no ``.edges()``.  ``generator`` self-checks under a vertex
-    mask and reads no ``induced_subgraph``; ``coloring`` reads it once,
-    in ``color_with_class_oracle``."""
-    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text())
-             for name in ("solvers", "vertex_cover", "connected_vc", "coloring", "packing",
-                          "recognize", "generator")}
-    found = [f"{name}.py: .{attr}" for name, tree in trees.items() if name != "generator"
-             for attr in ("adj", "edges") if _attributes(tree)[attr]]
+    """Every module but ``graphs`` reads the adjacency masks only: no
+    ``.adj`` tuples and no ``.edges()``.  ``generator`` self-checks under
+    a vertex mask and reads no ``induced_subgraph``; ``coloring`` reads
+    it once, in ``color_with_class_oracle``."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "graphs.py"}
+    found = [f"{name}.py: .adj" for name, tree in trees.items() if _attributes(tree)["adj"]]
+    found += [f"{name}.py: .edges()" for name, tree in trees.items() if _edge_walks(tree)]
     assert not found, found
     assert not _attributes(trees["generator"])["induced_subgraph"]
     oracle = next(node for node in trees["coloring"].body
