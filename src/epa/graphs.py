@@ -53,15 +53,25 @@ def bits(mask: int) -> Iterator[int]:
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _dense_row(mask: int, n: int) -> bool:
+    """True when ``mask``, a row of an n-vertex graph, has n/8 + 6 set
+    bits or more: from about there on its bits are listed faster in one
+    C pass over ``_digits(mask)`` than one by one (timed at n = 8-1000)."""
+    return mask.bit_count() * 8 >= n + 48
+
+
+def _digits(mask: int) -> bytes:
+    """The binary digits of ``mask``, lowest first, as bytes 0 and 1: the
+    selectors of ``itertools.compress`` for its set bits."""
+    return format(mask, "b")[::-1].encode().translate(_DIGIT_BYTES)
+
+
 def _neighbours(mask: int, n: int) -> tuple[int, ...]:
     """Set bit positions of ``mask`` (a row of an n-vertex graph) in
-    ascending order.  A row with fewer than n/8 + 6 set bits is walked
-    bit by bit; a denser one is read in one C pass over its binary
-    digits, which is faster from about there on (timed at n = 8-1000)."""
-    if mask.bit_count() * 8 < n + 48:
-        return tuple(list(bits(mask)))
-    digits = format(mask, "b")[::-1].encode().translate(_DIGIT_BYTES)
-    return tuple(list(compress(range(len(digits)), digits)))
+    ascending order."""
+    if _dense_row(mask, n):
+        return tuple(list(compress(range(n), _digits(mask))))
+    return tuple(list(bits(mask)))
 
 
 def mask_covers(adj_bits: Sequence[int], cover: int, within: int) -> bool:

@@ -8,17 +8,21 @@ Line-oriented, DIMACS-adjacent, 1-indexed:
     e <u> <v>
 
 Parsing and serialization round-trip exactly; errors carry line numbers.
-The vertex count is capped at ``MAX_VERTICES``: the adjacency masks of
-a dense graph take n^2/8 bytes, 512 MiB at the cap.
+A canonical edge block, the form ``serialize_instance`` writes, is read
+in bulk; a dense one sets one mask bit per edge and the other half of
+every edge in one transposition at the end.  The vertex count is capped
+at ``MAX_VERTICES``: the adjacency masks of a dense graph take n^2/8
+bytes, 512 MiB at the cap.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Iterable, NoReturn, Optional
 
-from .graphs import Graph, Weights, _neighbours
+from .graphs import Graph, Weights, _dense_row, _digits, bits
 
 MAX_VERTICES = 2**16
 
@@ -128,11 +132,14 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
     return n, m_declared, weights, rows
 
 
-# Characters of edge lines per bulk step.  The regex keeps about 22
-# bytes of backtracking state per character it matches, so chunks stay
-# small: parsing a 288,836-edge file (n = 800) in a fresh process
-# peaked at 22.5 MB RSS with 8 KiB chunks, 33.9 MB with 256 KiB and
-# 40.0 MB with the line loop alone, at the same speed from 8 to 64 KiB.
+# Characters of edge lines per bulk step.  The regex keeps about 29
+# bytes of backtracking state per character it matches (235 KB over one
+# 8 KiB chunk, by tracemalloc), so chunks stay small: parsing a
+# 288,836-edge file (n = 800) in a fresh process peaked at 22.1 MB RSS
+# with 8 KiB chunks, 33.2 MB with 256 KiB and 39.3 MB with the line loop
+# alone, at the same speed from 4 to 64 KiB.  The file's block is dense;
+# its transposition, after the last chunk, holds one string of n^2
+# digits (0.64 MB) and left the peak where it was.
 _CHUNK = 1 << 13
 _EDGE_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
 
@@ -143,13 +150,37 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
     leading zero) with ids in 1..n, no self-loop and no edge twice.
 
     Chunks of about ``_CHUNK`` characters, cut after a newline, are each
-    matched by one regex and split once; ids map to vertices through one
-    dict, whose ``KeyError`` is a range error.  A line sets two new mask
-    bits unless it is a self-loop (one bit, on the diagonal) or an edge
-    seen before (none), so one popcount at the end finds both.  Returns
-    False on the first failed check, with ``rows`` partly set.
+    matched by one regex and split once; ids are looked up in dicts,
+    whose ``KeyError`` is a range error.  A line ``e u v`` sets bit v of
+    row u and bit u of row v.  In a dense block, of at least
+    max(n, 64) * n characters, it sets only bit v of row u, from a table
+    of ``1 << (id - 1)`` per id, and after the last chunk one
+    transposition gives every row v column v of those rows.  The
+    transposition reads one string of about n^2 binary digits and the
+    table takes about n^2/16 bytes, so neither is larger than the block.
+    Below n = 64 the bound asks for 64 characters (about eight lines)
+    per vertex: on sparser small files the transposition's n
+    conversions cost more than the updates it saves.
+
+    One popcount at the end finds self-loops and edges seen twice: the
+    rows hold 2 bits per line only if every line is a new edge.  Two
+    updates per line set no new bit for an edge seen before and only
+    one, on the diagonal, for a self-loop.  One update per line leaves a
+    set P of ordered pairs (u, v), at most one per line and fewer if a
+    line repeats a pair; the transposition adds the mirror (v, u) of
+    each, and P with its mirrors has 2|P| bits less one for each pair of
+    P whose mirror is in P too.  So an edge read in both orders
+    (``e u v`` and ``e v u``) leaves two bits for two lines, and a
+    self-loop, its own mirror, one bit for one line: the count is exact
+    on both branches.  Returns False on the first failed check, with
+    ``rows`` partly set.
     """
-    index = dict(zip(map(str, range(1, len(rows) + 1)), range(len(rows))))
+    n = len(rows)
+    labels = list(map(str, range(1, n + 1)))
+    index = dict(zip(labels, range(n)))
+    dense = max(n, 64) * n <= len(text) - start
+    # What a line's second id is looked up as: its bit in a dense block.
+    v_table = dict(zip(labels, map((1).__lshift__, range(n)))) if dense else index
     lines = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
@@ -158,14 +189,32 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
         tokens = text[start:end].split()
         try:
             us = list(map(index.__getitem__, tokens[1::3]))
-            vs = list(map(index.__getitem__, tokens[2::3]))
+            vs = list(map(v_table.__getitem__, tokens[2::3]))
         except KeyError:
             return False
-        for u, v in zip(us, vs):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        if dense:
+            for u, bit in zip(us, vs):
+                rows[u] |= bit
+        else:
+            for u, v in zip(us, vs):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
         lines += len(us)
         start = end
+    if dense:
+        # The rows, row n - 1 first, as one binary string: "0b1" (the 1
+        # keeps the leading zeros), then each row's digits, highest
+        # first, in a field of ``step`` digits (whole bytes), so column v
+        # is every step-th digit from 2 + step - v on.  Built from the
+        # rows' bytes, it is the only string of the digits; a join of
+        # each row's binary form would hold them twice.
+        size = (n + 7) // 8
+        step = 8 * size
+        digits = bin(int.from_bytes(
+            b"".join([b"\x01", *map(int.to_bytes, reversed(rows), repeat(size), repeat("big"))]),
+            "big"))
+        for v in range(n):
+            rows[v] |= int(digits[2 + step - v::step], 2)
     return sum(map(int.bit_count, rows)) == 2 * lines
 
 
@@ -202,15 +251,21 @@ def serialize_instance(
     # The "e u v" lines in the order of g.edges(), one join per row over
     # the ids as strings instead of one format per line; the leading ""
     # puts the separator "\ne u " before every neighbour.  The higher
-    # neighbours are read from each mask, so the neighbour tuples of
-    # ``g.adj`` (each edge twice) are not built.  No string is
-    # concatenated: temporary copies of rows or of the text raised the
-    # benchmark set-up's peak RSS (by 0.3 MB, with an n = 800 instance).
+    # neighbours' ids are read from each mask, by a bit walk on a sparse
+    # row and by ``compress`` over the ids above u on a dense one, so no
+    # neighbour tuple or index is built.  No string is concatenated:
+    # temporary copies of rows or of the text raised the benchmark
+    # set-up's peak RSS (by 0.3 MB, with an n = 800 instance).
     n = g.n
     labels = list(map(str, range(1, n + 1)))
     rows = []
     for u, row in enumerate(g.adj_bits):
-        higher = _neighbours(row >> (u + 1) << (u + 1), n)
-        if higher:
-            rows.append(f"\ne {labels[u]} ".join(["", *map(labels.__getitem__, higher)]))
+        higher = row >> (u + 1)
+        if not higher:
+            continue
+        if _dense_row(higher, n):
+            names = compress(labels[u + 1:], _digits(higher))
+        else:
+            names = map(labels.__getitem__, bits(higher << (u + 1)))
+        rows.append(f"\ne {labels[u]} ".join(["", *names]))
     return "".join(["\n".join(lines), *rows, "\n"])

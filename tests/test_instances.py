@@ -1,6 +1,7 @@
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -238,11 +239,26 @@ def test_edge_in_header_matches_line_loop(text):
     assert _outcome(text) == _line_loop_outcome(text)
 
 
+def _dense(text: str, n: int) -> bool:
+    """Whether ``_read_edge_block`` reads the edge block of ``text`` with
+    one update per line: it has at least max(n, 64) * n characters."""
+    return max(n, 64) * n <= len(text) - (text.index("\ne ") + 1)
+
+
+def _bulk_rows(text: str, n: int):
+    """The masks of the bulk read of a canonical ``text``, or None if a
+    check failed and the line loop would read it."""
+    rows = [0] * n
+    return rows if instances._read_edge_block(text, text.index("\ne ") + 1, rows) else None
+
+
 def test_canonical_block_mutations_match_line_loop(monkeypatch):
     """2,000 mutated small files, read in bulk chunks of 1, 7, 64 and
-    8,192 characters, match the line loop."""
+    8,192 characters, match the line loop; both sides of the dense rule
+    are among them."""
     rng = SplitMix64(6800)
     cases = 0
+    sides = [0, 0]
     for i in range(2000):
         n = 2 + rng.below(30)
         g = random_graph(n, Fraction(1 + rng.below(4), 5), 6800 + i)
@@ -259,7 +275,9 @@ def test_canonical_block_mutations_match_line_loop(monkeypatch):
         monkeypatch.setattr(instances, "_CHUNK", (1, 7, 64, 1 << 13)[i % 4], raising=False)
         assert _outcome(text) == _line_loop_outcome(text), text
         cases += 1
-    assert cases >= 2000
+        if "\ne " in text:
+            sides[_dense(text, n)] += 1
+    assert cases >= 2000 and min(sides) >= 100, sides
 
 
 def test_large_canonical_block_mutations_match_line_loop():
@@ -289,6 +307,65 @@ def test_large_canonical_block_mutations_match_line_loop():
     assert parse_instance(base) == (g, random_weights(150, 6900))
 
 
+# Files on each side of the dense rule, each several bulk chunks long:
+# (n, density, dense).  The sparse one has about 45,000 characters of
+# edges, half its n^2; the dense ones 20,000-210,000 characters, two to
+# three times n^2.
+SIDE_FILES = ((300, Fraction(1, 10), False), (100, Fraction(1, 2), True),
+              (200, Fraction(1, 2), True), (300, Fraction(1, 2), True))
+
+
+@pytest.fixture(scope="module")
+def side_files():
+    """Each of SIDE_FILES serialized, with its graph and its bulk chunk
+    starts; the unmutated file is read in bulk, on its side of the rule."""
+    files = []
+    for i, (n, density, dense) in enumerate(SIDE_FILES):
+        g = random_graph(n, density, 7600 + i)
+        text = serialize_instance(g, random_weights(n, 7600 + i), ["sides"])
+        assert _dense(text, n) == dense
+        assert _bulk_rows(text, n) == list(g.adj_bits)
+        starts = [text.index("\ne ") + 1]
+        while (end := text.find("\n", starts[-1] + instances._CHUNK - 1) + 1) and end < len(text):
+            starts.append(end)
+        assert len(starts) >= 3
+        files.append((g, text, starts))
+    return files
+
+
+@pytest.mark.parametrize("n,density", [(16, Fraction(1, 2)), (40, Fraction(1, 5)), (40, Fraction(1, 2)),
+                                       (64, Fraction(1, 2)), *((n, d) for n, d, _ in SIDE_FILES)])
+def test_dense_rule_picks_the_side(n, density, monkeypatch):
+    """The transposition, the only caller of ``itertools.repeat`` in the
+    reader, runs exactly on the files the rule calls dense."""
+    calls = []
+    monkeypatch.setattr(instances, "repeat", lambda *a: calls.append(a) or repeat(*a))
+    g = random_graph(n, density, 7650 + n)
+    text = serialize_instance(g)
+    assert _bulk_rows(text, n) == list(g.adj_bits)
+    assert bool(calls) == _dense(text, n)
+
+
+@pytest.mark.parametrize("kind", EDGE_MUTATIONS + FILE_MUTATIONS)
+def test_every_mutation_matches_line_loop_on_both_sides_of_the_dense_rule(kind, side_files):
+    """Each mutation on the last line of the first chunk, on the first
+    line of the second, and in the last chunk, of a sparse file and of
+    dense ones (n = 100-300, density 1/2), matches the line loop.  A
+    ``duplicate`` on the first line of a chunk repeats the last line of
+    the chunk before, reversed: on the dense side only the transposition
+    sets its mirror bits, so only the final count can catch it."""
+    rng = SplitMix64(7700 + len(kind))
+    for (g, base, starts), (n, _, dense) in zip(side_files, SIDE_FILES):
+        last = starts[-1] + 1 + rng.below(len(base) - starts[-1] - 2)
+        for pos in (starts[1] - 2, starts[1], last):
+            text = _mutate(base, kind, pos, rng, n)
+            assert _dense(text, n) == dense
+            assert _outcome(text) == _line_loop_outcome(text), (n, dense, kind, pos)
+        if kind == "swap":
+            # e v u reads as e u v: still one bulk read, on either side
+            assert text != base and _bulk_rows(text, n) == list(g.adj_bits)
+
+
 def test_line_loop_reads_only_the_header_of_a_canonical_file(monkeypatch):
     """A serialized file goes through the line loop up to its first edge
     line and no further; its tab variant, the reference above, goes
@@ -304,6 +381,27 @@ def test_line_loop_reads_only_the_header_of_a_canonical_file(monkeypatch):
     variant = text.replace(" ", "\t")
     assert parse_instance(variant)[0] == g
     assert seen == [variant]
+
+
+def test_dense_parse_peaks_below_its_edge_text():
+    """A dense file (n = 600, density 1/2, about 870 KB of edges) is read
+    with less memory than its own edge text: the transposition's one
+    string of n^2 digits, the table of 1 << v per id and the masks stay
+    below it.  At n = 300 the regex's backtracking state over one 8 KiB
+    chunk (about 235 KB) alone outweighs the 206 KB of edges, so the
+    bound is taken where the transposition's share dominates."""
+    g = random_graph(600, Fraction(1, 2), 7800)
+    text = serialize_instance(g)
+    edge_text = len(text) - (text.index("\ne ") + 1)
+    assert _dense(text, g.n)
+    tracemalloc.start()
+    try:
+        parsed, _ = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert peak < edge_text
 
 
 def test_parse_at_vertex_cap_keeps_memory_small():
