@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable
 
-from .graphs import Graph, Weights, _neighbours, bits, mask_of
+from .graphs import Graph, Weights, _columns, _neighbours, _transposes, bits, mask_of
 from .instances import MAX_VERTICES
 from .recognize import recognize
 
@@ -36,6 +36,8 @@ _LANES = _ONES * _M64
 _STEPS = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, _WIDTH + 1)),
                         "little")
 _BIT126 = bytes(b >> 6 & 1 for b in range(256))
+# the results of ``chances`` as binary digits, for ``int(..., 2)``
+_DRAW_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class SplitMix64:
@@ -291,11 +293,21 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:
     if total > MAX_VERTICES:
         raise GenerationError(f"vertex count {total} above the limit {MAX_VERTICES}")
     rng = SplitMix64(spec.seed)
-    rows = _BASES[spec.base](rng, spec.n, spec.density) + [0] * spec.k
-    for p in range(spec.n, total):
-        for u in compress(range(p), rng.chances(p, spec.density)):
-            rows[u] |= 1 << p
-            rows[p] |= 1 << u
+    rows = _BASES[spec.base](rng, spec.n, spec.density)
+    # Planted vertex p draws its edges to every u < p: its row is its
+    # draws read as one binary number (0 for no draws, at p = 0), and the
+    # other half of each edge, bit p of row u, is column u of the planted
+    # rows, shifted past the base; a few planted edges are set one by one.
+    planted_rows = [int(rng.chances(p, spec.density)[::-1].translate(_DRAW_DIGITS) or b"0", 2)
+                    for p in range(spec.n, total)]
+    rows += planted_rows
+    if _transposes(sum(map(int.bit_count, planted_rows)), spec.k, total, total):
+        for u, column in enumerate(_columns(planted_rows, total, range(total))):
+            rows[u] |= column << spec.n
+    else:
+        for p, row in enumerate(planted_rows, spec.n):
+            for u in bits(row):
+                rows[u] |= 1 << p
     perm = list(range(total))
     rng.shuffle(perm)
     # vertex u of the construction gets the label perm[u]

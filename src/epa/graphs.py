@@ -17,6 +17,15 @@ map back to the parent's ids); they are built straight from the
 parent's adjacency masks, which are correct by construction, so they
 skip validation, as do the generator's graphs, built as masks.
 
+Masks are listed and remapped in C where it pays: ``_digits`` gives a
+row's binary digits for ``itertools.compress`` (dense rows, by
+``_dense_row``), and ``_columns`` transposes a list of rows through one
+binary string of all their digits.  The transposition sets the other
+half of every edge at once: the parser's dense edge block and the
+generator's planted rows use it, and ``Graph.relabeled`` reads every new
+row as a column of the kept rows; a sparse matrix, by ``_transposes``,
+keeps the bit loop.
+
 The clique contraction G<Y> is :func:`contraction_rows`: rows in G's
 own id space, where Y and its pendant leaf take the next two ids, so a
 contraction of the rows is again such rows and ``connected_vc``
@@ -30,8 +39,7 @@ that weight subtractions and comparisons are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -64,6 +72,39 @@ def _digits(mask: int) -> bytes:
     """The binary digits of ``mask``, lowest first, as bytes 0 and 1: the
     selectors of ``itertools.compress`` for its set bits."""
     return format(mask, "b")[::-1].encode().translate(_DIGIT_BYTES)
+
+
+def _transposes(ones: int, rows: int, width: int, cols: int) -> bool:
+    """True when reading ``cols`` columns of a bit matrix of ``rows``
+    rows of ``width`` bits by ``_columns`` costs less than setting its
+    ``ones`` set bits one at a time.  A bit costs the bit loop about 300
+    units of 0.9 ns; the transposition costs one unit per digit of its
+    string, two more per digit it slices and 400 per column (timed on
+    relabels at n = 10-2000 with k/n = 0.1-1, and on 1-40 planted rows
+    at n = 8-400).  Sparse matrices stay on the bit loop: the string of a
+    2**16-vertex path's relabel would hold 2**32 digits."""
+    return ones * 300 >= rows * (width + 2 * cols) + 400 * cols
+
+
+def _columns(rows: Sequence[int], width: int, cols: Iterable[int]) -> Iterator[int]:
+    """Column c of the bit matrix ``rows`` (each row below 2**width), as
+    the mask of the rows with bit c set, for each c of ``cols`` in turn.
+
+    One binary string holds every digit: "0b1" (the sentinel 1 keeps the
+    leading zeros), then each row, last row first, highest digit first,
+    in a field of ``step`` digits (whole bytes), so column c is every
+    step-th digit from 2 + step - c on.  Built from the rows' bytes, it
+    is the only copy of the digits (a join of each row's binary form
+    would hold them twice); the string is built before the first column
+    is read, so the caller may change ``rows`` while it reads columns."""
+    if not rows:
+        return (0 for _ in cols)
+    size = (width + 7) // 8
+    step = 8 * size
+    digits = bin(int.from_bytes(
+        b"".join([b"\x01", *map(int.to_bytes, reversed(rows), repeat(size), repeat("big"))]),
+        "big"))
+    return (int(digits[2 + step - c::step], 2) for c in cols)
 
 
 def _neighbours(mask: int, n: int) -> tuple[int, ...]:
@@ -238,32 +279,28 @@ class Graph:
 
     def relabeled(self, old: Sequence[int]) -> "Graph":
         """Subgraph induced by the distinct ids ``old`` (in 0..n-1, any
-        order), with new id i standing for ``old[i]``; unchecked."""
-        if not old:
-            return Graph._from_masks(())
-        # A row is remapped bit by bit, or compressed in C: its n-digit
-        # binary string, the digits of the kept ids picked highest new id
-        # first, read back.  The bit loop costs about 14 times as much
-        # per kept bit as the C pass costs per kept vertex, with a fixed
-        # part of about 32 kept vertices (timed at n = 10-800).
+        order), with new id i standing for ``old[i]``; unchecked.
+
+        The kept rows, taken in the new order, are a k x n bit matrix, and
+        new row i is its column ``old[i]``, since the adjacency is
+        symmetric: one transposition (:func:`_columns`) reads them all
+        from one string of k * n digits.  A sparse graph, by
+        :func:`_transposes`, is remapped bit by bit instead."""
         n = self.n
         k = len(old)
         keep = mask_of(old)
-        index = dict(zip(old, range(k)))
-        fmt = f"0{n}b"
-        pick = itemgetter(*[n - 1 - v for v in reversed(old)])
         adj_bits = self.adj_bits
-        rows = []
-        for u in old:
-            row = adj_bits[u] & keep
-            if row.bit_count() * 14 < k + 32:
+        kept = [adj_bits[u] & keep for u in old]
+        if not _transposes(sum(map(int.bit_count, kept)), k, n, k):
+            index = dict(zip(old, range(k)))
+            rows = []
+            for row in kept:
                 b = 0
                 for v in bits(row):
                     b |= 1 << index[v]
                 rows.append(b)
-            else:
-                rows.append(int("".join(pick(format(row, fmt))), 2))
-        return Graph._from_masks(rows)
+            return Graph._from_masks(rows)
+        return Graph._from_masks(list(_columns(kept, n, old)))
 
     def contract_with_pendant(self, y: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Contract ``y`` to one vertex and append a fresh pendant leaf;

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable, NoReturn, Optional
 
-from .graphs import Graph, Weights, _dense_row, _digits, bits
+from .graphs import Graph, Weights, _columns, _dense_row, _digits, bits
 
 MAX_VERTICES = 2**16
 
@@ -155,12 +155,12 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
     row u and bit u of row v.  In a dense block, of at least
     max(n, 64) * n characters, it sets only bit v of row u, from a table
     of ``1 << (id - 1)`` per id, and after the last chunk one
-    transposition gives every row v column v of those rows.  The
-    transposition reads one string of about n^2 binary digits and the
-    table takes about n^2/16 bytes, so neither is larger than the block.
-    Below n = 64 the bound asks for 64 characters (about eight lines)
-    per vertex: on sparser small files the transposition's n
-    conversions cost more than the updates it saves.
+    transposition (``graphs._columns``) gives every row v column v of
+    those rows.  The transposition reads one string of about n^2 binary
+    digits and the table takes about n^2/16 bytes, so neither is larger
+    than the block.  Below n = 64 the bound asks for 64 characters
+    (about eight lines) per vertex: on sparser small files the
+    transposition's n conversions cost more than the updates it saves.
 
     One popcount at the end finds self-loops and edges seen twice: the
     rows hold 2 bits per line only if every line is a new edge.  Two
@@ -202,19 +202,9 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
         lines += len(us)
         start = end
     if dense:
-        # The rows, row n - 1 first, as one binary string: "0b1" (the 1
-        # keeps the leading zeros), then each row's digits, highest
-        # first, in a field of ``step`` digits (whole bytes), so column v
-        # is every step-th digit from 2 + step - v on.  Built from the
-        # rows' bytes, it is the only string of the digits; a join of
-        # each row's binary form would hold them twice.
-        size = (n + 7) // 8
-        step = 8 * size
-        digits = bin(int.from_bytes(
-            b"".join([b"\x01", *map(int.to_bytes, reversed(rows), repeat(size), repeat("big"))]),
-            "big"))
-        for v in range(n):
-            rows[v] |= int(digits[2 + step - v::step], 2)
+        # each column is ORed in as it is read, so no list of n holds them
+        for v, column in enumerate(_columns(rows, n, range(n))):
+            rows[v] |= column
     return sum(map(int.bit_count, rows)) == 2 * lines
 
 

@@ -15,7 +15,7 @@ from epa.generator import (
     random_graph,
     random_weights,
 )
-from epa.graphs import Graph, bits
+from epa.graphs import Graph, _columns, bits
 from epa.instances import MAX_VERTICES, serialize_instance
 from epa.recognize import recognize
 
@@ -110,6 +110,36 @@ def test_generate_relabels_once_and_builds_no_subgraph(monkeypatch):
             g, _ = generate(GeneratorSpec(base, 30, k, Fraction(1, 2), 7400))
             assert calls == [g.n], (base, k)
             calls.clear()
+
+
+def test_planted_rows_match_single_draws_on_both_sides_of_the_rule(monkeypatch):
+    """The planted edges, read as columns of the planted rows or set one
+    by one, are those of one ``chance`` per pair (p, u < p), in order,
+    after the base; the labels are the shuffle drawn next.  Both sides of
+    ``graphs._transposes`` are taken."""
+    calls = []
+    monkeypatch.setattr(generator, "_columns", lambda *a: calls.append(a) or _columns(*a))
+    sides = []
+    for base, n, k in (("edgeless", 0, 3), ("split", 15, 1), ("forest", 8, 2), ("cograph", 44, 4),
+                       ("cocluster", 90, 10), ("bipartite", 180, 20)):
+        for density in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)):
+            spec = GeneratorSpec(base, n, k, density, 4400 + n)
+            rng = SplitMix64(spec.seed)
+            rows = generator._BASES[base](rng, n, density) + [0] * k
+            for p in range(n, n + k):
+                for u in range(p):
+                    if rng.chance(density):
+                        rows[u] |= 1 << p
+                        rows[p] |= 1 << u
+            perm = list(range(n + k))
+            rng.shuffle(perm)
+            expect = Graph(n + k, [(perm[u], perm[v]) for u, row in enumerate(rows)
+                                   for v in bits(row) if u < v])
+            calls.clear()
+            g, planted = generate(spec)
+            assert (g, planted) == (expect, frozenset(perm[n:])), spec
+            sides.append(bool(calls))
+    assert sides.count(True) >= 5 and sides.count(False) >= 5, sides
 
 
 def test_generate_rejects_unknown_class():

@@ -1,9 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from epa.generator import GeneratorSpec, SplitMix64, generate
-from epa.graphs import Graph, as_weights, bits, connected, first_triangle, mask_covers
+from epa import graphs
+from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph
+from epa.graphs import Graph, _columns, as_weights, bits, connected, first_triangle, mask_covers
+from epa.instances import serialize_instance
 from conftest import _components, corpus, masked_corpus
 from small_graphs import (
     adjacent,
@@ -24,6 +27,48 @@ def random_mask(n: int, seed: int) -> int:
 
 def assert_same_graph(h: Graph, ref: Graph) -> None:
     assert (h.n, h.m, h.adj, h.adj_bits) == (ref.n, ref.m, ref.adj, ref.adj_bits)
+
+
+def relabel_reference(g: Graph, old) -> Graph:
+    """The validated build of the edges of ``g`` inside ``old``, vertex
+    ``old[i]`` renamed i."""
+    index = {o: j for j, o in enumerate(old)}
+    return Graph(len(old), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index])
+
+
+def transposes(g: Graph, old) -> bool:
+    """The test's own copy of ``Graph.relabeled``'s rule: True when it
+    reads the new rows as columns rather than remapping bits one by one."""
+    keep = sum(1 << v for v in old)
+    ones = sum((g.adj_bits[u] & keep).bit_count() for u in old)
+    return ones * 300 >= len(old) * (g.n + 2 * len(old) + 400)
+
+
+def spy_on_columns(monkeypatch) -> list:
+    """Record every call of ``graphs._columns`` made inside ``graphs``."""
+    calls = []
+    monkeypatch.setattr(graphs, "_columns", lambda *a: calls.append(a) or _columns(*a))
+    return calls
+
+
+def test_columns_match_bit_by_bit_reference():
+    """Widths 0-70, whole bytes or not, with the top bit set in some rows
+    and every bit in others; columns in any order and repeated; and no
+    rows at all, whose every column is empty."""
+    rng = SplitMix64(8800)
+    assert list(_columns([], 0, [])) == []
+    assert list(_columns([], 9, [8, 0, 8])) == [0, 0, 0]
+    for width in range(71):
+        for count in (1, 2, 8, 13):
+            rows = [rng.below(1 << width) for _ in range(count)]
+            if width:
+                rows[0] |= 1 << (width - 1)
+                rows.append((1 << width) - 1)
+            cols = list(range(width))
+            rng.shuffle(cols)
+            cols += cols[:3]
+            expect = [sum((row >> c & 1) << i for i, row in enumerate(rows)) for c in cols]
+            assert list(_columns(rows, width, cols)) == expect, (width, count)
 
 
 def test_rejects_self_loops_and_duplicates():
@@ -141,13 +186,13 @@ def test_induced_subgraph_equals_validated_build_corpus():
 
 
 def test_induced_subgraph_sparse_and_dense_rows_match_definition():
-    """Rows with few kept bits are remapped bit by bit, denser ones read
-    from their binary digits; both must give the induced subgraph."""
-    graphs = [path_graph(300), cycle_graph(250), star_graph(150)]
-    graphs += corpus(8, 60, 120, seed0=780)
-    graphs += [generate(GeneratorSpec("forest", 180, 20, Fraction(1, 2), 790 + i))[0] for i in range(2)]
+    """Sparse graphs are remapped bit by bit, denser ones read as columns
+    of the kept rows; both must give the induced subgraph."""
+    inputs = [path_graph(300), cycle_graph(250), star_graph(150)]
+    inputs += corpus(8, 60, 120, seed0=780)
+    inputs += [generate(GeneratorSpec("forest", 180, 20, Fraction(1, 2), 790 + i))[0] for i in range(2)]
     sparse = dense = 0
-    for i, g in enumerate(graphs):
+    for i, g in enumerate(inputs):
         for s in (random_mask(g.n, 800 + i), g.full_mask & ~(1 << (i % g.n)), g.full_mask & 0x5555 << 40):
             old = [v for v in range(g.n) if s >> v & 1]
             index = {o: j for j, o in enumerate(old)}
@@ -155,26 +200,62 @@ def test_induced_subgraph_sparse_and_dense_rows_match_definition():
             h, got_old = g.induced_subgraph(old)
             assert got_old == tuple(old)
             assert_same_graph(h, Graph(len(old), es))
-            for u in old:
-                if (g.adj_bits[u] & s).bit_count() * 8 < g.n + 48:
-                    sparse += 1
-                else:
-                    dense += 1
-    assert sparse > 500 and dense > 500
+            if transposes(g, old):
+                dense += 1
+            else:
+                sparse += 1
+    assert sparse >= 9 and dense >= 9
 
 
-def test_relabeled_takes_ids_in_any_order():
-    """New id i of ``relabeled(old)`` is ``old[i]``, for sparse and dense
-    rows alike, whatever the order of ``old``."""
-    graphs = [path_graph(200), complete_graph(60)] + corpus(6, 40, 120, seed0=860)
-    for i, g in enumerate(graphs):
-        rng = SplitMix64(870 + i)
-        for s in (random_mask(g.n, 880 + i), g.full_mask, 1 << (i % g.n), 0):
-            old = [v for v in range(g.n) if s >> v & 1]
-            rng.shuffle(old)
-            index = {o: j for j, o in enumerate(old)}
-            es = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-            assert_same_graph(g.relabeled(old), Graph(len(old), es))
+def test_relabeled_takes_ids_in_any_order(monkeypatch):
+    """New id i of ``relabeled(old)`` is ``old[i]`` for sorted, reversed
+    and shuffled ``old``, on both sides of the rule, over the masked
+    corpus and dense draws at n = 100-400; the transposition runs exactly
+    when the test's copy of the rule says so."""
+    calls = spy_on_columns(monkeypatch)
+    cases = [(g, list(bits(within))) for g, within in masked_corpus()]
+    more = [path_graph(200), complete_graph(60)] + corpus(6, 40, 120, seed0=860)
+    more += [random_graph(n, Fraction(1, 2), 850 + n) for n in (100, 250, 400)]
+    for i, g in enumerate(more):
+        cases += [(g, list(bits(s))) for s in (random_mask(g.n, 880 + i), g.full_mask, 1 << (i % g.n))]
+    rng = SplitMix64(870)
+    sides = [0, 0]
+    for g, old in cases:
+        shuffled = list(old)
+        rng.shuffle(shuffled)
+        for order in (old, old[::-1], shuffled):
+            calls.clear()
+            assert_same_graph(g.relabeled(order), relabel_reference(g, order))
+            assert bool(calls) == transposes(g, order)
+            sides[bool(calls)] += 1
+    assert min(sides) >= 300, sides
+
+
+def test_dense_relabel_peaks_below_its_edge_text(monkeypatch):
+    """A shuffle of a dense n = 2000 graph (density 1/2, about 10.9 MB of
+    edge text) is read with one string of n^2 digits, below the text; a
+    shuffle of the 4,096-vertex path stays on the bit loop, where that
+    string alone would take n^2 bytes."""
+    calls = spy_on_columns(monkeypatch)
+    for g, side in ((random_graph(2000, Fraction(1, 2), 8900), True), (path_graph(4096), False)):
+        text = serialize_instance(g)
+        edge_text = len(text) - (text.index("\ne ") + 1)
+        del text
+        old = list(range(g.n))
+        SplitMix64(8901).shuffle(old)
+        calls.clear()
+        tracemalloc.start()
+        try:
+            h = g.relabeled(old)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bool(calls) == side
+        assert peak < (edge_text if side else g.n * g.n // 2)
+        back = [0] * g.n
+        for i, o in enumerate(old):
+            back[o] = i
+        assert h.relabeled(back) == g
 
 
 def test_contraction_equals_validated_build_corpus():

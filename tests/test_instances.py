@@ -1,12 +1,11 @@
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
 
 import pytest
 
 from epa import instances
-from epa.graphs import Graph, unit_weights
+from epa.graphs import Graph, _columns, unit_weights
 from epa.instances import ParseError, parse_instance, serialize_instance
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph, random_weights
 from conftest import corpus
@@ -336,10 +335,10 @@ def side_files():
 @pytest.mark.parametrize("n,density", [(16, Fraction(1, 2)), (40, Fraction(1, 5)), (40, Fraction(1, 2)),
                                        (64, Fraction(1, 2)), *((n, d) for n, d, _ in SIDE_FILES)])
 def test_dense_rule_picks_the_side(n, density, monkeypatch):
-    """The transposition, the only caller of ``itertools.repeat`` in the
-    reader, runs exactly on the files the rule calls dense."""
+    """The transposition, the reader's only call of ``graphs._columns``,
+    runs exactly on the files the rule calls dense."""
     calls = []
-    monkeypatch.setattr(instances, "repeat", lambda *a: calls.append(a) or repeat(*a))
+    monkeypatch.setattr(instances, "_columns", lambda *a: calls.append(a) or _columns(*a))
     g = random_graph(n, density, 7650 + n)
     text = serialize_instance(g)
     assert _bulk_rows(text, n) == list(g.adj_bits)
