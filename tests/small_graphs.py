@@ -32,6 +32,11 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def threshold_cograph(n: int) -> Graph:
+    """Odd vertices dominate every earlier vertex; cotree depth is about n."""
+    return Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     es = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
     return Graph(a.n + b.n, es)

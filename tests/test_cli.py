@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -119,6 +120,65 @@ def test_oracle_unknown_modulator_class_exits_2(c5_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no modulator oracle for class 'interval'\n"
+
+
+def test_oracle_text_output(c5_file, capsys):
+    """Without ``--json`` the oracle prints one ``key: value`` line per key."""
+    assert main(["oracle", "--problem", "col", "--input", c5_file]) == 0
+    assert capsys.readouterr().out == "opt: 3\ncoloring: [1, 2, 1, 2, 3]\n"
+
+
+@pytest.mark.parametrize("argv", [["bench", "--classes", "split,interval", "--n", "5"],
+                                  ["gen", "--class", "interval", "--n", "5"]])
+def test_unknown_generator_class_exits_2(argv, capsys):
+    """``bench`` and ``gen`` name the class they cannot generate in one
+    ``error:`` line and exit 2, before any output."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unsupported class 'interval'\n"
+
+
+def test_input_from_stdin(tree_file, capsys, monkeypatch):
+    """``--input -`` reads the instance from standard input: the same
+    output as from the file."""
+    argv = ["solve", "--problem", "vc", "--param", "fvs", "--json", "--input"]
+    assert main(argv + [tree_file]) == 0
+    from_file = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(tree_file).read_text()))
+    assert main(argv + ["-"]) == 0
+    assert capsys.readouterr() == from_file
+
+
+def test_unreadable_input_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.epa"
+    assert main(["solve", "--problem", "vc", "--param", "fvs", "--input", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_bench_and_gen_write_to_stdout(tmp_path, capsys):
+    """Without ``--csv`` or ``--out`` the bytes go to standard output,
+    the same bytes as to the file.  Above the vc oracle budget the
+    vc-2approx line, like the rows, has no oracle cells."""
+    bench_argv = ["bench", "--classes", "split", "--n", "8", "--seeds", "0:1",
+                  "--oracle-budget", "5"]
+    assert main(bench_argv) == 0
+    out = capsys.readouterr().out
+    assert main(bench_argv + ["--csv", str(tmp_path / "b.csv")]) == 0
+    assert out == (tmp_path / "b.csv").read_text() == (
+        "seed,class,n,k_planted,k_oracle,alg,value,opt,bound,pass,micros\n"
+        "0,split,8,0,,cvc-split,4,,,,0\n"
+        "0,split,8,0,,vc-2approx,8,,,,0\n"
+        "0,split,8,0,,vc-split,4,,,,0\n")
+    gen_argv = ["gen", "--class", "split", "--n", "6", "--k", "1", "--seed", "3"]
+    assert main(gen_argv) == 0
+    out = capsys.readouterr().out
+    assert main(gen_argv + ["--out", str(tmp_path / "g.epa")]) == 0
+    assert out == (tmp_path / "g.epa").read_text()
+    assert out.startswith("c generated base=split n=6 k=1 density=1/2 seed=3\n")
 
 
 @pytest.mark.parametrize("weighted", [False, True])

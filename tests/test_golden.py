@@ -66,6 +66,7 @@ from epa.generator import (
     GENERATOR_CLASSES,
     GeneratorSpec,
     SplitMix64,
+    chained_triangle_complement,
     generate,
     random_connected_graph,
     random_graph,
@@ -75,6 +76,8 @@ from epa.graphs import Graph, mask_of, unit_weights
 from epa.instances import parse_instance, serialize_instance
 from epa.oracle import (
     exact_lp_vc,
+    exact_max_matching_size,
+    exact_max_tp,
     obstruction_masks,
     exact_min_cvc,
     exact_min_modulator,
@@ -94,7 +97,7 @@ from epa.vertex_cover import (
     vc_split,
 )
 from conftest import cliques, connected_corpus, corpus
-from small_graphs import path_graph
+from small_graphs import path_graph, threshold_cograph
 
 BENCH_SPECS = [
     GeneratorSpec(base, 8, k, Fraction(1, 2), seed)
@@ -265,11 +268,6 @@ SCALE_DEEP = [
 ]
 
 SCALE_SHA256 = "83bee73441897a87737f8b64357fbe4ee7fa95e5bf1ba8ee62b5629380f28753"
-
-
-def threshold_cograph(n: int) -> Graph:
-    """Odd vertices dominate every earlier vertex; cotree depth is about n."""
-    return Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
 
 
 def test_solve_json_scale_golden(tmp_path):
@@ -553,6 +551,40 @@ def test_tp_3maximal_golden():
         tris = [sorted(t) for t in tp_3maximal(g).triangles]
         out.append(f"{spec.n} {spec.seed} {tris}\n")
     assert _sha("".join(out)) == TP_3MAXIMAL_SHA256
+
+
+# Random graphs (n = 0..12 at densities 1/5, 1/2 and 4/5, two draws
+# each) and planted cluster and cocluster draws (n + k <= 12) of the
+# exact packing digest.
+PACKING_PLANTED = [GeneratorSpec(cls, n, k, Fraction(1, 2), seed)
+                   for cls in ("cluster", "cocluster") for n, k in ((8, 1), (9, 3), (10, 2), (12, 0))
+                   for seed in range(1, 6)]
+EXACT_PACKING_SHA256 = "18131a16ef093570a983596fe65d26d5104ff8f6c635d9f2fd40edac3b785fd7"
+
+
+def test_exact_packing_golden():
+    """Value and certificate of exact_max_tp, exact_max_matching_size,
+    and the packings of tp_maximal and tp_3maximal, triangles in order."""
+    graphs = [random_graph(n, d, 10100 + 6 * n + 3 * r + j)
+              for n in range(13) for j, d in enumerate(MATCHING_DENSITIES) for r in range(2)]
+    graphs += [generate(spec)[0] for spec in PACKING_PLANTED]
+    out = []
+    for i, g in enumerate(graphs):
+        size, tris = exact_max_tp(g)
+        out.append(f"{i} {size} {[sorted(t) for t in tris]} {exact_max_matching_size(g)}"
+                   f" {[sorted(t) for t in tp_maximal(g).triangles]}"
+                   f" {[sorted(t) for t in tp_3maximal(g).triangles]}\n")
+    assert _sha("".join(out)) == EXACT_PACKING_SHA256
+
+
+CHAINED_TRIANGLES_SHA256 = "9bf42dc681230a99069b5cdd5852406c86cc4a149b715ae2cd6a26ddcb32debd"
+
+
+def test_chained_triangle_complement_golden():
+    """Edges of chained_triangle_complement for 2..12 gadgets."""
+    out = [f"{gadgets} {list(chained_triangle_complement(gadgets).edges())}\n"
+           for gadgets in range(2, 13)]
+    assert _sha("".join(out)) == CHAINED_TRIANGLES_SHA256
 
 
 # (class, total n) of the planted draws (k = n/10, density 1/2, seeds

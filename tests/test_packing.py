@@ -74,6 +74,19 @@ def test_tp_3maximal_examples():
     assert tp_3maximal(complete_graph(6)).size == 2
 
 
+def test_tp_3maximal_reextends_after_a_swap():
+    """The triangle net: triangle 0-1-2 with a triangle hung on each of
+    its vertices.  The maximal packing takes only the centre; the swap
+    trades it for the first two outer triangles, and the third, freed by
+    the swap, is packed by the re-extension."""
+    net = Graph(9, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
+                    (1, 5), (1, 6), (5, 6), (2, 7), (2, 8), (7, 8)])
+    assert tp_maximal(net).triangles == (frozenset({0, 1, 2}),)
+    assert tp_3maximal(net).triangles == (frozenset({0, 3, 4}), frozenset({1, 5, 6}),
+                                          frozenset({2, 7, 8}))
+    assert exact_max_tp(net)[0] == 3
+
+
 def test_tp_3maximal_properties():
     for g in corpus(36, 6, 12, seed0=6500):
         sol = tp_3maximal(g)

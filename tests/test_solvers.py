@@ -27,7 +27,8 @@ from epa.solvers import (
     wvc_forest,
 )
 from conftest import _components, connected_corpus, corpus, masked_corpus, weights_for
-from small_graphs import complete_graph, cycle_graph, disjoint_union, path_graph, star_graph
+from small_graphs import (complete_graph, cycle_graph, disjoint_union, path_graph, star_graph,
+                          threshold_cograph)
 from test_recognize import _build_cotree_recursive
 
 
@@ -88,11 +89,6 @@ def test_wvc_cograph_matches_oracle():
         cover = wvc_cograph(g, w)
         assert is_vertex_cover(g, cover)
         assert total(w, cover) == exact_min_wvc(g, w)[0]
-
-
-def threshold_cograph(n: int) -> Graph:
-    """Odd vertices dominate every earlier vertex; cotree depth is about n."""
-    return Graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
 
 
 def _wvc_cograph_recursive(tree, w):
