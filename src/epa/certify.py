@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, bits, component_mask
+from .graphs import Graph, bits, connected
 
 
 def _vertex_mask(g: Graph, ids: Iterable[int]) -> Optional[int]:
@@ -42,11 +42,6 @@ def _covers(g: Graph, cover: int) -> bool:
     return True
 
 
-def _connected(g: Graph, mask: int) -> bool:
-    """G[mask] is connected; the empty set counts as connected."""
-    return not mask or component_mask(g.adj_bits, (mask & -mask).bit_length() - 1, mask) == mask
-
-
 def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
     """Every edge has an end in ``cover``."""
     c = _vertex_mask(g, cover)
@@ -67,7 +62,7 @@ def is_connected_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
     """Cover all edges and induce a connected subgraph; the empty cover
     passes on edgeless graphs only, as the empty set counts as connected."""
     c = _vertex_mask(g, cover)
-    return c is not None and _covers(g, c) and _connected(g, c)
+    return c is not None and _covers(g, c) and connected(g.adj_bits, c)
 
 
 def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
@@ -123,7 +118,7 @@ def _cycle(lengths: range) -> Pattern:
         for v in bits(mask):
             if (adj[v] & mask).bit_count() != 2:
                 return False
-        return _connected(g, mask)
+        return connected(g.adj_bits, mask)
 
     return Pattern(test, lambda k: k if k in lengths else None)
 

@@ -152,8 +152,7 @@ def cmd_bench(args) -> int:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     for c in classes:
         if c not in GENERATOR_CLASSES:
-            print(f"error: unsupported class {c!r}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+            raise UnsupportedPair(f"unsupported class {c!r}")
     sizes = _parse_int_list(args.n)
     ks = _parse_int_list(args.k)
     seeds = _parse_int_list(args.seeds)
@@ -175,8 +174,7 @@ def cmd_bench(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.cls not in GENERATOR_CLASSES:
-        print(f"error: unsupported class {args.cls!r}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedPair(f"unsupported class {args.cls!r}")
     spec = GeneratorSpec(args.cls, args.n, args.k, Fraction(args.density), args.seed)
     g, planted = generate(spec)
     planted_str = " ".join(str(v + 1) for v in sorted(planted))
@@ -203,8 +201,7 @@ def cmd_gen(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.modulator and args.modulator not in CLASSES:
-        print(f"error: no modulator oracle for class {args.modulator!r}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedPair(f"no modulator oracle for class {args.modulator!r}")
     g, w = _read_instance(args.input)
     budget = _budget(args)
     out: dict[str, str] = {}

@@ -100,18 +100,16 @@ def color_with_class_oracle(g: Graph, oracle: ClassColoringOracle) -> ColoringSo
     colors = [0] * n
     opened = 0
     for i in range(n):
-        placed = False
+        # ``combinations`` yields each subset sorted: colour x maps to subset[x - 1]
         for subset in combinations(range(1, opened + 1), c):
             chosen = [v for v in range(i) if colors[v] in subset] + [i]
             sub, old = g.induced_subgraph(chosen)
             attempt = oracle.attempt(sub)
             if _proper_within(sub, attempt, c):
-                palette = sorted(subset)
-                for new_id, v in enumerate(old):
-                    colors[v] = palette[attempt[new_id] - 1]
-                placed = True
+                for v, x in zip(old, attempt):
+                    colors[v] = subset[x - 1]
                 break
-        if not placed:
+        else:
             opened += 1
             colors[i] = opened
     return _normalized(colors, f"col-oracle[{oracle.name}]")

@@ -367,22 +367,11 @@ def chained_triangle_complement(gadgets: int) -> Graph:
     if gadgets < 2:
         raise ValueError("family needs at least two gadgets")
     g = gadgets
-    x = {}
-    y = {}
-    z = {}
-    for i in range(1, g):
-        y[i] = 2 * (i - 1)
-        x[i + 1] = 2 * (i - 1) + 1
-    x[1] = 2 * g - 2
-    z[1] = 2 * g - 1
-    y[g] = 2 * g
-    z[g] = 2 * g + 1
-    for i in range(2, g):
-        z[i] = 2 * g + i
-    edges = []
-    for i in range(1, g + 1):
-        edges += [(x[i], y[i]), (y[i], z[i]), (x[i], z[i])]
-    for i in range(1, g):
-        edges.append((y[i], x[i + 1]))
-    pictured = Graph(3 * g, [(min(u, v), max(u, v)) for u, v in edges])
+    # the ids of x_i, y_i and z_i at index i - 1
+    x = [2 * g - 2, *range(1, 2 * g - 2, 2)]
+    y = [*range(0, 2 * g - 2, 2), 2 * g]
+    z = [2 * g - 1, *range(2 * g + 2, 3 * g), 2 * g + 1]
+    edges = [e for i in range(g) for e in ((x[i], y[i]), (y[i], z[i]), (x[i], z[i]))]
+    edges += [(y[i], x[i + 1]) for i in range(g - 1)]
+    pictured = Graph(3 * g, edges)
     return pictured.complement()

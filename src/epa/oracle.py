@@ -200,50 +200,58 @@ def exact_chromatic(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[in
 
 
 # ---------------------------------------------------------------------
-# triangle packing
+# packings: triangle packing and matching
+
+
+def _max_packing(n: int, sets: Sequence[int], size: int) -> list[int]:
+    """The first largest family of pairwise disjoint masks of ``sets``,
+    each of ``size`` vertices, by branch and bound: branch on the lowest
+    free vertex that lies on a set inside the free mask, taking its sets
+    in the order of ``sets``, then leaving the vertex out."""
+    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    for s in sets:
+        for v in bits(s):
+            by_vertex[v].append(s)
+    best: list[int] = []
+    cur: list[int] = []
+
+    def rec(free: int) -> None:
+        if len(cur) + free.bit_count() // size <= len(best):
+            return
+        v = next((u for u in bits(free) if any(s & ~free == 0 for s in by_vertex[u])), -1)
+        if v == -1:
+            if len(cur) > len(best):
+                best[:] = cur
+            return
+        for s in by_vertex[v]:
+            if s & ~free == 0:
+                cur.append(s)
+                rec(free & ~s)
+                cur.pop()
+        rec(free & ~(1 << v))
+
+    rec((1 << n) - 1)
+    return best
 
 
 def exact_max_tp(
     g: Graph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Maximum triangle packing by branch and bound over vertex choices."""
+    """Maximum triangle packing by branch and bound over vertex choices,
+    the triangles listed in lexicographic (u, v, t) order."""
     _require(g.n, budget.tp, "triangle packing")
-    triangles: list[tuple[int, int, int]] = []
     adj = g.adj_bits
-    for u in range(g.n):
-        for v in bits(adj[u] >> (u + 1) << (u + 1)):
-            for t in bits(adj[u] & adj[v] >> (v + 1) << (v + 1)):
-                triangles.append((u, v, t))
-    tri_by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    tri_masks = [mask_of(t) for t in triangles]
-    for i, t in enumerate(triangles):
-        for v in t:
-            tri_by_vertex[v].append((i, tri_masks[i]))
+    triangles = [1 << u | 1 << v | 1 << t for u in range(g.n)
+                 for v in bits(adj[u] >> (u + 1) << (u + 1))
+                 for t in bits(adj[u] & adj[v] >> (v + 1) << (v + 1))]
+    best = _max_packing(g.n, triangles, 3)
+    return len(best), tuple(frozenset(bits(m)) for m in best)
 
-    best: list[int] = []
-    cur: list[int] = []
 
-    def rec(free: int) -> None:
-        if len(cur) + free.bit_count() // 3 <= len(best):
-            return
-        v = -1
-        for u in bits(free):
-            if any(tm & ~free == 0 for _, tm in tri_by_vertex[u]):
-                v = u
-                break
-        if v == -1:
-            if len(cur) > len(best):
-                best[:] = cur
-            return
-        for i, tm in tri_by_vertex[v]:
-            if tm & ~free == 0:
-                cur.append(i)
-                rec(free & ~tm)
-                cur.pop()
-        rec(free & ~(1 << v))
-
-    rec(g.full_mask)
-    return len(best), tuple(frozenset(triangles[i]) for i in best)
+def exact_max_matching_size(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """Maximum matching cardinality: the largest packing of edges."""
+    _require(g.n, budget.vc, "matching")
+    return len(_max_packing(g.n, obstruction_masks(g, "edgeless"), 2))
 
 
 # ---------------------------------------------------------------------
@@ -347,33 +355,3 @@ def exact_lp_vc(
         if not nz & z:
             best = min(best, wtab[full ^ z] + wtab[nz])
     return Fraction(best, 2 * scale)
-
-
-# ---------------------------------------------------------------------
-# matching
-
-
-def exact_max_matching_size(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Maximum matching cardinality by memoized branching."""
-    _require(g.n, budget.vc, "matching")
-    memo: dict[int, int] = {}
-
-    def rec(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        v = -1
-        for u in bits(mask):
-            if g.adj_bits[u] & mask:
-                v = u
-                break
-        if v == -1:
-            memo[mask] = 0
-            return 0
-        best = rec(mask & ~(1 << v))
-        for u in bits(g.adj_bits[v] & mask):
-            best = max(best, 1 + rec(mask & ~(1 << v) & ~(1 << u)))
-        memo[mask] = best
-        return best
-
-    return rec(g.full_mask)

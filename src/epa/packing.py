@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, bits, first_triangle, mask_of
 
@@ -32,19 +32,24 @@ def _triangles_within(g: Graph, pool: int) -> Iterator[tuple[int, int, int]]:
                 yield u, v, w
 
 
-def tp_maximal(g: Graph) -> TrianglePackingSol:
-    """Greedy maximal packing: the lexicographically first triangle among
-    free vertices, until none survives.  A free vertex below the last
-    triangle's first vertex lies on no free triangle, so each search
-    resumes there."""
-    free = g.full_mask
-    packed: list[frozenset[int]] = []
+def _extend(adj: Sequence[int], free: int, packed: list[tuple[int, int, int]]) -> list:
+    """Append to ``packed`` the lexicographically first triangle among the
+    ``free`` vertices, until none survives, and return it.  A free vertex
+    below the last triangle's first vertex lies on no free triangle, so
+    each search resumes there."""
     a = 0
-    while (tri := first_triangle(g.adj_bits, free >> a << a)) is not None:
-        packed.append(frozenset(tri))
+    while (tri := first_triangle(adj, free >> a << a)) is not None:
+        packed.append(tri)
         free &= ~mask_of(tri)
         a = tri[0]
-    return TrianglePackingSol(tuple(packed), "tp-maximal")
+    return packed
+
+
+def tp_maximal(g: Graph) -> TrianglePackingSol:
+    """Greedy maximal packing: the lexicographically first triangle among
+    free vertices, until none survives."""
+    packed = _extend(g.adj_bits, g.full_mask, [])
+    return TrianglePackingSol(tuple(map(frozenset, packed)), "tp-maximal")
 
 
 def _disjoint_sets(g: Graph, pool: int, want: int) -> Optional[list[tuple[int, int, int]]]:
@@ -71,29 +76,23 @@ def _disjoint_sets(g: Graph, pool: int, want: int) -> Optional[list[tuple[int, i
 
 def tp_3maximal(g: Graph) -> TrianglePackingSol:
     """Improve a maximal packing by swaps that remove at most two packed
-    triangles and insert strictly more, until none applies.
+    triangles and insert strictly more, re-extended to a maximal packing
+    after each swap, until none applies.
 
     Incoming triangles only ever use vertices freed by the removal plus
     currently free ones, which is enough: any improving swap's new
     triangles live there.
     """
-    packed = [tuple(sorted(t)) for t in tp_maximal(g).triangles]
+    adj, full = g.adj_bits, g.full_mask
+    packed = _extend(adj, full, [])
     while True:
-        free = g.full_mask & ~mask_of(v for t in packed for v in t)
-        add = first_triangle(g.adj_bits, free)
-        if add is not None:
-            packed.append(add)
-            continue
-        improved = False
-        for drop in (1, 2):
-            for out in combinations(range(len(packed)), drop):
-                pool = free | mask_of(v for i in out for v in packed[i])
-                got = _disjoint_sets(g, pool, drop + 1)
-                if got is not None:
-                    packed = [t for i, t in enumerate(packed) if i not in out] + got
-                    improved = True
-                    break
-            if improved:
+        free = full & ~mask_of(v for t in packed for v in t)
+        swaps = (out for drop in (1, 2) for out in combinations(range(len(packed)), drop))
+        for out in swaps:
+            got = _disjoint_sets(g, free | mask_of(v for i in out for v in packed[i]), len(out) + 1)
+            if got is not None:
                 break
-        if not improved:
-            return TrianglePackingSol(tuple(frozenset(t) for t in packed), "tp-3maximal")
+        else:
+            return TrianglePackingSol(tuple(map(frozenset, packed)), "tp-3maximal")
+        packed = [t for i, t in enumerate(packed) if i not in out] + got
+        packed = _extend(adj, full & ~mask_of(v for t in packed for v in t), packed)

@@ -326,10 +326,6 @@ def bench_instance(spec: GeneratorSpec, budget: OracleBudget, timing: bool) -> l
     return rows
 
 
-def _bench_worker(args: tuple) -> list[str]:
-    return bench_instance(*args)
-
-
 def bench(
     specs: list[GeneratorSpec],
     budget: OracleBudget = DEFAULT_BUDGET,
@@ -342,12 +338,12 @@ def bench(
     args = [(s, budget, timing) for s in specs]
     workers = min(workers, len(args))
     if workers <= 1:
-        chunks = [_bench_worker(a) for a in args]
+        chunks = [bench_instance(*a) for a in args]
     else:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_bench_worker, args)
+            chunks = pool.starmap(bench_instance, args)
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (int(r.split(",")[0]), r.split(",")[1], r.split(",")[5]))
     out = CSV_HEADER + "\n"

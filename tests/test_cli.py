@@ -241,8 +241,8 @@ def test_bench_starts_no_more_workers_than_instances(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def starmap(self, fn, items):
+            return [fn(*item) for item in items]
 
     monkeypatch.setattr("multiprocessing.Pool", FakePool)
     specs = [GeneratorSpec("cluster", 8, 1, Fraction(1, 2), seed) for seed in range(3)]

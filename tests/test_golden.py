@@ -39,7 +39,11 @@ three vertices per wanted triangle; the coloring digest before
 kept its colour classes as masks; the oracle-sweep CSV and
 every-class ``verify --json`` digests before ``epa bench`` asked each
 exact oracle once per instance; the deep-descent ``cvc_split`` digest
-before the driver descended on contraction rows in G's id space.  The
+before the driver descended on contraction rows in G's id space; the
+exact packing digest before ``oracle`` answered triangle packing and
+matching with one search and ``packing`` built and re-extended its
+packings with one loop; the triangle-chain digest before
+``chained_triangle_complement`` built its ids as lists.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does, and again when ``--problem
 vc`` at unit weights began to ask the unweighted oracle, as ``verify``

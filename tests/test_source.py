@@ -95,6 +95,24 @@ def test_one_form_of_the_clique_contraction():
     assert not derived, derived
 
 
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    path = PACKAGE / module
+    return {node.name: node for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_packing_search_and_one_maximal_loop():
+    """``oracle`` answers triangle packing and matching with one search,
+    ``_max_packing``; ``packing`` builds a maximal packing and re-extends
+    one after a swap in one loop, the only reader of ``first_triangle``."""
+    readers = [name for name, node in _functions("packing.py").items()
+               if _reads(node)["first_triangle"]]
+    assert readers == ["_extend"], readers
+    oracle = _functions("oracle.py")
+    assert all(_reads(oracle[name])["_max_packing"]
+               for name in ("exact_max_tp", "exact_max_matching_size"))
+
+
 def test_vertex_cover_builds_no_derived_graph():
     """Every residual of the vertex cover rows is solved on a vertex mask
     in G's ids: ``vertex_cover`` reads no ``induced_subgraph``,
