@@ -77,7 +77,7 @@ from epa.generator import (
     random_weights,
 )
 from epa.graphs import Graph, mask_of, unit_weights
-from epa.instances import parse_instance, serialize_instance
+from epa.instances import ParseError, parse_instance, serialize_instance
 from epa.oracle import (
     exact_lp_vc,
     exact_max_matching_size,
@@ -91,7 +91,7 @@ from epa.oracle import (
 from epa.packing import tp_3maximal, tp_maximal
 from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
 from epa.reports import bench
-from epa.solvers import lp_half_integral_vc, max_matching
+from epa.solvers import cotree_independent_set, lp_half_integral_vc, max_matching, wvc_cluster
 from epa.vertex_cover import (
     two_maximal_clique,
     vc_budgeted_2approx,
@@ -102,6 +102,18 @@ from epa.vertex_cover import (
 )
 from conftest import cliques, connected_corpus, corpus
 from small_graphs import path_graph, threshold_cograph
+from test_instances import (
+    EDGE_MUTATIONS,
+    FILE_MUTATIONS,
+    HEADER_EDGE_TEXTS,
+    PARSE_ERRORS,
+    PARSE_FRAGMENTS,
+    large_base,
+    mutated_large_files,
+    mutated_side_files,
+    mutated_small_files,
+    serialized_side_files,
+)
 
 BENCH_SPECS = [
     GeneratorSpec(base, 8, k, Fraction(1, 2), seed)
@@ -711,6 +723,43 @@ def test_graph_routines_golden():
     assert _sha("".join(out)) == GRAPH_ROUTINES_SHA256
 
 
+
+# (class, n) of the k = 0 cotree draws, each at seeds 1 and 2.
+COTREE_DRAWS = [(cls, n) for cls in ("cograph", "cluster", "cocluster") for n in (100, 400, 800)]
+COTREE_WALKS_SHA256 = "5709655c81475f93d1c7460fc7dbc289d0e9423c965506cd1bc50734f2c6e1a9"
+
+
+def _weightings(n: int, seed: int):
+    """Unit weights, random weights, and random weights of which about
+    half are zero (zeros and ties)."""
+    return (unit_weights(n), random_weights(n, seed),
+            random_weights(n, seed, zero_share=Fraction(1, 2)))
+
+
+def test_cotree_walks_golden():
+    """repr, evaluate and cotree_independent_set (three weightings) of the
+    cotrees of the empty and 1-vertex graphs, the 300- and 700-vertex
+    threshold cographs and k = 0 cograph, cluster and cocluster draws
+    (n = 100, 400, 800, seeds 1-2); and wvc_cluster's cover of cluster
+    draws at n = 10-800 with the same weightings."""
+    graphs = [Graph(0, []), Graph(1, []), threshold_cograph(300), threshold_cograph(700)]
+    graphs += [generate(GeneratorSpec(cls, n, 0, Fraction(1, 2), seed))[0]
+               for cls, n in COTREE_DRAWS for seed in (1, 2)]
+    h = hashlib.sha256()
+    for i, g in enumerate(graphs):
+        tree = build_cotree(g)
+        vs, es = tree.evaluate()
+        h.update(f"{i} {tree!r}\n{vs}\n{es}\n".encode())
+        for w in _weightings(g.n, 9000 + i):
+            h.update(f"{cotree_independent_set(tree, w):x}\n".encode())
+    for i, n in enumerate((10, 20, 50, 100, 200, 400, 800)):
+        for seed in (1, 2):
+            g, _ = generate(GeneratorSpec("cluster", n, 0, Fraction(1, 2), seed))
+            for w in _weightings(g.n, 9100 + 2 * i + seed):
+                h.update(f"{n} {seed} {sorted(wvc_cluster(g, w))}\n".encode())
+    assert h.hexdigest() == COTREE_WALKS_SHA256
+
+
 # Every name ``certify.induces_pattern`` knows.
 PATTERN_NAMES = ("K2", "P3", "co-P3", "triangle", "K3bar", "P4", "P3+K1", "2K2", "C4", "C5",
                  "cycle", "odd-cycle", "hole", "co-hole")
@@ -780,6 +829,35 @@ def test_parse_golden():
         out.append(f"{name} {' '.join(format(b, 'x') for b in h.adj_bits)}"
                    f" {' '.join(map(str, hw))}\n")
     assert _sha("".join(out)) == PARSE_SHA256
+
+
+
+LINE_LOOP_SHA256 = "bf37f0498d9a77401af0b5578a8d1ce943795c97a6dfbd54390ec415a691e2f4"
+
+
+def test_line_loop_golden():
+    """parse_instance's graph rows and weights, or its exact error line,
+    on the tab variant of every file and mutation of
+    tests/test_instances.py: the error texts, the files with an edge in
+    the header, the 2,000 mutated small files, the large file and its
+    mutations, and the side files with every mutation.  A tab variant
+    holds no canonical edge line, so only the line loop reads it."""
+    texts = [text for text, *_ in PARSE_FRAGMENTS + PARSE_ERRORS] + HEADER_EDGE_TEXTS
+    texts += [text for _, text in mutated_small_files()]
+    texts += [large_base()[2]] + [text for _, text in mutated_large_files()]
+    side_files = serialized_side_files()
+    texts += [text for _, text, _ in side_files]
+    texts += [text for kind in EDGE_MUTATIONS + FILE_MUTATIONS
+              for _, _, text in mutated_side_files(kind, side_files)]
+    h = hashlib.sha256()
+    for text in texts:
+        try:
+            g, w = parse_instance(text.replace(" ", "\t"))
+        except ParseError as err:
+            h.update(f"{err} {err.line}\n".encode())
+        else:
+            h.update(f"{' '.join(format(b, 'x') for b in g.adj_bits)} {' '.join(map(str, w))}\n".encode())
+    assert h.hexdigest() == LINE_LOOP_SHA256
 
 
 # -- generation ----------------------------------------------------------

@@ -63,20 +63,21 @@ def test_serialize_matches_neighbour_tuple_form_and_builds_no_tuples():
             assert text == _serialize_reference(Graph._from_masks(g.adj_bits), w)
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("e 1 2\n", "before problem line"),
-        ("p epa 2 1\ne 1 1\n", "self-loop"),
-        ("p epa 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
-        ("p epa 2 1\ne 1 3\n", "out of range"),
-        ("p epa 2 1\nv 1 -3\ne 1 2\n", "negative weight"),
-        ("p epa 2 1\nv 1 1/0\ne 1 2\n", "bad weight"),
-        ("p epa 2 2\ne 1 2\n", "declared 2 edges"),
-        ("p epa 2 1\nx 1 2\n", "unknown line kind"),
-        ("p epa 2 1\np epa 2 1\ne 1 2\n", "duplicate problem"),
-    ],
-)
+# Error texts with a fragment of their message.
+PARSE_FRAGMENTS = [
+    ("e 1 2\n", "before problem line"),
+    ("p epa 2 1\ne 1 1\n", "self-loop"),
+    ("p epa 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
+    ("p epa 2 1\ne 1 3\n", "out of range"),
+    ("p epa 2 1\nv 1 -3\ne 1 2\n", "negative weight"),
+    ("p epa 2 1\nv 1 1/0\ne 1 2\n", "bad weight"),
+    ("p epa 2 2\ne 1 2\n", "declared 2 edges"),
+    ("p epa 2 1\nx 1 2\n", "unknown line kind"),
+    ("p epa 2 1\np epa 2 1\ne 1 2\n", "duplicate problem"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", PARSE_FRAGMENTS)
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
@@ -251,13 +252,10 @@ def _bulk_rows(text: str, n: int):
     return rows if instances._read_edge_block(text, text.index("\ne ") + 1, rows) else None
 
 
-def test_canonical_block_mutations_match_line_loop(monkeypatch):
-    """2,000 mutated small files, read in bulk chunks of 1, 7, 64 and
-    8,192 characters, match the line loop; both sides of the dense rule
-    are among them."""
+def mutated_small_files():
+    """(n, text) of 2,000 small serialized files, each with one or two
+    random mutations."""
     rng = SplitMix64(6800)
-    cases = 0
-    sides = [0, 0]
     for i in range(2000):
         n = 2 + rng.below(30)
         g = random_graph(n, Fraction(1 + rng.below(4), 5), 6800 + i)
@@ -271,6 +269,16 @@ def test_canonical_block_mutations_match_line_loop(monkeypatch):
             else:
                 kind = FILE_MUTATIONS[rng.below(len(FILE_MUTATIONS))]
             text = _mutate(text, kind, _random_position(text, rng), rng, n)
+        yield n, text
+
+
+def test_canonical_block_mutations_match_line_loop(monkeypatch):
+    """The 2,000 mutated small files, read in bulk chunks of 1, 7, 64 and
+    8,192 characters, match the line loop; both sides of the dense rule
+    are among them."""
+    cases = 0
+    sides = [0, 0]
+    for i, (n, text) in enumerate(mutated_small_files()):
         monkeypatch.setattr(instances, "_CHUNK", (1, 7, 64, 1 << 13)[i % 4], raising=False)
         assert _outcome(text) == _line_loop_outcome(text), text
         cases += 1
@@ -279,15 +287,22 @@ def test_canonical_block_mutations_match_line_loop(monkeypatch):
     assert cases >= 2000 and min(sides) >= 100, sides
 
 
-def test_large_canonical_block_mutations_match_line_loop():
-    """A 5,572-edge file (about 49 KB, six bulk chunks of 8 KiB, each
-    cut after the first newline at or past its size) with a duplicate, a
-    self-loop or an out-of-range edge on the last line of the first or
-    second chunk, on the first line of the second, or in the last chunk;
-    and with a wrong edge count, and unmutated."""
-    chunk = 1 << 13
+def large_base():
+    """A 5,572-edge file (about 49 KB, six bulk chunks of 8 KiB, each cut
+    after the first newline at or past its size), with its graph and
+    weights."""
     g = random_graph(150, Fraction(1, 2), 6900)
-    base = serialize_instance(g, random_weights(150, 6900), ["large"])
+    w = random_weights(150, 6900)
+    return g, w, serialize_instance(g, w, ["large"])
+
+
+def mutated_large_files():
+    """(kind, text) of the large file with a duplicate, a self-loop or an
+    out-of-range edge on the last line of the first or second chunk, on
+    the first line of the second, or in the last chunk; and with a wrong
+    edge count, and unmutated."""
+    chunk = 1 << 13
+    g, _, base = large_base()
     ends = [base.index("\ne ") + 1]
     while len(ends) < 4:
         ends.append(base.find("\n", ends[-1] + chunk - 1) + 1)
@@ -299,11 +314,18 @@ def test_large_canonical_block_mutations_match_line_loop():
         for kind in ("duplicate", "self-loop", "out-of-range"):
             text = _mutate(base, kind, pos, rng, g.n)
             assert text != base
-            assert _outcome(text) == _line_loop_outcome(text), (kind, pos)
+            yield kind, text
     for kind in ("none", "m-off"):
-        text = _mutate(base, kind, 0, rng, g.n)
+        yield kind, _mutate(base, kind, 0, rng, g.n)
+
+
+def test_large_canonical_block_mutations_match_line_loop():
+    """Every mutation of the large file matches the line loop, and the
+    unmutated file parses to its graph and weights."""
+    for kind, text in mutated_large_files():
         assert _outcome(text) == _line_loop_outcome(text), kind
-    assert parse_instance(base) == (g, random_weights(150, 6900))
+    g, w, base = large_base()
+    assert parse_instance(base) == (g, w)
 
 
 # Files on each side of the dense rule, each several bulk chunks long:
@@ -314,22 +336,40 @@ SIDE_FILES = ((300, Fraction(1, 10), False), (100, Fraction(1, 2), True),
               (200, Fraction(1, 2), True), (300, Fraction(1, 2), True))
 
 
-@pytest.fixture(scope="module")
-def side_files():
-    """Each of SIDE_FILES serialized, with its graph and its bulk chunk
-    starts; the unmutated file is read in bulk, on its side of the rule."""
+def serialized_side_files():
+    """(graph, text, bulk chunk starts) of each of SIDE_FILES."""
     files = []
-    for i, (n, density, dense) in enumerate(SIDE_FILES):
+    for i, (n, density, _) in enumerate(SIDE_FILES):
         g = random_graph(n, density, 7600 + i)
         text = serialize_instance(g, random_weights(n, 7600 + i), ["sides"])
-        assert _dense(text, n) == dense
-        assert _bulk_rows(text, n) == list(g.adj_bits)
         starts = [text.index("\ne ") + 1]
         while (end := text.find("\n", starts[-1] + instances._CHUNK - 1) + 1) and end < len(text):
             starts.append(end)
-        assert len(starts) >= 3
         files.append((g, text, starts))
     return files
+
+
+@pytest.fixture(scope="module")
+def side_files():
+    """The serialized side files; each unmutated file is several chunks
+    long and read in bulk, on its side of the rule."""
+    files = serialized_side_files()
+    for (g, text, starts), (n, _, dense) in zip(files, SIDE_FILES):
+        assert _dense(text, n) == dense
+        assert _bulk_rows(text, n) == list(g.adj_bits)
+        assert len(starts) >= 3
+    return files
+
+
+def mutated_side_files(kind: str, files):
+    """(n, dense, text) of ``kind`` on the last line of the first chunk,
+    on the first line of the second, and in the last chunk, of each side
+    file; the last text of each file is the one in its last chunk."""
+    rng = SplitMix64(7700 + len(kind))
+    for (_, base, starts), (n, _, dense) in zip(files, SIDE_FILES):
+        last = starts[-1] + 1 + rng.below(len(base) - starts[-1] - 2)
+        for pos in (starts[1] - 2, starts[1], last):
+            yield n, dense, _mutate(base, kind, pos, rng, n)
 
 
 @pytest.mark.parametrize("n,density", [(16, Fraction(1, 2)), (40, Fraction(1, 5)), (40, Fraction(1, 2)),
@@ -353,15 +393,13 @@ def test_every_mutation_matches_line_loop_on_both_sides_of_the_dense_rule(kind, 
     ``duplicate`` on the first line of a chunk repeats the last line of
     the chunk before, reversed: on the dense side only the transposition
     sets its mirror bits, so only the final count can catch it."""
-    rng = SplitMix64(7700 + len(kind))
-    for (g, base, starts), (n, _, dense) in zip(side_files, SIDE_FILES):
-        last = starts[-1] + 1 + rng.below(len(base) - starts[-1] - 2)
-        for pos in (starts[1] - 2, starts[1], last):
-            text = _mutate(base, kind, pos, rng, n)
-            assert _dense(text, n) == dense
-            assert _outcome(text) == _line_loop_outcome(text), (n, dense, kind, pos)
-        if kind == "swap":
-            # e v u reads as e u v: still one bulk read, on either side
+    mutated = list(mutated_side_files(kind, side_files))
+    for n, dense, text in mutated:
+        assert _dense(text, n) == dense
+        assert _outcome(text) == _line_loop_outcome(text), (n, dense, kind)
+    if kind == "swap":
+        # e v u reads as e u v: still one bulk read, on either side
+        for (g, base, _), (n, _, text) in zip(side_files, mutated[2::3]):
             assert text != base and _bulk_rows(text, n) == list(g.adj_bits)
 
 

@@ -1,18 +1,22 @@
 """Oracle-free metamorphic checks at n in the hundreds.
 
 Rows that are exact at k = 0 agree where their classes meet, and the
-weighted vertex cover rows do not depend on the unit of weight.  Neither
-relation needs an exact oracle, so both reach sizes no oracle does.  A
-violation is a defect of a row: its draw is never re-seeded.
+weighted vertex cover rows do not depend on the unit of weight, on the
+order of the ids or, for classes closed under disjoint union, on whether
+two graphs are solved apart or together.  No relation needs an exact
+oracle, so they reach sizes no oracle does.  A violation is a defect of a
+row: its draw is never re-seeded.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from epa.generator import GeneratorSpec, generate, random_weights
-from epa.reports import run_algorithm
-from small_graphs import threshold_cograph
+from epa.generator import GeneratorSpec, SplitMix64, generate, random_weights
+from epa.reports import ROWS, run_algorithm
+from small_graphs import disjoint_union, threshold_cograph
+
+ROW = {(row.problem, row.param): row for row in ROWS}
 
 
 @pytest.mark.parametrize("n", [100, 400, 700])
@@ -55,3 +59,50 @@ def test_weighted_vc_rows_are_scale_invariant(param, cls):
     scaled = run_algorithm("vc", param, g, [x * Fraction(7, 3) for x in w])
     assert scaled.certificate == base.certificate
     assert scaled.value == base.value * Fraction(7, 3)
+
+
+def _draw(problem, param, n, seed):
+    """A k = 0 draw of the row's class with the row's weights (None on
+    an unweighted row)."""
+    row = ROW[problem, param]
+    g, _ = generate(GeneratorSpec(row.modulator, n, 0, Fraction(1, 2), seed))
+    return g, random_weights(g.n, seed) if row.weighted else None
+
+
+RELABEL_CASES = [
+    *(("vc", param, n) for param in ("cluster", "ccluster", "cograph", "fvs") for n in (200, 800)),
+    ("vc", "split", 200), ("vc", "split", 400), ("cvc", "split", 40),
+    ("col", "oct", 200), *(("col", param, n) for param in ("chordal", "cograph") for n in (200, 800)),
+    ("col", "p3k1", 100),
+    ("tp", "cluster", 200), ("tp", "cluster", 800), ("tp", "ccluster", 100),
+]
+
+
+@pytest.mark.parametrize("problem, param, n", RELABEL_CASES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_rows_are_relabel_invariant_at_k0(problem, param, n, seed):
+    """At k = 0 the row is exact on its class, so its value does not
+    change when the ids are shuffled (splitmix64) and the weights move
+    with their vertices."""
+    g, w = _draw(problem, param, n, seed)
+    if problem == "cvc":
+        assert g.is_connected()
+    perm = list(range(g.n))
+    SplitMix64(seed).shuffle(perm)
+    h = g.relabeled(perm)
+    hw = None if w is None else [w[v] for v in perm]
+    assert run_algorithm(problem, param, h, hw).value == run_algorithm(problem, param, g, w).value
+
+
+@pytest.mark.parametrize("problem, param", [("vc", "cluster"), ("vc", "cograph"), ("vc", "fvs"),
+                                            ("tp", "cluster")])
+@pytest.mark.parametrize("n", [200, 400])
+def test_exact_rows_add_over_disjoint_unions_at_k0(problem, param, n):
+    """Clusters, cographs and forests are closed under disjoint union:
+    at k = 0 the row's value on G + H is its value on G plus on H, with
+    H half as large as G."""
+    g, gw = _draw(problem, param, n, 1)
+    h, hw = _draw(problem, param, n // 2, 2)
+    union_w = None if gw is None else gw + hw
+    value = run_algorithm(problem, param, disjoint_union(g, h), union_w).value
+    assert value == run_algorithm(problem, param, g, gw).value + run_algorithm(problem, param, h, hw).value
