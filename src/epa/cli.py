@@ -237,16 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run an algorithm on an instance")
-    p_solve.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
-    p_solve.add_argument("--param", required=True, choices=PARAMS)
-    p_solve.add_argument("--input", required=True)
-    p_solve.add_argument("--json", action="store_true")
-
     p_verify = sub.add_parser("verify", help="run and check the guarantee with oracles")
-    p_verify.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
-    p_verify.add_argument("--param", required=True, choices=PARAMS)
-    p_verify.add_argument("--input", required=True)
-    p_verify.add_argument("--json", action="store_true")
+    for p in (p_solve, p_verify):
+        p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
+        p.add_argument("--param", required=True, choices=PARAMS)
+        p.add_argument("--input", required=True)
+        p.add_argument("--json", action="store_true")
     p_verify.add_argument("--oracle-budget", type=int, default=None)
 
     p_bench = sub.add_parser("bench", help="sweep generated instances into a CSV")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, NoReturn, Optional
+from typing import Iterable, Optional
 
 from .graphs import Graph, Weights, _columns, _dense_row, _digits, bits
 
@@ -75,10 +75,10 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
     """The line loop: the vertex count (None without a problem line), the
     declared edge count, the weights read and the adjacency masks.
 
-    Each ``e`` line is checked once (integer ids, range, self-loop, and
-    duplicate by a bit already set in the adjacency mask) and sets its
-    two mask bits; the finished masks become the graph without a second
-    validation.
+    Each ``e`` line is checked once (arity, integer ids, range,
+    self-loop, and duplicate by a bit already set in the adjacency mask)
+    and sets its two mask bits; the finished masks become the graph
+    without a second validation.
     """
     n: Optional[int] = None
     m_declared = 0
@@ -86,21 +86,23 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
     rows: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if len(parts) == 3 and parts[0] == "e" and n is not None:
-            try:
-                u = int(parts[1]) - 1
-                v = int(parts[2]) - 1
-            except ValueError:
-                u = v = -1
-            if 0 <= u < n and 0 <= v < n and u != v and not rows[u] >> v & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                continue
-            _edge_error(parts, n, line_no)
         if not parts or parts[0].startswith("c"):
             continue
         kind = parts[0]
-        if kind == "p":
+        if kind == "e":
+            if n is None:
+                raise ParseError("edge line before problem line", line_no)
+            if len(parts) != 3:
+                raise ParseError("edge line must be 'e <u> <v>'", line_no)
+            u = _parse_index(parts[1], n, line_no)
+            v = _parse_index(parts[2], n, line_no)
+            if u == v:
+                raise ParseError("self-loop rejected", line_no)
+            if rows[u] >> v & 1:
+                raise ParseError(f"duplicate edge {parts[1]} {parts[2]}", line_no)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        elif kind == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", line_no)
             if len(parts) != 4 or parts[1] != "epa":
@@ -123,10 +125,6 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
             if vid in weights:
                 raise ParseError(f"duplicate weight for vertex {parts[1]}", line_no)
             weights[vid] = _parse_weight(parts[2], line_no)
-        elif kind == "e":
-            if n is None:
-                raise ParseError("edge line before problem line", line_no)
-            raise ParseError("edge line must be 'e <u> <v>'", line_no)
         else:
             raise ParseError(f"unknown line kind {kind!r}", line_no)
     return n, m_declared, weights, rows
@@ -208,15 +206,6 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
     return sum(map(int.bit_count, rows)) == 2 * lines
 
 
-def _edge_error(parts: list[str], n: int, line: int) -> NoReturn:
-    """Raise the ParseError of an ``e u v`` line that failed a check."""
-    u = _parse_index(parts[1], n, line)
-    v = _parse_index(parts[2], n, line)
-    if u == v:
-        raise ParseError("self-loop rejected", line)
-    raise ParseError(f"duplicate edge {parts[1]} {parts[2]}", line)
-
-
 def _parse_index(tok: str, n: int, line: int) -> int:
     try:
         vid = int(tok)
@@ -235,9 +224,7 @@ def serialize_instance(
     if w is not None:
         for v in range(g.n):
             if w[v] != 1:
-                frac = w[v]
-                tok = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
-                lines.append(f"v {v + 1} {tok}")
+                lines.append(f"v {v + 1} {w[v]!s}")
     # The "e u v" lines in the order of g.edges(), one join per row over
     # the ids as strings instead of one format per line; the leading ""
     # puts the separator "\ne u " before every neighbour.  The higher

@@ -17,7 +17,7 @@ re-validated by :mod:`epa.certify`; nothing downstream trusts the producer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .graphs import Graph, bits, first_triangle, mask_of
 
@@ -47,8 +47,8 @@ class Cotree:
     vertex: Optional[int] = None
     children: tuple["Cotree", ...] = field(default=())
 
-    # ``==``, ``hash`` and ``repr`` walk the tree with explicit stacks; the
-    # generated dataclass methods recurse, and a cotree can be about n deep.
+    # Both walks below use explicit stacks; the generated dataclass
+    # methods recurse, and a cotree can be about n deep.
 
     def _preorder(self) -> list[tuple[str, Optional[int], int]]:
         """(kind, vertex, child count) of every node in preorder, which
@@ -61,6 +61,22 @@ class Cotree:
             stack.extend(reversed(node.children))
         return out
 
+    def fold(self, combine: Callable[[str, Optional[int], list], Any]) -> Any:
+        """The root's ``combine(kind, vertex, results)``, called at every
+        node after its children, left to right, with their results in
+        order."""
+        stack: list[tuple[Cotree, list]] = [(self, [])]
+        while True:
+            node, results = stack[-1]
+            if len(results) < len(node.children):
+                stack.append((node.children[len(results)], []))
+                continue
+            stack.pop()
+            result = combine(node.kind, node.vertex, results)
+            if not stack:
+                return result
+            stack[-1][1].append(result)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cotree):
             return NotImplemented
@@ -70,22 +86,11 @@ class Cotree:
         return hash(tuple(self._preorder()))
 
     def __repr__(self) -> str:
-        """The dataclass repr, written out in preorder."""
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            out.append(f"Cotree(kind={item.kind!r}, vertex={item.vertex!r}, children=(")
-            kids = item.children
-            stack.append(",))" if len(kids) == 1 else "))")
-            for i in reversed(range(len(kids))):
-                stack.append(kids[i])
-                if i:
-                    stack.append(", ")
-        return "".join(out)
+        """The dataclass repr.  A node joins its children's texts, so a
+        tree of depth d copies up to d times the text's length."""
+        return self.fold(lambda kind, vertex, kids: (
+            f"Cotree(kind={kind!r}, vertex={vertex!r}, children=({', '.join(kids)}"
+            f"{',' if len(kids) == 1 else ''}))"))
 
     def leaves(self) -> list[int]:
         return [vertex for kind, vertex, _ in self._preorder() if kind == "leaf"]
@@ -94,25 +99,20 @@ class Cotree:
         """Vertices and edges of the graph the cotree denotes."""
         vs: list[int] = []
         es: list[tuple[int, int]] = []
-        # Post-order with an explicit stack (a cotree can be about n
-        # deep).  A subtree's leaves are a contiguous run of ``vs``; a
-        # frame keeps where each child's run starts.
-        stack: list[tuple[Cotree, list[int]]] = [(self, [])]
-        while stack:
-            node, starts = stack[-1]
-            if node.kind != "leaf" and len(starts) < len(node.children):
-                starts.append(len(vs))
-                stack.append((node.children[len(starts) - 1], []))
-                continue
-            stack.pop()
-            if node.kind == "leaf":
-                vs.append(node.vertex)
-            elif node.kind == "join":
-                bounds = starts + [len(vs)]
-                parts = [vs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+        def run(kind: str, vertex: Optional[int], runs: list[tuple[int, int]]) -> tuple[int, int]:
+            # a subtree's leaves are the contiguous run vs[start:end]
+            if kind == "leaf":
+                vs.append(vertex)
+                return len(vs) - 1, len(vs)
+            if kind == "join":
+                parts = [vs[a:b] for a, b in runs]
                 for i, a in enumerate(parts):
                     for b in parts[i + 1 :]:
                         es.extend((u, v) if u < v else (v, u) for u in a for v in b)
+            return (runs[0][0] if runs else len(vs)), len(vs)
+
+        self.fold(run)
         return vs, es
 
 

@@ -84,16 +84,13 @@ def wvc_forest(g: Graph, w: Weights, within: Optional[int] = None) -> frozenset[
 
 
 def wvc_cluster(g: Graph, w: Weights) -> frozenset[int]:
-    """Minimum-weight vertex cover of a cluster graph: drop one heaviest
-    vertex per clique."""
+    """Minimum-weight vertex cover of a cluster graph: every vertex but
+    the first heaviest of each clique, by the cograph DP (a clique's
+    cotree joins its vertices in id order)."""
     rec = recognize(g, "cluster")
     if not rec.member:
         raise NotInClassError("cluster", rec.witness)
-    cover: set[int] = set()
-    for comp in rec.structure:
-        keep_out = max(sorted(comp), key=lambda v: (w[v], -v))
-        cover.update(comp - {keep_out})
-    return frozenset(cover)
+    return wvc_cograph(g, w)
 
 
 def wvc_cograph(g: Graph, w: Weights) -> frozenset[int]:
@@ -109,31 +106,22 @@ def cotree_independent_set(tree: Cotree, w: Weights) -> int:
     """Mask of a heaviest independent set of the cograph that ``tree``
     denotes, its leaves ids into ``w``.
 
-    Post-order with an explicit stack (a cotree can be about n deep).  A
-    node's result is a heaviest independent set of its leaves as
+    A node's result is a heaviest independent set of its leaves as
     (weight, mask): a union takes all its children's sets, a join its
     first heaviest child's.
     """
-    stack: list[tuple[Cotree, list]] = [(tree, [])]
-    while True:
-        node, subs = stack[-1]
-        if node.kind == "leaf":
-            res = (w[node.vertex], 1 << node.vertex)
-        elif len(subs) < len(node.children):
-            stack.append((node.children[len(subs)], []))
-            continue
-        elif node.kind == "union":
-            weight, mask = 0, 0
-            for sub_weight, sub_mask in subs:
-                weight += sub_weight
-                mask |= sub_mask
-            res = (weight, mask)
-        else:
-            res = max(subs, key=lambda sub: sub[0])
-        stack.pop()
-        if not stack:
-            return res[1]
-        stack[-1][1].append(res)
+    def best(kind: str, vertex: Optional[int], subs: list) -> tuple:
+        if kind == "leaf":
+            return w[vertex], 1 << vertex
+        if kind == "join":
+            return max(subs, key=lambda sub: sub[0])
+        weight, mask = 0, 0
+        for sub_weight, sub_mask in subs:
+            weight += sub_weight
+            mask |= sub_mask
+        return weight, mask
+
+    return tree.fold(best)[1]
 
 
 # ---------------------------------------------------------------------
@@ -450,8 +438,6 @@ def cvc_savage(g: Graph) -> frozenset[int]:
     covers and connects (keeps single-edge graphs feasible)."""
     if not g.is_connected():
         raise ValueError("Savage's algorithm needs a connected graph")
-    if g.n <= 1:
-        return frozenset()
     return frozenset(bits(savage_mask(g.adj_bits, g.full_mask, 0)))
 
 

@@ -151,3 +151,29 @@ def test_one_adjacency_form_in_the_algorithm_layer():
                   if isinstance(node, ast.FunctionDef) and node.name == "color_with_class_oracle")
     assert _attributes(trees["coloring"])["induced_subgraph"] == 1
     assert _attributes(oracle)["induced_subgraph"] == 1
+
+
+def test_one_edge_line_check_in_the_line_loop():
+    """``instances._read_lines`` compares a line kind with ``"e"`` once:
+    one branch checks an edge line."""
+    loop = _functions("instances.py")["_read_lines"]
+    compares = [node for node in ast.walk(loop) if isinstance(node, ast.Compare)
+                and any(isinstance(c, ast.Constant) and c.value == "e"
+                        for c in [node.left, *node.comparators])]
+    assert len(compares) == 1, [node.lineno for node in compares]
+
+
+def test_one_post_order_walk_of_a_cotree():
+    """In ``recognize`` and ``solvers`` only ``Cotree._preorder`` and
+    ``Cotree.fold`` read ``.children``: repr, evaluate and the cograph DP
+    are combiners of the one fold."""
+    readers = []
+    for module in ("recognize.py", "solvers.py"):
+        path = PACKAGE / module
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                     if isinstance(cls, ast.ClassDef) for node in cls.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        readers += [f"{module}: {name}" for name, node in functions if _attributes(node)["children"]]
+    assert readers == ["recognize.py: Cotree._preorder", "recognize.py: Cotree.fold"], readers
