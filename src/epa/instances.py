@@ -9,8 +9,10 @@ Line-oriented, DIMACS-adjacent, 1-indexed:
 
 Parsing and serialization round-trip exactly; errors carry line numbers.
 A canonical edge block, the form ``serialize_instance`` writes, is read
-in bulk; a dense one sets one mask bit per edge and the other half of
-every edge in one transposition at the end.  The vertex count is capped
+in bulk.  A dense one is read one run of lines with the same first id
+at a time: one sum of powers of two per run sets a row's bits, a
+popcount checks that every line set a new bit, and one transposition at
+the end sets the other half of every edge.  The vertex count is capped
 at ``MAX_VERTICES``: the adjacency masks of a dense graph take n^2/8
 bytes, 512 MiB at the cap.
 """
@@ -52,10 +54,10 @@ def parse_instance(text: str) -> tuple[Graph, Weights]:
 
     The line loop reads the text up to the first line that starts with
     ``e `` after a newline.  If the rest is a canonical edge block, the
-    form ``serialize_instance`` writes, it is read in bulk chunks (see
-    ``_read_edge_block``); if not, or if a chunk fails a check, the line
-    loop parses the whole text, so every graph, weight and error is the
-    line loop's.
+    form ``serialize_instance`` writes, it is read in bulk (see
+    ``_read_edge_block``); if not, or if a bulk step fails a check, the
+    line loop parses the whole text, so every graph, weight and error is
+    the line loop's.
     """
     cut = text.find("\ne ") + 1
     n, m_declared, weights, rows = _read_lines(text[:cut] if cut else text)
@@ -130,16 +132,20 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
     return n, m_declared, weights, rows
 
 
-# Characters of edge lines per bulk step.  The regex keeps about 29
-# bytes of backtracking state per character it matches (235 KB over one
-# 8 KiB chunk, by tracemalloc), so chunks stay small: parsing a
-# 288,836-edge file (n = 800) in a fresh process peaked at 22.1 MB RSS
-# with 8 KiB chunks, 33.2 MB with 256 KiB and 39.3 MB with the line loop
-# alone, at the same speed from 4 to 64 KiB.  The file's block is dense;
-# its transposition, after the last chunk, holds one string of n^2
-# digits (0.64 MB) and left the peak where it was.
+# Characters of edge lines per bulk step: a sparse chunk, or the most a
+# dense run's match may cover.  Both regexes keep 23-29 bytes of
+# backtracking state per character they match (up to 235 KB over 8 KiB,
+# by tracemalloc), so steps stay small: parsing a 288,836-edge file
+# (n = 800) in a fresh process peaked at 22.1 MB RSS with 8 KiB chunks,
+# 33.2 MB with 256 KiB and 39.3 MB with the line loop alone, at the same
+# speed from 4 to 64 KiB.  The file's block is dense; its transposition,
+# after the last run, holds one string of n^2 digits (0.64 MB) and left
+# the peak where it was.
 _CHUNK = 1 << 13
 _EDGE_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
+# A run: one or more lines "e U V" with the same U, which group 1 holds
+# with its spaces and group 2 alone.
+_EDGE_RUN = re.compile(r"(e ([1-9][0-9]*) )[1-9][0-9]*\n(?:\1[1-9][0-9]*\n)*")
 
 
 def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
@@ -147,62 +153,82 @@ def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
     if every line of it is exactly ``e <id> <id>\\n`` (ASCII digits, no
     leading zero) with ids in 1..n, no self-loop and no edge twice.
 
-    Chunks of about ``_CHUNK`` characters, cut after a newline, are each
-    matched by one regex and split once; ids are looked up in dicts,
-    whose ``KeyError`` is a range error.  A line ``e u v`` sets bit v of
-    row u and bit u of row v.  In a dense block, of at least
-    max(n, 64) * n characters, it sets only bit v of row u, from a table
-    of ``1 << (id - 1)`` per id, and after the last chunk one
-    transposition (``graphs._columns``) gives every row v column v of
-    those rows.  The transposition reads one string of about n^2 binary
-    digits and the table takes about n^2/16 bytes, so neither is larger
-    than the block.  Below n = 64 the bound asks for 64 characters
-    (about eight lines) per vertex: on sparser small files the
-    transposition's n conversions cost more than the updates it saves.
+    Ids are looked up in dicts, whose ``KeyError`` is a range error.  A
+    sparse block is read in chunks of about ``_CHUNK`` characters, cut
+    after a newline, each matched by one regex and split once; a line
+    ``e u v`` sets bit v of row u and bit u of row v.  A dense block, of
+    at least max(n, 64) * n characters, is read one run at a time: the
+    lines ``e u v`` that share their u, as far as the first newline at or
+    past ``_CHUNK - 1`` characters on, so that a match reads at least one
+    line and holds at most about a chunk.  One regex match finds and
+    checks a run, one split lists its v, and row u is ORed with the sum
+    of ``1 << (v - 1)`` over them, from a table per id.  After the last
+    run one transposition (``graphs._columns``) gives every row v column
+    v of those rows.  The transposition reads one string of about n^2
+    binary digits and the table takes about n^2/16 bytes, so neither is
+    larger than the block.  Below n = 64 the bound asks for 64
+    characters (about eight lines) per vertex: on sparser small files
+    the transposition's n conversions cost more than the updates it
+    saves.
 
-    One popcount at the end finds self-loops and edges seen twice: the
-    rows hold 2 bits per line only if every line is a new edge.  Two
-    updates per line set no new bit for an edge seen before and only
-    one, on the diagonal, for a self-loop.  One update per line leaves a
-    set P of ordered pairs (u, v), at most one per line and fewer if a
-    line repeats a pair; the transposition adds the mirror (v, u) of
-    each, and P with its mirrors has 2|P| bits less one for each pair of
-    P whose mirror is in P too.  So an edge read in both orders
-    (``e u v`` and ``e v u``) leaves two bits for two lines, and a
-    self-loop, its own mirror, one bit for one line: the count is exact
-    on both branches.  Returns False on the first failed check, with
-    ``rows`` partly set.
+    Popcounts find self-loops and edges seen twice.  On a sparse block
+    the rows hold 2 bits per line at the end only if every line is a
+    new edge: two updates per line set no new bit for an edge seen
+    before and only one, on the diagonal, for a self-loop.  On a dense
+    block the rows hold one bit per line before the transposition only
+    if no line repeats a pair: a sum has as many bits as its terms
+    together less one per carry, and powers of two carry exactly when
+    two are equal; an OR keeps the bits of both sides only if they are
+    disjoint.  So the rows then hold a set P of ordered pairs (u, v),
+    one per line, and no carry has reached bit n.  The transposition
+    adds the mirror (v, u) of each, and P with its mirrors has 2|P| bits
+    less one for each pair of P whose mirror is in P too.  So an edge
+    read in both orders (``e u v`` and ``e v u``) leaves two bits for
+    two lines, and a self-loop, its own mirror, one bit for one line:
+    the final count is exact on both branches.  Returns False on the
+    first failed check, with ``rows`` partly set.
     """
     n = len(rows)
     labels = list(map(str, range(1, n + 1)))
     index = dict(zip(labels, range(n)))
-    dense = max(n, 64) * n <= len(text) - start
-    # What a line's second id is looked up as: its bit in a dense block.
-    v_table = dict(zip(labels, map((1).__lshift__, range(n)))) if dense else index
     lines = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
-        if not _EDGE_LINES.fullmatch(text, start, end):
-            return False
-        tokens = text[start:end].split()
-        try:
-            us = list(map(index.__getitem__, tokens[1::3]))
-            vs = list(map(v_table.__getitem__, tokens[2::3]))
-        except KeyError:
-            return False
-        if dense:
-            for u, bit in zip(us, vs):
-                rows[u] |= bit
-        else:
+    if max(n, 64) * n > len(text) - start:
+        while start < len(text):
+            end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+            if not _EDGE_LINES.fullmatch(text, start, end):
+                return False
+            tokens = text[start:end].split()
+            try:
+                us = list(map(index.__getitem__, tokens[1::3]))
+                vs = list(map(index.__getitem__, tokens[2::3]))
+            except KeyError:
+                return False
             for u, v in zip(us, vs):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        lines += len(us)
-        start = end
-    if dense:
-        # each column is ORed in as it is read, so no list of n holds them
-        for v, column in enumerate(_columns(rows, n, range(n))):
-            rows[v] |= column
+            lines += len(us)
+            start = end
+        return sum(map(int.bit_count, rows)) == 2 * lines
+    bit = dict(zip(labels, map((1).__lshift__, range(n))))
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        run = _EDGE_RUN.match(text, start, end)
+        if run is None:
+            return False
+        prefix, u = run.groups()
+        stop = run.end()
+        vs = text[start + len(prefix):stop - 1].split("\n" + prefix)
+        try:
+            rows[index[u]] |= sum(map(bit.__getitem__, vs))
+        except KeyError:
+            return False
+        lines += len(vs)
+        start = stop
+    if sum(map(int.bit_count, rows)) != lines:
+        return False
+    # each column is ORed in as it is read, so no list of n holds them
+    for v, column in enumerate(_columns(rows, n, range(n))):
+        rows[v] |= column
     return sum(map(int.bit_count, rows)) == 2 * lines
 
 

@@ -86,11 +86,21 @@ class Cotree:
         return hash(tuple(self._preorder()))
 
     def __repr__(self) -> str:
-        """The dataclass repr.  A node joins its children's texts, so a
-        tree of depth d copies up to d times the text's length."""
-        return self.fold(lambda kind, vertex, kids: (
-            f"Cotree(kind={kind!r}, vertex={vertex!r}, children=({', '.join(kids)}"
-            f"{',' if len(kids) == 1 else ''}))"))
+        """The dataclass repr, written from the preorder list: a node's
+        text opens when it is reached and closes after its last child's,
+        so no text is copied per level."""
+        pieces = []
+        open_nodes: list[list] = []  # [children left to close, closing text]
+        for kind, vertex, count in self._preorder():
+            pieces.append(f"Cotree(kind={kind!r}, vertex={vertex!r}, children=(")
+            open_nodes.append([count, ",))" if count == 1 else "))"])
+            while open_nodes and not open_nodes[-1][0]:
+                pieces.append(open_nodes.pop()[1])
+                if open_nodes:
+                    open_nodes[-1][0] -= 1
+                    if open_nodes[-1][0]:
+                        pieces.append(", ")
+        return "".join(pieces)
 
     def leaves(self) -> list[int]:
         return [vertex for kind, vertex, _ in self._preorder() if kind == "leaf"]

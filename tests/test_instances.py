@@ -1,6 +1,7 @@
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -240,8 +241,8 @@ def test_edge_in_header_matches_line_loop(text):
 
 
 def _dense(text: str, n: int) -> bool:
-    """Whether ``_read_edge_block`` reads the edge block of ``text`` with
-    one update per line: it has at least max(n, 64) * n characters."""
+    """Whether ``_read_edge_block`` reads the edge block of ``text`` one
+    run at a time: it has at least max(n, 64) * n characters."""
     return max(n, 64) * n <= len(text) - (text.index("\ne ") + 1)
 
 
@@ -403,13 +404,19 @@ def test_every_mutation_matches_line_loop_on_both_sides_of_the_dense_rule(kind, 
             assert text != base and _bulk_rows(text, n) == list(g.adj_bits)
 
 
+def _spy_on_line_loop(monkeypatch) -> list[str]:
+    """The texts the line loop is called on from now on."""
+    seen = []
+    read_lines = instances._read_lines
+    monkeypatch.setattr(instances, "_read_lines", lambda text: seen.append(text) or read_lines(text))
+    return seen
+
+
 def test_line_loop_reads_only_the_header_of_a_canonical_file(monkeypatch):
     """A serialized file goes through the line loop up to its first edge
     line and no further; its tab variant, the reference above, goes
     through the line loop whole."""
-    seen = []
-    read_lines = instances._read_lines
-    monkeypatch.setattr(instances, "_read_lines", lambda text: seen.append(text) or read_lines(text))
+    seen = _spy_on_line_loop(monkeypatch)
     g = random_graph(40, Fraction(1, 2), 6950)
     text = serialize_instance(g, random_weights(40, 6950), ["header"])
     assert parse_instance(text)[0] == g
@@ -418,6 +425,102 @@ def test_line_loop_reads_only_the_header_of_a_canonical_file(monkeypatch):
     variant = text.replace(" ", "\t")
     assert parse_instance(variant)[0] == g
     assert seen == [variant]
+
+
+# The run reader: a dense block is read one run of lines with the same
+# first id at a time, each run's ids summed as powers of two.
+
+
+def _dense_file(n: int, seed: int) -> tuple[Graph, str]:
+    """A dense serialized file at density 1/2 that holds the edge 1 n."""
+    g = Graph(n, {*random_graph(n, Fraction(1, 2), seed).edges(), (0, n - 1)})
+    text = serialize_instance(g)
+    assert _dense(text, n)
+    return g, text
+
+
+def _repeat_line(text: str, line: str) -> str:
+    """``text`` with the edge line ``line`` written twice in place."""
+    at = text.index(f"\n{line}\n") + 1
+    return text[:at] + line + "\n" + text[at:]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_repeated_top_edge_is_a_duplicate_not_an_overflow(n):
+    """Repeating ``e 1 n`` in its run carries its sum into bit n, past
+    the last vertex: the popcount before the transposition rejects it,
+    and the line loop names the duplicate."""
+    _, text = _dense_file(n, 8000 + n)
+    text = _repeat_line(text, f"e 1 {n}")
+    assert _bulk_rows(text, n) is None
+    outcome = _outcome(text)
+    assert outcome == _line_loop_outcome(text) and outcome[0].endswith(f"duplicate edge 1 {n}")
+
+
+def test_repeat_inside_a_run_carries_onto_an_unset_bit():
+    """A line of the first run repeated in place, whose id plus one is no
+    neighbour: the sum carries onto that bit, and the read still fails
+    with the line loop's error."""
+    n = 100
+    g, text = _dense_file(n, 8100)
+    row = g.adj_bits[0]
+    v = next(v for v in range(1, n - 1) if row >> v & 1 and not row >> (v + 1) & 1)
+    text = _repeat_line(text, f"e 1 {v + 1}")
+    assert _bulk_rows(text, n) is None
+    outcome = _outcome(text)
+    assert outcome == _line_loop_outcome(text) and outcome[0].endswith(f"duplicate edge 1 {v + 1}")
+
+
+def _assert_read_in_bulk(g: Graph, text: str, monkeypatch) -> None:
+    """``text`` parses to ``g`` with the line loop reading only its
+    header, and matches the line loop."""
+    seen = _spy_on_line_loop(monkeypatch)
+    assert parse_instance(text)[0] == g
+    assert seen == [text[:text.index("\ne ") + 1]]
+    assert _outcome(text) == _line_loop_outcome(text)
+
+
+def _rewrite_edge_lines(text: str, reverse: bool, swap: bool) -> str:
+    cut = text.index("\ne ") + 1
+    lines = text[cut:].splitlines()
+    if reverse:
+        lines.reverse()
+    if swap:
+        lines = [f"e {v} {u}" for _, u, v in map(str.split, lines)]
+    return text[:cut] + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("reverse,swap", [(True, False), (False, True), (True, True)])
+def test_reordered_dense_block_reads_in_bulk(reverse, swap, monkeypatch):
+    """Reversed lines, swapped ids or both: runs of one line or of lines
+    in descending order are still read in bulk, to the same graph."""
+    g, text = _dense_file(120, 8200)
+    text = _rewrite_edge_lines(text, reverse, swap)
+    assert _dense(text, g.n)
+    _assert_read_in_bulk(g, text, monkeypatch)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_dense_block_reads_in_bulk_at_small_chunk_sizes(chunk, monkeypatch):
+    """Every match reads at least the line it starts on, so no chunk
+    size sends a canonical file to the line loop."""
+    monkeypatch.setattr(instances, "_CHUNK", chunk)
+    _assert_read_in_bulk(*_dense_file(100, 8300), monkeypatch)
+
+
+def test_run_regex_matches_once_per_row_and_chunk_cut(monkeypatch):
+    """On a canonical dense file the run regex matches once per row with
+    higher neighbours, plus at most once per chunk cut of its block."""
+    g, text = _dense_file(200, 8400)
+    matches = []
+    run = instances._EDGE_RUN
+    monkeypatch.setattr(instances, "_EDGE_RUN", SimpleNamespace(
+        match=lambda *args: matches.append(args) or run.match(*args)))
+    assert parse_instance(text)[0] == g
+    rows = sum(1 for u, row in enumerate(g.adj_bits) if row >> (u + 1))
+    cuts = (len(text) - text.index("\ne ") - 1) // instances._CHUNK
+    assert cuts >= 5
+    assert rows <= len(matches) <= rows + cuts
 
 
 def test_dense_parse_peaks_below_its_edge_text():

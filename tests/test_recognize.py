@@ -1,6 +1,8 @@
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 
@@ -480,3 +482,37 @@ def test_cotree_repr_is_the_dataclass_repr():
         Cotree("leaf", vertex=1), Cotree("leaf", vertex=2)))))
     assert tree != Cotree("join", children=(Cotree("leaf", vertex=0), Cotree("union", children=(
         Cotree("leaf", vertex=2), Cotree("leaf", vertex=1)))))
+
+
+def _repr_recursive(t: Cotree, out: list[str]) -> None:
+    out.append(f"Cotree(kind={t.kind!r}, vertex={t.vertex!r}, children=(")
+    for i, c in enumerate(t.children):
+        if i:
+            out.append(", ")
+        _repr_recursive(c, out)
+    out.append(",))" if len(t.children) == 1 else "))")
+
+
+def test_cotree_repr_of_a_20000_deep_chain_is_linear():
+    """A join/union chain 20,000 nodes deep, whose nodes have one, two or
+    three children with the deep one alone, first, last or in the
+    middle, reprs as the recursive reference does, in well under a
+    second (a repr that copies its text once per level took seconds)."""
+    depth = 20000
+    node = Cotree("leaf", vertex=depth)
+    for i in range(depth - 1, -1, -1):
+        leaf, other = Cotree("leaf", vertex=i), Cotree("leaf", vertex=depth + 1 + i)
+        kids = ((node,), (node, leaf), (leaf, node), (leaf, node, other))[i % 4]
+        node = Cotree("join" if i % 2 else "union", children=kids)
+    began = perf_counter()
+    text = repr(node)
+    took = perf_counter() - began
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 1000)
+    try:
+        expected: list[str] = []
+        _repr_recursive(node, expected)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "".join(expected)
+    assert took < 1.0

@@ -165,8 +165,8 @@ def test_one_edge_line_check_in_the_line_loop():
 
 def test_one_post_order_walk_of_a_cotree():
     """In ``recognize`` and ``solvers`` only ``Cotree._preorder`` and
-    ``Cotree.fold`` read ``.children``: repr, evaluate and the cograph DP
-    are combiners of the one fold."""
+    ``Cotree.fold`` read ``.children``: repr reads the preorder list, and
+    evaluate and the cograph DP are combiners of the one fold."""
     readers = []
     for module in ("recognize.py", "solvers.py"):
         path = PACKAGE / module
