@@ -90,7 +90,7 @@ from epa.oracle import (
 )
 from epa.packing import tp_3maximal, tp_maximal
 from epa.recognize import CLASSES, Cotree, build_cotree, find_induced, recognize
-from epa.reports import bench
+from epa.reports import ROWS, bench, run_algorithm
 from epa.solvers import cotree_independent_set, lp_half_integral_vc, max_matching, wvc_cluster
 from epa.vertex_cover import (
     two_maximal_clique,
@@ -265,6 +265,34 @@ def test_verify_json_every_class_golden(tmp_path):
                     _run_cli(["verify", "--json", "--problem", problem, "--param", param,
                               "--input", str(path)], log)
     assert _sha(_MICROS.sub("#", log.getvalue())) == VERIFY_CLASSES_SHA256
+
+
+# The cross-class grid: every row on a planted draw (k = n/10, density
+# 1/2, seed 1) of every generator class, not only of its own.  cvc-split
+# runs at n = 30 and only on connected draws, as in ``epa bench``; the
+# other rows run at n = 60.  The sizes may rise as the off-class rows get
+# faster, and never fall.
+GRID_N = {"cvc": 30}
+GRID_OTHER_N = 60
+GRID_SHA256 = "15146bc130c47f325cc6a398c7f6fbfcc56c30a4081f84869e3c3fe458b7d915"
+
+
+def test_cross_class_grid_golden():
+    """Every row's output on a draw of every generator class, weighted
+    rows at unit and at random weights, each certified feasible."""
+    out = []
+    for cls in GENERATOR_CLASSES:
+        for row in ROWS:
+            n = GRID_N.get(row.problem, GRID_OTHER_N)
+            g, _ = generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), 1))
+            if row.problem == "cvc" and not g.is_connected():
+                continue
+            for w in (None, random_weights(g.n, 1)) if row.weighted else (None,):
+                res = run_algorithm(row.problem, row.param, g, w)
+                assert res.feasible, (cls, row.problem, row.param, w is None)
+                out.append(f"{cls} {row.problem} {row.param} {int(w is not None)} {res.value} "
+                           f"{res.certificate}\n")
+    assert _sha("".join(out)) == GRID_SHA256
 
 # -- the scale path -------------------------------------------------------
 
@@ -546,6 +574,30 @@ def test_residual_scale_golden():
         for j, w in enumerate(weights):
             out.append(f"{row} {shape} {n} {j} {sorted(solve(g, w).cover)}\n")
     assert _sha("".join(out)) == RESIDUAL_SCALE_SHA256
+
+
+# Planted triangle-free draws (k = n/10, density 1/2) for the vc-fvs
+# digest, as (n, seed): the FVS local ratio on their V_half meets no
+# degree-2 cycle and runs its degree-proportional step.
+FVS_TRIANGLE_FREE = [(n, seed) for n in (100, 200, 400) for seed in (1, 2)]
+FVS_TRIANGLE_FREE_SHA256 = "73fe7dcb2d8bc154f96da3cbf83edfbf34809ff0ddf0892e6041eabc8393e964"
+
+
+def test_vc_fvs_triangle_free_golden():
+    """Covers of vc_fvs on planted triangle-free draws, with unit weights
+    and random weights of which none and about two fifths are zero, each
+    solved by ``vc_fvs`` on the ``Fraction`` weights and by
+    ``run_algorithm``."""
+    out = []
+    for n, seed in FVS_TRIANGLE_FREE:
+        g, _ = generate(GeneratorSpec("triangle-free", n - n // 10, n // 10, Fraction(1, 2), seed))
+        weights = [unit_weights(g.n)]
+        weights += [random_weights(g.n, seed, zero_share=z) for z in (Fraction(0), Fraction(2, 5))]
+        for j, w in enumerate(weights):
+            res = run_algorithm("vc", "fvs", g, w)
+            out.append(f"{n} {seed} {j} {sorted(vc_fvs(g, w).cover)} {res.certificate} "
+                       f"{res.value}\n")
+    assert _sha("".join(out)) == FVS_TRIANGLE_FREE_SHA256
 
 
 

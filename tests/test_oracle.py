@@ -147,6 +147,16 @@ def test_budget_enforced():
     assert exact_min_wvc(big, budget=tight)[0] == 6
 
 
+def test_chromatic_oracle_at_its_step_budget():
+    """On C7 the chromatic oracle takes 16 steps, two colours failing
+    after backtracking: it answers with a budget of exactly 16 steps and
+    overruns one of 15."""
+    g = cycle_graph(7)
+    assert exact_chromatic(g, OracleBudget(max_steps=16))[0] == 3
+    with pytest.raises(BudgetExceeded):
+        exact_chromatic(g, OracleBudget(max_steps=15))
+
+
 def test_matching_oracle():
     assert exact_max_matching_size(path_graph(4)) == 2
     assert exact_max_matching_size(complete_graph(3)) == 1
