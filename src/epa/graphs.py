@@ -32,8 +32,10 @@ contraction of the rows is again such rows and ``connected_vc``
 descends without building a graph.  ``Graph.contract_with_pendant``
 renumbers them as a graph of their own; the tests compare against it.
 
-Vertex weights are plain tuples of nonnegative ``Fraction`` values so
-that weight subtractions and comparisons are exact.
+Vertex weights are tuples of nonnegative ``Fraction`` values, in which
+``reports``, ``certify`` and ``oracle`` value covers.  The solvers get
+ints in the same ratios from ``reports.run_algorithm``; as they only add,
+subtract, compare and scale weights, ints make the choices Fractions do.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from . import certify
@@ -32,7 +33,7 @@ from .coloring import (
 )
 from .connected_vc import cvc_split
 from .generator import GeneratorSpec, generate
-from .graphs import Graph, Weights, total, unit_weights
+from .graphs import Graph, Weights, total
 from .oracle import (
     DEFAULT_BUDGET,
     OracleBudget,
@@ -195,15 +196,15 @@ def oracle_weights(weighted: bool, w: Optional[Weights]) -> Optional[Weights]:
 
 
 def run_algorithm(problem: str, param: str, g: Graph, w: Optional[Weights] = None) -> RunResult:
-    """Run the row's algorithm; the value is recomputed from the
-    certificate by the independent checkers."""
+    """Run the row's algorithm on ints in the ratios of ``oracle_weights``;
+    the value is recomputed from the certificate by the independent checkers."""
     row = _row(problem, param, "algorithm")
     prob = PROBLEMS[problem]
     wk = oracle_weights(row.weighted, w)
-    if w is None:
-        w = unit_weights(g.n)
+    scale = lcm(*(x.denominator for x in wk)) if wk else 1
+    ws = [x.numerator * (scale // x.denominator) for x in wk] if wk else [1] * g.n
     start = time.perf_counter_ns()
-    sol = row.solve(g, w)
+    sol = row.solve(g, ws)
     micros = (time.perf_counter_ns() - start) // 1000
     cert = prob.certificate(sol)
     return RunResult(sol.algorithm, prob.value(cert, wk), cert, prob.feasible(g, cert), micros)

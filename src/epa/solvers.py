@@ -9,8 +9,8 @@ Contracts (all oracle-tested at small sizes):
   the ids of its leaves.
 * ``lp_half_integral_vc`` returns an optimal half-integral solution of
   the vertex cover LP: the least minimum s-t cut of the bipartite double
-  cover, found on the adjacency masks in exact integers, so it does not
-  depend on which maximum flow the search finds.
+  cover, found on the adjacency masks in the exact capacities it is
+  given, so it does not depend on which maximum flow the search finds.
 * ``max_matching`` is a maximum matching in a general graph (blossom
   contraction).
 * ``fvs_2approx`` returns an inclusion-minimal feedback vertex set of
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .graphs import Graph, Weights, bits, connected, mask_covers, mask_of, unit_weights
+from .graphs import Graph, Weights, bits, connected, mask_covers, mask_of
 from .recognize import Cotree, NotInClassError, find_induced, recognize
 
 Matching = frozenset[tuple[int, int]]
@@ -69,7 +68,7 @@ def wvc_forest(g: Graph, w: Weights, within: Optional[int] = None) -> frozenset[
                 queue.append(u)
         order += queue
     dp_in = list(w)               # best cover of v's subtree holding v
-    dp_out = [Fraction(0)] * n    # and not holding v
+    dp_out = [0] * n              # and not holding v
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
@@ -156,13 +155,10 @@ def lp_half_integral_vc(
     level.  The last search, which misses the sink, sees the least
     minimum cut, whichever maximum flow was found.
     """
-    if w is None:
-        w = unit_weights(g.n)
     n = g.n
     adj = g.adj_bits
     mask = g.full_mask if within is None else within
-    scale = lcm(*(w[u].denominator for u in bits(mask)))
-    src = [int(f * scale) for f in w]       # residual capacity of s -> u
+    src = [1] * n if w is None else list(w)     # residual capacity of s -> u
     snk = list(src)                         # residual capacity of v' -> t
     open_src = open_snk = mask_of(u for u in bits(mask) if src[u])
     flows: dict[tuple[int, int], int] = {}  # positive flow on u -> v'
@@ -233,7 +229,7 @@ def lp_half_integral_vc(
     halves = [((mask & ~seen_left) >> u & 1) + (seen_right >> u & 1) for u in range(n)]
     return HalfIntegralLP(
         values=tuple(Fraction(h, 2) for h in halves),
-        objective=Fraction(total, 2 * scale),
+        objective=Fraction(total, 2),
         v0=frozenset(u for u in bits(mask) if halves[u] == 0),
         v_half=frozenset(u for u in bits(mask) if halves[u] == 1),
         v1=frozenset(u for u in bits(mask) if halves[u] == 2),
@@ -409,9 +405,12 @@ def fvs_2approx(g: Graph, w: Weights, within: Optional[int] = None) -> frozenset
             for v in set(cyc):
                 wp[v] -= gamma
         else:
-            gamma = min(Fraction(wp[v], deg(v)) for v in bits(alive))
+            x, d = 1, 0     # x/d: the least weight per degree (1/0 is above all)
             for v in bits(alive):
-                wp[v] -= gamma * deg(v)
+                if wp[v] * d < x * deg(v):
+                    x, d = wp[v], deg(v)
+            for v in bits(alive):       # d (w - x/d deg): same choices, in ints
+                wp[v] = wp[v] * d - x * deg(v)
 
     # reverse delete for inclusion-minimality
     kept = mask_of(picked)

@@ -46,7 +46,6 @@ the next members to try, because each of them would resume there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -77,7 +76,7 @@ class VertexCoverSol:
 
 def _local_ratio(
     g: Graph, w: Weights, kind: str
-) -> tuple[list[Fraction], int, list[tuple[int, int]], Optional[Cotree]]:
+) -> tuple[list, int, list[tuple[int, int]], Optional[Cotree]]:
     """Local ratio on the induced ``kind`` patterns (module docstring): the
     residual weights, the ``kind``-free alive mask, the leavers in order,
     each with its alive neighbour mask when it left, and for P4 the
@@ -151,8 +150,7 @@ def vc_fvs(g: Graph, w: Optional[Weights] = None, within: Optional[int] = None) 
     2-approximate feedback vertex set of the half part joins the cover;
     the remaining forest is solved exactly.
     """
-    if w is None:
-        w = unit_weights(g.n)
+    w = unit_weights(g.n) if w is None else w
     lp = lp_half_integral_vc(g, w, within)
     half = mask_of(lp.v_half)
     fvs = fvs_2approx(g, w, half)

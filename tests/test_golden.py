@@ -43,7 +43,9 @@ before the driver descended on contraction rows in G's id space; the
 exact packing digest before ``oracle`` answered triangle packing and
 matching with one search and ``packing`` built and re-extended its
 packings with one loop; the triangle-chain digest before
-``chained_triangle_complement`` built its ids as lists.  The
+``chained_triangle_complement`` built its ids as lists; the vc-fvs
+triangle-free digest and the cross-class grid of every row on every
+generator class before the solvers ran on integer weights.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does, and again when ``--problem
 vc`` at unit weights began to ask the unweighted oracle, as ``verify``

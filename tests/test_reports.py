@@ -1,12 +1,14 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from epa import certify, reports
 from epa.generator import GENERATOR_CLASSES, GeneratorSpec, random_weights
-from epa.graphs import unit_weights
+from epa.graphs import total, unit_weights
 from epa.oracle import DEFAULT_BUDGET
 from epa.reports import ROWS
 from small_graphs import cycle_graph
@@ -87,3 +89,28 @@ def test_bench_asks_each_oracle_question_once(base, monkeypatch):
                                False)
         assert asked and len(set(asked)) == len(asked)
         assert all(name != "exact_min_wvc" for name, *_ in asked)
+
+
+@pytest.mark.parametrize("row", [row for row in ROWS if row.weighted],
+                         ids=lambda row: f"{row.problem}-{row.param}")
+def test_weighted_rows_get_int_weights(row, monkeypatch):
+    """``run_algorithm`` hands a weighted row's solver Python ints: all 1
+    without weights or at unit weights, else the weights times the lcm of
+    their denominators.  The value is still the Fraction weight of the
+    cover."""
+    got = []
+
+    def spy(g, w):
+        got.append(list(w))
+        return row.solve(g, w)
+
+    monkeypatch.setitem(reports._BY_PAIR, (row.problem, row.param), replace(row, solve=spy))
+    g = cycle_graph(5)
+    w = random_weights(5, 1)
+    scale = lcm(*(x.denominator for x in w))
+    for given, expect in ((None, [1] * 5), (unit_weights(5), [1] * 5),
+                          (w, [int(x * scale) for x in w])):
+        got.clear()
+        res = reports.run_algorithm(row.problem, row.param, g, given)
+        assert got == [expect] and all(type(x) is int for x in got[0])
+        assert res.value == (len(res.certificate) if given is None else total(given, res.certificate))

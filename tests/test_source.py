@@ -177,3 +177,14 @@ def test_one_post_order_walk_of_a_cotree():
         functions += [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
         readers += [f"{module}: {name}" for name, node in functions if _attributes(node)["children"]]
     assert readers == ["recognize.py: Cotree._preorder", "recognize.py: Cotree.fold"], readers
+
+
+def test_weights_are_scaled_in_one_place():
+    """``reports.run_algorithm`` hands the solvers integer weights, so no
+    solver module rescales them: ``solvers`` and ``vertex_cover`` read no
+    ``lcm``, and ``vertex_cover`` reads no ``Fraction``."""
+    reads = {module: _reads(ast.parse((PACKAGE / module).read_text()))
+             for module in ("solvers.py", "vertex_cover.py")}
+    found = [f"{module}: lcm" for module, counts in reads.items() if counts["lcm"]]
+    found += ["vertex_cover.py: Fraction"] if reads["vertex_cover.py"]["Fraction"] else []
+    assert not found, found
