@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from epa.certify import induces_pattern
-from epa.graphs import Graph, mask_of
+from epa.graphs import Graph, bits, mask_of
 from epa.generator import (
     GENERATOR_CLASSES,
     GeneratorSpec,
@@ -62,6 +62,41 @@ def masked_corpus():
             masks.append(g.full_mask & ~mask_of(planted))
         for within in masks:
             yield g, within
+
+
+def deep_cograph(depth: int, seed: int, p4: bool = False) -> Graph:
+    """A graph built from the inside out in ``depth`` levels, its ids
+    shuffled.
+
+    The innermost part is one vertex, or with ``p4`` the path 0-1-2-3.
+    Each level joins the graph so far to, or unites it with, one new
+    vertex, a threshold module of 2-4 new vertices, or both, so a level
+    may peel a universal or isolated vertex beside a non-trivial module.
+    Every P4 of the result lies in the innermost part, since a P4 is
+    connected and co-connected: a cograph without ``p4``, and with it a
+    graph whose only P4 sits ``depth`` levels down.
+    """
+    rng = SplitMix64(seed)
+    rows = [0b10, 0b101, 0b1010, 0b100] if p4 else [0]
+    for _ in range(depth):
+        join = rng.below(2)
+        shape = rng.below(3)          # 0: a vertex, 1: a module, 2: both
+        sizes = ([] if shape == 1 else [1]) + ([2 + rng.below(3)] if shape else [])
+        for size in sizes:
+            start = len(rows)
+            for v in range(start, start + size):
+                # earlier groups when joined, and the module so far when v dominates it
+                nb = (1 << start) - 1 if join else 0
+                if rng.below(2):
+                    nb |= (1 << v) - (1 << start)
+                rows.append(nb)
+                for u in bits(nb):
+                    rows[u] |= 1 << v
+    order = list(range(len(rows)))
+    for i in range(len(order) - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return Graph(len(rows), [(order[u], order[v]) for u, row in enumerate(rows) for v in bits(row) if u < v])
 
 
 def cliques(g: Graph, sizes):

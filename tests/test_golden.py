@@ -45,7 +45,10 @@ matching with one search and ``packing`` built and re-extended its
 packings with one loop; the triangle-chain digest before
 ``chained_triangle_complement`` built its ids as lists; the vc-fvs
 triangle-free digest and the cross-class grid of every row on every
-generator class before the solvers ran on integer weights.  The
+generator class before the solvers ran on integer weights; the deep
+cotree and greedy colouring digests before ``build_cotree`` peeled
+universal and isolated vertices from degree buckets and ``_greedy_mis``
+walked only the vertices it could still choose.  The
 ``epa oracle`` digest was pinned again when ``--modulator`` began to
 weigh k on weighted rows, as ``verify`` does, and again when ``--problem
 vc`` at unit weights began to ask the unweighted oracle, as ``verify``
@@ -66,7 +69,7 @@ from itertools import combinations
 
 from epa.certify import induces_pattern
 from epa.cli import main
-from epa.coloring import color_degeneracy, color_p3k1free
+from epa.coloring import color_degeneracy, color_greedy_mis, color_p3k1free
 from epa.connected_vc import _brute_min_cvc, cvc_budgeted, cvc_small_after_contraction, cvc_split
 from epa.generator import (
     GENERATOR_CLASSES,
@@ -102,7 +105,7 @@ from epa.vertex_cover import (
     vc_local_ratio_ffree,
     vc_split,
 )
-from conftest import cliques, connected_corpus, corpus
+from conftest import cliques, connected_corpus, corpus, deep_cograph
 from small_graphs import path_graph, threshold_cograph
 from test_instances import (
     EDGE_MUTATIONS,
@@ -812,6 +815,51 @@ def test_cotree_walks_golden():
             for w in _weightings(g.n, 9100 + 2 * i + seed):
                 h.update(f"{n} {seed} {sorted(wvc_cluster(g, w))}\n".encode())
     assert h.hexdigest() == COTREE_WALKS_SHA256
+
+
+# (depth, seeds) of the deep_cograph draws of the deep cotree digest,
+# each drawn as a cograph and with a P4 at the bottom.
+DEEP_COTREE_DRAWS = [(depth, range(1, 7)) for depth in range(13)] + [(60, range(1, 4)), (300, range(1, 4))]
+DEEP_COTREE_SHA256 = "a3833a93deeeadd5bfbac01607c517ff3d75f98838b429f5611223c6edb5f186"
+
+
+def test_deep_cotree_golden():
+    """build_cotree on the threshold cographs of n = 1..64 and 1,400, and
+    on deep_cograph draws whole and under a random mask of density 1/4,
+    1/2 or 3/4: deep trees whose levels peel a universal or isolated
+    vertex, a module or both, and the P4 a deep level returns."""
+    out = [f"{n} {build_cotree(threshold_cograph(n))!r}\n" for n in [*range(1, 65), 1400]]
+    rng = SplitMix64(9800)
+    for depth, seeds in DEEP_COTREE_DRAWS:
+        for seed in seeds:
+            for p4 in (False, True):
+                g = deep_cograph(depth, 9800 + seed, p4)
+                p = Fraction(1 + rng.below(3), 4)
+                for within in (g.full_mask, mask_of(v for v in range(g.n) if rng.chance(p))):
+                    tree = build_cotree(g, within)
+                    shown = sorted(tree) if isinstance(tree, frozenset) else repr(tree)
+                    out.append(f"{depth} {seed} {p4} {within:x} {shown}\n")
+    assert _sha("".join(out)) == DEEP_COTREE_SHA256
+
+
+# (class, total n, seeds) of the planted draws (k = n/10, density 1/2) of
+# the greedy colouring digest.
+GREEDY_COLORING_DRAWS = [("cochordal", 400, range(1, 4)), ("cograph", 400, range(1, 4)),
+                         ("p3k1-free", 100, range(4, 10))]
+GREEDY_COLORING_SHA256 = "819e95418ee59fb835e6c6e8ec5b89a7e6a9b0f0dfbc980acae8512dbfad4758"
+
+
+def test_greedy_colorings_golden():
+    """color_greedy_mis on the 1,400-vertex threshold cograph and on
+    planted cochordal and cograph draws, and color_p3k1free on planted
+    p3k1-free draws."""
+    out = [f"threshold {list(color_greedy_mis(threshold_cograph(1400)).colors)}\n"]
+    for cls, n, seeds in GREEDY_COLORING_DRAWS:
+        for seed in seeds:
+            g, _ = generate(GeneratorSpec(cls, n - n // 10, n // 10, Fraction(1, 2), seed))
+            color = color_p3k1free if cls == "p3k1-free" else color_greedy_mis
+            out.append(f"{cls} {n} {seed} {list(color(g).colors)}\n")
+    assert _sha("".join(out)) == GREEDY_COLORING_SHA256
 
 
 # Every name ``certify.induces_pattern`` knows.

@@ -14,6 +14,7 @@ from epa.recognize import (
     Cotree,
     _chain,
     _cliques_within,
+    _co_components,
     _find_cycle,
     _find_p4,
     _shrink_to_chordless,
@@ -23,7 +24,7 @@ from epa.recognize import (
     recognize,
     two_coloring,
 )
-from conftest import brute_member, corpus, masked_corpus
+from conftest import brute_member, corpus, deep_cograph, masked_corpus
 from small_graphs import (
     adjacent,
     complete_graph,
@@ -31,6 +32,7 @@ from small_graphs import (
     disjoint_union,
     path_graph,
     star_graph,
+    threshold_cograph,
 )
 
 
@@ -289,6 +291,35 @@ def _build_cotree_recursive(g: Graph):
     return rec(g.full_mask)
 
 
+def _build_cotree_every_level(g: Graph, within: int):
+    """The cotree loop as it was: both walks at every level."""
+    mask = within
+    if not mask:
+        return Cotree("union", children=())
+    frames: list[tuple[str, list[int], list[Cotree]]] = []
+    while True:
+        if mask & (mask - 1):
+            kind, parts = "union", g.component_masks(mask)
+            if len(parts) == 1:
+                kind, parts = "join", _co_components(g.adj_bits, mask)
+                if len(parts) == 1:
+                    return _find_p4(g, mask)
+            frames.append((kind, parts, []))
+            mask = parts[0]
+            continue
+        node = Cotree("leaf", vertex=mask.bit_length() - 1)
+        while frames:
+            kind, parts, kids = frames[-1]
+            kids.append(node)
+            if len(kids) < len(parts):
+                mask = parts[len(kids)]
+                break
+            frames.pop()
+            node = Cotree(kind, children=tuple(kids))
+        else:
+            return node
+
+
 def _evaluate_recursive(t: Cotree):
     if t.kind == "leaf":
         return [t.vertex], []
@@ -360,6 +391,31 @@ def test_cotree_matches_recursive_reference():
             vs, es = tree.evaluate()
             assert (vs, es) == _evaluate_recursive(tree)
             assert tree.leaves() == vs
+
+
+def test_cotree_matches_every_level_reference():
+    """build_cotree gives the reference's tree, child order included, or
+    its P4: random graphs, planted cographs and deep_cograph draws (n up
+    to 16) under the full mask and two random masks, and the threshold
+    cographs up to n = 2,000."""
+    graphs = corpus(1200, 0, 16, seed0=9900)
+    graphs += [generate(GeneratorSpec("cograph", n - k, k, Fraction(1, 2), 9900 + 4 * n + k))[0]
+               for n in range(2, 17) for k in (0, 1, 2, 3) if k < n]
+    graphs += [g for depth in range(6) for seed in range(40) for p4 in (False, True)
+               if (g := deep_cograph(depth, 9900 + seed, p4)).n <= 16]
+    rng = SplitMix64(9900)
+    kinds = set()
+    for g in graphs:
+        masks = [g.full_mask] + [mask_of(v for v in range(g.n) if rng.chance(Fraction(p, 4)))
+                                 for p in (2, 3)]
+        for within in masks:
+            tree = build_cotree(g, within)
+            assert tree == _build_cotree_every_level(g, within)
+            kinds.add(type(tree))
+    assert kinds == {Cotree, frozenset} and 3 * len(graphs) >= 5000
+    for n in [*range(1, 40), 511, 512, 1401, 2000]:
+        g = threshold_cograph(n)
+        assert build_cotree(g) == _build_cotree_every_level(g, g.full_mask)
 
 
 def _mapped(tree, old):
