@@ -144,15 +144,17 @@ def color_degeneracy(g: Graph) -> ColoringSol:
 
 def _greedy_mis(g: Graph, mask: int, chosen: int = 0) -> int:
     """Lexicographically greedy extension of the independent set
-    ``chosen`` to a maximal independent set inside ``mask``."""
-    blocked = chosen
+    ``chosen`` to a maximal independent set inside ``mask``: the lowest
+    free vertex is chosen, and its closed neighbourhood stops being free,
+    one row read per chosen vertex."""
+    adj = g.adj_bits
+    free = mask & ~chosen
     for v in bits(chosen):
-        blocked |= g.adj_bits[v]
-    for v in bits(mask):
-        if blocked >> v & 1:
-            continue
-        chosen |= 1 << v
-        blocked |= (1 << v) | g.adj_bits[v]
+        free &= ~adj[v]
+    while free:
+        low = free & -free
+        chosen |= low
+        free &= ~(adj[low.bit_length() - 1] | low)
     return chosen
 
 

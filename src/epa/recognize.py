@@ -461,29 +461,84 @@ def build_cotree(g: Graph, within: Optional[int] = None):
     vertices) an induced P4 exists and is returned as the failure value.
     Parts are expanded depth first, in order, with an explicit stack,
     since the cotree can be about n deep.
+
+    Only the root walks both ways.  Below it the kinds alternate: a part
+    of a union is connected, so it is a join or prime, and a part of a
+    join is co-connected, so it is a union or prime.  Such a part needs
+    one walk, of its complement or of itself, and a walk that finds one
+    part gives the P4, as both walks would.
+
+    Most parts need no walk.  Once the root splits, its vertices are
+    bucketed by their degree in G[root].  A part P carries ``drop``, the
+    number of vertices its join ancestors cut off: a union part loses no
+    neighbour, and a join part loses its siblings, each adjacent to every
+    vertex of it, so a vertex's degree in G[P] is its root degree less
+    ``drop``.  In a join part, U, the vertices of root degree
+    |P| - 1 + drop, are universal in G[P].  If R = P - U is empty, or
+    holds a vertex isolated in G[R] (root degree drop + |U|: it sees all
+    of U), then G[R] is disconnected (R is not one vertex, which would be
+    universal), so its complement is connected, and the parts are U's
+    singletons and R by lowest vertex, as the walk lists them.  A union
+    part mirrors this: I, the vertices of root degree drop, are isolated
+    in G[P], and if R = P - I is empty or holds a vertex universal in
+    G[R] (root degree |R| - 1 + drop), G[R] is connected.  Every other
+    part walks.  So each vertex peeled costs O(1) mask operations, and a
+    threshold cograph walks only at its root.
     """
     mask = g.full_mask if within is None else within
     if not mask:
         return Cotree("union", children=())
-    # frames: (kind, part masks, subtrees of the parts built so far)
-    frames: list[tuple[str, list[int], list[Cotree]]] = []
+    adj = g.adj_bits
+    by_deg: list[int] = []        # root degree -> mask of those vertices
+    drop = 0
+    # frames: (kind, part masks, subtrees of the parts built so far,
+    # the parts' drop, less each part's size under a join)
+    frames: list[tuple[str, list[int], list[Cotree], int]] = []
     while True:
-        if mask & (mask - 1):
+        node = None
+        if not mask & (mask - 1):
+            node = Cotree("leaf", vertex=mask.bit_length() - 1)
+        elif not frames:
             kind, parts = "union", g.component_masks(mask)
             if len(parts) == 1:
-                kind, parts = "join", _co_components(g.adj_bits, mask)
-                if len(parts) == 1:
-                    return _find_p4(g, mask)
-            frames.append((kind, parts, []))
-            mask = parts[0]
-            continue
-        node = Cotree("leaf", vertex=mask.bit_length() - 1)
-        # attach the finished subtree, closing every frame it completes
+                kind, parts = "join", _co_components(adj, mask)
+        else:
+            size = mask.bit_count()
+            if frames[-1][0] == "union":
+                kind = "join"
+                peel = by_deg[size - 1 + drop] & mask
+                rest = mask ^ peel
+                peels = not rest or by_deg[drop + peel.bit_count()] & rest
+            else:
+                kind = "union"
+                peel = by_deg[drop] & mask
+                rest = mask ^ peel
+                peels = not rest or by_deg[drop + rest.bit_count() - 1] & rest
+            if peels:
+                parts = [1 << v for v in bits(peel)]
+                if rest:
+                    parts.insert((peel & ((rest & -rest) - 1)).bit_count(), rest)
+            elif kind == "join":
+                parts = _co_components(adj, mask)
+            else:
+                parts = g.component_masks(mask)
+        if node is None:
+            if len(parts) == 1:
+                return _find_p4(g, mask)
+            if not frames:
+                by_deg = [0] * mask.bit_count()
+                for v in bits(mask):
+                    by_deg[(adj[v] & mask).bit_count()] |= 1 << v
+            frames.append((kind, parts, [], drop + mask.bit_count() if kind == "join" else drop))
+        # attach the finished subtree, closing every frame it completes,
+        # and go down to the next part
         while frames:
-            kind, parts, kids = frames[-1]
-            kids.append(node)
+            kind, parts, kids, cut = frames[-1]
+            if node is not None:
+                kids.append(node)
             if len(kids) < len(parts):
                 mask = parts[len(kids)]
+                drop = cut - mask.bit_count() if kind == "join" else cut
                 break
             frames.pop()
             node = Cotree(kind, children=tuple(kids))

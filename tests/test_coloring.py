@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+from epa import coloring
 from epa.certify import is_proper_coloring
 from epa.coloring import (
     bipartite_oracle,
@@ -10,8 +11,8 @@ from epa.coloring import (
     color_with_class_oracle,
     degeneracy_oracle,
 )
-from epa.generator import GeneratorSpec, chained_triangle_complement, generate
-from epa.graphs import Graph
+from epa.generator import GeneratorSpec, SplitMix64, chained_triangle_complement, generate
+from epa.graphs import Graph, bits, mask_of
 from epa.oracle import OracleBudget, exact_chromatic, exact_min_modulator
 from epa.solvers import max_matching
 from conftest import _components, corpus
@@ -112,6 +113,27 @@ def test_greedy_mis_cochordal_component_refinement():
         chi = exact_chromatic(g)[0]
         r = len(_components(g.complement()))
         assert sol.colors_used <= 2 * chi - r
+
+
+def test_greedy_mis_lists_only_the_chosen_bits(monkeypatch):
+    """_greedy_mis reads one row per vertex it chooses: of the masks that
+    ``bits`` lists, only ``chosen``, never ``mask``.  Its set is still the
+    lexicographic greedy one, on random graphs under random masks, from
+    no vertex and from the first non-adjacent pair."""
+    listed = []
+    monkeypatch.setattr(coloring, "bits", lambda mask: listed.append(mask) or bits(mask))
+    rng = SplitMix64(6000)
+    for g in corpus(80, 1, 16, seed0=6000):
+        mask = mask_of(v for v in range(g.n) if rng.chance(Fraction(3, 4)))
+        pairs = [1 << u | 1 << v for u, v in combinations(range(g.n), 2) if not adjacent(g, u, v)]
+        for chosen in [0] + pairs[:1]:
+            expect = set(bits(chosen))
+            for v in bits(mask):
+                if not any(adjacent(g, u, v) or u == v for u in expect):
+                    expect.add(v)
+            listed.clear()
+            assert coloring._greedy_mis(g, mask, chosen) == mask_of(expect)
+            assert listed == [chosen]
 
 
 def test_complete_multipartite_exact():

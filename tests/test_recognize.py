@@ -418,6 +418,26 @@ def test_cotree_matches_every_level_reference():
         assert build_cotree(g) == _build_cotree_every_level(g, g.full_mask)
 
 
+@pytest.mark.parametrize("n", [700, 2000])
+def test_threshold_cotree_walks_only_at_its_root(monkeypatch, n):
+    """A threshold cograph's cotree walks at its root only (a component
+    walk, and a complement walk when n is even and the root a join):
+    every deeper level peels its one vertex from the degree buckets, so
+    the walk count does not grow with n."""
+    walks = []
+    component_masks = Graph.component_masks
+    co_components = _co_components
+    monkeypatch.setattr(Graph, "component_masks", lambda g, mask: walks.append(mask) or component_masks(g, mask))
+    monkeypatch.setattr(sys.modules["epa.recognize"], "_co_components",
+                        lambda adj, mask: walks.append(mask) or co_components(adj, mask))
+    counts = []
+    for size in (16, n):
+        walks.clear()
+        build_cotree(threshold_cograph(size))
+        counts.append(len(walks))
+    assert counts == [2, 2]
+
+
 def _mapped(tree, old):
     """A cotree or a P4 with each vertex v renamed ``old[v]``."""
     if isinstance(tree, frozenset):
