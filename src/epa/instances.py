@@ -133,19 +133,21 @@ def _read_lines(text: str) -> tuple[Optional[int], int, dict[int, Fraction], lis
 
 
 # Characters of edge lines per bulk step: a sparse chunk, or the most a
-# dense run's match may cover.  Both regexes keep 23-29 bytes of
-# backtracking state per character they match (up to 235 KB over 8 KiB,
-# by tracemalloc), so steps stay small: parsing a 288,836-edge file
-# (n = 800) in a fresh process peaked at 22.1 MB RSS with 8 KiB chunks,
-# 33.2 MB with 256 KiB and 39.3 MB with the line loop alone, at the same
-# speed from 4 to 64 KiB.  The file's block is dense; its transposition,
-# after the last run, holds one string of n^2 digits (0.64 MB) and left
-# the peak where it was.
+# dense run's match may cover.  Both regexes are possessive (Python
+# 3.11), so a match keeps no backtracking state: 1.2 KiB per step at any
+# length by tracemalloc, where the same regexes without possessive
+# quantifiers kept 23-29 bytes per character (229 KiB over 8 KiB).  A
+# sparse chunk's split still holds its tokens, so steps stay small:
+# parsing the sparse 31,000-edge n = 800 forest file of seed-1
+# scale-mix peaked at 0.43 MB traced with 8 KiB chunks, 2.1 MB with
+# 64 KiB and 4.6 MB with 256 KiB, at the same speed from 4 to 256 KiB.
+# A dense block's runs are at most a row long; its transposition, after
+# the last run, holds one string of n^2 digits (0.64 MB at n = 800).
 _CHUNK = 1 << 13
-_EDGE_LINES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
+_EDGE_LINES = re.compile(r"(?:e [1-9][0-9]*+ [1-9][0-9]*+\n)*+")
 # A run: one or more lines "e U V" with the same U, which group 1 holds
 # with its spaces and group 2 alone.
-_EDGE_RUN = re.compile(r"(e ([1-9][0-9]*) )[1-9][0-9]*\n(?:\1[1-9][0-9]*\n)*")
+_EDGE_RUN = re.compile(r"(e ([1-9][0-9]*+) )[1-9][0-9]*+\n(?:\1[1-9][0-9]*+\n)*+")
 
 
 def _read_edge_block(text: str, start: int, rows: list[int]) -> bool:
