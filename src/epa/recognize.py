@@ -465,8 +465,8 @@ def build_cotree(g: Graph, within: Optional[int] = None):
     Only the root walks both ways.  Below it the kinds alternate: a part
     of a union is connected, so it is a join or prime, and a part of a
     join is co-connected, so it is a union or prime.  Such a part needs
-    one walk, of its complement or of itself, and a walk that finds one
-    part gives the P4, as both walks would.
+    one walk, of its complement or of itself; when that walk finds one
+    part, the part is prime and its P4 is the failure value.
 
     Most parts need no walk.  Once the root splits, its vertices are
     bucketed by their degree in G[root].  A part P carries ``drop``, the
@@ -491,38 +491,18 @@ def build_cotree(g: Graph, within: Optional[int] = None):
     adj = g.adj_bits
     by_deg: list[int] = []        # root degree -> mask of those vertices
     drop = 0
-    # frames: (kind, part masks, subtrees of the parts built so far,
-    # the parts' drop, less each part's size under a join)
+    # frames: (kind, part masks, subtrees of the parts built so far, the
+    # parts' drop, before each part's own size is taken off under a join)
     frames: list[tuple[str, list[int], list[Cotree], int]] = []
     while True:
-        node = None
-        if not mask & (mask - 1):
-            node = Cotree("leaf", vertex=mask.bit_length() - 1)
-        elif not frames:
-            kind, parts = "union", g.component_masks(mask)
-            if len(parts) == 1:
-                kind, parts = "join", _co_components(adj, mask)
-        else:
-            size = mask.bit_count()
-            if frames[-1][0] == "union":
-                kind = "join"
-                peel = by_deg[size - 1 + drop] & mask
-                rest = mask ^ peel
-                peels = not rest or by_deg[drop + peel.bit_count()] & rest
+        if mask & (mask - 1):
+            if frames:
+                kind = "join" if frames[-1][0] == "union" else "union"
+                parts = _peeled_parts(g, by_deg, mask, drop, kind)
             else:
-                kind = "union"
-                peel = by_deg[drop] & mask
-                rest = mask ^ peel
-                peels = not rest or by_deg[drop + rest.bit_count() - 1] & rest
-            if peels:
-                parts = [1 << v for v in bits(peel)]
-                if rest:
-                    parts.insert((peel & ((rest & -rest) - 1)).bit_count(), rest)
-            elif kind == "join":
-                parts = _co_components(adj, mask)
-            else:
-                parts = g.component_masks(mask)
-        if node is None:
+                kind, parts = "union", g.component_masks(mask)
+                if len(parts) == 1:
+                    kind, parts = "join", _co_components(adj, mask)
             if len(parts) == 1:
                 return _find_p4(g, mask)
             if not frames:
@@ -530,6 +510,9 @@ def build_cotree(g: Graph, within: Optional[int] = None):
                 for v in bits(mask):
                     by_deg[(adj[v] & mask).bit_count()] |= 1 << v
             frames.append((kind, parts, [], drop + mask.bit_count() if kind == "join" else drop))
+            node = None
+        else:
+            node = Cotree("leaf", vertex=mask.bit_length() - 1)
         # attach the finished subtree, closing every frame it completes,
         # and go down to the next part
         while frames:
@@ -544,6 +527,29 @@ def build_cotree(g: Graph, within: Optional[int] = None):
             node = Cotree(kind, children=tuple(kids))
         else:
             return node
+
+
+def _peeled_parts(g: Graph, by_deg: list[int], mask: int, drop: int, kind: str) -> list[int]:
+    """Parts of a cotree part below the root that can only be a ``kind``
+    node or prime, as :func:`build_cotree` argues: the universal (join)
+    or isolated (union) vertices as singletons beside the rest, by lowest
+    vertex, when the root's degree buckets show the rest is one part;
+    else the parts the walk finds."""
+    size = mask.bit_count()
+    if kind == "join":
+        peel = by_deg[size - 1 + drop] & mask
+        rest = mask ^ peel
+        if rest and not by_deg[drop + peel.bit_count()] & rest:
+            return _co_components(g.adj_bits, mask)
+    else:
+        peel = by_deg[drop] & mask
+        rest = mask ^ peel
+        if rest and not by_deg[drop + rest.bit_count() - 1] & rest:
+            return g.component_masks(mask)
+    parts = [1 << v for v in bits(peel)]
+    if rest:
+        parts.insert((peel & ((rest & -rest) - 1)).bit_count(), rest)
+    return parts
 
 
 def _co_components(adj: Sequence[int], mask: int) -> list[int]:
