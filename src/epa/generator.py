@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable
 
-from .graphs import Graph, Weights, _columns, _neighbours, _transposes, bits, mask_of
+from .graphs import Graph, Weights, _columns, _neighbours, bits, complement_rows, mask_of
 from .instances import MAX_VERTICES
 from .recognize import recognize
 
@@ -114,11 +114,6 @@ class GenerationError(RuntimeError):
 # ---------------------------------------------------------------------
 # base-class constructions: each returns the adjacency masks of its
 # graph on vertices 0..n-1
-
-
-def _complement(rows: list[int]) -> list[int]:
-    full = (1 << len(rows)) - 1
-    return [full ^ r ^ (1 << u) for u, r in enumerate(rows)]
 
 
 def _group_masks(rng: SplitMix64, n: int) -> list[int]:
@@ -257,8 +252,8 @@ def _base_triangle_free(rng: SplitMix64, n: int, density: Fraction) -> list[int]
 def _base_p3k1_free(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
     # full join of a cocluster with a complement-of-triangle-free part
     n1 = rng.below(n + 1)
-    left = _complement(_base_cluster(rng, n1, density))
-    right = _complement(_base_triangle_free(rng, n - n1, density))
+    left = complement_rows(_base_cluster(rng, n1, density))
+    right = complement_rows(_base_triangle_free(rng, n - n1, density))
     left_all = (1 << n1) - 1
     right_all = ((1 << n) - 1) ^ left_all
     return [r | right_all for r in left] + [r << n1 | left_all for r in right]
@@ -267,13 +262,13 @@ def _base_p3k1_free(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
 _BASES: dict[str, Callable[[SplitMix64, int, Fraction], list[int]]] = {
     "edgeless": lambda rng, n, d: [0] * n,
     "cluster": _base_cluster,
-    "cocluster": lambda rng, n, d: _complement(_base_cluster(rng, n, d)),
+    "cocluster": lambda rng, n, d: complement_rows(_base_cluster(rng, n, d)),
     "forest": _base_forest,
     "bipartite": _base_bipartite,
     "split": _base_split,
     "cograph": _base_cograph,
     "chordal": _base_chordal,
-    "cochordal": lambda rng, n, d: _complement(_base_chordal(rng, n, d)),
+    "cochordal": lambda rng, n, d: complement_rows(_base_chordal(rng, n, d)),
     "p3k1-free": _base_p3k1_free,
     "triangle-free": _base_triangle_free,
 }
@@ -297,17 +292,13 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:
     # Planted vertex p draws its edges to every u < p: its row is its
     # draws read as one binary number (0 for no draws, at p = 0), and the
     # other half of each edge, bit p of row u, is column u of the planted
-    # rows, shifted past the base; a few planted edges are set one by one.
+    # rows, shifted past the base.
     planted_rows = [int(rng.chances(p, spec.density)[::-1].translate(_DRAW_DIGITS) or b"0", 2)
                     for p in range(spec.n, total)]
     rows += planted_rows
-    if _transposes(sum(map(int.bit_count, planted_rows)), spec.k, total, total):
+    if planted_rows:
         for u, column in enumerate(_columns(planted_rows, total, range(total))):
             rows[u] |= column << spec.n
-    else:
-        for p, row in enumerate(planted_rows, spec.n):
-            for u in bits(row):
-                rows[u] |= 1 << p
     perm = list(range(total))
     rng.shuffle(perm)
     # vertex u of the construction gets the label perm[u]

@@ -19,12 +19,13 @@ skip validation, as do the generator's graphs, built as masks.
 
 Masks are listed and remapped in C where it pays: ``_digits`` gives a
 row's binary digits for ``itertools.compress`` (dense rows, by
-``_dense_row``), and ``_columns`` transposes a list of rows through one
-binary string of all their digits.  The transposition sets the other
-half of every edge at once: the parser's dense edge block and the
-generator's planted rows use it, and ``Graph.relabeled`` reads every new
-row as a column of the kept rows; a sparse matrix, by ``_transposes``,
-keeps the bit loop.
+``_dense_row``).  ``_columns`` is the one reader of a bit matrix's
+columns: it transposes the rows through one binary string of all their
+digits (``_transpose``), or walks their set bits when the matrix is too
+sparse for that to pay.  A column read sets the other half of every
+edge at once: the parser's dense edge block and the generator's planted
+rows use it, and ``Graph.relabeled`` reads every new row as a column of
+the kept rows.
 
 The clique contraction G<Y> is :func:`contraction_rows`: rows in G's
 own id space, where Y and its pendant leaf take the next two ids, so a
@@ -76,31 +77,40 @@ def _digits(mask: int) -> bytes:
     return format(mask, "b")[::-1].encode().translate(_DIGIT_BYTES)
 
 
-def _transposes(ones: int, rows: int, width: int, cols: int) -> bool:
-    """True when reading ``cols`` columns of a bit matrix of ``rows``
-    rows of ``width`` bits by ``_columns`` costs less than setting its
-    ``ones`` set bits one at a time.  A bit costs the bit loop about 300
-    units of 0.9 ns; the transposition costs one unit per digit of its
-    string, two more per digit it slices and 400 per column (timed on
-    relabels at n = 10-2000 with k/n = 0.1-1, and on 1-40 planted rows
-    at n = 8-400).  Sparse matrices stay on the bit loop: the string of a
-    2**16-vertex path's relabel would hold 2**32 digits."""
-    return ones * 300 >= rows * (width + 2 * cols) + 400 * cols
-
-
-def _columns(rows: Sequence[int], width: int, cols: Iterable[int]) -> Iterator[int]:
+def _columns(rows: Sequence[int], width: int, cols: Sequence[int]) -> Iterator[int]:
     """Column c of the bit matrix ``rows`` (each row below 2**width), as
     the mask of the rows with bit c set, for each c of ``cols`` in turn.
+    Every column is read before the first is returned, so the caller may
+    change ``rows`` while it reads them.
 
-    One binary string holds every digit: "0b1" (the sentinel 1 keeps the
-    leading zeros), then each row, last row first, highest digit first,
-    in a field of ``step`` digits (whole bytes), so column c is every
-    step-th digit from 2 + step - c on.  Built from the rows' bytes, it
-    is the only copy of the digits (a join of each row's binary form
-    would hold them twice); the string is built before the first column
-    is read, so the caller may change ``rows`` while it reads columns."""
-    if not rows:
-        return (0 for _ in cols)
+    A set bit costs a walk of the bits about 300 units of 0.9 ns; the
+    transposition costs one unit per digit of its string, two more per
+    digit it slices and 400 per column (timed on relabels at n = 10-2000
+    with k/n = 0.1-1, and on 1-40 planted rows at n = 8-400, with a walk
+    through ``bits``; the inline walk below is somewhat cheaper, so the
+    rule leans to the transposition).  Sparse matrices, and no rows at
+    all, are walked: the string of a 2**16-vertex path's relabel would
+    hold 2**32 digits."""
+    if sum(map(int.bit_count, rows)) * 300 >= len(rows) * (width + 2 * len(cols)) + 400 * len(cols):
+        return _transpose(rows, width, cols)
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return map(columns.__getitem__, cols)
+
+
+def _transpose(rows: Sequence[int], width: int, cols: Iterable[int]) -> Iterator[int]:
+    """``_columns`` by one binary string of every digit (``rows`` may be
+    empty only when ``cols`` is): "0b1" (the sentinel 1 keeps the leading
+    zeros), then each row, last row first, highest digit first, in a
+    field of ``step`` digits (whole bytes), so column c is every step-th
+    digit from 2 + step - c on.  Built from the rows' bytes, it is the
+    only copy of the digits (a join of each row's binary form would hold
+    them twice)."""
     size = (width + 7) // 8
     step = 8 * size
     digits = bin(int.from_bytes(
@@ -186,6 +196,12 @@ def contraction_rows(adj_bits: Sequence[int], y: int, within: int) -> tuple[list
     return rows, kept | vert | leaf
 
 
+def complement_rows(rows: Sequence[int]) -> list[int]:
+    """Rows of the complement of the graph with adjacency masks ``rows``."""
+    full = (1 << len(rows)) - 1
+    return [full ^ row ^ (1 << u) for u, row in enumerate(rows)]
+
+
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
 
@@ -263,8 +279,7 @@ class Graph:
     # -- derived graphs -----------------------------------------------
 
     def complement(self) -> "Graph":
-        full = self.full_mask
-        return Graph._from_masks([full & ~b & ~(1 << u) for u, b in enumerate(self.adj_bits)])
+        return Graph._from_masks(complement_rows(self.adj_bits))
 
     def _check_ids(self, ids: Sequence[int]) -> None:
         """Raise unless the sorted ids all lie in 0..n-1."""
@@ -285,24 +300,10 @@ class Graph:
 
         The kept rows, taken in the new order, are a k x n bit matrix, and
         new row i is its column ``old[i]``, since the adjacency is
-        symmetric: one transposition (:func:`_columns`) reads them all
-        from one string of k * n digits.  A sparse graph, by
-        :func:`_transposes`, is remapped bit by bit instead."""
-        n = self.n
-        k = len(old)
+        symmetric: :func:`_columns` reads them all."""
         keep = mask_of(old)
         adj_bits = self.adj_bits
-        kept = [adj_bits[u] & keep for u in old]
-        if not _transposes(sum(map(int.bit_count, kept)), k, n, k):
-            index = dict(zip(old, range(k)))
-            rows = []
-            for row in kept:
-                b = 0
-                for v in bits(row):
-                    b |= 1 << index[v]
-                rows.append(b)
-            return Graph._from_masks(rows)
-        return Graph._from_masks(list(_columns(kept, n, old)))
+        return Graph._from_masks(list(_columns([adj_bits[u] & keep for u in old], self.n, old)))
 
     def contract_with_pendant(self, y: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Contract ``y`` to one vertex and append a fresh pendant leaf;

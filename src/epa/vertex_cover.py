@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .graphs import Graph, Weights, bits, mask_covers, mask_of, unit_weights
+from .graphs import Graph, Weights, bits, mask_covers, mask_of
 from .recognize import Cotree, build_cotree, find_induced
 from .solvers import (
     cotree_independent_set,
@@ -135,7 +135,7 @@ def vc_chordal(g: Graph, w: Optional[Weights] = None) -> VertexCoverSol:
     Local ratio on triangles, every leaver in the cover; chordal subgraphs
     of the triangle-free rest are forests, so vc_fvs covers it.
     """
-    wp, alive, left, _ = _local_ratio(g, unit_weights(g.n) if w is None else w, "triangle")
+    wp, alive, left, _ = _local_ratio(g, [1] * g.n if w is None else w, "triangle")
     return VertexCoverSol(vc_fvs(g, wp, alive).cover.union(v for v, _ in left), "vc-chordal")
 
 
@@ -150,7 +150,7 @@ def vc_fvs(g: Graph, w: Optional[Weights] = None, within: Optional[int] = None) 
     2-approximate feedback vertex set of the half part joins the cover;
     the remaining forest is solved exactly.
     """
-    w = unit_weights(g.n) if w is None else w
+    w = [1] * g.n if w is None else w
     lp = lp_half_integral_vc(g, w, within)
     half = mask_of(lp.v_half)
     fvs = fvs_2approx(g, w, half)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from epa import generator
+from epa import generator, graphs
 from epa.generator import (
     GENERATOR_CLASSES,
     _base_triangle_free,
@@ -15,7 +15,7 @@ from epa.generator import (
     random_graph,
     random_weights,
 )
-from epa.graphs import Graph, _columns, bits
+from epa.graphs import Graph, _columns, _transpose, bits
 from epa.instances import MAX_VERTICES, serialize_instance
 from epa.recognize import recognize
 
@@ -92,8 +92,9 @@ def test_generate_self_check_rejects_a_broken_base(monkeypatch, base, rows, k):
 def test_generate_relabels_once_and_builds_no_subgraph(monkeypatch):
     """generate relabels its construction once, the final shuffle, and
     self-checks the final graph under a vertex mask, so it builds no
-    induced subgraph: every class, with and without planted vertices."""
-    calls = []
+    induced subgraph: every class, with and without planted vertices.
+    It reads the planted rows' columns once, and not at all for k = 0."""
+    calls, reads = [], []
     relabeled = Graph.relabeled
 
     def counted(g, old):
@@ -105,20 +106,23 @@ def test_generate_relabels_once_and_builds_no_subgraph(monkeypatch):
 
     monkeypatch.setattr(Graph, "relabeled", counted)
     monkeypatch.setattr(Graph, "induced_subgraph", forbidden)
+    monkeypatch.setattr(generator, "_columns", lambda *a: reads.append(a) or _columns(*a))
     for base in GENERATOR_CLASSES:
         for k in (0, 3):
             g, _ = generate(GeneratorSpec(base, 30, k, Fraction(1, 2), 7400))
-            assert calls == [g.n], (base, k)
+            assert calls == [g.n] and len(reads) == min(k, 1), (base, k)
             calls.clear()
+            reads.clear()
 
 
 def test_planted_rows_match_single_draws_on_both_sides_of_the_rule(monkeypatch):
-    """The planted edges, read as columns of the planted rows or set one
-    by one, are those of one ``chance`` per pair (p, u < p), in order,
-    after the base; the labels are the shuffle drawn next.  Both sides of
-    ``graphs._transposes`` are taken."""
+    """The planted edges, read as columns of the planted rows, are those
+    of one ``chance`` per pair (p, u < p), in order, after the base; the
+    labels are the shuffle drawn next.  Both sides of ``graphs._columns``
+    are taken: the transposition, ``graphs._transpose``, and the bit
+    walk."""
     calls = []
-    monkeypatch.setattr(generator, "_columns", lambda *a: calls.append(a) or _columns(*a))
+    monkeypatch.setattr(graphs, "_transpose", lambda *a: calls.append(a) or _transpose(*a))
     sides = []
     for base, n, k in (("edgeless", 0, 3), ("split", 15, 1), ("forest", 8, 2), ("cograph", 44, 4),
                        ("cocluster", 90, 10), ("bipartite", 180, 20)):

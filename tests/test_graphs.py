@@ -5,7 +5,7 @@ import pytest
 
 from epa import graphs
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph
-from epa.graphs import Graph, _columns, as_weights, bits, connected, first_triangle, mask_covers
+from epa.graphs import Graph, _columns, _transpose, as_weights, bits, connected, first_triangle, mask_covers
 from epa.instances import serialize_instance
 from conftest import _components, corpus, masked_corpus
 from small_graphs import (
@@ -37,27 +37,32 @@ def relabel_reference(g: Graph, old) -> Graph:
 
 
 def transposes(g: Graph, old) -> bool:
-    """The test's own copy of ``Graph.relabeled``'s rule: True when it
-    reads the new rows as columns rather than remapping bits one by one."""
+    """The test's own copy of the rule of ``graphs._columns`` for
+    ``g.relabeled(old)``: True when it transposes the kept rows rather
+    than walking their bits."""
     keep = sum(1 << v for v in old)
     ones = sum((g.adj_bits[u] & keep).bit_count() for u in old)
     return ones * 300 >= len(old) * (g.n + 2 * len(old) + 400)
 
 
-def spy_on_columns(monkeypatch) -> list:
-    """Record every call of ``graphs._columns`` made inside ``graphs``."""
+def spy_on_transpose(monkeypatch) -> list:
+    """Record every call of ``graphs._transpose``, the string side of
+    ``graphs._columns``."""
     calls = []
-    monkeypatch.setattr(graphs, "_columns", lambda *a: calls.append(a) or _columns(*a))
+    monkeypatch.setattr(graphs, "_transpose", lambda *a: calls.append(a) or _transpose(*a))
     return calls
 
 
-def test_columns_match_bit_by_bit_reference():
+def test_columns_match_bit_by_bit_reference(monkeypatch):
     """Widths 0-70, whole bytes or not, with the top bit set in some rows
     and every bit in others; columns in any order and repeated; and no
-    rows at all, whose every column is empty."""
+    rows at all, whose every column is empty.  Both the transposition and
+    the bit walk are taken, each many times."""
+    calls = spy_on_transpose(monkeypatch)
     rng = SplitMix64(8800)
     assert list(_columns([], 0, [])) == []
     assert list(_columns([], 9, [8, 0, 8])) == [0, 0, 0]
+    sides = [0, 0]
     for width in range(71):
         for count in (1, 2, 8, 13):
             rows = [rng.below(1 << width) for _ in range(count)]
@@ -68,7 +73,10 @@ def test_columns_match_bit_by_bit_reference():
             rng.shuffle(cols)
             cols += cols[:3]
             expect = [sum((row >> c & 1) << i for i, row in enumerate(rows)) for c in cols]
+            calls.clear()
             assert list(_columns(rows, width, cols)) == expect, (width, count)
+            sides[bool(calls)] += 1
+    assert min(sides) >= 20, sides
 
 
 def test_rejects_self_loops_and_duplicates():
@@ -212,7 +220,7 @@ def test_relabeled_takes_ids_in_any_order(monkeypatch):
     and shuffled ``old``, on both sides of the rule, over the masked
     corpus and dense draws at n = 100-400; the transposition runs exactly
     when the test's copy of the rule says so."""
-    calls = spy_on_columns(monkeypatch)
+    calls = spy_on_transpose(monkeypatch)
     cases = [(g, list(bits(within))) for g, within in masked_corpus()]
     more = [path_graph(200), complete_graph(60)] + corpus(6, 40, 120, seed0=860)
     more += [random_graph(n, Fraction(1, 2), 850 + n) for n in (100, 250, 400)]
@@ -234,9 +242,9 @@ def test_relabeled_takes_ids_in_any_order(monkeypatch):
 def test_dense_relabel_peaks_below_its_edge_text(monkeypatch):
     """A shuffle of a dense n = 2000 graph (density 1/2, about 10.9 MB of
     edge text) is read with one string of n^2 digits, below the text; a
-    shuffle of the 4,096-vertex path stays on the bit loop, where that
+    shuffle of the 4,096-vertex path stays on the bit walk, where that
     string alone would take n^2 bytes."""
-    calls = spy_on_columns(monkeypatch)
+    calls = spy_on_transpose(monkeypatch)
     for g, side in ((random_graph(2000, Fraction(1, 2), 8900), True), (path_graph(4096), False)):
         text = serialize_instance(g)
         edge_text = len(text) - (text.index("\ne ") + 1)

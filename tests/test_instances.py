@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from epa import instances
-from epa.graphs import Graph, _columns, unit_weights
+from epa import graphs, instances
+from epa.graphs import Graph, _columns, _transpose, unit_weights
 from epa.instances import ParseError, parse_instance, serialize_instance
 from epa.generator import GeneratorSpec, SplitMix64, generate, random_graph, random_weights
 from conftest import corpus
@@ -376,14 +376,18 @@ def mutated_side_files(kind: str, files):
 @pytest.mark.parametrize("n,density", [(16, Fraction(1, 2)), (40, Fraction(1, 5)), (40, Fraction(1, 2)),
                                        (64, Fraction(1, 2)), *((n, d) for n, d, _ in SIDE_FILES)])
 def test_dense_rule_picks_the_side(n, density, monkeypatch):
-    """The transposition, the reader's only call of ``graphs._columns``,
-    runs exactly on the files the rule calls dense."""
-    calls = []
+    """The column read, the reader's only call of ``graphs._columns``,
+    runs exactly on the files the rule calls dense, and always by the
+    transposition, ``graphs._transpose``, whose string of about n^2
+    digits the ``_CHUNK`` memory bound counts on."""
+    calls, transposed = [], []
     monkeypatch.setattr(instances, "_columns", lambda *a: calls.append(a) or _columns(*a))
+    monkeypatch.setattr(graphs, "_transpose", lambda *a: transposed.append(a) or _transpose(*a))
     g = random_graph(n, density, 7650 + n)
     text = serialize_instance(g)
     assert _bulk_rows(text, n) == list(g.adj_bits)
     assert bool(calls) == _dense(text, n)
+    assert len(transposed) == len(calls)
 
 
 @pytest.mark.parametrize("kind", EDGE_MUTATIONS + FILE_MUTATIONS)

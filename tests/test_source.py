@@ -182,9 +182,36 @@ def test_one_post_order_walk_of_a_cotree():
 def test_weights_are_scaled_in_one_place():
     """``reports.run_algorithm`` hands the solvers integer weights, so no
     solver module rescales them: ``solvers`` and ``vertex_cover`` read no
-    ``lcm``, and ``vertex_cover`` reads no ``Fraction``."""
+    ``lcm``, and ``vertex_cover`` reads no ``Fraction`` and no
+    ``unit_weights``: its default weights are int ones."""
     reads = {module: _reads(ast.parse((PACKAGE / module).read_text()))
              for module in ("solvers.py", "vertex_cover.py")}
     found = [f"{module}: lcm" for module, counts in reads.items() if counts["lcm"]]
-    found += ["vertex_cover.py: Fraction"] if reads["vertex_cover.py"]["Fraction"] else []
+    found += [f"vertex_cover.py: {name}" for name in ("Fraction", "unit_weights")
+              if reads["vertex_cover.py"][name]]
+    assert not found, found
+
+
+def test_one_column_reader():
+    """``graphs._columns`` alone chooses between the transposition and a
+    bit walk: no module but ``graphs`` reads ``_transpose``, none reads a
+    separate rule ``_transposes``, ``generator.generate`` and
+    ``Graph.relabeled`` walk no ``bits`` of their own, and ``generator``
+    writes no complement formula beside ``graphs.complement_rows``."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    found = [f"{module}: {name}" for module, tree in trees.items() if module != "graphs.py"
+             for name in ("_transpose", "_transposes") if _reads(tree)[name]]
+    found += ["graphs.py: _transposes"] if _reads(trees["graphs.py"])["_transposes"] else []
+    graph = next(node for node in trees["graphs.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "Graph")
+    walkers = {"generator.generate": _functions("generator.py")["generate"],
+               "Graph.relabeled": next(node for node in graph.body
+                                       if isinstance(node, ast.FunctionDef) and node.name == "relabeled")}
+    found += [f"{name}: bits" for name, node in walkers.items() if _reads(node)["bits"]]
+    # the formula flips a row twice, full ^ row ^ (1 << u)
+    found += [f"generator.py:{node.lineno}: complement formula" for node in ast.walk(trees["generator.py"])
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor)
+              and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.BitXor)]
+    found += [f"generator.py: {name}" for name in _functions("generator.py")
+              if "complement" in name and name != "chained_triangle_complement"]
     assert not found, found
