@@ -143,12 +143,17 @@ def _base_forest(rng: SplitMix64, n: int, density: Fraction) -> list[int]:
 def _draw_pairs(rng: SplitMix64, rows: list[int], others: list[int],
                 density: Fraction) -> list[int]:
     """``rows`` plus the edge uv for each v > u in ``others[u]`` with the
-    given chance, one draw per pair in lexicographic order."""
+    given chance, one draw per pair in lexicographic order, all drawn in
+    one run."""
+    draws = rng.chances(sum((other >> (u + 1)).bit_count() for u, other in enumerate(others)),
+                        density)
+    start = 0
     for u, other in enumerate(others):
         vs = _neighbours(other >> (u + 1) << (u + 1), len(rows))
-        for v in compress(vs, rng.chances(len(vs), density)):
+        for v in compress(vs, draws[start:start + len(vs)]):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        start += len(vs)
     return rows
 
 
@@ -289,12 +294,17 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, frozenset[int]]:
         raise GenerationError(f"vertex count {total} above the limit {MAX_VERTICES}")
     rng = SplitMix64(spec.seed)
     rows = _BASES[spec.base](rng, spec.n, spec.density)
-    # Planted vertex p draws its edges to every u < p: its row is its
-    # draws read as one binary number (0 for no draws, at p = 0), and the
-    # other half of each edge, bit p of row u, is column u of the planted
-    # rows, shifted past the base.
-    planted_rows = [int(rng.chances(p, spec.density)[::-1].translate(_DRAW_DIGITS) or b"0", 2)
-                    for p in range(spec.n, total)]
+    # Planted vertex p draws its edges to every u < p, after those of the
+    # planted vertices before it: its row is its draws read as one binary
+    # number (0 for no draws, at p = 0), and the other half of each edge,
+    # bit p of row u, is column u of the planted rows, shifted past the
+    # base.
+    draws = rng.chances(spec.k * (spec.n + total - 1) // 2, spec.density)
+    planted_rows = []
+    start = 0
+    for p in range(spec.n, total):
+        planted_rows.append(int(draws[start:start + p][::-1].translate(_DRAW_DIGITS) or b"0", 2))
+        start += p
     rows += planted_rows
     if planted_rows:
         for u, column in enumerate(_columns(planted_rows, total, range(total))):

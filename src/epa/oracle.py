@@ -11,9 +11,10 @@ Vertex covers and modulators are hitting sets of obstruction masks.  One
 superset table, a 2^n-bit integer closed upward in n shift-or steps,
 tells whether a candidate meets every obstruction in one lookup.  The
 obstructions of a class are the masks that ``certify``'s pattern tests
-accept; only masks whose vertex count and induced edge count (one
-table per graph) fit a pattern are tested.  The module imports only
-``graphs`` and ``certify``, never recognizer or solver code.
+accept; a mask meets only the tests of the patterns whose vertex count
+and edge count it has, read from a table of one byte per mask.  The
+module imports only ``graphs`` and ``certify``, never recognizer or
+solver code.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def _subset_weights(wi: Sequence[int]) -> list[int]:
 
 
 _HITS = bytes.maketrans(b"01", b"\x01\x00")
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 
 
 def _hitting_flags(n: int, sets: Iterable[int]) -> bytes:
@@ -104,10 +106,17 @@ def _first_hitting_set(
     n: int, sets: Sequence[int], accept: Optional[Callable] = None
 ) -> tuple[int, frozenset[int]]:
     """Smallest vertex set meeting every mask in ``sets`` (and passing
-    ``accept``), lexicographically first among those of its size."""
+    ``accept``), lexicographically first among those of its size.
+
+    No set smaller than the least hitting mask meets every mask, so the
+    scan by size starts there (past n when none hits, as when ``sets``
+    holds the empty mask)."""
     hits = _hitting_flags(n, sets)
+    popcounts = b"\x00"  # of every mask, indexed by the mask
+    for _ in range(n):
+        popcounts += popcounts.translate(_PLUS_ONE)
     powers = [1 << v for v in range(n)]
-    for k in range(n + 1):
+    for k in range(min(compress(popcounts, hits), default=n + 1), n + 1):
         # the masks of the k-sets, in lexicographic order of the sets
         for mask in filter(hits.__getitem__, map(sum, combinations(powers, k))):
             combo = tuple(bits(mask))
@@ -276,20 +285,37 @@ _COMPLEMENTS = {"cocluster": "cluster", "co-triangle-free": "triangle-free",
                 "cochordal": "chordal"}
 
 
-def _induced_edge_counts(g: Graph) -> list[int]:
-    """Edge count of G[mask] for every vertex mask, indexed by the mask:
-    the masks with highest vertex v add v's edges into the lower part."""
-    counts = [0]
-    for row in g.adj_bits:
-        counts += [c + (row & low).bit_count() for low, c in enumerate(counts)]
-    return counts
+# A byte holds the edge count of at most 23 vertices: C(23, 2) = 253.
+_BYTE_LANE_N = 23
+
+
+def _induced_edge_counts(g: Graph) -> bytes:
+    """Edge count of G[mask] for every vertex mask, one byte indexed by
+    the mask, for n <= _BYTE_LANE_N.
+
+    The table is built lane-packed in one integer, byte lane i holding
+    mask i: the masks with highest vertex v are those below it plus v's
+    edges into the lower part.  Those edge counts, |N(v) & low| over the
+    masks low below v, double over the vertices u < v, adding 1 to the
+    new upper half's lanes when u is a neighbour."""
+    ones = [1]  # ones[u]: 2^u lanes of 1
+    for u in range(g.n - 2):
+        ones.append(ones[u] | ones[u] << (8 << u))
+    counts = 0
+    for v, row in enumerate(g.adj_bits):
+        into = 0
+        for u in range(v):
+            into |= (into + ones[u] if row >> u & 1 else into) << (8 << u)
+        counts |= (counts + into) << (8 << v)
+    return counts.to_bytes(1 << g.n, "little")
 
 
 def obstruction_masks(g: Graph, cls: str) -> list[int]:
     """Vertex sets of all minimal induced obstructions for ``cls``.
 
-    Only masks whose vertex and edge counts fit a pattern, by the counts
-    in ``certify``'s pattern table, go to that table's tests."""
+    Each mask goes to the tests of ``certify``'s pattern table whose
+    vertex and edge counts, by that table, it has: the test is the
+    definition, the counts only skip masks it would reject."""
     if cls == "edgeless":
         return [1 << u | 1 << v for u, row in enumerate(g.adj_bits)
                 for v in bits(row >> (u + 1) << (u + 1))]
@@ -297,15 +323,21 @@ def obstruction_masks(g: Graph, cls: str) -> list[int]:
         return obstruction_masks(g.complement(), _COMPLEMENTS[cls])
     if cls not in _OBSTRUCTIONS:
         raise ValueError(f"no modulator oracle for class {cls!r}")
-    patterns = [_PATTERNS[p] for p in _OBSTRUCTIONS[cls]]
-    shapes = {(k, e) for p in patterns for k in range(g.n + 1) if (e := p.edges(k)) is not None}
+    if g.n > _BYTE_LANE_N:
+        raise BudgetExceeded(f"obstruction scan limited to n <= {_BYTE_LANE_N} "
+                             f"(one byte per edge count), got n = {g.n}")
+    tests: dict[tuple[int, int], list[Callable]] = {}  # by (vertex count, edge count)
+    for name in _OBSTRUCTIONS[cls]:
+        p = _PATTERNS[name]
+        for k in range(g.n + 1):
+            if (e := p.edges(k)) is not None:
+                tests.setdefault((k, e), []).append(p.test)
     edges = _induced_edge_counts(g)
     # the edge count is checked in one C-level pass, then the pair of counts
-    wanted = {e for _, e in shapes}
-    tests = [p.test for p in patterns]
+    flags = bytes(map({e for _, e in tests}.__contains__, range(256)))
     # a vertex set induces at most one of a class's patterns
-    return [mask for mask in compress(range(len(edges)), map(wanted.__contains__, edges))
-            if (mask.bit_count(), edges[mask]) in shapes for test in tests if test(g, mask)]
+    return [mask for mask in compress(range(len(edges)), edges.translate(flags))
+            for test in tests.get((mask.bit_count(), edges[mask]), ()) if test(g, mask)]
 
 
 def exact_min_modulator(

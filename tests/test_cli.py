@@ -62,6 +62,17 @@ def test_verify_over_budget(tmp_path):
     assert rc == 3
 
 
+def test_oracle_refuses_a_modulator_above_the_byte_lanes(tmp_path, capsys):
+    """The modulator scan counts edges in one byte per vertex set, exact
+    up to 23 vertices: above that it exits 3 whatever the budget, before
+    building a table of 2^n entries."""
+    p = tmp_path / "p24.epa"
+    p.write_text(serialize_instance(path_graph(24)))
+    argv = ["oracle", "--modulator", "split", "--input", str(p), "--oracle-budget", "40"]
+    assert main(argv) == 3
+    assert "n <= 23" in capsys.readouterr().err
+
+
 def test_verify_tp_on_cocluster(tmp_path, capsys):
     from epa.generator import GeneratorSpec, generate
     from fractions import Fraction

@@ -146,6 +146,20 @@ def test_planted_rows_match_single_draws_on_both_sides_of_the_rule(monkeypatch):
     assert sides.count(True) >= 5 and sides.count(False) >= 5, sides
 
 
+def test_each_draw_run_is_one_call(monkeypatch):
+    """A split draw calls ``chances`` once for the clique sides, once for
+    the pairs between the sides and once for every planted row: three
+    calls, where one per row would make 1 + n + k."""
+    counts = []
+    chances = SplitMix64.chances
+    monkeypatch.setattr(SplitMix64, "chances",
+                        lambda rng, count, p: counts.append(count) or chances(rng, count, p))
+    for n, k in ((14, 2), (9, 1), (30, 5)):
+        counts.clear()
+        generate(GeneratorSpec("split", n, k, Fraction(1, 2), 4500 + n))
+        assert len(counts) == 3 and counts[0] == n and counts[2] == k * (2 * n + k - 1) // 2
+
+
 def test_generate_rejects_unknown_class():
     with pytest.raises(GenerationError):
         generate(GeneratorSpec("interval", 5, 0, Fraction(1, 2), 0))

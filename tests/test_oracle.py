@@ -3,9 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from epa.certify import induces_pattern, is_proper_coloring, is_triangle_packing, is_vertex_cover
+from epa import oracle
+from epa.certify import (
+    _PATTERNS,
+    induces_pattern,
+    is_proper_coloring,
+    is_triangle_packing,
+    is_vertex_cover,
+)
 from epa.generator import SplitMix64, random_weights
-from epa.graphs import bits, mask_of, unit_weights
+from epa.graphs import Graph, bits, mask_of, unit_weights
 from epa.oracle import (
     BudgetExceeded,
     OracleBudget,
@@ -276,6 +283,76 @@ def ref_obstruction_masks(g, cls):
 
 
 def test_obstruction_masks_match_every_mask_scan():
-    for g in corpus(40, 0, 9, seed0=9300):
+    # n = 10 is the size of the benchmark's oracle sweep
+    for g in corpus(40, 0, 9, seed0=9300) + corpus(4, 10, 10, seed0=9340):
         for cls in (*CLASS_PATTERNS, *CO_CLASSES):
             assert sorted(obstruction_masks(g, cls)) == ref_obstruction_masks(g, cls), cls
+
+
+def test_induced_edge_counts_match_per_mask_popcounts():
+    """The byte table holds, at index mask, the popcount sum over the
+    mask's vertices of their rows inside the mask, halved."""
+    graphs = corpus(39, 0, 12, seed0=9400) + [complete_graph(12), Graph(12, []), Graph(0, [])]
+    for g in graphs:
+        adj = g.adj_bits
+        expect = bytes(sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
+                       for mask in range(1 << g.n))
+        assert oracle._induced_edge_counts(g) == expect, g.n
+
+
+def test_edge_counts_fill_a_byte_at_the_lane_limit():
+    """K23 has 253 edges, the most a byte lane is asked to hold; above
+    23 vertices the scan refuses before building its table."""
+    edges = oracle._induced_edge_counts(complete_graph(23))
+    assert len(edges) == 1 << 23
+    assert edges[-1] == 253 and edges[(1 << 22) - 1] == 231 and edges[0b1011] == 3
+    with pytest.raises(BudgetExceeded, match="n <= 23"):
+        obstruction_masks(path_graph(24), "split")
+
+
+def test_candidates_meet_only_the_tests_of_their_shape(monkeypatch):
+    """A mask goes only to the pattern tests whose vertex and edge counts
+    it has, so a split candidate meets one of 2K2, C4 and C5, never all."""
+    seen = []
+
+    def spied(name, p):
+        def test(g, mask):
+            seen.append((name, mask))
+            return p.test(g, mask)
+        return p._replace(test=test)
+
+    monkeypatch.setattr(oracle, "_PATTERNS", {name: spied(name, p) for name, p in _PATTERNS.items()})
+    for g in corpus(12, 6, 10, seed0=9500):
+        for cls in ("split", "chordal", "cograph", "cocluster"):
+            seen.clear()
+            got = obstruction_masks(g, cls)
+            assert got == ref_obstruction_masks(g, cls)
+            h = g.complement() if cls in CO_CLASSES else g
+            for name, mask in seen:
+                edges = sum((h.adj_bits[v] & mask).bit_count() for v in bits(mask)) // 2
+                assert _PATTERNS[name].edges(mask.bit_count()) == edges, (cls, name, mask)
+            masks = [mask for _, mask in seen]
+            assert len(masks) == len(set(masks)), cls
+            assert set(got) <= set(masks)
+
+
+def test_hitting_scan_starts_at_the_least_hitting_size(monkeypatch):
+    """The by-size scan asks for no k-subsets below the size of the
+    smallest hitting mask, and a family holding the empty mask, which no
+    set meets, still ends in the scan's AssertionError."""
+    sizes = []
+    monkeypatch.setattr(oracle, "combinations",
+                        lambda items, k: sizes.append(k) or combinations(items, k))
+    # three disjoint pairs: every hitting set takes one vertex of each
+    sets = [0b11, 0b1100, 0b110000]
+    assert _first_hitting_set(7, sets) == (3, frozenset({0, 2, 4}))
+    assert sizes == [3]
+    sizes.clear()
+    accept = lambda combo: 1 in combo and 6 in combo
+    assert _first_hitting_set(7, sets, accept) == (4, frozenset({1, 2, 4, 6}))
+    assert sizes == [3, 4]
+    for n, family in ((0, [0]), (4, [0b1010, 0]), (5, [0])):
+        sizes.clear()
+        with pytest.raises(AssertionError, match="unreachable"):
+            _first_hitting_set(n, family)
+        assert sizes == []
